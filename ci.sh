@@ -20,6 +20,8 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q \
 if [[ "${1:-}" != "quick" ]]; then
     echo "==> tier-1: cargo build --release"
     cargo build --release
+    echo "==> bench binaries the smokes below run (cargo build --release -p cfd-bench)"
+    cargo build --release -p cfd-bench
 fi
 
 echo "==> tier-1: cargo test -q"
@@ -174,6 +176,15 @@ if [[ "${1:-}" != "quick" ]]; then
     wait "$SERVE_PID"
     cmp /tmp/cfd_serve_run.json /tmp/cfd_serve.json
     echo "   kill -9 + --resume replay matches the in-process run byte for byte"
+fi
+
+if [[ "${1:-}" != "quick" ]]; then
+    echo "==> socket-to-bill benchmark self-test (perfbench, 1/32 scale)"
+    # Builds the benchmark against this tree's crates and checks names,
+    # units, determinism and seed sensitivity of every workload, so a
+    # change to serve()/run_sharded_segment that breaks the benchmark
+    # fails here.
+    python3 perfbench/run.py --self-test
 fi
 
 echo "CI OK"

@@ -55,8 +55,8 @@ pub use pipeline::{
     run_pipeline, run_pipeline_instrumented, run_sharded_pipeline,
     run_sharded_pipeline_instrumented, run_sharded_segment, run_timed_pipeline,
     run_timed_pipeline_instrumented, run_timed_sharded_pipeline,
-    run_timed_sharded_pipeline_instrumented, PipelineConfig, PipelineOutcome, PipelineProgress,
-    SegmentOutcome, SegmentState, Transport,
+    run_timed_sharded_pipeline_instrumented, ClickSource, PipelineConfig, PipelineOutcome,
+    PipelineProgress, Pull, SegmentOutcome, SegmentState, Transport,
 };
 pub use report::NetworkReport;
 pub use ring::{Pool, RingStats};

@@ -198,11 +198,44 @@ pub enum Transport {
     Ring,
 }
 
+/// One pull from a [`ClickSource`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Pull {
+    /// The next click of the stream.
+    Click(Click),
+    /// Nothing is buffered right now, but the stream has not ended: the
+    /// ingest pushes its partial batches instead of holding them back.
+    Idle,
+    /// The stream (or this segment of it) is over.
+    End,
+}
+
+/// The pull contract of the pipeline's ingest stage.
+///
+/// Every `Iterator<Item = Click>` is a source through the blanket impl
+/// and never reports [`Pull::Idle`], so in-process runs batch exactly
+/// as before. A live source (the `cfd serve` hub) reports `Idle` when
+/// it runs dry, so clicks already received are judged and billed
+/// without waiting for a full batch.
+pub trait ClickSource {
+    /// Pulls the next click, or reports that none is buffered or that
+    /// the stream ended.
+    fn pull(&mut self) -> Pull;
+}
+
+impl<I: Iterator<Item = Click>> ClickSource for I {
+    fn pull(&mut self) -> Pull {
+        self.next().map_or(Pull::End, Pull::Click)
+    }
+}
+
 /// Tuning knobs of the sharded pipeline.
 #[derive(Debug, Clone, Copy)]
 pub struct PipelineConfig {
-    /// Clicks per inter-stage batch (larger batches amortize transport
-    /// overhead; smaller ones bound resequencer latency).
+    /// Upper bound on clicks per inter-stage batch (larger batches
+    /// amortize transport overhead; smaller ones bound resequencer
+    /// latency). A cap, not a fill target: when the source reports
+    /// [`Pull::Idle`], ingest pushes every partial batch it holds.
     pub batch: usize,
     /// Bounded queue capacity per worker, in batches (backpressure).
     /// On the ring transport this is the ring capacity, rounded up to
@@ -335,6 +368,11 @@ impl<D> SegmentOutcome<D> {
 /// one [`run_sharded_pipeline`] call over the whole stream (asserted by
 /// the `serve_equivalence` integration test).
 ///
+/// `clicks` is any [`ClickSource`]: an iterator batches exactly like
+/// [`run_sharded_pipeline`], while a live source that reports
+/// [`Pull::Idle`] gets its partial batches pushed as soon as it runs
+/// dry.
+///
 /// `telemetry` (optional) attaches the same instrument bundle as
 /// [`run_sharded_pipeline_instrumented`]; pass the *same* bundle every
 /// segment so counters accumulate across the run.
@@ -343,17 +381,17 @@ impl<D> SegmentOutcome<D> {
 ///
 /// Panics if a pipeline stage panics, or if `telemetry` was built for a
 /// different shard count.
-pub fn run_sharded_segment<D, I>(
+pub fn run_sharded_segment<D, S>(
     detector: ShardedDetector<D>,
     state: SegmentState,
-    clicks: I,
+    clicks: S,
     config: PipelineConfig,
     progress: Option<Arc<PipelineProgress>>,
     telemetry: Option<Arc<PipelineTelemetry>>,
 ) -> SegmentOutcome<D>
 where
     D: DuplicateDetector + DetectorStats + Send,
-    I: IntoIterator<Item = Click>,
+    S: ClickSource,
 {
     let name = DuplicateDetector::name(&detector);
     let router_seed = detector.router_seed();
@@ -918,6 +956,7 @@ where
         registry,
         ..FanoutSeed::default()
     };
+    let clicks = clicks.into_iter();
     let r = match config.transport {
         Transport::Channel => {
             run_fanout_channels(workers, router, seed, clicks, config, progress, instr)
@@ -940,18 +979,18 @@ where
 /// every stage times itself per batch; with `telemetry: None` the only
 /// residue is a handful of `Option` branches per batch.
 #[allow(clippy::too_many_arguments)]
-fn run_fanout_channels<D, I>(
+fn run_fanout_channels<D, S>(
     workers: Vec<D>,
     router: Option<ShardRouter>,
     seed: FanoutSeed,
-    clicks: I,
+    mut clicks: S,
     config: PipelineConfig,
     progress: Option<Arc<PipelineProgress>>,
     instr: Instrumentation<D>,
 ) -> FanoutResult<D>
 where
     D: BatchJudge + Send,
-    I: IntoIterator<Item = Click>,
+    S: ClickSource,
 {
     let batch = config.batch.max(1);
     let queue = config.queue.max(1);
@@ -1126,32 +1165,55 @@ where
             (engine.into_ledger(), savings, registry)
         });
 
-        // Ingest + route on the caller's thread.
+        // Ingest + route on the caller's thread. A bucket ships when it
+        // reaches `batch`, when the source goes idle, or at the end.
         let mut buckets: Vec<Vec<(u64, Click)>> = (0..shard_count)
             .map(|_| Vec::with_capacity(batch))
             .collect();
         let telem = instr.telemetry.as_deref();
-        'ingest: for (seq, click) in clicks.into_iter().enumerate() {
-            let shard = router.as_ref().map_or(0, |r| r.route(&click.key()));
-            buckets[shard].push((seq as u64, click));
-            if buckets[shard].len() == batch {
-                let full = std::mem::replace(&mut buckets[shard], Vec::with_capacity(batch));
-                if let Some(t) = telem {
-                    t.ingest_clicks().add(full.len() as u64);
-                    t.shard_queue_depth(shard).add(1);
+        // Sends one batch to `shard`'s worker; `false` once it is gone.
+        let ship = |shard: usize, items: Vec<(u64, Click)>| {
+            if let Some(t) = telem {
+                t.ingest_clicks().add(items.len() as u64);
+                t.shard_queue_depth(shard).add(1);
+            }
+            raw_txs[shard].send(RawBatch { items }).is_ok()
+        };
+        let mut seq = 0u64;
+        'ingest: loop {
+            match clicks.pull() {
+                Pull::Click(click) => {
+                    let shard = router.as_ref().map_or(0, |r| r.route(&click.key()));
+                    let b = &mut buckets[shard];
+                    b.push((seq, click));
+                    seq += 1;
+                    if b.len() == batch {
+                        let full = std::mem::replace(b, Vec::with_capacity(batch));
+                        if !ship(shard, full) {
+                            break 'ingest; // a worker died; stop feeding
+                        }
+                    }
                 }
-                if raw_txs[shard].send(RawBatch { items: full }).is_err() {
-                    break 'ingest; // a worker died; stop feeding
+                Pull::Idle => {
+                    for (shard, b) in buckets.iter_mut().enumerate() {
+                        if b.is_empty() {
+                            continue;
+                        }
+                        if let Some(t) = telem {
+                            t.ingest_idle_flushes().inc();
+                        }
+                        let partial = std::mem::replace(b, Vec::with_capacity(batch));
+                        if !ship(shard, partial) {
+                            break 'ingest;
+                        }
+                    }
                 }
+                Pull::End => break,
             }
         }
-        for (shard, (tx, bucket)) in raw_txs.iter().zip(buckets).enumerate() {
+        for (shard, bucket) in buckets.into_iter().enumerate() {
             if !bucket.is_empty() {
-                if let Some(t) = telem {
-                    t.ingest_clicks().add(bucket.len() as u64);
-                    t.shard_queue_depth(shard).add(1);
-                }
-                let _ = tx.send(RawBatch { items: bucket });
+                ship(shard, bucket);
             }
         }
         drop(raw_txs);
@@ -1198,18 +1260,18 @@ where
 /// key bytes to the worker inside the batch, where
 /// [`DuplicateDetector::observe_flat_into`] reuses them for probing.
 #[allow(clippy::too_many_arguments, clippy::too_many_lines)]
-fn run_fanout_rings<D, I>(
+fn run_fanout_rings<D, S>(
     workers: Vec<D>,
     router: Option<ShardRouter>,
     seed: FanoutSeed,
-    clicks: I,
+    mut clicks: S,
     config: PipelineConfig,
     progress: Option<Arc<PipelineProgress>>,
     instr: Instrumentation<D>,
 ) -> FanoutResult<D>
 where
     D: BatchJudge + Send,
-    I: IntoIterator<Item = Click>,
+    S: ClickSource,
 {
     let batch = config.batch.max(1);
     let queue = config.queue.max(1);
@@ -1237,6 +1299,16 @@ where
             items: Vec::with_capacity(batch),
         });
     }
+    // In-flight window: ingest stages a block only while it stays within
+    // `window` clicks of the next sequence number billing is waiting for.
+    // It covers both rings of every shard full plus every hand, so clicks
+    // completing in order never wait on it. It binds when one shard
+    // falls behind while the others run ahead (or a skewed stream leaves
+    // one shard's bucket unshipped): without it the resequencer heap
+    // grows with the backlog, and its pre-reservation below is a real
+    // bound only because of it.
+    let window = shard_count * (2 * queue.next_power_of_two() + 3) * batch;
+    let billed_seq = AtomicU64::new(0);
 
     thread::scope(|s| {
         // Shard workers: exclusive detector ownership, private scorer,
@@ -1334,21 +1406,19 @@ where
         let progress_bill = progress.clone();
         let telemetry_bill = instr.telemetry.clone();
         let judged_pool_bill = Arc::clone(&judged_pool);
+        let billed_seq = &billed_seq;
         let billing = s.spawn(move || {
             let telem = telemetry_bill.as_deref();
             let mut registry = registry;
             let mut engine = BillingEngine::with_ledger((), seed_ledger);
             let mut savings = seed_savings;
             let mut next_seq = 0u64;
-            // Same structural bound as the channel-transport resequencer:
-            // per-shard judged rings hold at most `queue` batches each,
-            // plus one in flight per worker and the one drained here.
-            // Pre-reserving keeps the heap from reallocating when the
-            // out-of-order backlog spikes mid-run (zero-steady-state-
+            // Every pending click is inside the in-flight window, so
+            // reserving the window keeps the heap from reallocating when
+            // the out-of-order backlog spikes mid-run (zero-steady-state-
             // allocation invariant).
-            let mut pending: BinaryHeap<Reverse<Pending>> =
-                BinaryHeap::with_capacity(shard_count * (queue + 2) * batch);
-            let mut ready: Vec<JudgedClick> = Vec::with_capacity(shard_count * (queue + 2) * batch);
+            let mut pending: BinaryHeap<Reverse<Pending>> = BinaryHeap::with_capacity(window);
+            let mut ready: Vec<JudgedClick> = Vec::with_capacity(window);
             let mut consumers = judged_consumers;
             let mut open = vec![true; consumers.len()];
             let mut live = consumers.len();
@@ -1381,6 +1451,7 @@ where
                             ready.push(p.judged);
                             next_seq += 1;
                         }
+                        billed_seq.store(next_seq, Ordering::Relaxed);
                         let t1 = telem.zip(t0).map(|(t, t0)| {
                             let now = Instant::now();
                             t.stage_resequence_ns().record(duration_ns(now - t0));
@@ -1433,69 +1504,107 @@ where
             (engine.into_ledger(), savings, registry)
         });
 
-        // Ingest + route on the caller's thread: stage a block of
+        // Ingest + route on the caller's thread: stage up to a block of
         // clicks, build all keys flat, lane-hash the block once for
-        // routing, then scatter into per-shard pooled batches.
+        // routing, then scatter into per-shard pooled batches. A bucket
+        // ships when it reaches `batch`, when the source goes idle
+        // (partial buckets, so buffered clicks never wait for more to
+        // arrive), or at the end of the stream.
         let telem = instr.telemetry.as_deref();
-        let mut iter = clicks.into_iter();
         let mut stage_clicks: Vec<Click> = Vec::with_capacity(batch);
         let mut stage_keys: Vec<u8> = Vec::with_capacity(batch * KEY_LEN);
         let mut routes: Vec<usize> = Vec::with_capacity(batch);
         let mut buckets: Vec<ClickBatch> = (0..shard_count).map(|_| raw_pool.get()).collect();
+        // Pushes one batch down `shard`'s raw ring; `false` once its
+        // worker is gone.
+        let mut ship = |shard: usize, b: ClickBatch| {
+            if let Some(t) = telem {
+                t.ingest_clicks().add(b.items.len() as u64);
+                t.shard_queue_depth(shard).add(1);
+            }
+            raw_producers[shard].push(b).is_ok()
+        };
         let mut seq = 0u64;
+        let block = batch as u64;
+        let window = window as u64;
         'ingest: loop {
-            stage_clicks.clear();
-            while stage_clicks.len() < batch {
-                match iter.next() {
-                    Some(c) => stage_clicks.push(c),
-                    None => break,
-                }
-            }
-            if stage_clicks.is_empty() {
-                break;
-            }
-            let t0 = telem.map(|_| Instant::now());
-            stage_keys.clear();
-            for c in &stage_clicks {
-                stage_keys.extend_from_slice(&c.key());
-            }
-            if let Some(r) = &router {
-                r.route_flat_into(&stage_keys, KEY_LEN, &mut routes);
-            } else {
-                routes.clear();
-                routes.resize(stage_clicks.len(), 0);
-            }
-            if let Some((t, t0)) = telem.zip(t0) {
-                t.stage_hash_ns().record(duration_ns(t0.elapsed()));
-            }
-            for (i, click) in stage_clicks.drain(..).enumerate() {
-                let shard = routes[i];
-                let b = &mut buckets[shard];
-                b.items.push((seq, click));
-                b.keys
-                    .extend_from_slice(&stage_keys[i * KEY_LEN..(i + 1) * KEY_LEN]);
-                seq += 1;
-                if b.items.len() == batch {
-                    let full = std::mem::replace(b, raw_pool.get());
-                    if let Some(t) = telem {
-                        t.ingest_clicks().add(full.items.len() as u64);
-                        t.shard_queue_depth(shard).add(1);
+            if seq + block > billed_seq.load(Ordering::Relaxed) + window {
+                // Billing waits on a click a full window back; it may sit
+                // in a partial bucket, so ship them all, then wait.
+                for (shard, b) in buckets.iter_mut().enumerate() {
+                    if !b.items.is_empty() && !ship(shard, std::mem::replace(b, raw_pool.get())) {
+                        break 'ingest;
                     }
-                    if raw_producers[shard].push(full).is_err() {
+                }
+                let mut backoff = Backoff::new();
+                while seq + block > billed_seq.load(Ordering::Relaxed) + window {
+                    if handles.iter().any(thread::ScopedJoinHandle::is_finished) {
                         break 'ingest; // a worker died; stop feeding
                     }
+                    backoff.snooze();
                 }
+            }
+            stage_clicks.clear();
+            let mut pulled = Pull::End;
+            while stage_clicks.len() < batch {
+                pulled = clicks.pull();
+                let Pull::Click(c) = pulled else { break };
+                stage_clicks.push(c);
+            }
+            if !stage_clicks.is_empty() {
+                let t0 = telem.map(|_| Instant::now());
+                stage_keys.clear();
+                for c in &stage_clicks {
+                    stage_keys.extend_from_slice(&c.key());
+                }
+                if let Some(r) = &router {
+                    r.route_flat_into(&stage_keys, KEY_LEN, &mut routes);
+                } else {
+                    routes.clear();
+                    routes.resize(stage_clicks.len(), 0);
+                }
+                if let Some((t, t0)) = telem.zip(t0) {
+                    t.stage_hash_ns().record(duration_ns(t0.elapsed()));
+                }
+                for (i, click) in stage_clicks.drain(..).enumerate() {
+                    let shard = routes[i];
+                    let b = &mut buckets[shard];
+                    b.items.push((seq, click));
+                    b.keys
+                        .extend_from_slice(&stage_keys[i * KEY_LEN..(i + 1) * KEY_LEN]);
+                    seq += 1;
+                    if b.items.len() == batch {
+                        let full = std::mem::replace(b, raw_pool.get());
+                        if !ship(shard, full) {
+                            break 'ingest; // a worker died; stop feeding
+                        }
+                    }
+                }
+            }
+            match pulled {
+                Pull::Click(_) => {} // the staging block filled up
+                Pull::Idle => {
+                    for (shard, b) in buckets.iter_mut().enumerate() {
+                        if b.items.is_empty() {
+                            continue;
+                        }
+                        if let Some(t) = telem {
+                            t.ingest_idle_flushes().inc();
+                        }
+                        let partial = std::mem::replace(b, raw_pool.get());
+                        if !ship(shard, partial) {
+                            break 'ingest;
+                        }
+                    }
+                }
+                Pull::End => break,
             }
         }
         for (shard, b) in buckets.into_iter().enumerate() {
             if b.items.is_empty() {
                 raw_pool.put(b);
             } else {
-                if let Some(t) = telem {
-                    t.ingest_clicks().add(b.items.len() as u64);
-                    t.shard_queue_depth(shard).add(1);
-                }
-                let _ = raw_producers[shard].push(b);
+                ship(shard, b);
             }
         }
         drop(raw_producers);
@@ -1784,6 +1893,116 @@ mod tests {
             raw_misses, 0,
             "pre-populated pool ran dry: {raw_misses} raw-batch allocations"
         );
+        assert_eq!(
+            snap.get_counter("pipeline.ingest.idle_flushes"),
+            Some(0),
+            "an in-memory iterator never goes idle"
+        );
+    }
+
+    /// A skewed stream parks shard 0's only click in a partial bucket
+    /// while shard 1 runs ahead. The in-flight window ships that bucket
+    /// and holds ingest back, so the resequencer backlog stays within
+    /// the window (`2 * (2 * 16 + 3) * 256` clicks at the defaults)
+    /// instead of growing with the stream, and billing is unchanged.
+    #[test]
+    fn skewed_stream_keeps_the_resequencer_within_the_window() {
+        let shards = 2;
+        let router = sharded_tbf(2_048, shards).router();
+        let (mut to0, to1): (Vec<Click>, Vec<Click>) = clicks(120_000)
+            .into_iter()
+            .partition(|c| router.route(&c.key()) == 0);
+        to0.truncate(1);
+        to0.extend(to1.into_iter().take(50_000));
+        let expected = run_sharded_pipeline(
+            sharded_tbf(2_048, shards),
+            registry(),
+            to0.iter().copied(),
+            PipelineConfig {
+                transport: Transport::Channel,
+                ..PipelineConfig::default()
+            },
+            None,
+        )
+        .report;
+        let metrics = Arc::new(cfd_telemetry::Registry::new());
+        let out = run_sharded_pipeline_instrumented(
+            sharded_tbf(2_048, shards),
+            registry(),
+            to0.iter().copied(),
+            PipelineConfig::default(),
+            None,
+            Arc::new(PipelineTelemetry::new(&metrics, shards)),
+        );
+        assert_eq!(out.report, expected);
+        let peak = metrics
+            .snapshot()
+            .get_gauge("pipeline.reseq.pending_peak")
+            .expect("registered");
+        assert!(peak <= 2 * (2 * 16 + 3) * 256, "backlog peaked at {peak}");
+    }
+
+    /// A source that reports idle after every `every` clicks.
+    struct Stuttering<I> {
+        clicks: I,
+        every: usize,
+        since_idle: usize,
+    }
+
+    impl<I: Iterator<Item = Click>> ClickSource for Stuttering<I> {
+        fn pull(&mut self) -> Pull {
+            if self.since_idle == self.every {
+                self.since_idle = 0;
+                return Pull::Idle;
+            }
+            self.since_idle += 1;
+            self.clicks.next().map_or(Pull::End, Pull::Click)
+        }
+    }
+
+    /// Idle reports push partial batches on both transports without
+    /// changing a verdict or the billing order.
+    #[test]
+    fn idle_source_flushes_partial_batches_without_changing_the_report() {
+        let cs = clicks(6_000);
+        let shards = 3;
+        let expected = run_sharded_pipeline(
+            sharded_tbf(1_024, shards),
+            registry(),
+            cs.iter().copied(),
+            PipelineConfig::default(),
+            None,
+        )
+        .report;
+        for transport in [Transport::Ring, Transport::Channel] {
+            let metrics = Arc::new(cfd_telemetry::Registry::new());
+            let telemetry = Arc::new(PipelineTelemetry::new(&metrics, shards));
+            let source = Stuttering {
+                clicks: cs.iter().copied(),
+                every: 100,
+                since_idle: 0,
+            };
+            let out = run_sharded_segment(
+                sharded_tbf(1_024, shards),
+                SegmentState::new(registry()),
+                source,
+                PipelineConfig {
+                    transport,
+                    ..PipelineConfig::default()
+                },
+                None,
+                Some(telemetry),
+            );
+            assert_eq!(out.report(), expected, "{transport:?}");
+            let snap = metrics.snapshot();
+            assert_eq!(snap.get_counter("pipeline.ingest.clicks"), Some(6_000));
+            // 60 idle reports, each with at least one non-empty bucket
+            // (100 clicks since the last flush), at most one per shard.
+            let flushes = snap
+                .get_counter("pipeline.ingest.idle_flushes")
+                .expect("registered");
+            assert!((60..=60 * 3).contains(&flushes), "{transport:?}: {flushes}");
+        }
     }
 
     /// The single-detector instrumented entry point works with a boxed

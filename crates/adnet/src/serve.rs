@@ -47,9 +47,11 @@
 use crate::billing::Ledger;
 use crate::entities::{Advertiser, AdvertiserId, Campaign, Registry};
 use crate::fraud::FraudScorer;
-use crate::pipeline::{run_sharded_segment, PipelineConfig, PipelineProgress, SegmentState};
+use crate::pipeline::{
+    run_sharded_segment, ClickSource, PipelineConfig, PipelineProgress, Pull, SegmentState,
+};
 use crate::report::NetworkReport;
-use crate::ring::Pool;
+use crate::ring::{Pool, TryPopError};
 use crate::telemetry::PipelineTelemetry;
 use cfd_core::{CheckpointError, CheckpointState, ShardedDetector};
 use cfd_stream::wire::{self, FrameReader, WireError};
@@ -395,6 +397,22 @@ impl Hub {
         self.full_waits.load(Ordering::Relaxed)
     }
 
+    /// Pops the next batch without blocking. [`TryPopError::Empty`]
+    /// while the queue is empty and a producer is attached;
+    /// [`TryPopError::Disconnected`] once the hub is closed and drained.
+    fn try_recv(&self) -> Result<Vec<Click>, TryPopError> {
+        let mut inner = self.lock_inner();
+        match inner.queue.pop_front() {
+            Some(b) => {
+                drop(inner);
+                self.not_full.notify_one();
+                Ok(b)
+            }
+            None if inner.producers == 0 => Err(TryPopError::Disconnected),
+            None => Err(TryPopError::Empty),
+        }
+    }
+
     /// Pops the next batch; blocks while the queue is empty and at
     /// least one producer is attached. `None` once the hub is closed
     /// (no producers) and drained.
@@ -463,12 +481,18 @@ impl Drop for HubProducer<'_> {
 }
 
 // ---------------------------------------------------------------------------
-// Segment source: hub → bounded click iterator
+// Segment source: hub → bounded click source
 // ---------------------------------------------------------------------------
 
 /// Feeds [`run_sharded_segment`] at most `limit` clicks per segment
 /// from the hub, carrying a partially-consumed batch across segment
 /// boundaries and recycling drained batch buffers through the pool.
+///
+/// When the hub runs dry it reports [`Pull::Idle`] so the pipeline
+/// pushes the partial batches it holds instead of waiting for more
+/// clicks. It first yields the thread once and looks again, so under
+/// load (readers about to enqueue) it keeps batching; and it reports
+/// idle at most once before the next pull blocks on the hub.
 struct SegmentSource<'a> {
     hub: &'a Hub,
     pool: &'a Pool<Vec<Click>>,
@@ -476,6 +500,8 @@ struct SegmentSource<'a> {
     left: u64,
     taken: u64,
     closed: bool,
+    /// Idle was the last report: the next empty look blocks.
+    idle_reported: bool,
 }
 
 impl<'a> SegmentSource<'a> {
@@ -487,6 +513,7 @@ impl<'a> SegmentSource<'a> {
             left: 0,
             taken: 0,
             closed: false,
+            idle_reported: false,
         }
     }
 
@@ -513,14 +540,27 @@ impl<'a> SegmentSource<'a> {
             self.pool.put(b);
         }
     }
+
+    /// The next hub batch: blocking right after an idle report,
+    /// otherwise one look, a yield, and a second look.
+    fn next_batch(&mut self) -> Result<Vec<Click>, TryPopError> {
+        if std::mem::take(&mut self.idle_reported) {
+            return self.hub.recv().ok_or(TryPopError::Disconnected);
+        }
+        match self.hub.try_recv() {
+            Err(TryPopError::Empty) => {
+                thread::yield_now();
+                self.hub.try_recv()
+            }
+            r => r,
+        }
+    }
 }
 
-impl Iterator for SegmentSource<'_> {
-    type Item = Click;
-
-    fn next(&mut self) -> Option<Click> {
+impl ClickSource for &mut SegmentSource<'_> {
+    fn pull(&mut self) -> Pull {
         if self.left == 0 {
-            return None;
+            return Pull::End;
         }
         loop {
             if let Some((batch, idx)) = &mut self.current {
@@ -532,16 +572,20 @@ impl Iterator for SegmentSource<'_> {
                     }
                     self.left -= 1;
                     self.taken += 1;
-                    return Some(c);
+                    return Pull::Click(c);
                 }
                 self.retire();
             }
-            match self.hub.recv() {
-                Some(b) if b.is_empty() => self.pool.put(b),
-                Some(b) => self.current = Some((b, 0)),
-                None => {
+            match self.next_batch() {
+                Ok(b) if b.is_empty() => self.pool.put(b),
+                Ok(b) => self.current = Some((b, 0)),
+                Err(TryPopError::Empty) => {
+                    self.idle_reported = true;
+                    return Pull::Idle;
+                }
+                Err(TryPopError::Disconnected) => {
                     self.closed = true;
-                    return None;
+                    return Pull::End;
                 }
             }
         }
@@ -1733,6 +1777,19 @@ mod tests {
         assert_eq!(hub.received(), 7_002);
     }
 
+    /// Pulls until `End`, returning the clicks' ips and how many idle
+    /// reports came in between.
+    fn drain_source(mut source: &mut SegmentSource<'_>) -> (Vec<u32>, usize) {
+        let (mut ips, mut idles) = (Vec::new(), 0);
+        loop {
+            match source.pull() {
+                Pull::Click(c) => ips.push(c.id.ip),
+                Pull::Idle => idles += 1,
+                Pull::End => return (ips, idles),
+            }
+        }
+    }
+
     #[test]
     fn segment_source_limits_and_carries_across_segments() {
         let hub = Hub::new(8, 0);
@@ -1744,20 +1801,56 @@ mod tests {
         drop(p);
         let mut source = SegmentSource::new(&hub, &pool);
         source.begin_segment(3);
-        let first: Vec<u32> = source.by_ref().map(|c| c.id.ip).collect();
+        let (first, idles) = drain_source(&mut source);
         assert_eq!(first, vec![0, 1, 2], "segment stops mid-batch at the limit");
+        assert_eq!(idles, 0, "a closed hub is never idle");
         assert_eq!(source.taken(), 3);
         assert!(!source.is_closed());
         source.begin_segment(u64::MAX);
-        let rest: Vec<u32> = source.by_ref().map(|c| c.id.ip).collect();
+        let (rest, idles) = drain_source(&mut source);
         assert_eq!(
             rest,
             vec![3, 4, 5, 6, 7, 8, 9],
             "carry resumes where the limit hit"
         );
+        assert_eq!(idles, 0);
         assert!(source.is_closed());
         source.begin_segment(u64::MAX);
-        assert_eq!(source.next(), None, "closed source stays empty");
+        assert_eq!((&mut source).pull(), Pull::End, "closed source stays empty");
+    }
+
+    #[test]
+    fn segment_source_reports_idle_once_then_blocks() {
+        let hub = Hub::new(8, 0);
+        let pool: Pool<Vec<Click>> = Pool::new();
+        thread::scope(|s| {
+            let p = hub.producer();
+            p.send((0..3).map(mk_click).collect());
+            let mut source = SegmentSource::new(&hub, &pool);
+            source.begin_segment(4);
+            let mut src = &mut source;
+            for ip in 0..3 {
+                assert_eq!(src.pull(), Pull::Click(mk_click(ip)));
+            }
+            assert_eq!(src.pull(), Pull::Idle, "empty hub with a live producer");
+            // The next pull must block until the late batch lands, not
+            // report idle a second time.
+            let late = s.spawn(move || {
+                thread::sleep(Duration::from_millis(50));
+                p.send((3..6).map(mk_click).collect());
+            });
+            assert_eq!(src.pull(), Pull::Click(mk_click(3)));
+            assert_eq!(src.pull(), Pull::End, "segment limit of 4 reached");
+            assert_eq!(src.taken(), 4);
+            late.join().expect("late sender");
+            // The carried rest of the batch comes first in the next
+            // segment, then the hub (now closed) ends the stream.
+            src.begin_segment(u64::MAX);
+            let (rest, idles) = drain_source(src);
+            assert_eq!(rest, vec![4, 5]);
+            assert_eq!(idles, 0, "the producer detached: end, not idle");
+            assert!(source.is_closed());
+        });
     }
 
     #[test]

@@ -85,6 +85,7 @@ struct ArenaInstruments {
 pub struct PipelineTelemetry {
     registry: Arc<MetricsRegistry>,
     ingest_clicks: Arc<Counter>,
+    ingest_idle_flushes: Arc<Counter>,
     stage_hash_ns: Arc<Histogram>,
     stage_probe_ns: Arc<Histogram>,
     stage_resequence_ns: Arc<Histogram>,
@@ -173,6 +174,11 @@ impl PipelineTelemetry {
                 "pipeline.ingest.clicks",
                 "clicks",
                 "clicks routed to shard workers",
+            ),
+            ingest_idle_flushes: registry.counter(
+                "pipeline.ingest.idle_flushes",
+                "batches",
+                "partial batches pushed because the click source went idle",
             ),
             stage_hash_ns: registry.histogram(
                 "pipeline.stage.hash_ns",
@@ -327,6 +333,10 @@ impl PipelineTelemetry {
         &self.ingest_clicks
     }
 
+    pub(crate) fn ingest_idle_flushes(&self) -> &Counter {
+        &self.ingest_idle_flushes
+    }
+
     pub(crate) fn shard_queue_depth(&self, idx: usize) -> &Gauge {
         &self.shards[idx].queue_depth
     }
@@ -390,9 +400,10 @@ mod tests {
         let t = PipelineTelemetry::new(&registry, 3);
         assert_eq!(t.shard_count(), 3);
         let snap = registry.snapshot();
-        // 11 global metrics + 9 per shard.
-        assert_eq!(snap.entries.len(), 11 + 3 * 9);
+        // 12 global metrics + 9 per shard.
+        assert_eq!(snap.entries.len(), 12 + 3 * 9);
         assert!(snap.get_counter("pipeline.ingest.clicks").is_some());
+        assert!(snap.get_counter("pipeline.ingest.idle_flushes").is_some());
         let lanes = snap.get_gauge("pipeline.simd_lanes");
         assert!(
             lanes == Some(1) || lanes == Some(cfd_core::simd::LANES_WIDE as i64),

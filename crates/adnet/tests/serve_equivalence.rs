@@ -8,14 +8,20 @@
 
 use cfd_adnet::{
     replay_client, run_sharded_pipeline, serve, Advertiser, AdvertiserId, Campaign, ClientConfig,
-    DrainControl, Endpoint, PipelineConfig, Registry, ServeConfig, ServeInstruments, ServerState,
+    DrainControl, Endpoint, PipelineConfig, PipelineProgress, PipelineTelemetry, Registry,
+    ServeConfig, ServeInstruments, ServerState,
 };
 use cfd_core::sharded::{per_shard_window, ShardedDetector};
 use cfd_core::{Tbf, TbfConfig};
+use cfd_stream::wire;
 use cfd_stream::{AdId, BotnetConfig, BotnetStream, Click};
+use cfd_telemetry::Registry as MetricsRegistry;
+use std::io::Write;
+use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const SHARDS: usize = 4;
 const WINDOW: usize = 2_048;
@@ -298,4 +304,133 @@ fn file_tail_mode_streams_and_drains() {
         "tailed file run must match in-process"
     );
     let _ = std::fs::remove_file(&frames);
+}
+
+/// Dials a Unix socket until the server has bound it.
+fn dial(path: &PathBuf) -> UnixStream {
+    for _ in 0..500 {
+        if let Ok(stream) = UnixStream::connect(path) {
+            return stream;
+        }
+        thread::sleep(Duration::from_millis(10));
+    }
+    panic!("server never bound {}", path.display());
+}
+
+/// Liveness: clicks fewer than one batch, on a connection that stays
+/// open, are billed without waiting for more clicks or a `DRAIN`. The
+/// ingest used to hold them in a partial batch until the segment ended.
+#[test]
+fn partial_batch_is_billed_before_drain() {
+    let config = ServeConfig::default();
+    let clicks = trace(100);
+    assert!(clicks.len() < config.pipeline.batch);
+    let expected = in_process_report(&clicks);
+
+    let sock = temp_path("serve-live.sock");
+    let endpoint = Endpoint::Unix(sock.clone());
+    let control = DrainControl::new();
+    let progress = Arc::new(PipelineProgress::new());
+    let instruments = ServeInstruments {
+        progress: Some(Arc::clone(&progress)),
+        ..ServeInstruments::default()
+    };
+
+    let (billed_before_drain, outcome) = thread::scope(|s| {
+        let server = s.spawn(|| {
+            serve(
+                ServerState::new(sharded_tbf(), registry()),
+                &endpoint,
+                &config,
+                &control,
+                &instruments,
+            )
+            .expect("serve")
+        });
+        let mut stream = dial(&sock);
+        let mut buf = Vec::new();
+        wire::encode_clicks(&mut buf, &clicks);
+        stream.write_all(&buf).expect("send clicks");
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while progress.billed() < clicks.len() as u64 && Instant::now() < deadline {
+            thread::sleep(Duration::from_millis(1));
+        }
+        let billed = progress.billed();
+        // Drain either way, so a failing run ends instead of hanging.
+        buf.clear();
+        wire::encode_drain(&mut buf);
+        stream.write_all(&buf).expect("send drain");
+        (billed, server.join().expect("server thread"))
+    });
+
+    assert_eq!(
+        billed_before_drain,
+        clicks.len() as u64,
+        "clicks of a partial batch must be billed while the connection idles"
+    );
+    assert_eq!(outcome.report, expected);
+}
+
+/// A paced client (small frames with pauses) leaves the hub empty
+/// between frames, so the ingest pushes partial batches; the report
+/// must still equal the in-process run byte for byte.
+#[test]
+fn paced_client_flushes_idle_batches_without_changing_the_report() {
+    let clicks = trace(4_000);
+    let expected = in_process_report(&clicks);
+
+    let sock = temp_path("serve-paced.sock");
+    let endpoint = Endpoint::Unix(sock.clone());
+    let control = DrainControl::new();
+    // Short segments, so carries across segment boundaries meet idle
+    // flushes too.
+    let config = ServeConfig {
+        checkpoint_every: 1_500,
+        ..ServeConfig::default()
+    };
+    let metrics = Arc::new(MetricsRegistry::new());
+    let instruments = ServeInstruments {
+        pipeline: Some(Arc::new(PipelineTelemetry::new(&metrics, SHARDS))),
+        ..ServeInstruments::default()
+    };
+
+    let outcome = thread::scope(|s| {
+        let server = s.spawn(|| {
+            serve(
+                ServerState::new(sharded_tbf(), registry()),
+                &endpoint,
+                &config,
+                &control,
+                &instruments,
+            )
+            .expect("serve")
+        });
+        let stats = replay_client(
+            &endpoint,
+            &clicks,
+            &ClientConfig {
+                frame_clicks: 16,
+                throttle: Some(Duration::from_micros(500)),
+                drain: true,
+                ..ClientConfig::default()
+            },
+        )
+        .expect("replay");
+        assert_eq!(stats.sent_clicks, clicks.len() as u64);
+        server.join().expect("server thread")
+    });
+
+    assert_eq!(
+        outcome.report, expected,
+        "idle flushes must not change a verdict or the billing order"
+    );
+    let snap = metrics.snapshot();
+    assert_eq!(
+        snap.get_counter("pipeline.ingest.clicks"),
+        Some(clicks.len() as u64)
+    );
+    let flushes = snap
+        .get_counter("pipeline.ingest.idle_flushes")
+        .expect("registered");
+    assert!(flushes > 0, "a paced client must trigger idle flushes");
 }

@@ -99,10 +99,12 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// IEEE CRC-32 lookup table (reflected, polynomial `0xEDB88320`),
-/// built at compile time.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// IEEE CRC-32 lookup tables for slicing-by-8 (reflected, polynomial
+/// `0xEDB88320`), built at compile time. `CRC_TABLES[0]` is the classic
+/// bytewise table; `CRC_TABLES[k][n]` is the CRC of byte `n` followed
+/// by `k` zero bytes, so eight lookups fold eight input bytes at once.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut n = 0;
     while n < 256 {
         let mut c = n as u32;
@@ -115,18 +117,46 @@ const CRC_TABLE: [u32; 256] = {
             };
             k += 1;
         }
-        table[n] = c;
+        tables[0][n] = c;
         n += 1;
     }
-    table
+    let mut n = 0;
+    while n < 256 {
+        let mut k = 1;
+        while k < 8 {
+            let prev = tables[k - 1][n];
+            tables[k][n] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            k += 1;
+        }
+        n += 1;
+    }
+    tables
 };
 
 /// IEEE CRC-32 (the zlib/PNG polynomial) of `data`.
+///
+/// Slicing-by-8: each step folds eight bytes through eight table
+/// lookups instead of eight dependent bytewise steps; the tail of
+/// fewer than eight bytes goes bytewise.
 #[must_use]
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    let mut blocks = data.chunks_exact(8);
+    for b in &mut blocks {
+        let lo = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        let hi = u32::from_le_bytes([b[4], b[5], b[6], b[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in blocks.remainder() {
+        c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -352,6 +382,38 @@ mod tests {
 
     fn sample_clicks(n: usize) -> Vec<Click> {
         UniqueClickStream::new(3, 8, 64).take(n).collect()
+    }
+
+    /// The plain bytewise table loop: the reference the sliced
+    /// [`crc32`] must agree with.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in data {
+            c = CRC_TABLES[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
+    #[test]
+    fn crc32_sliced_matches_bytewise_at_every_length_and_offset() {
+        // Seeded splitmix64 bytes; every length 0..=64 at every offset
+        // 0..8, so each tail length meets each alignment of the blocks.
+        let mut state = 0x5EED_C0DE_u64;
+        let data: Vec<u8> = (0..80)
+            .map(|_| {
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                (z ^ (z >> 31)) as u8
+            })
+            .collect();
+        for offset in 0..8 {
+            for len in 0..=64 {
+                let s = &data[offset..offset + len];
+                assert_eq!(crc32(s), crc32_bytewise(s), "offset {offset} len {len}");
+            }
+        }
     }
 
     #[test]
