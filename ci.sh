@@ -62,6 +62,12 @@ final = json.loads(lines[-1])
 assert final["metrics"]["pipeline.ingest.clicks"]["value"] == 50000
 print(f"   {len(lines)} snapshots parsed, timed ingest counter exact")
 EOF
+    echo "==> cfd rejects an option its subcommand does not take, by name"
+    if ./target/release/cfd run --transport ring 2>/tmp/cfd_opt_err.txt >/dev/null; then
+        echo "FAIL: cfd run accepted --transport"; exit 1
+    fi
+    grep -q -- '--transport' /tmp/cfd_opt_err.txt
+    echo "   rejected with: $(head -n 1 /tmp/cfd_opt_err.txt)"
 fi
 
 if [[ "${1:-}" != "quick" ]]; then
@@ -76,13 +82,13 @@ if [[ "${1:-}" != "quick" ]]; then
 fi
 
 if [[ "${1:-}" != "quick" ]]; then
-    echo "==> pipeline smoke: ring vs channel transport + multi-lane hash (quick scale)"
+    echo "==> pipeline smoke: multi-lane vs scalar batch hash (quick scale)"
     # Quick scale writes its own file; the committed full-scale
-    # BENCH_pr4.json is regenerated only by a manual full run.
+    # BENCH_pr4.json is the archived cfd-bench-pipeline/1 record.
     ./target/release/throughput --pipeline --quick --out target/BENCH_pipeline_quick.json \
         >/tmp/cfd_pipeline.txt
     tail -n 4 /tmp/cfd_pipeline.txt | sed 's/^/   /'
-    echo "==> BENCH pipeline json schema + speedup gates (full scale only)"
+    echo "==> BENCH pipeline json schema + hash speedup gate (full scale only)"
     python3 tools/check_bench.py target/BENCH_pipeline_quick.json BENCH_pr4.json
 fi
 

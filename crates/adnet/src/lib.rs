@@ -21,7 +21,7 @@
 //!   pipeline: one worker thread per keyspace shard, an order-restoring
 //!   resequencer, and lock-free progress counters.
 //! * [`ring`] — the bounded SPSC ring and buffer [`ring::Pool`] backing
-//!   the pipeline's zero-steady-state-allocation ring transport.
+//!   the pipeline's zero-steady-state-allocation data plane.
 //! * [`telemetry`] — the [`telemetry::PipelineTelemetry`] instrument
 //!   bundle the `*_instrumented` pipeline entry points feed: queue
 //!   depths, per-stage latency histograms, resequencer stalls, and
@@ -52,11 +52,9 @@ pub use entities::{Advertiser, AdvertiserId, Campaign, Registry};
 pub use fraud::{FraudScorer, PublisherScore};
 pub use network::AdNetwork;
 pub use pipeline::{
-    run_pipeline, run_pipeline_instrumented, run_sharded_pipeline,
-    run_sharded_pipeline_instrumented, run_sharded_segment, run_timed_pipeline,
-    run_timed_pipeline_instrumented, run_timed_sharded_pipeline,
-    run_timed_sharded_pipeline_instrumented, ClickSource, PipelineConfig, PipelineOutcome,
-    PipelineProgress, Pull, SegmentOutcome, SegmentState, Transport,
+    run_sharded_pipeline, run_sharded_pipeline_instrumented, run_sharded_segment,
+    run_timed_sharded_pipeline, run_timed_sharded_pipeline_instrumented, ClickSource,
+    PipelineConfig, PipelineOutcome, PipelineProgress, Pull, SegmentOutcome, SegmentState,
 };
 pub use report::NetworkReport;
 pub use ring::{Pool, RingStats};

@@ -11,45 +11,36 @@
 //! (caller)           └► shard worker S  ┘    (seq order)
 //! ```
 //!
-//! Two interchangeable [`Transport`]s move batches between stages, with
-//! verdict-for-verdict identical results:
-//!
-//! * [`Transport::Ring`] (the default): bounded SPSC [`crate::ring`]s
-//!   carry *pooled* batch buffers that cycle ingest → worker → billing
-//!   → back to a [`crate::ring::Pool`], so the steady-state hot loop
-//!   performs **zero heap allocations** (asserted by the
-//!   `zero_alloc_steady_state` integration test) and never takes a
-//!   blocking lock. Click keys travel in one flat buffer per batch,
-//!   feeding the multi-lane batch hasher (`cfd_hash::lanes`) at both
-//!   the routing and probing stages.
-//! * [`Transport::Channel`]: bounded `crossbeam` channels, one fresh
-//!   batch allocation per send — the pre-ring data plane, kept as the
-//!   baseline the `throughput --pipeline` bench gates against.
+//! Bounded SPSC [`crate::ring`]s carry *pooled* batch buffers that
+//! cycle ingest → worker → billing → back to a [`crate::ring::Pool`],
+//! so the steady-state hot loop performs **zero heap allocations**
+//! (asserted by the `zero_alloc_steady_state` integration test) and
+//! never takes a blocking lock. Click keys travel in one flat buffer per
+//! batch, feeding the multi-lane batch hasher (`cfd_hash::lanes`) at
+//! both the routing and probing stages.
 //!
 //! * **Ingest** (the caller's thread) stamps every click with a global
 //!   sequence number, routes it by [`ShardRouter`] — batch-hashing all
-//!   keys of a staging block per [`ShardRouter::route_flat_into`] on
-//!   the ring path — and forwards clicks to the owning worker in
-//!   batches (amortizing transport traffic).
+//!   keys of a staging block per [`ShardRouter::route_flat_into`] — and
+//!   forwards clicks to the owning worker in batches (amortizing
+//!   transport traffic).
 //! * **Shard workers** each own one inner detector exclusively — the
 //!   one-pass algorithms are inherently sequential *per keyspace shard*,
 //!   which is exactly why Theorems 1 & 2 obsess over per-element cost —
-//!   and judge whole batches via
-//!   [`DuplicateDetector::observe_batch`] (hash-then-apply locality),
-//!   or its allocation-free cousin
-//!   [`DuplicateDetector::observe_flat_into`] on the ring path.
-//!   Each worker keeps a private [`FraudScorer`]; the partial scorers
-//!   are [merged](FraudScorer::merge) at join time.
+//!   and judge whole batches via the allocation-free
+//!   [`DuplicateDetector::observe_flat_into`] (hash-then-apply
+//!   locality). Each worker keeps a private [`FraudScorer`]; the partial
+//!   scorers are [merged](FraudScorer::merge) at join time.
 //! * **Resequencer + billing** restores global stream order from the
 //!   sequence numbers (a min-heap keyed by sequence) before settling
 //!   verdicts through [`BillingEngine::process_judged`], so budget
 //!   accounting is byte-identical to a sequential run no matter how the
 //!   workers interleave.
 //!
-//! The single-detector [`run_pipeline`] is the one-shard special case of
-//! the same machinery. Progress is published through lock-free
-//! [`PipelineProgress`] atomics rather than a mutex, so polling from a
-//! gauge thread never stalls the hot path.
+//! A single-detector run is a one-shard [`ShardedDetector`]: one worker,
+//! a trivial router, the same machinery. Progress is published through
+//! lock-free [`PipelineProgress`] atomics rather than a mutex, so
+//! polling from a gauge thread never stalls the hot path.
 //!
 //! Like its predecessor, the detector stage judges *every* click,
 //! including clicks on unregistered ads (billing later files those under
@@ -59,11 +50,11 @@
 //!
 //! ## Timed mode
 //!
-//! [`run_timed_pipeline`] / [`run_timed_sharded_pipeline`] run the same
-//! machinery over time-based detectors ([`TimedDuplicateDetector`]):
-//! the worker stage extracts each click's [`Click::tick`] alongside its
-//! key and judges batches through `observe_batch_at` /
-//! `observe_flat_at_into` instead of the count-based paths. Routing is
+//! [`run_timed_sharded_pipeline`] runs the same machinery over
+//! time-based detectors ([`TimedDuplicateDetector`]): the worker stage
+//! extracts each click's [`Click::tick`] alongside its key and judges
+//! batches through `observe_flat_at_into` instead of the count-based
+//! path. Routing is
 //! tick-blind (by key only), so each shard receives its clicks in
 //! global stream order and advances its unit clock exactly as a
 //! sequential run of the same [`ShardedDetector`] would.
@@ -78,7 +69,6 @@ use cfd_core::sharded::{ShardRouter, ShardedDetector};
 use cfd_stream::Click;
 use cfd_telemetry::{DetectorHealth, DetectorStats, TenantHealth};
 use cfd_windows::{DuplicateDetector, TimedDuplicateDetector, Verdict};
-use crossbeam::channel;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -99,13 +89,7 @@ struct JudgedClick {
     verdict: Verdict,
 }
 
-/// A batch of sequence-stamped clicks bound for one shard worker over
-/// the channel transport.
-struct RawBatch {
-    items: Vec<(u64, Click)>,
-}
-
-/// A pooled batch of sequence-stamped clicks for the ring transport.
+/// A pooled batch of sequence-stamped clicks bound for one shard worker.
 ///
 /// The 16-byte click keys ride along in one flat buffer (`KEY_LEN`
 /// bytes per item, same order as `items`) so ingest hashes each key
@@ -124,7 +108,7 @@ impl ClickBatch {
     }
 }
 
-/// A judged batch headed for the resequencer. Pooled on the ring path.
+/// A pooled judged batch headed for the resequencer.
 #[derive(Default)]
 struct JudgedBatch {
     items: Vec<(u64, JudgedClick)>,
@@ -184,20 +168,6 @@ impl PipelineProgress {
     }
 }
 
-/// Inter-stage transport of the pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Transport {
-    /// Bounded `crossbeam` channels: mutex + condvar wakeups and one
-    /// fresh batch allocation per send. The pre-ring data plane, kept
-    /// as the benchmark baseline.
-    Channel,
-    /// Bounded SPSC rings with pooled, recycled batch buffers: no
-    /// blocking locks and no steady-state heap allocation on the hot
-    /// path.
-    #[default]
-    Ring,
-}
-
 /// One pull from a [`ClickSource`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Pull {
@@ -237,15 +207,9 @@ pub struct PipelineConfig {
     /// latency). A cap, not a fill target: when the source reports
     /// [`Pull::Idle`], ingest pushes every partial batch it holds.
     pub batch: usize,
-    /// Bounded queue capacity per worker, in batches (backpressure).
-    /// On the ring transport this is the ring capacity, rounded up to
-    /// a power of two.
+    /// Ring capacity per worker, in batches (backpressure), rounded up
+    /// to a power of two.
     pub queue: usize,
-    /// How batches move between stages (rings by default).
-    pub transport: Transport,
-    /// Best-effort pin of shard worker `i` to CPU `i` (modulo the
-    /// available parallelism) via `taskset`; ignored where unsupported.
-    pub pin_workers: bool,
 }
 
 impl Default for PipelineConfig {
@@ -253,8 +217,6 @@ impl Default for PipelineConfig {
         Self {
             batch: DEFAULT_BATCH,
             queue: 16,
-            transport: Transport::default(),
-            pin_workers: false,
         }
     }
 }
@@ -270,8 +232,8 @@ pub struct PipelineOutcome {
     pub registry: Registry,
     /// Final per-shard detector health samples, taken by each worker at
     /// shutdown. Empty for the uninstrumented entry points (plain
-    /// [`run_pipeline`] / [`run_sharded_pipeline`]), which place no
-    /// [`DetectorStats`] bound on the detector.
+    /// [`run_sharded_pipeline`] / [`run_timed_sharded_pipeline`]), which
+    /// place no [`DetectorStats`] bound on the detector.
     pub health: Vec<DetectorHealth>,
 }
 
@@ -285,6 +247,15 @@ struct FanoutSeed {
     savings: u64,
 }
 
+impl FanoutSeed {
+    fn fresh(registry: Registry) -> Self {
+        Self {
+            registry,
+            ..Self::default()
+        }
+    }
+}
+
 /// Everything a fan-out run hands back: the final report inputs *plus*
 /// the detectors themselves, so a segmented caller can reassemble the
 /// [`ShardedDetector`] and keep streaming where this run stopped.
@@ -296,6 +267,18 @@ struct FanoutResult<D> {
     ledger: Ledger,
     savings: u64,
     registry: Registry,
+}
+
+impl<D> FanoutResult<D> {
+    /// The one-shot outcome of a run over a detector named `name`.
+    fn into_outcome(self, name: &'static str) -> PipelineOutcome {
+        PipelineOutcome {
+            report: NetworkReport::from_ledger(name, self.memory_bits, &self.ledger, self.savings),
+            scorer: self.scorer,
+            registry: self.registry,
+            health: self.health,
+        }
+    }
 }
 
 /// Cross-segment pipeline state for [`run_sharded_segment`]: what must
@@ -417,14 +400,7 @@ where
         ledger: state.ledger,
         savings: state.savings_micros,
     };
-    let r = match config.transport {
-        Transport::Channel => {
-            run_fanout_channels(workers, Some(router), seed, clicks, config, progress, instr)
-        }
-        Transport::Ring => {
-            run_fanout_rings(workers, Some(router), seed, clicks, config, progress, instr)
-        }
-    };
+    let r = run_fanout(workers, router, seed, clicks, config, progress, instr);
     let mut scorer = state.scorer;
     scorer.merge(r.scorer);
     let detector = ShardedDetector::new(router_seed, r.workers)
@@ -469,17 +445,13 @@ fn duration_ns(d: Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// What a shard worker needs from its detector: batch judgment at the
-/// two call sites (slice keys on the channel path, flat keys on the
-/// ring path) plus the memory tally for the report. Count-based
-/// detectors get it for free via the blanket impl; time-based detectors
-/// ride in a [`TimedJudge`], which threads each click's tick through.
-/// Keeping this private lets one fan-out engine serve both modes
-/// without a public trait surface.
+/// What a shard worker needs from its detector: batch judgment of the
+/// flat keys built at ingest plus the memory tally for the report.
+/// Count-based detectors get it for free via the blanket impl;
+/// time-based detectors ride in a [`TimedJudge`], which threads each
+/// click's tick through. Keeping this private lets one fan-out engine
+/// serve both modes without a public trait surface.
 trait BatchJudge {
-    /// Judges pre-built slice keys, one per item of `items` in order.
-    fn judge_refs(&mut self, refs: &[&[u8]], items: &[(u64, Click)]) -> Vec<Verdict>;
-
     /// Judges `KEY_LEN`-stride flat keys built at ingest, writing
     /// verdicts into `out` (cleared first, capacity reused).
     fn judge_flat(&mut self, keys: &[u8], items: &[(u64, Click)], out: &mut Vec<Verdict>);
@@ -489,9 +461,6 @@ trait BatchJudge {
 }
 
 impl<D: DuplicateDetector> BatchJudge for D {
-    fn judge_refs(&mut self, refs: &[&[u8]], _items: &[(u64, Click)]) -> Vec<Verdict> {
-        self.observe_batch(refs)
-    }
     fn judge_flat(&mut self, keys: &[u8], _items: &[(u64, Click)], out: &mut Vec<Verdict>) {
         self.observe_flat_into(keys, KEY_LEN, out);
     }
@@ -502,7 +471,7 @@ impl<D: DuplicateDetector> BatchJudge for D {
 
 /// Adapter running a [`TimedDuplicateDetector`] behind [`BatchJudge`]:
 /// extracts each click's [`Click::tick`] into a recycled buffer and
-/// forwards to the timed batch paths. Deliberately *not* a
+/// forwards to the timed batch path. Deliberately *not* a
 /// `DuplicateDetector` (ticks are mandatory), which is also what keeps
 /// the blanket impl above coherent.
 struct TimedJudge<D> {
@@ -520,11 +489,6 @@ impl<D> TimedJudge<D> {
 }
 
 impl<D: TimedDuplicateDetector> BatchJudge for TimedJudge<D> {
-    fn judge_refs(&mut self, refs: &[&[u8]], items: &[(u64, Click)]) -> Vec<Verdict> {
-        self.ticks.clear();
-        self.ticks.extend(items.iter().map(|(_, c)| c.tick));
-        self.inner.observe_batch_at(refs, &self.ticks)
-    }
     fn judge_flat(&mut self, keys: &[u8], items: &[(u64, Click)], out: &mut Vec<Verdict>) {
         self.ticks.clear();
         self.ticks.extend(items.iter().map(|(_, c)| c.tick));
@@ -536,102 +500,6 @@ impl<D: TimedDuplicateDetector> BatchJudge for TimedJudge<D> {
     }
 }
 
-/// Runs `clicks` through a single-detector stage and a billing stage on
-/// separate threads, with bounded channels (roughly `queue` in-flight
-/// clicks) between stages.
-///
-/// This is the one-shard special case of [`run_sharded_pipeline`];
-/// clicks are judged in batches through
-/// [`DuplicateDetector::observe_batch`], verdict-for-verdict identical
-/// to per-click observation.
-///
-/// `progress` (optional) is updated continuously and can be polled from
-/// other threads.
-///
-/// # Panics
-///
-/// Panics if a pipeline stage panics.
-pub fn run_pipeline<D, I>(
-    detector: D,
-    registry: Registry,
-    clicks: I,
-    queue: usize,
-    progress: Option<Arc<PipelineProgress>>,
-) -> PipelineOutcome
-where
-    D: DuplicateDetector + Send,
-    I: IntoIterator<Item = Click>,
-{
-    let queue = queue.max(1);
-    let batch = queue.min(DEFAULT_BATCH);
-    let name = detector.name();
-    let cfg = PipelineConfig {
-        batch,
-        queue: queue.div_ceil(batch),
-        ..PipelineConfig::default()
-    };
-    run_fanout(
-        vec![detector],
-        None,
-        name,
-        registry,
-        clicks,
-        cfg,
-        progress,
-        Instrumentation::off(),
-    )
-}
-
-/// [`run_pipeline`] with live telemetry: per-stage latency histograms,
-/// queue-depth gauges, and on-request detector health flow into
-/// `telemetry`'s registry while the run is in flight, and
-/// [`PipelineOutcome::health`] carries the final detector sample.
-///
-/// # Panics
-///
-/// Panics if `telemetry` was not built for exactly one shard, or if a
-/// pipeline stage panics.
-pub fn run_pipeline_instrumented<D, I>(
-    detector: D,
-    registry: Registry,
-    clicks: I,
-    queue: usize,
-    progress: Option<Arc<PipelineProgress>>,
-    telemetry: Arc<PipelineTelemetry>,
-) -> PipelineOutcome
-where
-    D: DuplicateDetector + DetectorStats + Send,
-    I: IntoIterator<Item = Click>,
-{
-    assert_eq!(
-        telemetry.shard_count(),
-        1,
-        "single-detector pipeline needs a 1-shard telemetry bundle"
-    );
-    let queue = queue.max(1);
-    let batch = queue.min(DEFAULT_BATCH);
-    let name = detector.name();
-    let cfg = PipelineConfig {
-        batch,
-        queue: queue.div_ceil(batch),
-        ..PipelineConfig::default()
-    };
-    run_fanout(
-        vec![detector],
-        None,
-        name,
-        registry,
-        clicks,
-        cfg,
-        progress,
-        Instrumentation {
-            telemetry: Some(telemetry),
-            health_of: |d| Some(d.health()),
-            tenant_health_of: |d| d.tenant_health(),
-        },
-    )
-}
-
 /// Runs `clicks` through one detector worker thread *per shard* of
 /// `detector`, an order-restoring resequencer, and a billing stage.
 ///
@@ -639,6 +507,7 @@ where
 /// worker sees exactly the subsequence its shard would see under
 /// single-threaded [`ShardedDetector::observe`] — verdicts are
 /// identical, and the resequencer makes billing order identical too.
+/// A one-shard `detector` is the single-detector pipeline.
 ///
 /// # Panics
 ///
@@ -659,14 +528,14 @@ where
     let workers = detector.into_shards();
     run_fanout(
         workers,
-        Some(router),
-        name,
-        registry,
-        clicks,
+        router,
+        FanoutSeed::fresh(registry),
+        clicks.into_iter(),
         config,
         progress,
         Instrumentation::off(),
     )
+    .into_outcome(name)
 }
 
 /// [`run_sharded_pipeline`] with live telemetry: one queue-depth gauge
@@ -701,10 +570,9 @@ where
     let workers = detector.into_shards();
     run_fanout(
         workers,
-        Some(router),
-        name,
-        registry,
-        clicks,
+        router,
+        FanoutSeed::fresh(registry),
+        clicks.into_iter(),
         config,
         progress,
         Instrumentation {
@@ -713,94 +581,7 @@ where
             tenant_health_of: |d| d.tenant_health(),
         },
     )
-}
-
-/// [`run_pipeline`] over a time-based detector: clicks are judged at
-/// their own [`Click::tick`] through
-/// [`TimedDuplicateDetector::observe_batch_at`] (or the flat-key path
-/// on the ring transport), verdict-for-verdict identical to sequential
-/// `observe_at` calls in stream order.
-///
-/// # Panics
-///
-/// Panics if a pipeline stage panics.
-pub fn run_timed_pipeline<D, I>(
-    detector: D,
-    registry: Registry,
-    clicks: I,
-    queue: usize,
-    progress: Option<Arc<PipelineProgress>>,
-) -> PipelineOutcome
-where
-    D: TimedDuplicateDetector + Send,
-    I: IntoIterator<Item = Click>,
-{
-    let queue = queue.max(1);
-    let batch = queue.min(DEFAULT_BATCH);
-    let name = detector.name();
-    let cfg = PipelineConfig {
-        batch,
-        queue: queue.div_ceil(batch),
-        ..PipelineConfig::default()
-    };
-    run_fanout(
-        vec![TimedJudge::new(detector)],
-        None,
-        name,
-        registry,
-        clicks,
-        cfg,
-        progress,
-        Instrumentation::off(),
-    )
-}
-
-/// [`run_timed_pipeline`] with live telemetry; see
-/// [`run_pipeline_instrumented`] for what flows into `telemetry`.
-///
-/// # Panics
-///
-/// Panics if `telemetry` was not built for exactly one shard, or if a
-/// pipeline stage panics.
-pub fn run_timed_pipeline_instrumented<D, I>(
-    detector: D,
-    registry: Registry,
-    clicks: I,
-    queue: usize,
-    progress: Option<Arc<PipelineProgress>>,
-    telemetry: Arc<PipelineTelemetry>,
-) -> PipelineOutcome
-where
-    D: TimedDuplicateDetector + DetectorStats + Send,
-    I: IntoIterator<Item = Click>,
-{
-    assert_eq!(
-        telemetry.shard_count(),
-        1,
-        "single-detector pipeline needs a 1-shard telemetry bundle"
-    );
-    let queue = queue.max(1);
-    let batch = queue.min(DEFAULT_BATCH);
-    let name = detector.name();
-    let cfg = PipelineConfig {
-        batch,
-        queue: queue.div_ceil(batch),
-        ..PipelineConfig::default()
-    };
-    run_fanout(
-        vec![TimedJudge::new(detector)],
-        None,
-        name,
-        registry,
-        clicks,
-        cfg,
-        progress,
-        Instrumentation {
-            telemetry: Some(telemetry),
-            health_of: |j| Some(j.inner.health()),
-            tenant_health_of: |j| j.inner.tenant_health(),
-        },
-    )
+    .into_outcome(name)
 }
 
 /// [`run_sharded_pipeline`] over time-based shards: one worker thread
@@ -829,14 +610,14 @@ where
     let workers = detector.into_shards().into_iter().map(TimedJudge::new);
     run_fanout(
         workers.collect(),
-        Some(router),
-        name,
-        registry,
-        clicks,
+        router,
+        FanoutSeed::fresh(registry),
+        clicks.into_iter(),
         config,
         progress,
         Instrumentation::off(),
     )
+    .into_outcome(name)
 }
 
 /// [`run_timed_sharded_pipeline`] with live telemetry; see
@@ -869,10 +650,9 @@ where
     let workers = detector.into_shards().into_iter().map(TimedJudge::new);
     run_fanout(
         workers.collect(),
-        Some(router),
-        name,
-        registry,
-        clicks,
+        router,
+        FanoutSeed::fresh(registry),
+        clicks.into_iter(),
         config,
         progress,
         Instrumentation {
@@ -881,6 +661,7 @@ where
             tenant_health_of: |j| j.inner.tenant_health(),
         },
     )
+    .into_outcome(name)
 }
 
 /// Settles one judged click against the ledger, tallying fraud savings.
@@ -902,350 +683,9 @@ fn settle_one(
     }
 }
 
-/// Best-effort pin of the calling thread to `cpu` (modulo the number
-/// of available CPUs), shelling out to `taskset` so the crate stays
-/// free of `unsafe`. Returns `false` when the platform or tooling does
-/// not support pinning; callers treat pinning as advisory.
-#[cfg(target_os = "linux")]
-fn pin_current_thread(cpu: usize) -> bool {
-    let Ok(link) = std::fs::read_link("/proc/thread-self") else {
-        return false;
-    };
-    let Some(tid) = link.file_name().and_then(|s| s.to_str()) else {
-        return false;
-    };
-    let cpus = thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    std::process::Command::new("taskset")
-        .args(["-p", "-c", &(cpu % cpus).to_string(), tid])
-        .output()
-        .map(|o| o.status.success())
-        .unwrap_or(false)
-}
-
-#[cfg(not(target_os = "linux"))]
-fn pin_current_thread(_cpu: usize) -> bool {
-    false
-}
-
-/// The shared fan-out engine behind all public entry points: validates
-/// the topology, then dispatches on [`PipelineConfig::transport`].
-#[allow(clippy::too_many_arguments)]
-fn run_fanout<D, I>(
-    workers: Vec<D>,
-    router: Option<ShardRouter>,
-    name: &'static str,
-    registry: Registry,
-    clicks: I,
-    config: PipelineConfig,
-    progress: Option<Arc<PipelineProgress>>,
-    instr: Instrumentation<D>,
-) -> PipelineOutcome
-where
-    D: BatchJudge + Send,
-    I: IntoIterator<Item = Click>,
-{
-    assert!(!workers.is_empty(), "pipeline needs at least one detector");
-    if let Some(t) = &instr.telemetry {
-        assert_eq!(
-            t.shard_count(),
-            workers.len(),
-            "telemetry bundle sized for a different shard count"
-        );
-    }
-    let seed = FanoutSeed {
-        registry,
-        ..FanoutSeed::default()
-    };
-    let clicks = clicks.into_iter();
-    let r = match config.transport {
-        Transport::Channel => {
-            run_fanout_channels(workers, router, seed, clicks, config, progress, instr)
-        }
-        Transport::Ring => run_fanout_rings(workers, router, seed, clicks, config, progress, instr),
-    };
-    PipelineOutcome {
-        report: NetworkReport::from_ledger(name, r.memory_bits, &r.ledger, r.savings),
-        scorer: r.scorer,
-        registry: r.registry,
-        health: r.health,
-    }
-}
-
-/// The channel-transport fan-out: bounded `crossbeam` channels between
-/// stages, one fresh batch allocation per send.
-///
-/// `router: None` sends everything to the single worker (no routing
-/// hash on the ingest path). When `instr` carries a telemetry bundle,
-/// every stage times itself per batch; with `telemetry: None` the only
-/// residue is a handful of `Option` branches per batch.
-#[allow(clippy::too_many_arguments)]
-fn run_fanout_channels<D, S>(
-    workers: Vec<D>,
-    router: Option<ShardRouter>,
-    seed: FanoutSeed,
-    mut clicks: S,
-    config: PipelineConfig,
-    progress: Option<Arc<PipelineProgress>>,
-    instr: Instrumentation<D>,
-) -> FanoutResult<D>
-where
-    D: BatchJudge + Send,
-    S: ClickSource,
-{
-    let batch = config.batch.max(1);
-    let queue = config.queue.max(1);
-    let shard_count = workers.len();
-    let FanoutSeed {
-        registry,
-        ledger: seed_ledger,
-        savings: seed_savings,
-    } = seed;
-
-    thread::scope(|s| {
-        // Workers fan in to one judged channel; capacity scales with the
-        // worker count so a fast shard cannot starve the others.
-        let (tx_judged, rx_judged) = channel::bounded::<JudgedBatch>(queue * shard_count);
-
-        // Shard workers: exclusive detector ownership, private scorer.
-        let mut raw_txs = Vec::with_capacity(shard_count);
-        let mut handles = Vec::with_capacity(shard_count);
-        for (idx, mut detector) in workers.into_iter().enumerate() {
-            let (tx_raw, rx_raw) = channel::bounded::<RawBatch>(queue);
-            raw_txs.push(tx_raw);
-            let tx_judged = tx_judged.clone();
-            let progress = progress.clone();
-            let telemetry = instr.telemetry.clone();
-            let health_of = instr.health_of;
-            let tenant_health_of = instr.tenant_health_of;
-            let pin = config.pin_workers;
-            handles.push(s.spawn(move || {
-                if pin {
-                    pin_current_thread(idx);
-                }
-                let telem = telemetry.as_deref();
-                let mut scorer = FraudScorer::new();
-                let mut keys: Vec<[u8; 16]> = Vec::with_capacity(batch);
-                for RawBatch { items } in rx_raw {
-                    // Stage timing brackets: t0 → keys built (hash),
-                    // then → verdicts out (probe). Skipped entirely when
-                    // telemetry is off.
-                    let t0 = telem.map(|t| {
-                        t.shard_queue_depth(idx).sub(1);
-                        Instant::now()
-                    });
-                    keys.clear();
-                    keys.extend(items.iter().map(|(_, c)| c.key()));
-                    let refs: Vec<&[u8]> = keys.iter().map(<[u8; 16]>::as_slice).collect();
-                    let t1 = telem.zip(t0).map(|(t, t0)| {
-                        let now = Instant::now();
-                        t.stage_hash_ns().record(duration_ns(now - t0));
-                        now
-                    });
-                    let verdicts = detector.judge_refs(&refs, &items);
-                    if let Some((t, t1)) = telem.zip(t1) {
-                        t.stage_probe_ns().record(duration_ns(t1.elapsed()));
-                    }
-                    let judged: Vec<(u64, JudgedClick)> = items
-                        .into_iter()
-                        .zip(verdicts)
-                        .map(|((seq, click), verdict)| (seq, JudgedClick { click, verdict }))
-                        .collect();
-                    for (_, j) in &judged {
-                        scorer.record(&j.click, j.verdict);
-                    }
-                    if let Some(p) = &progress {
-                        p.detected.fetch_add(judged.len() as u64, Ordering::Relaxed);
-                    }
-                    if let Some(t) = telem {
-                        t.shard_batches(idx).inc();
-                        // Health scans are O(m): only pay when the
-                        // reporter raised this shard's request flag.
-                        if t.take_health_request(idx) {
-                            if let Some(h) = health_of(&detector) {
-                                t.publish_health(idx, &h);
-                            }
-                            if let Some(th) = tenant_health_of(&detector) {
-                                t.publish_tenant_health(idx, &th);
-                            }
-                        }
-                    }
-                    if tx_judged.send(JudgedBatch { items: judged }).is_err() {
-                        break; // billing stage gone; drain and stop
-                    }
-                }
-                // Terminal health sample: unconditional, so short runs
-                // that never tick a reporter still report final state.
-                let health = health_of(&detector);
-                if let Some((t, h)) = telem.zip(health.as_ref()) {
-                    t.publish_health(idx, h);
-                }
-                if let Some((t, th)) = telem.zip(tenant_health_of(&detector)) {
-                    t.publish_tenant_health(idx, &th);
-                }
-                let bits = detector.memory_bits();
-                (detector, scorer, bits, health)
-            }));
-        }
-        drop(tx_judged); // workers hold the remaining clones
-
-        // Resequencer + billing: restore global order, settle verdicts.
-        // The heap only ever holds out-of-order items already admitted
-        // through the bounded channels, so it cannot grow unboundedly,
-        // and draining `rx_judged` unconditionally keeps workers from
-        // ever deadlocking against a full judged channel.
-        let progress_bill = progress.clone();
-        let telemetry_bill = instr.telemetry.clone();
-        let billing = s.spawn(move || {
-            let telem = telemetry_bill.as_deref();
-            let mut registry = registry;
-            let mut engine = BillingEngine::with_ledger((), seed_ledger);
-            let mut savings = seed_savings;
-            let mut next_seq = 0u64;
-            // Pre-reserve the resequencer heap to its structural bound:
-            // every pending item was admitted through a bounded judged
-            // channel (queue * shard_count batches), plus one batch per
-            // worker in flight and the batch being drained here. Lazily
-            // grown (`BinaryHeap::new()`) the backlog high-water is
-            // timing-dependent, so the heap would occasionally realloc
-            // mid-run and break the zero-steady-state-allocation
-            // invariant the soak test asserts.
-            let mut pending: BinaryHeap<Reverse<Pending>> =
-                BinaryHeap::with_capacity(shard_count * (queue + 2) * batch);
-            // Clicks released in order this round; reused across
-            // batches so the split into resequence/settle phases costs
-            // no steady-state allocation. One round can release the
-            // whole backlog, so it shares the heap's bound.
-            let mut ready: Vec<JudgedClick> = Vec::with_capacity(shard_count * (queue + 2) * batch);
-            for JudgedBatch { items } in rx_judged {
-                let t0 = telem.map(|_| Instant::now());
-                for (seq, judged) in items {
-                    pending.push(Reverse(Pending { seq, judged }));
-                }
-                while pending.peek().is_some_and(|Reverse(p)| p.seq == next_seq) {
-                    let Reverse(p) = pending.pop().expect("peeked");
-                    ready.push(p.judged);
-                    next_seq += 1;
-                }
-                let t1 = telem.zip(t0).map(|(t, t0)| {
-                    let now = Instant::now();
-                    t.stage_resequence_ns().record(duration_ns(now - t0));
-                    if ready.is_empty() && !pending.is_empty() {
-                        // Head-of-line gap: this batch released nothing.
-                        t.reseq_stalls().inc();
-                    }
-                    t.pending_peak()
-                        .set_max(i64::try_from(pending.len()).unwrap_or(i64::MAX));
-                    now
-                });
-                for judged in ready.drain(..) {
-                    settle_one(
-                        &mut engine,
-                        &mut registry,
-                        &mut savings,
-                        progress_bill.as_deref(),
-                        &judged,
-                    );
-                }
-                if let Some((t, t1)) = telem.zip(t1) {
-                    t.stage_billing_ns().record(duration_ns(t1.elapsed()));
-                }
-            }
-            // Workers are done: the remainder is a contiguous tail.
-            while let Some(Reverse(p)) = pending.pop() {
-                debug_assert_eq!(p.seq, next_seq, "resequencer hole at shutdown");
-                settle_one(
-                    &mut engine,
-                    &mut registry,
-                    &mut savings,
-                    progress_bill.as_deref(),
-                    &p.judged,
-                );
-                next_seq += 1;
-            }
-            (engine.into_ledger(), savings, registry)
-        });
-
-        // Ingest + route on the caller's thread. A bucket ships when it
-        // reaches `batch`, when the source goes idle, or at the end.
-        let mut buckets: Vec<Vec<(u64, Click)>> = (0..shard_count)
-            .map(|_| Vec::with_capacity(batch))
-            .collect();
-        let telem = instr.telemetry.as_deref();
-        // Sends one batch to `shard`'s worker; `false` once it is gone.
-        let ship = |shard: usize, items: Vec<(u64, Click)>| {
-            if let Some(t) = telem {
-                t.ingest_clicks().add(items.len() as u64);
-                t.shard_queue_depth(shard).add(1);
-            }
-            raw_txs[shard].send(RawBatch { items }).is_ok()
-        };
-        let mut seq = 0u64;
-        'ingest: loop {
-            match clicks.pull() {
-                Pull::Click(click) => {
-                    let shard = router.as_ref().map_or(0, |r| r.route(&click.key()));
-                    let b = &mut buckets[shard];
-                    b.push((seq, click));
-                    seq += 1;
-                    if b.len() == batch {
-                        let full = std::mem::replace(b, Vec::with_capacity(batch));
-                        if !ship(shard, full) {
-                            break 'ingest; // a worker died; stop feeding
-                        }
-                    }
-                }
-                Pull::Idle => {
-                    for (shard, b) in buckets.iter_mut().enumerate() {
-                        if b.is_empty() {
-                            continue;
-                        }
-                        if let Some(t) = telem {
-                            t.ingest_idle_flushes().inc();
-                        }
-                        let partial = std::mem::replace(b, Vec::with_capacity(batch));
-                        if !ship(shard, partial) {
-                            break 'ingest;
-                        }
-                    }
-                }
-                Pull::End => break,
-            }
-        }
-        for (shard, bucket) in buckets.into_iter().enumerate() {
-            if !bucket.is_empty() {
-                ship(shard, bucket);
-            }
-        }
-        drop(raw_txs);
-
-        let mut workers = Vec::with_capacity(shard_count);
-        let mut scorer = FraudScorer::new();
-        let mut memory_bits = 0usize;
-        let mut health = Vec::new();
-        for handle in handles {
-            let (detector, partial, bits, shard_health) =
-                handle.join().expect("detector worker panicked");
-            workers.push(detector);
-            scorer.merge(partial);
-            memory_bits += bits;
-            health.extend(shard_health);
-        }
-        let (ledger, savings, registry) = billing.join().expect("billing stage panicked");
-        FanoutResult {
-            workers,
-            scorer,
-            memory_bits,
-            health,
-            ledger,
-            savings,
-            registry,
-        }
-    })
-}
-
-/// The ring-transport fan-out: bounded SPSC rings between stages and
-/// two shared [`Pool`]s recycling the batch buffers, so the steady
-/// state allocates nothing.
+/// The fan-out engine behind every entry point: bounded SPSC rings
+/// between stages and two shared [`Pool`]s recycling the batch buffers,
+/// so the steady state allocates nothing.
 ///
 /// Buffer life cycle: ingest `get`s a [`ClickBatch`] from the raw pool,
 /// fills it, and pushes it down the owning shard's raw ring; the worker
@@ -1260,9 +700,9 @@ where
 /// key bytes to the worker inside the batch, where
 /// [`DuplicateDetector::observe_flat_into`] reuses them for probing.
 #[allow(clippy::too_many_arguments, clippy::too_many_lines)]
-fn run_fanout_rings<D, S>(
+fn run_fanout<D, S>(
     workers: Vec<D>,
-    router: Option<ShardRouter>,
+    router: ShardRouter,
     seed: FanoutSeed,
     mut clicks: S,
     config: PipelineConfig,
@@ -1328,11 +768,7 @@ where
             let tenant_health_of = instr.tenant_health_of;
             let raw_pool = Arc::clone(&raw_pool);
             let judged_pool = Arc::clone(&judged_pool);
-            let pin = config.pin_workers;
             handles.push(s.spawn(move || {
-                if pin {
-                    pin_current_thread(idx);
-                }
                 let telem = telemetry.as_deref();
                 let mut scorer = FraudScorer::new();
                 let mut verdicts: Vec<Verdict> = Vec::with_capacity(batch);
@@ -1557,12 +993,7 @@ where
                 for c in &stage_clicks {
                     stage_keys.extend_from_slice(&c.key());
                 }
-                if let Some(r) = &router {
-                    r.route_flat_into(&stage_keys, KEY_LEN, &mut routes);
-                } else {
-                    routes.clear();
-                    routes.resize(stage_clicks.len(), 0);
-                }
+                router.route_flat_into(&stage_keys, KEY_LEN, &mut routes);
                 if let Some((t, t0)) = telem.zip(t0) {
                     t.stage_hash_ns().record(duration_ns(t0.elapsed()));
                 }
@@ -1671,6 +1102,11 @@ mod tests {
             .collect()
     }
 
+    /// `d` as the one-shard [`ShardedDetector`] a single-detector run is.
+    fn one_shard<D>(d: D) -> ShardedDetector<D> {
+        ShardedDetector::new(0, vec![d]).expect("one shard")
+    }
+
     fn sharded_tbf(n: usize, shards: usize) -> ShardedDetector<Tbf> {
         ShardedDetector::from_fn(7, shards, |_| {
             let n_s = per_shard_window(n, shards);
@@ -1705,7 +1141,16 @@ mod tests {
         let sequential = net.run(cs.iter());
 
         // Pipelined.
-        let outcome = run_pipeline(mk(), registry(), cs.iter().copied(), 256, None);
+        let outcome = run_sharded_pipeline(
+            one_shard(mk()),
+            registry(),
+            cs.iter().copied(),
+            PipelineConfig {
+                batch: 256,
+                queue: 1,
+            },
+            None,
+        );
         assert_eq!(outcome.report.charged, sequential.charged);
         assert_eq!(
             outcome.report.duplicates_blocked,
@@ -1768,11 +1213,7 @@ mod tests {
                 sharded_tbf(1_024, 3),
                 registry_with_budget(400_000),
                 cs.iter().copied(),
-                PipelineConfig {
-                    batch,
-                    queue: 4,
-                    ..PipelineConfig::default()
-                },
+                PipelineConfig { batch, queue: 4 },
                 None,
             )
         };
@@ -1796,7 +1237,16 @@ mod tests {
                 .expect("cfg"),
         )
         .expect("detector");
-        let outcome = run_pipeline(d, registry(), cs, 64, Some(progress.clone()));
+        let outcome = run_sharded_pipeline(
+            one_shard(d),
+            registry(),
+            cs,
+            PipelineConfig {
+                batch: 64,
+                queue: 1,
+            },
+            Some(progress.clone()),
+        );
         assert_eq!(progress.detected(), 5_000);
         assert_eq!(progress.billed(), 5_000);
         assert_eq!(outcome.report.clicks, 5_000);
@@ -1812,7 +1262,16 @@ mod tests {
                 .expect("cfg"),
         )
         .expect("detector");
-        let outcome = run_pipeline(d, registry(), cs, 128, None);
+        let outcome = run_sharded_pipeline(
+            one_shard(d),
+            registry(),
+            cs,
+            PipelineConfig {
+                batch: 128,
+                queue: 1,
+            },
+            None,
+        );
         assert!(outcome.scorer.total_clicks() == 20_000);
         assert!(!outcome.scorer.scores(100).is_empty());
     }
@@ -1883,7 +1342,7 @@ mod tests {
                 assert_eq!(e.value, cfd_telemetry::MetricValue::Gauge(0), "{}", e.name);
             }
         }
-        // Ring-transport extras: the pools are pre-populated to their
+        // Ring extras: the pools are pre-populated to their
         // structural in-flight bound, so no `get` ever finds them empty
         // — zero misses means zero mid-run buffer creation.
         let raw_misses = snap
@@ -1904,7 +1363,8 @@ mod tests {
     /// while shard 1 runs ahead. The in-flight window ships that bucket
     /// and holds ingest back, so the resequencer backlog stays within
     /// the window (`2 * (2 * 16 + 3) * 256` clicks at the defaults)
-    /// instead of growing with the stream, and billing is unchanged.
+    /// instead of growing with the stream, and billing equals a
+    /// sequential run.
     #[test]
     fn skewed_stream_keeps_the_resequencer_within_the_window() {
         let shards = 2;
@@ -1914,17 +1374,10 @@ mod tests {
             .partition(|c| router.route(&c.key()) == 0);
         to0.truncate(1);
         to0.extend(to1.into_iter().take(50_000));
-        let expected = run_sharded_pipeline(
-            sharded_tbf(2_048, shards),
-            registry(),
-            to0.iter().copied(),
-            PipelineConfig {
-                transport: Transport::Channel,
-                ..PipelineConfig::default()
-            },
-            None,
-        )
-        .report;
+        let mut net = crate::network::AdNetwork::new(sharded_tbf(2_048, shards));
+        let mut reg = registry();
+        std::mem::swap(net.registry_mut(), &mut reg);
+        let expected = net.run(to0.iter());
         let metrics = Arc::new(cfd_telemetry::Registry::new());
         let out = run_sharded_pipeline_instrumented(
             sharded_tbf(2_048, shards),
@@ -1960,8 +1413,8 @@ mod tests {
         }
     }
 
-    /// Idle reports push partial batches on both transports without
-    /// changing a verdict or the billing order.
+    /// Idle reports push partial batches without changing a verdict or
+    /// the billing order.
     #[test]
     fn idle_source_flushes_partial_batches_without_changing_the_report() {
         let cs = clicks(6_000);
@@ -1974,39 +1427,34 @@ mod tests {
             None,
         )
         .report;
-        for transport in [Transport::Ring, Transport::Channel] {
-            let metrics = Arc::new(cfd_telemetry::Registry::new());
-            let telemetry = Arc::new(PipelineTelemetry::new(&metrics, shards));
-            let source = Stuttering {
-                clicks: cs.iter().copied(),
-                every: 100,
-                since_idle: 0,
-            };
-            let out = run_sharded_segment(
-                sharded_tbf(1_024, shards),
-                SegmentState::new(registry()),
-                source,
-                PipelineConfig {
-                    transport,
-                    ..PipelineConfig::default()
-                },
-                None,
-                Some(telemetry),
-            );
-            assert_eq!(out.report(), expected, "{transport:?}");
-            let snap = metrics.snapshot();
-            assert_eq!(snap.get_counter("pipeline.ingest.clicks"), Some(6_000));
-            // 60 idle reports, each with at least one non-empty bucket
-            // (100 clicks since the last flush), at most one per shard.
-            let flushes = snap
-                .get_counter("pipeline.ingest.idle_flushes")
-                .expect("registered");
-            assert!((60..=60 * 3).contains(&flushes), "{transport:?}: {flushes}");
-        }
+        let metrics = Arc::new(cfd_telemetry::Registry::new());
+        let telemetry = Arc::new(PipelineTelemetry::new(&metrics, shards));
+        let source = Stuttering {
+            clicks: cs.iter().copied(),
+            every: 100,
+            since_idle: 0,
+        };
+        let out = run_sharded_segment(
+            sharded_tbf(1_024, shards),
+            SegmentState::new(registry()),
+            source,
+            PipelineConfig::default(),
+            None,
+            Some(telemetry),
+        );
+        assert_eq!(out.report(), expected);
+        let snap = metrics.snapshot();
+        assert_eq!(snap.get_counter("pipeline.ingest.clicks"), Some(6_000));
+        // 60 idle reports, each with at least one non-empty bucket (100
+        // clicks since the last flush), at most one per shard.
+        let flushes = snap
+            .get_counter("pipeline.ingest.idle_flushes")
+            .expect("registered");
+        assert!((60..=60 * 3).contains(&flushes), "{flushes}");
     }
 
-    /// The single-detector instrumented entry point works with a boxed
-    /// dynamic detector (the CLI's usage) and publishes terminal health.
+    /// A one-shard instrumented run works with a boxed dynamic detector
+    /// (the CLI's usage) and publishes terminal health.
     #[test]
     fn instrumented_single_shard_accepts_boxed_detector() {
         use cfd_windows::ObservableDetector;
@@ -2022,67 +1470,22 @@ mod tests {
         );
         let metrics = Arc::new(cfd_telemetry::Registry::new());
         let telemetry = Arc::new(PipelineTelemetry::new(&metrics, 1));
-        let outcome =
-            run_pipeline_instrumented(d, registry(), cs, 64, None, Arc::clone(&telemetry));
+        let outcome = run_sharded_pipeline_instrumented(
+            one_shard(d),
+            registry(),
+            cs,
+            PipelineConfig {
+                batch: 64,
+                queue: 1,
+            },
+            None,
+            Arc::clone(&telemetry),
+        );
         assert_eq!(outcome.report.clicks, 5_000);
         assert_eq!(outcome.health.len(), 1);
         assert_eq!(outcome.health[0].observed_elements, 5_000);
         let snap = metrics.snapshot();
         assert_eq!(snap.get_counter("pipeline.ingest.clicks"), Some(5_000));
-    }
-
-    /// The transport is a throughput knob, never a semantics knob: the
-    /// ring data plane and the channel data plane produce identical
-    /// reports and scorers, including under a tight order-sensitive
-    /// budget where any reordering or dropped batch would show up.
-    #[test]
-    fn ring_and_channel_transports_agree() {
-        let cs = clicks(30_000);
-        let run = |transport: Transport| {
-            run_sharded_pipeline(
-                sharded_tbf(2_048, 4),
-                registry_with_budget(50_000),
-                cs.iter().copied(),
-                PipelineConfig {
-                    transport,
-                    ..PipelineConfig::default()
-                },
-                None,
-            )
-        };
-        let ring = run(Transport::Ring);
-        let chan = run(Transport::Channel);
-        assert_eq!(ring.report.charged, chan.report.charged);
-        assert_eq!(
-            ring.report.duplicates_blocked,
-            chan.report.duplicates_blocked
-        );
-        assert_eq!(ring.report.budget_rejections, chan.report.budget_rejections);
-        assert_eq!(ring.report.revenue_micros, chan.report.revenue_micros);
-        assert_eq!(ring.report.savings_micros, chan.report.savings_micros);
-        assert_eq!(
-            ring.report.detector_memory_bits,
-            chan.report.detector_memory_bits
-        );
-        assert_eq!(ring.scorer.total_clicks(), chan.scorer.total_clicks());
-    }
-
-    /// Worker pinning is advisory: the run completes and tallies
-    /// normally whether or not `taskset` could honor the request.
-    #[test]
-    fn pinned_workers_complete_normally() {
-        let cs = clicks(5_000);
-        let outcome = run_sharded_pipeline(
-            sharded_tbf(1_024, 2),
-            registry(),
-            cs.iter().copied(),
-            PipelineConfig {
-                pin_workers: true,
-                ..PipelineConfig::default()
-            },
-            None,
-        );
-        assert_eq!(outcome.report.clicks, 5_000);
     }
 
     fn sharded_time_tbf(shards: usize) -> ShardedDetector<TimeTbf> {
@@ -2125,35 +1528,6 @@ mod tests {
         }
     }
 
-    /// Timed mode inherits transport neutrality: ring and channel data
-    /// planes agree verdict for verdict under a tight budget.
-    #[test]
-    fn timed_ring_and_channel_transports_agree() {
-        let cs = clicks(20_000);
-        let run = |transport: Transport| {
-            run_timed_sharded_pipeline(
-                sharded_time_tbf(4),
-                registry_with_budget(50_000),
-                cs.iter().copied(),
-                PipelineConfig {
-                    transport,
-                    ..PipelineConfig::default()
-                },
-                None,
-            )
-        };
-        let ring = run(Transport::Ring);
-        let chan = run(Transport::Channel);
-        assert_eq!(ring.report.charged, chan.report.charged);
-        assert_eq!(
-            ring.report.duplicates_blocked,
-            chan.report.duplicates_blocked
-        );
-        assert_eq!(ring.report.budget_rejections, chan.report.budget_rejections);
-        assert_eq!(ring.report.revenue_micros, chan.report.revenue_micros);
-        assert_eq!(ring.report.savings_micros, chan.report.savings_micros);
-    }
-
     /// The timed instrumented entry points report per-shard health and
     /// keep the occupancy-scan budget: health sampling is the only scan.
     #[test]
@@ -2182,11 +1556,14 @@ mod tests {
         );
         let metrics = Arc::new(cfd_telemetry::Registry::new());
         let telemetry = Arc::new(PipelineTelemetry::new(&metrics, 1));
-        let outcome = run_timed_pipeline_instrumented(
-            d,
+        let outcome = run_timed_sharded_pipeline_instrumented(
+            one_shard(d),
             registry(),
             cs.iter().copied(),
-            64,
+            PipelineConfig {
+                batch: 64,
+                queue: 1,
+            },
             None,
             Arc::clone(&telemetry),
         );

@@ -1,11 +1,11 @@
 //! Bounded single-producer/single-consumer ring buffer and buffer pool —
 //! the zero-allocation transport of the pipeline data plane.
 //!
-//! The crossbeam channel shim used between pipeline stages is a
-//! `Mutex<VecDeque>` + `Condvar` queue: every send/receive takes a lock,
-//! may allocate inside the deque, and parks through the kernel under
-//! contention. This ring replaces it on the hot path with two cache-padded
-//! atomic counters and a fixed slot array:
+//! A `Mutex<VecDeque>` + `Condvar` channel (the crossbeam shim) takes a
+//! lock on every send/receive, may allocate inside the deque, and parks
+//! through the kernel under contention. This ring moves batches between
+//! pipeline stages with two cache-padded atomic counters and a fixed
+//! slot array instead:
 //!
 //! * **SPSC discipline.** Exactly one [`Producer`] and one [`Consumer`]
 //!   exist per ring (enforced by ownership — the handles are not `Clone`).

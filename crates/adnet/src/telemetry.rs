@@ -5,13 +5,14 @@
 //! supplied [`cfd_telemetry::Registry`] and hands the stages cheap,
 //! lock-free handles:
 //!
-//! * **per-shard channel depth** — a [`Gauge`] incremented by ingest on
-//!   send and decremented by the owning worker on receive, so a snapshot
-//!   shows how many batches sit in each worker's bounded queue
+//! * **per-shard queue depth** — a [`Gauge`] incremented by ingest on
+//!   push and decremented by the owning worker on pop, so a snapshot
+//!   shows how many batches sit in each worker's bounded ring
 //!   (backpressure made visible).
 //! * **per-stage latency** — log2-bucketed [`Histogram`]s of per-batch
-//!   wall time for the four stages: `hash` (key building), `probe`
-//!   (detector [`observe_batch`](cfd_windows::DuplicateDetector::observe_batch)),
+//!   wall time for the four stages: `hash` (ingest key building and
+//!   shard routing), `probe` (detector
+//!   [`observe_flat_into`](cfd_windows::DuplicateDetector::observe_flat_into)),
 //!   `resequence` (heap traffic), and `billing` (ledger settlement).
 //! * **resequencer stalls** — a [`Counter`] of judged batches that
 //!   could not release a single click because the head-of-line sequence
@@ -36,7 +37,7 @@ use std::sync::{Arc, OnceLock};
 
 /// Per-shard instrument handles (one set per detector worker).
 struct ShardInstruments {
-    /// Batches currently in this worker's bounded raw channel.
+    /// Batches currently in this worker's bounded raw ring.
     queue_depth: Arc<Gauge>,
     /// Batches this worker has judged.
     batches: Arc<Counter>,
@@ -53,11 +54,11 @@ struct ShardInstruments {
     clean_backlog: Arc<FloatGauge>,
     /// TBF incremental sweep position in [0, 1).
     sweep_position: Arc<FloatGauge>,
-    /// Ring transport: ingest pushes onto this shard's raw ring that
-    /// found it full and had to wait (0 on the channel transport).
+    /// Ingest pushes onto this shard's raw ring that found it full and
+    /// had to wait.
     raw_full_waits: Arc<Counter>,
-    /// Ring transport: worker pushes onto this shard's judged ring that
-    /// found it full and had to wait (0 on the channel transport).
+    /// Worker pushes onto this shard's judged ring that found it full
+    /// and had to wait.
     judged_full_waits: Arc<Counter>,
     /// Multi-tenant slot-economy gauges (`arena.*`), registered lazily
     /// on the first [`TenantHealth`] sample so single-tenant runs never
@@ -78,7 +79,8 @@ struct ArenaInstruments {
 /// Lock-free instrument bundle for one pipeline run.
 ///
 /// Construct with [`PipelineTelemetry::new`], wrap in an [`Arc`], and
-/// pass to `run_pipeline_instrumented` / `run_sharded_pipeline_instrumented`.
+/// pass to `run_sharded_pipeline_instrumented` (or
+/// `run_timed_sharded_pipeline_instrumented`, or `run_sharded_segment`).
 /// All metrics live in the [`cfd_telemetry::Registry`] given at
 /// construction, so a [`cfd_telemetry::Reporter`] polling that registry
 /// sees them alongside any caller-registered metrics.
@@ -122,7 +124,7 @@ impl PipelineTelemetry {
                 queue_depth: registry.gauge(
                     &format!("pipeline.shard{i}.queue_depth"),
                     "batches",
-                    "batches waiting in this worker's bounded channel",
+                    "batches waiting in this worker's bounded ring",
                 ),
                 batches: registry.counter(
                     &format!("pipeline.shard{i}.batches"),
@@ -183,12 +185,12 @@ impl PipelineTelemetry {
             stage_hash_ns: registry.histogram(
                 "pipeline.stage.hash_ns",
                 "ns",
-                "per-batch click-key building latency",
+                "per-block click-key building and routing latency",
             ),
             stage_probe_ns: registry.histogram(
                 "pipeline.stage.probe_ns",
                 "ns",
-                "per-batch detector observe_batch latency",
+                "per-batch detector observe_flat_into latency",
             ),
             stage_resequence_ns: registry.histogram(
                 "pipeline.stage.resequence_ns",

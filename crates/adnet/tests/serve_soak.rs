@@ -17,7 +17,6 @@
 use cfd_adnet::{
     serve, Advertiser, AdvertiserId, Campaign, DrainControl, Endpoint, PipelineConfig,
     PipelineProgress, Registry, ServeConfig, ServeInstruments, ServeTelemetry, ServerState,
-    Transport,
 };
 use cfd_core::sharded::{per_shard_window, ShardedDetector};
 use cfd_core::{Tbf, TbfConfig};
@@ -214,12 +213,7 @@ fn multi_client_soak_is_zero_alloc_with_backpressure() {
         progress: Some(Arc::clone(&progress)),
     };
     let config = ServeConfig {
-        pipeline: PipelineConfig {
-            batch: 1,
-            queue: 8,
-            transport: Transport::Ring,
-            pin_workers: false,
-        },
+        pipeline: PipelineConfig { batch: 1, queue: 8 },
         checkpoint_path: None,
         checkpoint_every: 0,
         // One-batch hub: three eager producers against a per-click

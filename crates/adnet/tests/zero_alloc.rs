@@ -1,4 +1,4 @@
-//! Zero-allocation regression test for the ring-transport pipeline.
+//! Zero-allocation regression test for the ring pipeline.
 //!
 //! A counting [`GlobalAlloc`] wrapper tallies every allocation in the
 //! process. The test streams a warm-up span through the pipeline, waits
@@ -11,7 +11,7 @@
 //! The library crates all `#![forbid(unsafe_code)]`; the one `unsafe
 //! impl` lives here, in a test binary, where `GlobalAlloc` requires it.
 
-use cfd_adnet::{run_sharded_pipeline, PipelineConfig, PipelineProgress, Transport};
+use cfd_adnet::{run_sharded_pipeline, PipelineConfig, PipelineProgress};
 use cfd_adnet::{Advertiser, AdvertiserId, Campaign, Registry};
 use cfd_core::sharded::{per_shard_window, ShardedDetector};
 use cfd_core::{Tbf, TbfConfig};
@@ -138,12 +138,7 @@ fn zero_alloc_steady_state() {
         sharded_tbf(2_048, SHARDS),
         registry(),
         stream,
-        PipelineConfig {
-            batch: 1,
-            queue: 8,
-            transport: Transport::Ring,
-            pin_workers: false,
-        },
+        PipelineConfig { batch: 1, queue: 8 },
         Some(Arc::clone(&progress)),
     );
     assert_eq!(outcome.report.clicks, (WARMUP + MEASURED + 1) as u64);

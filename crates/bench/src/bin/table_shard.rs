@@ -294,7 +294,6 @@ fn main() {
             PipelineConfig {
                 batch: BATCH,
                 queue: 16,
-                ..PipelineConfig::default()
             },
             None,
         );
@@ -331,7 +330,6 @@ fn main() {
     let pipeline_cfg = PipelineConfig {
         batch: BATCH,
         queue: 16,
-        ..PipelineConfig::default()
     };
     let check_count = count.max(1 << 20);
     let check_clicks: Vec<Click> = if check_count == count {

@@ -34,20 +34,15 @@
 //! cargo run --release -p cfd-bench --bin throughput -- --pipeline [--quick] [--out PATH]
 //! ```
 //!
-//! Benchmarks the zero-allocation ingest work under the same paired,
-//! order-alternated, median-of-rounds protocol, writing
-//! `BENCH_pr4.json`:
-//!
-//! * **hash micro**: multi-lane batch hashing
-//!   ([`Planner::plan_flat_into`]) vs the per-id scalar
-//!   [`Planner::plan`] loop over the same 16-byte click keys, with a
-//!   checksum cross-check that the plans are identical;
-//! * **pipeline end-to-end**: the full ingest → sharded detection →
-//!   resequencer → billing pipeline on [`Transport::Ring`] (pooled
-//!   SPSC rings, zero steady-state allocation) vs
-//!   [`Transport::Channel`] (crossbeam, one allocation per batch) at
-//!   equal shard count, with the two transports' reports asserted
-//!   equal every round.
+//! Benchmarks the pipeline ingest's multi-lane batch hashing
+//! ([`Planner::plan_flat_into`]) against the per-id scalar
+//! [`Planner::plan`] loop over the same 16-byte click keys, under the
+//! same paired, order-alternated, median-of-rounds protocol, with a
+//! checksum cross-check that the plans are identical, writing a
+//! `cfd-bench-pipeline/2` report to `BENCH_pipeline.json`.
+//! `BENCH_pr4.json` keeps the `/1` record, whose second half compared
+//! the ring data plane against the since-deleted channel one; the ring
+//! pipeline is now measured end to end by `perfbench`.
 //!
 //! ## PR 5 scenario: `--timed`
 //!
@@ -115,10 +110,6 @@
 //! brute-forces its `[sweep]` grid with the same driver as `cfd sweep`,
 //! writing a `cfd-bench-sweep/1` report (default `BENCH_sweep.json`).
 
-use cfd_adnet::{
-    run_sharded_pipeline, Advertiser, AdvertiserId, Campaign, NetworkReport, PipelineConfig,
-    Registry, Transport,
-};
 use cfd_analysis::blocked::{fp_blocked_gbf, fp_blocked_tbf};
 use cfd_analysis::sizing::{arena_tenant_budget, TenantBudget};
 use cfd_core::config::ProbeLayout;
@@ -129,7 +120,7 @@ use cfd_core::{
 };
 use cfd_hash::{Planner, ProbePlan};
 use cfd_stream::{
-    AdId, BotnetConfig, BotnetStream, Click, TenantTraffic, TenantTrafficConfig, TENANT_KEY_LEN,
+    BotnetConfig, BotnetStream, Click, TenantTraffic, TenantTrafficConfig, TENANT_KEY_LEN,
 };
 use cfd_windows::{DetectorStats, DuplicateDetector, TimedDuplicateDetector, Verdict};
 use std::fmt::Write as _;
@@ -343,73 +334,16 @@ fn json_f64(x: f64) -> String {
 }
 
 // ---------------------------------------------------------------------
-// PR 4 scenario: multi-lane hashing micro + ring-vs-channel pipeline.
+// PR 4 scenario: multi-lane hashing micro.
 // ---------------------------------------------------------------------
 
 /// Click-key length: [`Click::key`] is 16 bytes.
 const PIPE_KEY_LEN: usize = 16;
 
-/// Inter-stage batch and per-worker queue depth for the end-to-end
-/// comparison — identical for both transports. Small batches model a
-/// latency-bounded ingest (flush every few hundred µs); they are also
-/// where transport overhead dominates, which is exactly what this
-/// scenario compares.
-const PIPE_BATCH: usize = 16;
-const PIPE_QUEUE: usize = 8;
-
-/// Worker shards for the transport comparison. Two shards keep the
-/// thread count (ingest + workers + billing) close to typical CI core
-/// counts; transport overhead, not parallelism, is what this measures.
-const PIPE_SHARDS: usize = 2;
-
 struct PipelineScale {
     label: &'static str,
     clicks: usize,
     rounds: usize,
-    window: usize,
-}
-
-fn pipeline_registry() -> Registry {
-    let mut r = Registry::new();
-    r.add_advertiser(Advertiser::new(AdvertiserId(1), "bench", u64::MAX / 4));
-    for ad in 0..64 {
-        r.add_campaign(Campaign {
-            ad: AdId(ad),
-            advertiser: AdvertiserId(1),
-            cpc_micros: 100,
-        })
-        .expect("advertiser registered");
-    }
-    r
-}
-
-fn pipeline_detector(n: usize) -> ShardedDetector<Tbf> {
-    ShardedDetector::from_fn(7, PIPE_SHARDS, |_| {
-        let per = cfd_core::sharded::per_shard_window(n, PIPE_SHARDS);
-        Tbf::new(tbf_config(per, ProbeLayout::Blocked, 4))
-    })
-    .expect("sharded detector")
-}
-
-/// One timed end-to-end run on the given transport; fresh detector and
-/// registry per run, stream reused by reference.
-fn drive_pipeline(clicks: &[Click], window: usize, transport: Transport) -> (f64, NetworkReport) {
-    let detector = pipeline_detector(window);
-    let start = Instant::now();
-    let outcome = run_sharded_pipeline(
-        detector,
-        pipeline_registry(),
-        clicks.iter().copied(),
-        PipelineConfig {
-            batch: PIPE_BATCH,
-            queue: PIPE_QUEUE,
-            transport,
-            pin_workers: false,
-        },
-        None,
-    );
-    let secs = start.elapsed().as_secs_f64();
-    (clicks.len() as f64 / secs, outcome.report)
 }
 
 /// XOR-fold of the plans' `h1` halves — forces materialization and
@@ -424,24 +358,21 @@ fn run_pipeline_scenario(quick: bool, out_path: &str) {
             label: "quick",
             clicks: 1 << 17,
             rounds: 3,
-            window: 1 << 14,
         }
     } else {
         PipelineScale {
             label: "full",
             clicks: 1 << 21,
             rounds: 10,
-            window: 1 << 17,
         }
     };
     println!(
-        "# throughput --pipeline — {} scale: {} clicks/round, {} measured rounds (+1 warm-up), \
-         {PIPE_SHARDS} shards, batch {PIPE_BATCH}",
+        "# throughput --pipeline — {} scale: {} clicks/round, {} measured rounds (+1 warm-up)",
         scale.label, scale.clicks, scale.rounds
     );
 
     // Deterministic duplicate-heavy stream, generated once outside every
-    // timed region; the hash micro-bench reuses its 16-byte keys.
+    // timed region; the hash micro-bench hashes its 16-byte keys.
     let clicks: Vec<Click> = BotnetStream::new(BotnetConfig::default(), 8, 64)
         .take(scale.clicks)
         .map(|c| c.click)
@@ -488,44 +419,6 @@ fn run_pipeline_scenario(quick: bool, out_path: &str) {
     }
     let hash_speedup = median(&lanes_rates) / median(&scalar_rates);
 
-    // ---- End-to-end: ring transport vs channel transport ------------
-    let mut ring_rates = Vec::new();
-    let mut channel_rates = Vec::new();
-    let mut transports_agree = true;
-    for round in 0..=scale.rounds {
-        let mut ring_first = round % 2 == 0;
-        let mut ring = (0.0, None);
-        let mut chan = (0.0, None);
-        for _ in 0..2 {
-            let transport = if ring_first {
-                Transport::Ring
-            } else {
-                Transport::Channel
-            };
-            let (rate, report) = drive_pipeline(&clicks, scale.window, transport);
-            if ring_first {
-                ring = (rate, Some(report));
-            } else {
-                chan = (rate, Some(report));
-            }
-            ring_first = !ring_first;
-        }
-        let (r, c) = (ring.1.expect("ran"), chan.1.expect("ran"));
-        let agree = r.charged == c.charged
-            && r.duplicates_blocked == c.duplicates_blocked
-            && r.revenue_micros == c.revenue_micros
-            && r.savings_micros == c.savings_micros;
-        if !agree {
-            eprintln!("FAIL: transports disagree in round {round}");
-            transports_agree = false;
-        }
-        if round > 0 {
-            ring_rates.push(ring.0);
-            channel_rates.push(chan.0);
-        }
-    }
-    let ring_speedup = median(&ring_rates) / median(&channel_rates);
-
     // ---- Human table ------------------------------------------------
     let mut table = String::new();
     let _ = writeln!(
@@ -537,8 +430,6 @@ fn run_pipeline_scenario(quick: bool, out_path: &str) {
     for (name, rates) in [
         ("hash scalar plan()", &scalar_rates),
         ("hash multi-lane flat", &lanes_rates),
-        ("pipeline channel", &channel_rates),
-        ("pipeline ring+pool", &ring_rates),
     ] {
         let _ = writeln!(table, "{:<28} {:>14.2}", name, median(rates) / 1e6);
     }
@@ -546,29 +437,19 @@ fn run_pipeline_scenario(quick: bool, out_path: &str) {
         table,
         "# multi-lane/scalar hash speedup = {hash_speedup:.2}x"
     );
-    let _ = writeln!(
-        table,
-        "# ring/channel pipeline speedup = {ring_speedup:.2}x"
-    );
     print!("{table}");
 
     // ---- Gates ------------------------------------------------------
     let hash_ok = hash_speedup >= 1.3;
-    let ring_ok = ring_speedup >= 1.2;
-    let gate = |ok: bool| {
-        if ok {
+    println!(
+        "# gates: lanes>=1.3x {} | checksums {}",
+        if hash_ok {
             "PASS"
         } else if quick {
             "SKIP (quick)"
         } else {
             "FAIL"
-        }
-    };
-    println!(
-        "# gates: lanes>=1.3x {} | ring>=1.2x {} | transports-agree {} | checksums {}",
-        gate(hash_ok),
-        gate(ring_ok),
-        if transports_agree { "PASS" } else { "FAIL" },
+        },
         if checksums_agree { "PASS" } else { "FAIL" },
     );
 
@@ -581,12 +462,10 @@ fn run_pipeline_scenario(quick: bool, out_path: &str) {
             .join(", ")
     };
     let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"schema\": \"cfd-bench-pipeline/1\",");
+    let _ = writeln!(json, "  \"schema\": \"cfd-bench-pipeline/2\",");
     let _ = writeln!(json, "  \"scale\": \"{}\",", scale.label);
     let _ = writeln!(json, "  \"clicks\": {},", scale.clicks);
     let _ = writeln!(json, "  \"rounds\": {},", scale.rounds);
-    let _ = writeln!(json, "  \"shards\": {PIPE_SHARDS},");
-    let _ = writeln!(json, "  \"batch\": {PIPE_BATCH},");
     let _ = writeln!(json, "  \"hash\": {{");
     let _ = writeln!(
         json,
@@ -607,25 +486,8 @@ fn run_pipeline_scenario(quick: bool, out_path: &str) {
     let _ = writeln!(json, "    \"lanes_rounds\": [{}],", join(&lanes_rates));
     let _ = writeln!(json, "    \"speedup\": {}", json_f64(hash_speedup));
     let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"pipeline\": {{");
-    let _ = writeln!(
-        json,
-        "    \"channel_clicks_per_sec_median\": {},",
-        json_f64(median(&channel_rates))
-    );
-    let _ = writeln!(
-        json,
-        "    \"ring_clicks_per_sec_median\": {},",
-        json_f64(median(&ring_rates))
-    );
-    let _ = writeln!(json, "    \"channel_rounds\": [{}],", join(&channel_rates));
-    let _ = writeln!(json, "    \"ring_rounds\": [{}],", join(&ring_rates));
-    let _ = writeln!(json, "    \"speedup\": {}", json_f64(ring_speedup));
-    let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"checks\": {{");
     let _ = writeln!(json, "    \"hash_speedup_ok\": {hash_ok},");
-    let _ = writeln!(json, "    \"ring_speedup_ok\": {ring_ok},");
-    let _ = writeln!(json, "    \"transports_agree\": {transports_agree},");
     let _ = writeln!(json, "    \"checksums_agree\": {checksums_agree}");
     let _ = writeln!(json, "  }}");
     json.push_str("}\n");
@@ -638,8 +500,7 @@ fn run_pipeline_scenario(quick: bool, out_path: &str) {
         println!("# wrote {table_path}");
     }
 
-    let speedup_gates_ok = quick || (hash_ok && ring_ok);
-    if !transports_agree || !checksums_agree || !speedup_gates_ok {
+    if !checksums_agree || !(quick || hash_ok) {
         std::process::exit(1);
     }
 }
@@ -2245,7 +2106,7 @@ fn main() {
         return;
     }
     if pipeline {
-        let out = out_path.unwrap_or_else(|| "BENCH_pr4.json".to_owned());
+        let out = out_path.unwrap_or_else(|| "BENCH_pipeline.json".to_owned());
         run_pipeline_scenario(quick, &out);
         return;
     }

@@ -17,7 +17,7 @@ use cfd_adnet::{
     replay_client, run_sharded_pipeline, run_sharded_pipeline_instrumented,
     run_timed_sharded_pipeline, run_timed_sharded_pipeline_instrumented, serve, Advertiser,
     AdvertiserId, Campaign, ClientConfig, DrainControl, Endpoint, FraudScorer, PipelineConfig,
-    PipelineTelemetry, ServeConfig, ServeInstruments, ServeTelemetry, ServerState, Transport,
+    PipelineTelemetry, ServeConfig, ServeInstruments, ServeTelemetry, ServerState,
 };
 use cfd_core::config::ProbeLayout;
 use cfd_core::registry::{BackendGeometry, DetectorBackend, MemorySpec};
@@ -55,81 +55,36 @@ fn main() -> ExitCode {
     }
 }
 
-/// The usage text with the `--algo` list spliced in from the backend
-/// registry (so help can never drift from the registered backends) and
-/// the gateway blocks spliced from [`cli`] (so help can never drift
-/// from `README.md`, which embeds the same constants verbatim).
+/// The usage text with the per-command blocks spliced from [`cli`] (so
+/// help can never drift from the options each command accepts, nor from
+/// `README.md`, which embeds the gateway blocks verbatim) and the
+/// `--algo` list spliced in from the backend registry (so help can never
+/// drift from the registered backends).
 fn usage() -> String {
-    USAGE_TEMPLATE
-        .replace("{algos}", &cfd_core::registry::algo_list())
-        .replace("{serve}", cli::SERVE_USAGE)
-        .replace("{replay}", cli::REPLAY_USAGE)
-        .replace("{sweep}", cli::SWEEP_USAGE)
-}
-
-const USAGE_TEMPLATE: &str = "\
-usage: cfd <command> [options]
-
-commands:
-  generate   synthesize a click trace
-             --kind unique|duplicates|botnet|coalition|crawler|flashcrowd
-             --count <clicks> [--seed <u64>] --out <file>
-  detect     run a duplicate detector over a trace
-             --algo {algos}|time-tbf|time-gbf|exact
-             --window <N> [--sub-windows <Q>] [--cells-per-element <c>]
-             [--k <hashes>] [--seed <u64>] --trace <file>
-             [--shards <S>] [--batch <B>] [--layout scattered|blocked]
-             [--window-units <U>] [--sub-units <U>] [--unit-ticks <T>]
-             [--score-publishers]
-             (cells = filter bits for gbf, timestamp entries for tbf;
-              default 14, the paper's Fig. 2 ratio; --shards splits the
-              keyspace over S detectors of window N/S, --batch sets the
-              observe_batch chunk size, default 512; time-tbf/time-gbf
-              judge each click at its own trace tick over a wall-clock
-              window: window-units units for time-tbf, sub-windows
-              sub-windows of sub-units units for time-gbf, each unit
-              unit-ticks ticks — there --window sizes the tables as the
-              expected clicks per window, and shards keep the full time
-              window since they share one clock)
-  run        drive the concurrent billing pipeline end to end
-             --algo {algos}|time-tbf|time-gbf|exact
-             [--window <N>]
-             [--sub-windows <Q>] [--cells-per-element <c>] [--k <hashes>]
-             [--seed <u64>] [--shards <S>] [--batch <B>] [--queue <Q>]
-             [--layout scattered|blocked]
-             [--window-units <U>] [--sub-units <U>] [--unit-ticks <T>]
-             [--transport ring|channel] [--ring-capacity <batches>]
-             [--pin-workers]
-             (--trace <file> | [--kind <workload>] [--count <clicks>])
-             (--transport picks the inter-stage data plane: pooled SPSC
-              rings by default, crossbeam channels as the baseline;
-              --ring-capacity overrides --queue as the per-worker ring
-              size in batches, rounded up to a power of two;
-              --pin-workers pins shard worker i to CPU i, best-effort)
-             [--ads <N>] [--report-json <file>]
-             [--metrics[=millis]] [--metrics-json]
-             (--metrics prints periodic telemetry snapshots to stderr:
-              per-shard queue depth, per-stage latency, detector fill +
-              online FP estimate; --metrics-json emits JSON lines
-              instead of tables; see docs/OBSERVABILITY.md;
-              --ads N bills against a fixed registry of N campaigns —
-              the same one `cfd serve --ads N` uses — and --report-json
-              writes the final report for byte-for-byte comparison)
-{serve}
-{replay}
-{sweep}
-  size       memory required for a target false-positive rate
-             --algo gbf|tbf|metwally --window <N> [--sub-windows <Q>]
-             --target-fp <rate>
-  algos      list the registered detector backends (markdown table;
+    [
+        "usage: cfd <command> [options]\n\ncommands:",
+        cli::GENERATE_USAGE,
+        cli::DETECT_USAGE,
+        cli::RUN_USAGE,
+        cli::SERVE_USAGE,
+        cli::REPLAY_USAGE,
+        cli::SWEEP_USAGE,
+        cli::SIZE_USAGE,
+        "  algos      list the registered detector backends (markdown table;
              README.md's algorithm table is generated from this)
-  help       print this message";
+  help       print this message",
+    ]
+    .join("\n")
+    .replace("{algos}", &cfd_core::registry::algo_list())
+}
 
 /// Minimal `--name value` argument map (flags take `true`).
 struct Opts(HashMap<String, String>);
 
 impl Opts {
-    fn parse(args: &[String]) -> Result<Self, String> {
+    /// Parses `args`, rejecting any option the command's `usage` block
+    /// does not name.
+    fn parse(args: &[String], usage: &str) -> Result<Self, String> {
         let mut map = HashMap::new();
         let mut it = args.iter().peekable();
         while let Some(arg) = it.next() {
@@ -148,6 +103,7 @@ impl Opts {
             };
             map.insert(name.to_owned(), value);
         }
+        cli::check_options(usage, map.keys().map(String::as_str)).map_err(|e| e.to_string())?;
         Ok(Self(map))
     }
 
@@ -184,13 +140,13 @@ impl Opts {
 
 fn run(args: &[String]) -> Result<(), String> {
     match args.first().map(String::as_str) {
-        Some("generate") => cmd_generate(&Opts::parse(&args[1..])?),
-        Some("detect") => cmd_detect(&Opts::parse(&args[1..])?),
-        Some("run") => cmd_run(&Opts::parse(&args[1..])?),
-        Some("serve") => cmd_serve(&Opts::parse(&args[1..])?),
-        Some("replay-client") => cmd_replay_client(&Opts::parse(&args[1..])?),
-        Some("size") => cmd_size(&Opts::parse(&args[1..])?),
-        Some("sweep") => cmd_sweep(&Opts::parse(&args[1..])?),
+        Some("generate") => cmd_generate(&Opts::parse(&args[1..], cli::GENERATE_USAGE)?),
+        Some("detect") => cmd_detect(&Opts::parse(&args[1..], cli::DETECT_USAGE)?),
+        Some("run") => cmd_run(&Opts::parse(&args[1..], cli::RUN_USAGE)?),
+        Some("serve") => cmd_serve(&Opts::parse(&args[1..], cli::SERVE_USAGE)?),
+        Some("replay-client") => cmd_replay_client(&Opts::parse(&args[1..], cli::REPLAY_USAGE)?),
+        Some("size") => cmd_size(&Opts::parse(&args[1..], cli::SIZE_USAGE)?),
+        Some("sweep") => cmd_sweep(&Opts::parse(&args[1..], cli::SWEEP_USAGE)?),
         Some("algos") => {
             print!("{}", cfd_core::registry::markdown_table());
             Ok(())
@@ -563,15 +519,6 @@ fn print_stream_report(opts: &Opts, summary: &StreamSummary, scorer: &FraudScore
     }
 }
 
-/// Parses `--transport ring|channel` (default ring).
-fn parse_transport(opts: &Opts) -> Result<Transport, String> {
-    match opts.get("transport").unwrap_or("ring") {
-        "ring" => Ok(Transport::Ring),
-        "channel" => Ok(Transport::Channel),
-        other => Err(format!("--transport: `{other}` (accepted: ring, channel)")),
-    }
-}
-
 /// The fixed billing registry behind `--ads N`: one advertiser with an
 /// effectively unlimited budget and campaigns `0..N` at a flat CPC.
 /// `cfd run --ads N` and `cfd serve --ads N` build this identically, so
@@ -619,9 +566,6 @@ fn cmd_run(opts: &Opts) -> Result<(), String> {
     let shards: usize = opts.positive("shards", 4)?;
     let batch: usize = opts.positive("batch", 512)?;
     let queue: usize = opts.positive("queue", 16)?;
-    let transport = parse_transport(opts)?;
-    let ring_capacity: usize = opts.positive("ring-capacity", queue)?;
-    let pin_workers = opts.flag("pin-workers");
 
     let clicks: Vec<Click> = match opts.get("trace") {
         Some(path) => {
@@ -680,15 +624,7 @@ fn cmd_run(opts: &Opts) -> Result<(), String> {
         Some(_) => fixed_registry(opts.parse_num("ads", 64)?),
         None => billing_registry(&clicks),
     };
-    let config = PipelineConfig {
-        batch,
-        queue: match transport {
-            Transport::Ring => ring_capacity,
-            Transport::Channel => queue,
-        },
-        transport,
-        pin_workers,
-    };
+    let config = PipelineConfig { batch, queue };
     let total = clicks.len();
 
     let started = Instant::now();
@@ -792,7 +728,6 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
     let shards: usize = opts.positive("shards", 4)?;
     let batch: usize = opts.positive("batch", 512)?;
     let queue: usize = opts.positive("queue", 16)?;
-    let transport = parse_transport(opts)?;
     let ads: u32 = opts.parse_num("ads", 64)?;
     let hub_batches: usize = opts.positive("hub-batches", 64)?;
     let checkpoint = opts.get("checkpoint").map(PathBuf::from);
@@ -860,12 +795,7 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
     });
 
     let config = ServeConfig {
-        pipeline: PipelineConfig {
-            batch,
-            queue,
-            transport,
-            pin_workers: opts.flag("pin-workers"),
-        },
+        pipeline: PipelineConfig { batch, queue },
         checkpoint_path: checkpoint,
         checkpoint_every,
         hub_batches,

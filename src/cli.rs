@@ -1,9 +1,11 @@
 //! Canonical usage text and typed usage errors for the `cfd` binary.
 //!
-//! The usage constants are the **single source** of the `cfd serve` /
-//! `cfd replay-client` help: the binary splices them into its usage
-//! template, and `tests/readme_sync.rs` asserts `README.md` embeds them
-//! verbatim — so the CLI help and the README can never drift apart.
+//! The usage constants are the **single source** of each subcommand's
+//! help *and* of the options it accepts: the binary splices them into
+//! its usage template and rejects any `--name` its subcommand's block
+//! does not mention ([`check_options`]), so help and parser can never
+//! drift apart. `tests/readme_sync.rs` asserts `README.md` embeds the
+//! gateway and sweep blocks verbatim, so neither can the README.
 //!
 //! [`UsageError`] is the typed rejection for malformed option values
 //! (`--shards 0`, `--batch 0`, a zero tenant memory budget, unparsable
@@ -88,6 +90,58 @@ pub fn parse_positive(option: &'static str, raw: &str) -> Result<usize, UsageErr
     positive(option, value)
 }
 
+/// The `cfd generate` usage block.
+pub const GENERATE_USAGE: &str = "  generate   synthesize a click trace
+             --kind unique|duplicates|botnet|coalition|crawler|flashcrowd
+             --count <clicks> [--seed <u64>] --out <file>";
+
+/// The `cfd detect` usage block (`{algos}` is spliced in from the
+/// backend registry).
+pub const DETECT_USAGE: &str = "  detect     run a duplicate detector over a trace
+             --algo {algos}|time-tbf|time-gbf|exact
+             --window <N> [--sub-windows <Q>] [--cells-per-element <c>]
+             [--k <hashes>] [--seed <u64>] --trace <file>
+             [--shards <S>] [--batch <B>] [--layout scattered|blocked]
+             [--window-units <U>] [--sub-units <U>] [--unit-ticks <T>]
+             [--score-publishers]
+             (cells = filter bits for gbf, timestamp entries for tbf;
+              default 14, the paper's Fig. 2 ratio; --shards splits the
+              keyspace over S detectors of window N/S, --batch sets the
+              observe_batch chunk size, default 512; time-tbf/time-gbf
+              judge each click at its own trace tick over a wall-clock
+              window: window-units units for time-tbf, sub-windows
+              sub-windows of sub-units units for time-gbf, each unit
+              unit-ticks ticks — there --window sizes the tables as the
+              expected clicks per window, and shards keep the full time
+              window since they share one clock)";
+
+/// The `cfd run` usage block (`{algos}` is spliced in from the backend
+/// registry).
+pub const RUN_USAGE: &str = "  run        drive the concurrent billing pipeline end to end
+             --algo {algos}|time-tbf|time-gbf|exact
+             [--window <N>]
+             [--sub-windows <Q>] [--cells-per-element <c>] [--k <hashes>]
+             [--seed <u64>] [--shards <S>] [--batch <B>] [--queue <Q>]
+             [--layout scattered|blocked]
+             [--window-units <U>] [--sub-units <U>] [--unit-ticks <T>]
+             (--trace <file> | [--kind <workload>] [--count <clicks>])
+             (--queue is the per-worker ring size in batches, rounded up
+              to a power of two)
+             [--ads <N>] [--report-json <file>]
+             [--metrics[=millis]] [--metrics-json]
+             (--metrics prints periodic telemetry snapshots to stderr:
+              per-shard queue depth, per-stage latency, detector fill +
+              online FP estimate; --metrics-json emits JSON lines
+              instead of tables; see docs/OBSERVABILITY.md;
+              --ads N bills against a fixed registry of N campaigns —
+              the same one `cfd serve --ads N` uses — and --report-json
+              writes the final report for byte-for-byte comparison)";
+
+/// The `cfd size` usage block.
+pub const SIZE_USAGE: &str = "  size       memory required for a target false-positive rate
+             --algo gbf|tbf|metwally --window <N> [--sub-windows <Q>]
+             --target-fp <rate>";
+
 /// The `cfd serve` usage block. Spliced into the binary's help text
 /// and asserted verbatim in `README.md`.
 pub const SERVE_USAGE: &str = "\
@@ -96,9 +150,8 @@ pub const SERVE_USAGE: &str = "\
              [--algo <backend>] [--window <N>] [--shards <S>]
              [--sub-windows <Q>] [--cells-per-element <c>] [--k <hashes>]
              [--seed <u64>] [--layout scattered|blocked] [--batch <B>]
-             [--queue <Q>] [--transport ring|channel] [--pin-workers]
-             [--ads <N>] [--hub-batches <batches>] [--checkpoint <file>]
-             [--checkpoint-every <clicks>] [--resume]
+             [--queue <Q>] [--ads <N>] [--hub-batches <batches>]
+             [--checkpoint <file>] [--checkpoint-every <clicks>] [--resume]
              [--report-json <file>] [--metrics[=millis]] [--metrics-json]
              (any `cfd algos` backend; clicks arrive as CFDW wire frames,
               flow through a bounded hub into checkpoint-delimited
@@ -139,6 +192,36 @@ pub const SWEEP_USAGE: &str = "\
               memory, and median throughput plus compare-groups rows;
               `tools/check_bench.py` validates the artifact; --quick
               caps the stream for CI smoke runs)";
+
+/// The option names a usage block accepts: every `--name` token in it,
+/// without the dashes (a bare `--` separator in prose names nothing).
+pub fn usage_options(usage: &str) -> impl Iterator<Item = &str> {
+    usage.split("--").skip(1).filter_map(|rest| {
+        let end = rest
+            .find(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .unwrap_or(rest.len());
+        (end > 0).then(|| &rest[..end])
+    })
+}
+
+/// Rejects the first of `names` (option names without the dashes) that
+/// `usage` does not mention, so a typo or a removed option fails loudly
+/// instead of being silently ignored.
+///
+/// # Errors
+///
+/// Returns [`UsageError::Unknown`] naming the rejected `--option`.
+pub fn check_options<'a>(
+    usage: &str,
+    names: impl IntoIterator<Item = &'a str>,
+) -> Result<(), UsageError> {
+    for name in names {
+        if !usage_options(usage).any(|o| o == name) {
+            return Err(UsageError::Unknown(format!("--{name}")));
+        }
+    }
+    Ok(())
+}
 
 #[cfg(test)]
 mod tests {
@@ -182,6 +265,58 @@ mod tests {
                 value: "-3".to_owned(),
             })
         );
+    }
+
+    #[test]
+    fn usage_blocks_name_the_options_their_commands_read() {
+        let run: Vec<&str> = usage_options(RUN_USAGE).collect();
+        for name in [
+            "algo",
+            "trace",
+            "kind",
+            "count",
+            "queue",
+            "metrics",
+            "metrics-json",
+        ] {
+            assert!(run.contains(&name), "cfd run help lost --{name}");
+        }
+        let serve: Vec<&str> = usage_options(SERVE_USAGE).collect();
+        for name in [
+            "listen",
+            "hub-batches",
+            "checkpoint-every",
+            "resume",
+            "report-json",
+        ] {
+            assert!(serve.contains(&name), "cfd serve help lost --{name}");
+        }
+        // The prose `--` separators in the serve block name nothing.
+        assert!(!serve.contains(&""));
+    }
+
+    #[test]
+    fn options_a_command_does_not_take_are_rejected_by_name() {
+        for (usage, name) in [
+            (RUN_USAGE, "transport"),
+            (RUN_USAGE, "pin-workers"),
+            (SERVE_USAGE, "transport"),
+            (SERVE_USAGE, "pin-workers"),
+            (RUN_USAGE, "shrads"),
+            (SIZE_USAGE, "shards"),
+        ] {
+            let err = check_options(usage, [name]).unwrap_err();
+            assert_eq!(err, UsageError::Unknown(format!("--{name}")));
+            assert!(err.to_string().contains(&format!("`--{name}`")), "{err}");
+        }
+        assert_eq!(check_options(RUN_USAGE, ["shards", "metrics-json"]), Ok(()));
+        assert_eq!(
+            check_options(GENERATE_USAGE, ["kind", "count", "out"]),
+            Ok(())
+        );
+        assert_eq!(check_options(DETECT_USAGE, ["score-publishers"]), Ok(()));
+        assert_eq!(check_options(REPLAY_USAGE, ["throttle-ms"]), Ok(()));
+        assert_eq!(check_options(SWEEP_USAGE, ["table", "quick"]), Ok(()));
     }
 
     #[test]

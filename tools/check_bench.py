@@ -63,26 +63,23 @@ def gates_throughput(d, name):
 
 
 def gates_pipeline(d, name):
-    h, p = d["hash"], d["pipeline"]
+    # Hash half only. `/1` documents (BENCH_pr4.json) also carry a
+    # ring-vs-channel pipeline half; the channel data plane is gone, so
+    # that half is no longer gated.
+    h = d["hash"]
     if h["lanes"] not in (4, 8):
         fail(name, f'unexpected lane count {h["lanes"]}')
     for label, rows in (
         ("hash.scalar_rounds", h["scalar_rounds"]),
         ("hash.lanes_rounds", h["lanes_rounds"]),
-        ("pipeline.channel_rounds", p["channel_rounds"]),
-        ("pipeline.ring_rounds", p["ring_rounds"]),
     ):
         require_rounds(name, d, label, rows, d["rounds"])
-    if not d["checks"]["transports_agree"]:
-        fail(name, "ring and channel reports diverged")
     if not d["checks"]["checksums_agree"]:
         fail(name, "lanes/scalar hash checksums diverged")
     if d["scale"] == "full":
         if not (d["checks"]["hash_speedup_ok"] and h["speedup"] >= 1.3):
             fail(name, f'hash speedup {h["speedup"]}')
-        if not (d["checks"]["ring_speedup_ok"] and p["speedup"] >= 1.2):
-            fail(name, f'ring speedup {p["speedup"]}')
-    return f'{d["scale"]} scale, hash x{h["speedup"]:.2f}, ring x{p["speedup"]:.2f}'
+    return f'{d["scale"]} scale, hash x{h["speedup"]:.2f}'
 
 
 def gates_timed(d, name):
@@ -334,8 +331,8 @@ MANIFEST = {
         },
         "gates": gates_throughput,
     },
-    "cfd-bench-pipeline/1": {
-        "top": {"scale", "clicks", "rounds", "shards", "batch", "hash", "pipeline", "checks"},
+    "cfd-bench-pipeline/2": {
+        "top": {"scale", "clicks", "rounds", "hash", "checks"},
         "config": set(),
         "gates": gates_pipeline,
     },
@@ -472,6 +469,9 @@ MANIFEST = {
         "gates": gates_sweep,
     },
 }
+
+# The archived `/1` pipeline record validates with the same hash checks.
+MANIFEST["cfd-bench-pipeline/1"] = MANIFEST["cfd-bench-pipeline/2"]
 
 
 def check(path):
