@@ -68,6 +68,19 @@ EOF
     fi
     grep -q -- '--transport' /tmp/cfd_opt_err.txt
     echo "   rejected with: $(head -n 1 /tmp/cfd_opt_err.txt)"
+    echo "==> cfd rejects time-gbf with zero sub-windows by name, not a panic"
+    ./target/release/cfd generate --kind botnet --count 1000 --out /tmp/cfd_q0.cfdt >/dev/null
+    for cmd in detect run; do
+        if ./target/release/cfd "$cmd" --algo time-gbf --sub-windows 0 \
+            --trace /tmp/cfd_q0.cfdt 2>/tmp/cfd_q0_err.txt >/dev/null; then
+            echo "FAIL: cfd $cmd accepted --sub-windows 0"; exit 1
+        fi
+        grep -q 'sub-window' /tmp/cfd_q0_err.txt
+        if grep -q 'panicked' /tmp/cfd_q0_err.txt; then
+            echo "FAIL: cfd $cmd panicked on --sub-windows 0"; exit 1
+        fi
+        echo "   $cmd rejected with: $(head -n 1 /tmp/cfd_q0_err.txt)"
+    done
 fi
 
 if [[ "${1:-}" != "quick" ]]; then

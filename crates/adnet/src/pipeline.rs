@@ -48,16 +48,20 @@
 //! [`crate::network::AdNetwork`] run skips unknown ads entirely, so the
 //! two only agree when every clicked ad is registered.
 //!
-//! ## Timed mode
+//! ## Count and time windows
 //!
-//! [`run_timed_sharded_pipeline`] runs the same machinery over
-//! time-based detectors ([`TimedDuplicateDetector`]): the worker stage
-//! extracts each click's [`Click::tick`] alongside its key and judges
-//! batches through `observe_flat_at_into` instead of the count-based
-//! path. Routing is
-//! tick-blind (by key only), so each shard receives its clicks in
-//! global stream order and advances its unit clock exactly as a
-//! sequential run of the same [`ShardedDetector`] would.
+//! One judge path serves both clocks. The worker fills a recycled tick
+//! buffer with each batch's [`Click::tick`]s and judges through
+//! [`DuplicateDetector::observe_flat_at_into`]: count-window detectors
+//! ignore the ticks, time-window detectors (`TimeTbf`, `TimeGbf`)
+//! advance their unit clocks from them. Routing is tick-blind (by key
+//! only), so each shard receives its clicks in global stream order and
+//! advances its clock exactly as a sequential
+//! [`DuplicateDetector::observe_at`] run of the same [`ShardedDetector`]
+//! would.
+//!
+//! [`ShardRouter`]: cfd_core::ShardRouter
+//! [`ShardRouter::route_flat_into`]: cfd_core::ShardRouter::route_flat_into
 
 use crate::billing::{BillingEngine, ClickOutcome, Ledger};
 use crate::entities::Registry;
@@ -65,10 +69,10 @@ use crate::fraud::FraudScorer;
 use crate::report::NetworkReport;
 use crate::ring::{self, Backoff, Pool, TryPopError};
 use crate::telemetry::PipelineTelemetry;
-use cfd_core::sharded::{ShardRouter, ShardedDetector};
+use cfd_core::sharded::ShardedDetector;
 use cfd_stream::Click;
 use cfd_telemetry::{DetectorHealth, DetectorStats, TenantHealth};
-use cfd_windows::{DuplicateDetector, TimedDuplicateDetector, Verdict};
+use cfd_windows::{DuplicateDetector, Verdict};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -231,54 +235,10 @@ pub struct PipelineOutcome {
     /// The registry with final budget states.
     pub registry: Registry,
     /// Final per-shard detector health samples, taken by each worker at
-    /// shutdown. Empty for the uninstrumented entry points (plain
-    /// [`run_sharded_pipeline`] / [`run_timed_sharded_pipeline`]), which
-    /// place no [`DetectorStats`] bound on the detector.
+    /// shutdown. Empty for the uninstrumented entry point (plain
+    /// [`run_sharded_pipeline`]), which places no [`DetectorStats`] bound
+    /// on the detector.
     pub health: Vec<DetectorHealth>,
-}
-
-/// Billing state a fan-out run starts from. Fresh (default) for the
-/// one-shot entry points; carried forward between checkpoint-delimited
-/// segments by [`run_sharded_segment`].
-#[derive(Default)]
-struct FanoutSeed {
-    registry: Registry,
-    ledger: Ledger,
-    savings: u64,
-}
-
-impl FanoutSeed {
-    fn fresh(registry: Registry) -> Self {
-        Self {
-            registry,
-            ..Self::default()
-        }
-    }
-}
-
-/// Everything a fan-out run hands back: the final report inputs *plus*
-/// the detectors themselves, so a segmented caller can reassemble the
-/// [`ShardedDetector`] and keep streaming where this run stopped.
-struct FanoutResult<D> {
-    workers: Vec<D>,
-    scorer: FraudScorer,
-    memory_bits: usize,
-    health: Vec<DetectorHealth>,
-    ledger: Ledger,
-    savings: u64,
-    registry: Registry,
-}
-
-impl<D> FanoutResult<D> {
-    /// The one-shot outcome of a run over a detector named `name`.
-    fn into_outcome(self, name: &'static str) -> PipelineOutcome {
-        PipelineOutcome {
-            report: NetworkReport::from_ledger(name, self.memory_bits, &self.ledger, self.savings),
-            scorer: self.scorer,
-            registry: self.registry,
-            health: self.health,
-        }
-    }
 }
 
 /// Cross-segment pipeline state for [`run_sharded_segment`]: what must
@@ -336,6 +296,16 @@ impl<D> SegmentOutcome<D> {
             self.state.savings_micros,
         )
     }
+
+    /// The one-shot outcome of a run that is this single segment.
+    fn into_outcome(self) -> PipelineOutcome {
+        PipelineOutcome {
+            report: self.report(),
+            scorer: self.state.scorer,
+            registry: self.state.registry,
+            health: self.health,
+        }
+    }
 }
 
 /// Runs one *segment* of a longer stream through the sharded fan-out
@@ -376,14 +346,10 @@ where
     D: DuplicateDetector + DetectorStats + Send,
     S: ClickSource,
 {
-    let name = DuplicateDetector::name(&detector);
-    let router_seed = detector.router_seed();
-    let router = detector.router();
-    let workers = detector.into_shards();
     if let Some(t) = &telemetry {
         assert_eq!(
             t.shard_count(),
-            workers.len(),
+            detector.shard_count(),
             "telemetry bundle sized for a different shard count"
         );
     }
@@ -395,28 +361,7 @@ where
         },
         None => Instrumentation::off(),
     };
-    let seed = FanoutSeed {
-        registry: state.registry,
-        ledger: state.ledger,
-        savings: state.savings_micros,
-    };
-    let r = run_fanout(workers, router, seed, clicks, config, progress, instr);
-    let mut scorer = state.scorer;
-    scorer.merge(r.scorer);
-    let detector = ShardedDetector::new(router_seed, r.workers)
-        .expect("shards returned by the fan-out reassemble");
-    SegmentOutcome {
-        detector,
-        state: SegmentState {
-            registry: r.registry,
-            ledger: r.ledger,
-            savings_micros: r.savings,
-            scorer,
-        },
-        health: r.health,
-        memory_bits: r.memory_bits,
-        name,
-    }
+    run_fanout(detector, state, clicks, config, progress, instr)
 }
 
 /// Instrumentation plumbing for [`run_fanout`]: the optional metric
@@ -445,61 +390,6 @@ fn duration_ns(d: Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// What a shard worker needs from its detector: batch judgment of the
-/// flat keys built at ingest plus the memory tally for the report.
-/// Count-based detectors get it for free via the blanket impl;
-/// time-based detectors ride in a [`TimedJudge`], which threads each
-/// click's tick through. Keeping this private lets one fan-out engine
-/// serve both modes without a public trait surface.
-trait BatchJudge {
-    /// Judges `KEY_LEN`-stride flat keys built at ingest, writing
-    /// verdicts into `out` (cleared first, capacity reused).
-    fn judge_flat(&mut self, keys: &[u8], items: &[(u64, Click)], out: &mut Vec<Verdict>);
-
-    /// Total detector payload memory, in bits.
-    fn memory_bits(&self) -> usize;
-}
-
-impl<D: DuplicateDetector> BatchJudge for D {
-    fn judge_flat(&mut self, keys: &[u8], _items: &[(u64, Click)], out: &mut Vec<Verdict>) {
-        self.observe_flat_into(keys, KEY_LEN, out);
-    }
-    fn memory_bits(&self) -> usize {
-        DuplicateDetector::memory_bits(self)
-    }
-}
-
-/// Adapter running a [`TimedDuplicateDetector`] behind [`BatchJudge`]:
-/// extracts each click's [`Click::tick`] into a recycled buffer and
-/// forwards to the timed batch path. Deliberately *not* a
-/// `DuplicateDetector` (ticks are mandatory), which is also what keeps
-/// the blanket impl above coherent.
-struct TimedJudge<D> {
-    inner: D,
-    ticks: Vec<u64>,
-}
-
-impl<D> TimedJudge<D> {
-    fn new(inner: D) -> Self {
-        Self {
-            inner,
-            ticks: Vec::new(),
-        }
-    }
-}
-
-impl<D: TimedDuplicateDetector> BatchJudge for TimedJudge<D> {
-    fn judge_flat(&mut self, keys: &[u8], items: &[(u64, Click)], out: &mut Vec<Verdict>) {
-        self.ticks.clear();
-        self.ticks.extend(items.iter().map(|(_, c)| c.tick));
-        self.inner
-            .observe_flat_at_into(keys, KEY_LEN, &self.ticks, out);
-    }
-    fn memory_bits(&self) -> usize {
-        self.inner.memory_bits()
-    }
-}
-
 /// Runs `clicks` through one detector worker thread *per shard* of
 /// `detector`, an order-restoring resequencer, and a billing stage.
 ///
@@ -523,26 +413,23 @@ where
     D: DuplicateDetector + Send,
     I: IntoIterator<Item = Click>,
 {
-    let name = detector.name();
-    let router = detector.router();
-    let workers = detector.into_shards();
     run_fanout(
-        workers,
-        router,
-        FanoutSeed::fresh(registry),
+        detector,
+        SegmentState::new(registry),
         clicks.into_iter(),
         config,
         progress,
         Instrumentation::off(),
     )
-    .into_outcome(name)
+    .into_outcome()
 }
 
 /// [`run_sharded_pipeline`] with live telemetry: one queue-depth gauge
 /// and health-gauge set per shard worker, shared per-stage latency
 /// histograms, and resequencer stall counters, all in `telemetry`'s
 /// registry. [`PipelineOutcome::health`] carries one final
-/// [`DetectorHealth`] per shard, in shard order.
+/// [`DetectorHealth`] per shard, in shard order. The run is one
+/// [`run_sharded_segment`] over the whole stream.
 ///
 /// # Panics
 ///
@@ -560,108 +447,15 @@ where
     D: DuplicateDetector + DetectorStats + Send,
     I: IntoIterator<Item = Click>,
 {
-    assert_eq!(
-        telemetry.shard_count(),
-        detector.shards().len(),
-        "telemetry bundle sized for a different shard count"
-    );
-    let name = detector.name();
-    let router = detector.router();
-    let workers = detector.into_shards();
-    run_fanout(
-        workers,
-        router,
-        FanoutSeed::fresh(registry),
+    run_sharded_segment(
+        detector,
+        SegmentState::new(registry),
         clicks.into_iter(),
         config,
         progress,
-        Instrumentation {
-            telemetry: Some(telemetry),
-            health_of: |d| Some(d.health()),
-            tenant_health_of: |d| d.tenant_health(),
-        },
+        Some(telemetry),
     )
-    .into_outcome(name)
-}
-
-/// [`run_sharded_pipeline`] over time-based shards: one worker thread
-/// per shard of `detector`, each judging its keyspace subsequence at
-/// the clicks' own ticks. Routing is tick-blind, so verdicts equal a
-/// sequential [`TimedDuplicateDetector::observe_at`] run of the same
-/// `ShardedDetector`, and the resequencer makes billing order identical
-/// too.
-///
-/// # Panics
-///
-/// Panics if a pipeline stage panics.
-pub fn run_timed_sharded_pipeline<D, I>(
-    detector: ShardedDetector<D>,
-    registry: Registry,
-    clicks: I,
-    config: PipelineConfig,
-    progress: Option<Arc<PipelineProgress>>,
-) -> PipelineOutcome
-where
-    D: TimedDuplicateDetector + Send,
-    I: IntoIterator<Item = Click>,
-{
-    let name = TimedDuplicateDetector::name(&detector);
-    let router = detector.router();
-    let workers = detector.into_shards().into_iter().map(TimedJudge::new);
-    run_fanout(
-        workers.collect(),
-        router,
-        FanoutSeed::fresh(registry),
-        clicks.into_iter(),
-        config,
-        progress,
-        Instrumentation::off(),
-    )
-    .into_outcome(name)
-}
-
-/// [`run_timed_sharded_pipeline`] with live telemetry; see
-/// [`run_sharded_pipeline_instrumented`] for what flows into
-/// `telemetry`.
-///
-/// # Panics
-///
-/// Panics if `telemetry.shard_count()` differs from the detector's
-/// shard count, or if a pipeline stage panics.
-pub fn run_timed_sharded_pipeline_instrumented<D, I>(
-    detector: ShardedDetector<D>,
-    registry: Registry,
-    clicks: I,
-    config: PipelineConfig,
-    progress: Option<Arc<PipelineProgress>>,
-    telemetry: Arc<PipelineTelemetry>,
-) -> PipelineOutcome
-where
-    D: TimedDuplicateDetector + DetectorStats + Send,
-    I: IntoIterator<Item = Click>,
-{
-    assert_eq!(
-        telemetry.shard_count(),
-        detector.shards().len(),
-        "telemetry bundle sized for a different shard count"
-    );
-    let name = TimedDuplicateDetector::name(&detector);
-    let router = detector.router();
-    let workers = detector.into_shards().into_iter().map(TimedJudge::new);
-    run_fanout(
-        workers.collect(),
-        router,
-        FanoutSeed::fresh(registry),
-        clicks.into_iter(),
-        config,
-        progress,
-        Instrumentation {
-            telemetry: Some(telemetry),
-            health_of: |j| Some(j.inner.health()),
-            tenant_health_of: |j| j.inner.tenant_health(),
-        },
-    )
-    .into_outcome(name)
+    .into_outcome()
 }
 
 /// Settles one judged click against the ledger, tallying fraud savings.
@@ -698,29 +492,35 @@ fn settle_one(
 /// Ingest hashes each staging block's keys once with the multi-lane
 /// batch hasher ([`ShardRouter::route_flat_into`]) and ships the same
 /// key bytes to the worker inside the batch, where
-/// [`DuplicateDetector::observe_flat_into`] reuses them for probing.
-#[allow(clippy::too_many_arguments, clippy::too_many_lines)]
+/// [`DuplicateDetector::observe_flat_at_into`] reuses them for probing.
+///
+/// [`ShardRouter::route_flat_into`]: cfd_core::ShardRouter::route_flat_into
+#[allow(clippy::too_many_lines)]
 fn run_fanout<D, S>(
-    workers: Vec<D>,
-    router: ShardRouter,
-    seed: FanoutSeed,
+    detector: ShardedDetector<D>,
+    state: SegmentState,
     mut clicks: S,
     config: PipelineConfig,
     progress: Option<Arc<PipelineProgress>>,
     instr: Instrumentation<D>,
-) -> FanoutResult<D>
+) -> SegmentOutcome<D>
 where
-    D: BatchJudge + Send,
+    D: DuplicateDetector + Send,
     S: ClickSource,
 {
     let batch = config.batch.max(1);
     let queue = config.queue.max(1);
+    let name = detector.name();
+    let router_seed = detector.router_seed();
+    let router = detector.router();
+    let workers = detector.into_shards();
     let shard_count = workers.len();
-    let FanoutSeed {
+    let SegmentState {
         registry,
         ledger: seed_ledger,
-        savings: seed_savings,
-    } = seed;
+        savings_micros: seed_savings,
+        mut scorer,
+    } = state;
     let raw_pool = Arc::new(Pool::<ClickBatch>::new());
     let judged_pool = Arc::new(Pool::<JudgedBatch>::new());
     // Pre-populate both pools to their structural in-flight bounds with
@@ -772,14 +572,18 @@ where
                 let telem = telemetry.as_deref();
                 let mut scorer = FraudScorer::new();
                 let mut verdicts: Vec<Verdict> = Vec::with_capacity(batch);
+                let mut ticks: Vec<u64> = Vec::with_capacity(batch);
                 while let Some(mut b) = raw_rx.pop() {
                     let t0 = telem.map(|t| {
                         t.shard_queue_depth(idx).sub(1);
                         Instant::now()
                     });
                     // The key bytes were built (and lane-hashed for
-                    // routing) at ingest; probe them directly.
-                    detector.judge_flat(&b.keys, &b.items, &mut verdicts);
+                    // routing) at ingest; probe them directly. Count
+                    // windows ignore the ticks, time windows read them.
+                    ticks.clear();
+                    ticks.extend(b.items.iter().map(|(_, c)| c.tick));
+                    detector.observe_flat_at_into(&b.keys, KEY_LEN, &ticks, &mut verdicts);
                     if let Some((t, t0)) = telem.zip(t0) {
                         t.stage_probe_ns().record(duration_ns(t0.elapsed()));
                     }
@@ -1041,7 +845,6 @@ where
         drop(raw_producers);
 
         let mut workers = Vec::with_capacity(shard_count);
-        let mut scorer = FraudScorer::new();
         let mut memory_bits = 0usize;
         let mut health = Vec::new();
         for handle in handles {
@@ -1057,14 +860,18 @@ where
             t.pool_raw_misses().add(raw_pool.misses());
             t.pool_judged_misses().add(judged_pool.misses());
         }
-        FanoutResult {
-            workers,
-            scorer,
-            memory_bits,
+        SegmentOutcome {
+            detector: ShardedDetector::new(router_seed, workers)
+                .expect("shards returned by the fan-out reassemble"),
+            state: SegmentState {
+                registry,
+                ledger,
+                savings_micros: savings,
+                scorer,
+            },
             health,
-            ledger,
-            savings,
-            registry,
+            memory_bits,
+            name,
         }
     })
 }
@@ -1495,9 +1302,9 @@ mod tests {
         .expect("sharded timed detector")
     }
 
-    /// The acceptance bar of the timed mode: the parallel timed pipeline
-    /// blocks exactly the duplicates a sequential `observe_at` run of
-    /// the same `ShardedDetector` finds, for 1 and 4 shards.
+    /// The acceptance bar for time windows: the parallel pipeline blocks
+    /// exactly the duplicates a sequential `observe_at` run of the same
+    /// `ShardedDetector` finds, for 1 and 4 shards.
     #[test]
     fn timed_sharded_pipeline_matches_sequential_observe_at() {
         let cs = clicks(30_000);
@@ -1508,7 +1315,7 @@ mod tests {
                 .filter(|c| reference.observe_at(&c.key(), c.tick) == Verdict::Duplicate)
                 .count() as u64;
 
-            let outcome = run_timed_sharded_pipeline(
+            let outcome = run_sharded_pipeline(
                 sharded_time_tbf(shards),
                 registry(),
                 cs.iter().copied(),
@@ -1528,15 +1335,16 @@ mod tests {
         }
     }
 
-    /// The timed instrumented entry points report per-shard health and
-    /// keep the occupancy-scan budget: health sampling is the only scan.
+    /// The instrumented entry point reports per-shard health over time
+    /// windows too, and keeps the occupancy-scan budget: health sampling
+    /// is the only scan.
     #[test]
     fn timed_instrumented_run_reports_health() {
         let cs = clicks(10_000);
         let shards = 4;
         let metrics = Arc::new(cfd_telemetry::Registry::new());
         let telemetry = Arc::new(PipelineTelemetry::new(&metrics, shards));
-        let outcome = run_timed_sharded_pipeline_instrumented(
+        let outcome = run_sharded_pipeline_instrumented(
             sharded_time_tbf(shards),
             registry(),
             cs.iter().copied(),
@@ -1549,14 +1357,14 @@ mod tests {
         assert_eq!(total, 10_000, "shard healths partition the stream");
 
         // Single-shard boxed form (the CLI's usage).
-        use cfd_windows::TimedObservableDetector;
-        let d: Box<dyn TimedObservableDetector + Send> = Box::new(
+        use cfd_windows::ObservableDetector;
+        let d: Box<dyn ObservableDetector + Send> = Box::new(
             TimeTbf::new(TimeTbfConfig::new(64, 16, 1 << 14, 6, 4).expect("cfg"))
                 .expect("detector"),
         );
         let metrics = Arc::new(cfd_telemetry::Registry::new());
         let telemetry = Arc::new(PipelineTelemetry::new(&metrics, 1));
-        let outcome = run_timed_sharded_pipeline_instrumented(
+        let outcome = run_sharded_pipeline_instrumented(
             one_shard(d),
             registry(),
             cs.iter().copied(),

@@ -80,7 +80,7 @@ struct ArenaInstruments {
 ///
 /// Construct with [`PipelineTelemetry::new`], wrap in an [`Arc`], and
 /// pass to `run_sharded_pipeline_instrumented` (or
-/// `run_timed_sharded_pipeline_instrumented`, or `run_sharded_segment`).
+/// `run_sharded_segment`).
 /// All metrics live in the [`cfd_telemetry::Registry`] given at
 /// construction, so a [`cfd_telemetry::Reporter`] polling that registry
 /// sees them alongside any caller-registered metrics.

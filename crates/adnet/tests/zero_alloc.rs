@@ -6,7 +6,10 @@
 //! every map and heap grown to its working size), snapshots the
 //! counter, streams a measured span, waits again, and snapshots once
 //! more. The steady state must allocate **nothing**: the delta between
-//! the two snapshots is asserted to be exactly zero allocations.
+//! the two snapshots is asserted to be exactly zero allocations. It runs
+//! once over count-window shards (`Tbf`) and once over time-window
+//! shards (`TimeTbf`), which also covers the worker's recycled tick
+//! buffer.
 //!
 //! The library crates all `#![forbid(unsafe_code)]`; the one `unsafe
 //! impl` lives here, in a test binary, where `GlobalAlloc` requires it.
@@ -14,8 +17,9 @@
 use cfd_adnet::{run_sharded_pipeline, PipelineConfig, PipelineProgress};
 use cfd_adnet::{Advertiser, AdvertiserId, Campaign, Registry};
 use cfd_core::sharded::{per_shard_window, ShardedDetector};
-use cfd_core::{Tbf, TbfConfig};
+use cfd_core::{Tbf, TbfConfig, TimeTbf, TimeTbfConfig};
 use cfd_stream::{AdId, BotnetConfig, BotnetStream, Click};
+use cfd_windows::DuplicateDetector;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -83,6 +87,13 @@ fn sharded_tbf(n: usize, shards: usize) -> ShardedDetector<Tbf> {
     .expect("sharded detector")
 }
 
+fn sharded_time_tbf(shards: usize) -> ShardedDetector<TimeTbf> {
+    ShardedDetector::from_fn(7, shards, |_| {
+        TimeTbf::new(TimeTbfConfig::new(64, 16, 1 << 13, 6, 4).expect("cfg"))
+    })
+    .expect("sharded detector")
+}
+
 /// Spin until `progress.billed()` reaches `target`, yielding so the
 /// single-CPU CI container lets the pipeline threads run. Neither
 /// `billed()` nor `yield_now` allocates.
@@ -94,9 +105,16 @@ fn wait_billed(progress: &PipelineProgress, target: u64) {
 
 #[test]
 fn zero_alloc_steady_state() {
+    const SHARDS: usize = 4;
+    assert_steady_state_allocates_nothing(sharded_tbf(2_048, SHARDS));
+    assert_steady_state_allocates_nothing(sharded_time_tbf(SHARDS));
+}
+
+fn assert_steady_state_allocates_nothing<D: DuplicateDetector + Send>(
+    detector: ShardedDetector<D>,
+) {
     const WARMUP: usize = 6_000;
     const MEASURED: usize = 6_000;
-    const SHARDS: usize = 4;
 
     // Bounded key space: 8 publishers × 64 ads keeps the billing
     // ledger and fraud scorer maps at a fixed size once warm.
@@ -135,7 +153,7 @@ fn zero_alloc_steady_state() {
     };
 
     let outcome = run_sharded_pipeline(
-        sharded_tbf(2_048, SHARDS),
+        detector,
         registry(),
         stream,
         PipelineConfig { batch: 1, queue: 8 },

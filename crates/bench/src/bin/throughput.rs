@@ -122,7 +122,7 @@ use cfd_hash::{Planner, ProbePlan};
 use cfd_stream::{
     BotnetConfig, BotnetStream, Click, TenantTraffic, TenantTrafficConfig, TENANT_KEY_LEN,
 };
-use cfd_windows::{DetectorStats, DuplicateDetector, TimedDuplicateDetector, Verdict};
+use cfd_windows::{DetectorStats, DuplicateDetector, Verdict};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -552,7 +552,7 @@ fn time_gbf_cfg(n: usize, layout: ProbeLayout) -> TimeGbfConfig {
 }
 
 /// Per-click `observe_at` loop over the flat key buffer.
-fn drive_timed_seq<D: TimedDuplicateDetector + DetectorStats>(
+fn drive_timed_seq<D: DuplicateDetector + DetectorStats>(
     d: &mut D,
     keys: &[u8],
     ticks: &[u64],
@@ -570,7 +570,7 @@ fn drive_timed_seq<D: TimedDuplicateDetector + DetectorStats>(
 
 /// Hash-once flat-key batch path in [`BATCH`]-sized chunks, verdict
 /// buffer reused across chunks (zero steady-state allocation).
-fn drive_timed_batch<D: TimedDuplicateDetector + DetectorStats>(
+fn drive_timed_batch<D: DuplicateDetector + DetectorStats>(
     d: &mut D,
     keys: &[u8],
     ticks: &[u64],

@@ -310,10 +310,32 @@ pub(crate) fn apply_plan_at<C: TimedCore + ?Sized>(
     plan: ProbePlan,
     tick: u64,
 ) -> Verdict {
+    let unit = core.unit_of(tick);
+    apply_plan_in_unit(core, bufs, plan, unit)
+}
+
+/// Applies one plan at the current clock — the high-water unit, or unit
+/// 0 before the first observation — so a tickless observation never
+/// counts as a clock regression.
+pub(crate) fn apply_plan_now<C: TimedCore + ?Sized>(
+    core: &mut C,
+    bufs: &mut BatchBufs,
+    plan: ProbePlan,
+) -> Verdict {
+    let unit = core.high_water().unwrap_or(0);
+    apply_plan_in_unit(core, bufs, plan, unit)
+}
+
+fn apply_plan_in_unit<C: TimedCore + ?Sized>(
+    core: &mut C,
+    bufs: &mut BatchBufs,
+    plan: ProbePlan,
+    unit: u64,
+) -> Verdict {
     let w = core.probe_width();
     bufs.probe.resize(w, 0);
     core.fill_probes(plan, &mut bufs.probe);
-    let unit = core.advance_to(core.unit_of(tick));
+    let unit = core.advance_to(unit);
     let stamp_now = core.stamp_of(unit);
     core.apply_probes_at(plan, &bufs.probe, stamp_now)
 }

@@ -1056,7 +1056,7 @@ mod tests {
 
     // ---- time-based detectors ------------------------------------------
 
-    use cfd_windows::{TimedDuplicateDetector, Verdict};
+    use cfd_windows::Verdict;
 
     /// Irregular ticks with occasional regressions, cyclic keys.
     fn timed_stream(range: std::ops::Range<u64>) -> impl Iterator<Item = ([u8; 8], u64)> {

@@ -40,7 +40,7 @@ use cfd_bits::InterleavedBitMatrix;
 use cfd_hash::{BlockGeometry, DoubleHashFamily, HashFamily, Planner, ProbePlan};
 use cfd_telemetry::DetectorStats;
 use cfd_windows::time::UnitClock;
-use cfd_windows::{TimedDuplicateDetector, Verdict, WindowSpec};
+use cfd_windows::{DuplicateDetector, Verdict, WindowSpec};
 use std::cell::Cell;
 
 /// Dynamic [`TimeGbf`] state captured by a checkpoint.
@@ -208,7 +208,7 @@ impl TimeGbfConfig {
 ///
 /// ```rust
 /// use cfd_core::gbf_time::{TimeGbf, TimeGbfConfig};
-/// use cfd_windows::{TimedDuplicateDetector, Verdict};
+/// use cfd_windows::{DuplicateDetector, Verdict};
 ///
 /// # fn main() -> Result<(), cfd_core::ConfigError> {
 /// // 6 sub-windows of 10 units of 1000 ticks: a one-minute window.
@@ -490,20 +490,23 @@ impl TimeGbf {
         verdict
     }
 
-    /// Replays a batch of precomputed plans, one tick per plan, with the
-    /// same lookahead prefetch as `observe_batch_at` — the stateful half
-    /// of the sharded hash-once path.
-    ///
-    /// # Panics
-    /// Panics if `plans.len() != ticks.len()`.
-    pub fn apply_batch_at(&mut self, plans: &[ProbePlan], ticks: &[u64]) -> Vec<Verdict> {
-        let mut out = Vec::with_capacity(plans.len());
-        self.apply_batch_at_into(plans, ticks, &mut out);
-        out
+    /// The stateful half of a tickless observation; `observe(id)` ≡
+    /// `apply(plan(id))`. Judged at the current clock: the high-water
+    /// unit, or unit 0 before the first observation (never a clock
+    /// regression).
+    pub fn apply(&mut self, plan: ProbePlan) -> Verdict {
+        let mut bufs = std::mem::take(&mut self.bufs);
+        let verdict = backend::apply_plan_now(self, &mut bufs, plan);
+        self.bufs = bufs;
+        verdict
     }
 
-    /// Allocation-free [`TimeGbf::apply_batch_at`]: verdicts go into
+    /// Replays a batch of precomputed plans, one tick per plan, with the
+    /// same lookahead prefetch as `observe_batch_at` — the stateful half
+    /// of [`PlannedDetector::apply_plan_batch_at`]. Verdicts go into
     /// `out` (cleared first, capacity reused).
+    ///
+    /// [`PlannedDetector::apply_plan_batch_at`]: crate::PlannedDetector::apply_plan_batch_at
     ///
     /// # Panics
     /// Panics if `plans.len() != ticks.len()`.
@@ -601,7 +604,12 @@ impl TimedCore for TimeGbf {
     }
 }
 
-impl TimedDuplicateDetector for TimeGbf {
+impl DuplicateDetector for TimeGbf {
+    fn observe(&mut self, id: &[u8]) -> Verdict {
+        let plan = self.plan(id);
+        self.apply(plan)
+    }
+
     fn observe_at(&mut self, id: &[u8], tick: u64) -> Verdict {
         let plan = self.plan(id);
         self.apply_at(plan, tick)
@@ -918,6 +926,22 @@ mod tests {
         assert_eq!(d.ops().clock_regressions, 1);
         d.observe_at(b"fresh", 51_000);
         assert_eq!(d.ops().clock_regressions, 1);
+    }
+
+    #[test]
+    fn tickless_observe_judges_at_the_current_clock() {
+        let mut d = tgbf(4, 10, 100, 1 << 12, 5);
+        // Before the first click the clock is tick 0.
+        assert_eq!(d.observe(b"early"), Verdict::Distinct);
+        assert_eq!(d.observe_at(b"early", 99), Verdict::Duplicate);
+        assert_eq!(d.observe_at(b"x", 50_000), Verdict::Distinct);
+        let regressions = d.ops().clock_regressions;
+        assert_eq!(d.observe(b"x"), Verdict::Duplicate);
+        // Judged at tick 50_000, where the tick-0 click has expired.
+        assert_eq!(d.observe(b"early"), Verdict::Distinct);
+        assert_eq!(d.observe(b"fresh"), Verdict::Distinct);
+        assert_eq!(d.observe_at(b"fresh", 50_099), Verdict::Duplicate);
+        assert_eq!(d.ops().clock_regressions, regressions);
     }
 
     #[test]

@@ -74,11 +74,14 @@ impl PlannedDetector for Box<dyn DetectorBackend> {
     fn apply_plan(&mut self, plan: ProbePlan) -> Verdict {
         (**self).apply_plan(plan)
     }
-    fn apply_plan_batch(&mut self, plans: &[ProbePlan]) -> Vec<Verdict> {
-        (**self).apply_plan_batch(plans)
-    }
     fn apply_plan_batch_into(&mut self, plans: &[ProbePlan], out: &mut Vec<Verdict>) {
         (**self).apply_plan_batch_into(plans, out);
+    }
+    fn apply_plan_at(&mut self, plan: ProbePlan, tick: u64) -> Verdict {
+        (**self).apply_plan_at(plan, tick)
+    }
+    fn apply_plan_batch_at(&mut self, plans: &[ProbePlan], ticks: &[u64]) -> Vec<Verdict> {
+        (**self).apply_plan_batch_at(plans, ticks)
     }
 }
 

@@ -24,7 +24,7 @@
 use crate::config::ConfigError;
 use cfd_hash::{DoubleHashFamily, HashFamily, HashPair, Planner, ProbePlan};
 use cfd_telemetry::{DetectorHealth, DetectorStats, TenantHealth};
-use cfd_windows::{DuplicateDetector, TimedDuplicateDetector, Verdict, WindowSpec};
+use cfd_windows::{DuplicateDetector, Verdict, WindowSpec};
 
 /// Routes ids to shards by the high bits of an independent hash.
 ///
@@ -142,144 +142,90 @@ pub trait PlannedDetector: DuplicateDetector {
     /// (`observe(id)` ≡ `apply_plan(probe_planner().plan(id))`).
     fn apply_plan(&mut self, plan: ProbePlan) -> Verdict;
 
-    /// Replays a batch of plans, preserving order; implementations
-    /// override this with a prefetching replay.
+    /// Replays a batch of plans, preserving order (built on
+    /// [`PlannedDetector::apply_plan_batch_into`]).
     fn apply_plan_batch(&mut self, plans: &[ProbePlan]) -> Vec<Verdict> {
-        plans.iter().map(|&p| self.apply_plan(p)).collect()
+        let mut out = Vec::with_capacity(plans.len());
+        self.apply_plan_batch_into(plans, &mut out);
+        out
     }
 
     /// Allocation-free [`PlannedDetector::apply_plan_batch`]: verdicts
-    /// go into `out` (cleared first, capacity reused).
+    /// go into `out` (cleared first, capacity reused); implementations
+    /// override this with a prefetching replay.
     fn apply_plan_batch_into(&mut self, plans: &[ProbePlan], out: &mut Vec<Verdict>) {
         out.clear();
         for &p in plans {
             out.push(self.apply_plan(p));
         }
     }
-}
-
-impl PlannedDetector for crate::Tbf {
-    fn probe_planner(&self) -> Planner {
-        self.planner()
-    }
-    fn apply_plan(&mut self, plan: ProbePlan) -> Verdict {
-        self.apply(plan)
-    }
-    fn apply_plan_batch(&mut self, plans: &[ProbePlan]) -> Vec<Verdict> {
-        self.apply_batch(plans)
-    }
-    fn apply_plan_batch_into(&mut self, plans: &[ProbePlan], out: &mut Vec<Verdict>) {
-        self.apply_batch_into(plans, out);
-    }
-}
-
-impl PlannedDetector for crate::Gbf {
-    fn probe_planner(&self) -> Planner {
-        self.planner()
-    }
-    fn apply_plan(&mut self, plan: ProbePlan) -> Verdict {
-        self.apply(plan)
-    }
-    fn apply_plan_batch(&mut self, plans: &[ProbePlan]) -> Vec<Verdict> {
-        self.apply_batch(plans)
-    }
-    fn apply_plan_batch_into(&mut self, plans: &[ProbePlan], out: &mut Vec<Verdict>) {
-        self.apply_batch_into(plans, out);
-    }
-}
-
-impl PlannedDetector for crate::Apbf {
-    fn probe_planner(&self) -> Planner {
-        self.planner()
-    }
-    fn apply_plan(&mut self, plan: ProbePlan) -> Verdict {
-        self.apply(plan)
-    }
-    fn apply_plan_batch(&mut self, plans: &[ProbePlan]) -> Vec<Verdict> {
-        self.apply_batch(plans)
-    }
-    fn apply_plan_batch_into(&mut self, plans: &[ProbePlan], out: &mut Vec<Verdict>) {
-        self.apply_batch_into(plans, out);
-    }
-}
-
-impl PlannedDetector for crate::Swbf {
-    fn probe_planner(&self) -> Planner {
-        self.planner()
-    }
-    fn apply_plan(&mut self, plan: ProbePlan) -> Verdict {
-        self.apply(plan)
-    }
-    fn apply_plan_batch(&mut self, plans: &[ProbePlan]) -> Vec<Verdict> {
-        self.apply_batch(plans)
-    }
-    fn apply_plan_batch_into(&mut self, plans: &[ProbePlan], out: &mut Vec<Verdict>) {
-        self.apply_batch_into(plans, out);
-    }
-}
-
-impl PlannedDetector for crate::tbf_jumping::JumpingTbf {
-    fn probe_planner(&self) -> Planner {
-        self.planner()
-    }
-    fn apply_plan(&mut self, plan: ProbePlan) -> Verdict {
-        self.apply(plan)
-    }
-    fn apply_plan_batch(&mut self, plans: &[ProbePlan]) -> Vec<Verdict> {
-        self.apply_batch(plans)
-    }
-    fn apply_plan_batch_into(&mut self, plans: &[ProbePlan], out: &mut Vec<Verdict>) {
-        self.apply_batch_into(plans, out);
-    }
-}
-
-/// The timed counterpart of [`PlannedDetector`]: a time-based detector
-/// whose hashing half is a [`Planner`], so the sharded hash-once path
-/// can route and probe from one hash per click while threading each
-/// click's tick through to the stateful replay.
-pub trait TimedPlannedDetector: TimedDuplicateDetector {
-    /// The pure hashing half; plans are only portable between detectors
-    /// sharing its seed.
-    fn probe_planner(&self) -> Planner;
 
     /// Replays one plan at `tick`
     /// (`observe_at(id, t)` ≡ `apply_plan_at(probe_planner().plan(id), t)`).
-    fn apply_plan_at(&mut self, plan: ProbePlan, tick: u64) -> Verdict;
-
-    /// Replays a batch of plans with their ticks, preserving order;
-    /// implementations override this with a prefetching replay.
-    fn apply_plan_batch_at(&mut self, plans: &[ProbePlan], ticks: &[u64]) -> Vec<Verdict> {
-        plans
-            .iter()
-            .zip(ticks)
-            .map(|(&p, &t)| self.apply_plan_at(p, t))
-            .collect()
-    }
-}
-
-impl TimedPlannedDetector for crate::TimeTbf {
-    fn probe_planner(&self) -> Planner {
-        self.planner()
-    }
+    /// The default ignores the tick, like
+    /// [`DuplicateDetector::observe_at`]; time-window detectors override
+    /// it.
     fn apply_plan_at(&mut self, plan: ProbePlan, tick: u64) -> Verdict {
-        self.apply_at(plan, tick)
+        let _ = tick;
+        self.apply_plan(plan)
     }
+
+    /// Replays a batch of plans with their ticks, preserving order. The
+    /// default ignores the ticks ([`PlannedDetector::apply_plan_batch`]).
+    ///
+    /// # Panics
+    /// Implementations may panic if `plans.len() != ticks.len()`.
     fn apply_plan_batch_at(&mut self, plans: &[ProbePlan], ticks: &[u64]) -> Vec<Verdict> {
-        self.apply_batch_at(plans, ticks)
+        let _ = ticks;
+        self.apply_plan_batch(plans)
     }
 }
 
-impl TimedPlannedDetector for crate::TimeGbf {
-    fn probe_planner(&self) -> Planner {
-        self.planner()
-    }
-    fn apply_plan_at(&mut self, plan: ProbePlan, tick: u64) -> Verdict {
-        self.apply_at(plan, tick)
-    }
-    fn apply_plan_batch_at(&mut self, plans: &[ProbePlan], ticks: &[u64]) -> Vec<Verdict> {
-        self.apply_batch_at(plans, ticks)
-    }
+/// The Bloom-style detectors expose both halves as inherent methods
+/// (`planner`, `apply`, `apply_batch_into`); the time-window ones add
+/// their tick-carrying replays (`apply_at`, `apply_batch_at_into`).
+macro_rules! planned_detector {
+    ($($ty:ty),*) => {$(
+        impl PlannedDetector for $ty {
+            fn probe_planner(&self) -> Planner {
+                self.planner()
+            }
+            fn apply_plan(&mut self, plan: ProbePlan) -> Verdict {
+                self.apply(plan)
+            }
+            fn apply_plan_batch_into(&mut self, plans: &[ProbePlan], out: &mut Vec<Verdict>) {
+                self.apply_batch_into(plans, out);
+            }
+        }
+    )*};
+    (timed: $($ty:ty),*) => {$(
+        impl PlannedDetector for $ty {
+            fn probe_planner(&self) -> Planner {
+                self.planner()
+            }
+            fn apply_plan(&mut self, plan: ProbePlan) -> Verdict {
+                self.apply(plan)
+            }
+            fn apply_plan_at(&mut self, plan: ProbePlan, tick: u64) -> Verdict {
+                self.apply_at(plan, tick)
+            }
+            fn apply_plan_batch_at(&mut self, plans: &[ProbePlan], ticks: &[u64]) -> Vec<Verdict> {
+                let mut out = Vec::with_capacity(plans.len());
+                self.apply_batch_at_into(plans, ticks, &mut out);
+                out
+            }
+        }
+    )*};
 }
+
+planned_detector!(
+    crate::Tbf,
+    crate::Gbf,
+    crate::Apbf,
+    crate::Swbf,
+    crate::tbf_jumping::JumpingTbf
+);
+planned_detector!(timed: crate::TimeTbf, crate::TimeGbf);
 
 /// The per-shard count window implementing the `N/S` sizing rule.
 ///
@@ -409,37 +355,13 @@ impl<D: PlannedDetector> ShardedDetector<D> {
         if !self.hash_once_aligned() {
             return self.observe_batch(ids);
         }
-        let planner = self.router.planner();
-        if self.shards.len() == 1 {
-            let plans: Vec<ProbePlan> = ids.iter().map(|id| planner.plan(id)).collect();
-            return self.shards[0].apply_plan_batch(&plans);
-        }
-        // Same bucket/replay/gather scheme as `observe_batch`, but the
-        // buckets hold plans instead of ids.
-        let shard_count = self.shards.len();
-        let cap = ids.len() / shard_count + 1;
-        let mut buckets: Vec<Vec<ProbePlan>> = vec![Vec::with_capacity(cap); shard_count];
-        let mut routes = Vec::with_capacity(ids.len());
-        for id in ids {
-            let plan = planner.plan(id);
-            let shard = self.router.route_pair(plan.pair());
-            buckets[shard].push(plan);
-            routes.push(shard);
-        }
-        let verdicts: Vec<Vec<Verdict>> = buckets
-            .iter()
-            .zip(&mut self.shards)
-            .map(|(bucket, shard)| shard.apply_plan_batch(bucket))
-            .collect();
-        let mut cursor = vec![0usize; shard_count];
-        routes
-            .into_iter()
-            .map(|shard| {
-                let v = verdicts[shard][cursor[shard]];
-                cursor[shard] += 1;
-                v
-            })
-            .collect()
+        let (router, planner) = (self.router, self.router.planner());
+        scatter_gather(
+            &mut self.shards,
+            ids.iter().map(|id| planner.plan(id)),
+            |plan| router.route_pair(plan.pair()),
+            PlannedDetector::apply_plan_batch,
+        )
     }
 
     /// [`ShardedDetector::observe_batch_hash_once`] routed by *tenant
@@ -463,159 +385,54 @@ impl<D: PlannedDetector> ShardedDetector<D> {
                 .map(|(id, shard)| self.shards[shard].observe(id))
                 .collect();
         }
-        let planner = self.router.planner();
-        let shard_count = self.shards.len();
-        if shard_count == 1 {
-            let plans: Vec<ProbePlan> = ids.iter().map(|id| planner.plan(id)).collect();
-            return self.shards[0].apply_plan_batch(&plans);
-        }
-        let cap = ids.len() / shard_count + 1;
-        let mut buckets: Vec<Vec<ProbePlan>> = vec![Vec::with_capacity(cap); shard_count];
-        let mut routes = Vec::with_capacity(ids.len());
-        for id in ids {
-            let plan = planner.plan(id);
-            let shard = self.router.route_prefix(plan.prefix());
-            buckets[shard].push(plan);
-            routes.push(shard);
-        }
-        let verdicts: Vec<Vec<Verdict>> = buckets
-            .iter()
-            .zip(&mut self.shards)
-            .map(|(bucket, shard)| shard.apply_plan_batch(bucket))
-            .collect();
-        let mut cursor = vec![0usize; shard_count];
-        routes
-            .into_iter()
-            .map(|shard| {
-                let v = verdicts[shard][cursor[shard]];
-                cursor[shard] += 1;
-                v
-            })
-            .collect()
+        let (router, planner) = (self.router, self.router.planner());
+        scatter_gather(
+            &mut self.shards,
+            ids.iter().map(|id| planner.plan(id)),
+            |plan| router.route_prefix(plan.prefix()),
+            PlannedDetector::apply_plan_batch,
+        )
     }
 }
 
-impl<D: TimedPlannedDetector> ShardedDetector<D> {
-    /// Whether every timed shard's probe family matches the router's
-    /// (see [`ShardedDetector::hash_once_aligned`]).
-    #[must_use]
-    pub fn timed_hash_once_aligned(&self) -> bool {
-        let seed = self.router.probe_seed();
-        self.shards.iter().all(|s| s.probe_planner().seed() == seed)
+/// The batch scheme shared by the sharded batch paths: partition `items`
+/// per shard by `route` (keeping per-shard stream order, which is all a
+/// shard's window semantics depend on), `judge` each shard's bucket
+/// once, then gather verdicts back into input order — the i-th item's
+/// verdict is the next unconsumed verdict of its shard's bucket, because
+/// bucketing preserved relative order. One shard skips the routing.
+fn scatter_gather<D, T: Copy>(
+    shards: &mut [D],
+    items: impl Iterator<Item = T>,
+    route: impl Fn(&T) -> usize,
+    mut judge: impl FnMut(&mut D, &[T]) -> Vec<Verdict>,
+) -> Vec<Verdict> {
+    if let [shard] = shards {
+        return judge(shard, &items.collect::<Vec<T>>());
     }
-
-    /// [`TimedDuplicateDetector::observe_batch_at`] hashing each id
-    /// exactly once: the router pair doubles as the probe plan, and each
-    /// click's tick rides along into its shard's bucket so per-shard
-    /// clock order is exactly what sequential `observe_at` calls would
-    /// produce. Falls back to the two-hash path on misaligned shards.
-    pub fn observe_batch_hash_once_at(&mut self, ids: &[&[u8]], ticks: &[u64]) -> Vec<Verdict> {
-        assert_eq!(ids.len(), ticks.len(), "one tick per id");
-        if !self.timed_hash_once_aligned() {
-            return self.observe_batch_at(ids, ticks);
-        }
-        let planner = self.router.planner();
-        if self.shards.len() == 1 {
-            let plans: Vec<ProbePlan> = ids.iter().map(|id| planner.plan(id)).collect();
-            return self.shards[0].apply_plan_batch_at(&plans, ticks);
-        }
-        let shard_count = self.shards.len();
-        let cap = ids.len() / shard_count + 1;
-        let mut plan_buckets: Vec<Vec<ProbePlan>> = vec![Vec::with_capacity(cap); shard_count];
-        let mut tick_buckets: Vec<Vec<u64>> = vec![Vec::with_capacity(cap); shard_count];
-        let mut routes = Vec::with_capacity(ids.len());
-        for (id, &tick) in ids.iter().zip(ticks) {
-            let plan = planner.plan(id);
-            let shard = self.router.route_pair(plan.pair());
-            plan_buckets[shard].push(plan);
-            tick_buckets[shard].push(tick);
-            routes.push(shard);
-        }
-        let verdicts: Vec<Vec<Verdict>> = plan_buckets
-            .iter()
-            .zip(&tick_buckets)
-            .zip(&mut self.shards)
-            .map(|((plans, ticks), shard)| shard.apply_plan_batch_at(plans, ticks))
-            .collect();
-        let mut cursor = vec![0usize; shard_count];
-        routes
-            .into_iter()
-            .map(|shard| {
-                let v = verdicts[shard][cursor[shard]];
-                cursor[shard] += 1;
-                v
-            })
-            .collect()
+    let len = items.size_hint().0;
+    let cap = len / shards.len() + 1;
+    let mut buckets: Vec<Vec<T>> = vec![Vec::with_capacity(cap); shards.len()];
+    let mut routes = Vec::with_capacity(len);
+    for item in items {
+        let shard = route(&item);
+        buckets[shard].push(item);
+        routes.push(shard);
     }
-}
-
-/// Timed composition: routing is tick-blind (by id only), and every
-/// shard advances its clock from its *own* clicks' ticks. All shards
-/// share wall clock, so — unlike count windows — the per-shard window
-/// semantics equal the global ones and no `N/S` rescaling applies.
-impl<D: TimedDuplicateDetector> TimedDuplicateDetector for ShardedDetector<D> {
-    fn observe_at(&mut self, id: &[u8], tick: u64) -> Verdict {
-        let shard = self.router.route(id);
-        self.shards[shard].observe_at(id, tick)
-    }
-
-    fn observe_batch_at_into(&mut self, ids: &[&[u8]], ticks: &[u64], out: &mut Vec<Verdict>) {
-        assert_eq!(ids.len(), ticks.len(), "one tick per id");
-        out.clear();
-        if self.shards.len() == 1 {
-            self.shards[0].observe_batch_at_into(ids, ticks, out);
-            return;
-        }
-        // Same bucket/replay/gather scheme as the count-based
-        // `observe_batch`, with each click's tick riding in a parallel
-        // per-shard bucket.
-        let shard_count = self.shards.len();
-        let cap = ids.len() / shard_count + 1;
-        let mut id_buckets: Vec<Vec<&[u8]>> = vec![Vec::with_capacity(cap); shard_count];
-        let mut tick_buckets: Vec<Vec<u64>> = vec![Vec::with_capacity(cap); shard_count];
-        let mut routes = Vec::with_capacity(ids.len());
-        for (id, &tick) in ids.iter().zip(ticks) {
-            let shard = self.router.route(id);
-            id_buckets[shard].push(id);
-            tick_buckets[shard].push(tick);
-            routes.push(shard);
-        }
-        let verdicts: Vec<Vec<Verdict>> = id_buckets
-            .iter()
-            .zip(&tick_buckets)
-            .zip(&mut self.shards)
-            .map(|((bucket, ticks), shard)| shard.observe_batch_at(bucket, ticks))
-            .collect();
-        let mut cursor = vec![0usize; shard_count];
-        out.extend(routes.into_iter().map(|shard| {
+    let verdicts: Vec<Vec<Verdict>> = buckets
+        .iter()
+        .zip(shards)
+        .map(|(bucket, shard)| judge(shard, bucket))
+        .collect();
+    let mut cursor = vec![0usize; verdicts.len()];
+    routes
+        .into_iter()
+        .map(|shard| {
             let v = verdicts[shard][cursor[shard]];
             cursor[shard] += 1;
             v
-        }));
-    }
-
-    fn window(&self) -> WindowSpec {
-        // Time-based windows pass through unscaled: all shards share
-        // wall clock.
-        self.shards[0].window()
-    }
-
-    fn memory_bits(&self) -> usize {
-        self.shards
-            .iter()
-            .map(TimedDuplicateDetector::memory_bits)
-            .sum()
-    }
-
-    fn reset(&mut self) {
-        for shard in &mut self.shards {
-            shard.reset();
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "sharded"
-    }
+        })
+        .collect()
 }
 
 impl<D: DuplicateDetector> DuplicateDetector for ShardedDetector<D> {
@@ -625,37 +442,53 @@ impl<D: DuplicateDetector> DuplicateDetector for ShardedDetector<D> {
     }
 
     fn observe_batch(&mut self, ids: &[&[u8]]) -> Vec<Verdict> {
-        if self.shards.len() == 1 {
-            return self.shards[0].observe_batch(ids);
+        let router = self.router;
+        scatter_gather(
+            &mut self.shards,
+            ids.iter().copied(),
+            |id| router.route(id),
+            |shard, bucket| shard.observe_batch(bucket),
+        )
+    }
+
+    /// Routing is tick-blind (by id only), and every shard advances its
+    /// clock from its *own* clicks' ticks. All shards share wall clock,
+    /// so — unlike count windows — time-window semantics per shard equal
+    /// the global ones.
+    fn observe_at(&mut self, id: &[u8], tick: u64) -> Verdict {
+        let shard = self.router.route(id);
+        self.shards[shard].observe_at(id, tick)
+    }
+
+    fn observe_batch_at_into(&mut self, ids: &[&[u8]], ticks: &[u64], out: &mut Vec<Verdict>) {
+        assert_eq!(ids.len(), ticks.len(), "one tick per id");
+        let router = self.router;
+        let verdicts = scatter_gather(
+            &mut self.shards,
+            ids.iter().copied().zip(ticks.iter().copied()),
+            |&(id, _)| router.route(id),
+            |shard, bucket| {
+                let (ids, ticks): (Vec<&[u8]>, Vec<u64>) = bucket.iter().copied().unzip();
+                shard.observe_batch_at(&ids, &ticks)
+            },
+        );
+        out.clear();
+        out.extend(verdicts);
+    }
+
+    fn observe_flat_at_into(
+        &mut self,
+        keys: &[u8],
+        key_len: usize,
+        ticks: &[u64],
+        out: &mut Vec<Verdict>,
+    ) {
+        assert!(key_len > 0, "key_len must be non-zero");
+        assert_eq!(keys.len() / key_len, ticks.len(), "one tick per key");
+        out.clear();
+        for (id, &tick) in keys.chunks_exact(key_len).zip(ticks) {
+            out.push(self.observe_at(id, tick));
         }
-        // Partition the batch per shard (keeping per-shard stream order,
-        // which is all a shard's window semantics depend on), batch each
-        // shard once, then gather verdicts back into input order: the
-        // i-th id's verdict is the next unconsumed verdict of its
-        // shard's bucket, because bucketing preserved relative order.
-        let shard_count = self.shards.len();
-        let cap = ids.len() / shard_count + 1;
-        let mut buckets: Vec<Vec<&[u8]>> = vec![Vec::with_capacity(cap); shard_count];
-        let mut routes = Vec::with_capacity(ids.len());
-        for id in ids {
-            let shard = self.router.route(id);
-            buckets[shard].push(id);
-            routes.push(shard);
-        }
-        let verdicts: Vec<Vec<Verdict>> = buckets
-            .iter()
-            .zip(&mut self.shards)
-            .map(|(bucket, shard)| shard.observe_batch(bucket))
-            .collect();
-        let mut cursor = vec![0usize; shard_count];
-        routes
-            .into_iter()
-            .map(|shard| {
-                let v = verdicts[shard][cursor[shard]];
-                cursor[shard] += 1;
-                v
-            })
-            .collect()
     }
 
     /// The *approximated global* window: count-based shard windows scale
@@ -1031,6 +864,37 @@ mod tests {
         assert_eq!(got, want);
     }
 
+    /// The planned halves of the time detectors read their ticks: plan
+    /// replay, one at a time and batched, equals `observe_at`.
+    #[test]
+    fn timed_plan_replay_matches_observe_at() {
+        fn check<D: PlannedDetector>(make: impl Fn() -> D) {
+            let (ids, ticks) = timed_stream(6_000);
+            let mut reference = make();
+            let want: Vec<Verdict> = ids
+                .iter()
+                .zip(&ticks)
+                .map(|(id, &t)| reference.observe_at(id, t))
+                .collect();
+            let (mut one, mut batched) = (make(), make());
+            let planner = one.probe_planner();
+            let plans: Vec<ProbePlan> = ids.iter().map(|id| planner.plan(id)).collect();
+            let got: Vec<Verdict> = plans
+                .iter()
+                .zip(&ticks)
+                .map(|(&p, &t)| one.apply_plan_at(p, t))
+                .collect();
+            assert_eq!(got, want, "apply_plan_at");
+            let mut got = Vec::new();
+            for (pc, tc) in plans.chunks(97).zip(ticks.chunks(97)) {
+                got.extend(batched.apply_plan_batch_at(pc, tc));
+            }
+            assert_eq!(got, want, "apply_plan_batch_at");
+        }
+        check(|| TimeTbf::new(TimeTbfConfig::new(32, 10, 1 << 12, 6, 21).expect("cfg")).unwrap());
+        check(|| TimeGbf::new(TimeGbfConfig::new(6, 5, 10, 1 << 12, 4, 21).expect("cfg")).unwrap());
+    }
+
     #[test]
     fn timed_sharded_zero_false_negatives_vs_global_oracle() {
         // Time-based windows are shard-transparent: all shards share
@@ -1045,46 +909,6 @@ mod tests {
                 assert_eq!(got, Verdict::Duplicate, "false negative at element {i}");
             }
         }
-    }
-
-    #[test]
-    fn timed_hash_once_matches_generic_batch_when_aligned() {
-        let shards = 4;
-        let router = ShardRouter::new(3, shards).expect("router");
-        let seed = router.probe_seed();
-        let make = || {
-            ShardedDetector::from_fn(3, shards, |_| {
-                TimeGbf::new(TimeGbfConfig::new(6, 5, 10, 1 << 12, 4, seed)?)
-            })
-            .expect("valid sharded time-gbf")
-        };
-        let mut generic = make();
-        let mut hash_once = make();
-        assert!(hash_once.timed_hash_once_aligned());
-
-        let (ids, ticks) = timed_stream(6_000);
-        let id_slices: Vec<&[u8]> = ids.iter().map(Vec::as_slice).collect();
-        let mut want = Vec::new();
-        let mut got = Vec::new();
-        for (idc, tc) in id_slices.chunks(97).zip(ticks.chunks(97)) {
-            want.extend(generic.observe_batch_at(idc, tc));
-            got.extend(hash_once.observe_batch_hash_once_at(idc, tc));
-        }
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn timed_hash_once_falls_back_when_misaligned() {
-        // Shards seeded independently of the router: the fast path must
-        // refuse the router family and match the generic path instead.
-        let mut a = sharded_time_tbf(5, 4);
-        let mut b = sharded_time_tbf(5, 4);
-        assert!(!a.timed_hash_once_aligned());
-        let (ids, ticks) = timed_stream(3_000);
-        let id_slices: Vec<&[u8]> = ids.iter().map(Vec::as_slice).collect();
-        let want = a.observe_batch_at(&id_slices, &ticks);
-        let got = b.observe_batch_hash_once_at(&id_slices, &ticks);
-        assert_eq!(got, want);
     }
 
     #[test]
@@ -1180,11 +1004,8 @@ mod tests {
     fn timed_window_passes_through_unscaled() {
         let d = sharded_time_tbf(3, 4);
         // 32 units of 10 ticks: the global window, not 4x it.
-        assert_eq!(
-            TimedDuplicateDetector::window(&d),
-            WindowSpec::TimeSliding { ticks: 320 }
-        );
-        let single = TimedDuplicateDetector::memory_bits(&d.shards()[0]);
-        assert_eq!(TimedDuplicateDetector::memory_bits(&d), single * 4);
+        assert_eq!(d.window(), WindowSpec::TimeSliding { ticks: 320 });
+        let single = d.shards()[0].memory_bits();
+        assert_eq!(d.memory_bits(), single * 4);
     }
 }

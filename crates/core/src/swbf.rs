@@ -482,14 +482,7 @@ impl Swbf {
     }
 
     /// Replays a batch of precomputed plans with lookahead prefetch.
-    pub fn apply_batch(&mut self, plans: &[ProbePlan]) -> Vec<Verdict> {
-        let mut out = Vec::with_capacity(plans.len());
-        self.apply_batch_into(plans, &mut out);
-        out
-    }
-
-    /// Allocation-free [`Swbf::apply_batch`]: verdicts go into `out`
-    /// (cleared first, capacity reused).
+    /// Verdicts go into `out` (cleared first, capacity reused).
     pub fn apply_batch_into(&mut self, plans: &[ProbePlan], out: &mut Vec<Verdict>) {
         let mut bufs = std::mem::take(&mut self.bufs);
         backend::apply_batch_into(self, &mut bufs, plans, out);

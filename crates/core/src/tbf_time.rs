@@ -47,7 +47,7 @@ use cfd_bits::PackedIntVec;
 use cfd_hash::{BlockGeometry, DoubleHashFamily, HashFamily, Planner, ProbePlan};
 use cfd_telemetry::DetectorStats;
 use cfd_windows::time::UnitClock;
-use cfd_windows::{TimedDuplicateDetector, Verdict, WindowSpec};
+use cfd_windows::{DuplicateDetector, Verdict, WindowSpec};
 use std::cell::Cell;
 
 /// Dynamic [`TimeTbf`] state captured by a checkpoint.
@@ -196,7 +196,7 @@ impl TimeTbfConfig {
 ///
 /// ```rust
 /// use cfd_core::tbf_time::{TimeTbf, TimeTbfConfig};
-/// use cfd_windows::{TimedDuplicateDetector, Verdict};
+/// use cfd_windows::{DuplicateDetector, Verdict};
 ///
 /// # fn main() -> Result<(), cfd_core::ConfigError> {
 /// // Window = 60 units of 1000 ticks (e.g. a one-minute window in ms).
@@ -450,20 +450,23 @@ impl TimeTbf {
         verdict
     }
 
-    /// Replays a batch of precomputed plans, one tick per plan, with the
-    /// same lookahead prefetch as `observe_batch_at` — the stateful half
-    /// of the sharded hash-once path.
-    ///
-    /// # Panics
-    /// Panics if `plans.len() != ticks.len()`.
-    pub fn apply_batch_at(&mut self, plans: &[ProbePlan], ticks: &[u64]) -> Vec<Verdict> {
-        let mut out = Vec::with_capacity(plans.len());
-        self.apply_batch_at_into(plans, ticks, &mut out);
-        out
+    /// The stateful half of a tickless observation; `observe(id)` ≡
+    /// `apply(plan(id))`. Judged at the current clock: the high-water
+    /// unit, or unit 0 before the first observation (never a clock
+    /// regression).
+    pub fn apply(&mut self, plan: ProbePlan) -> Verdict {
+        let mut bufs = std::mem::take(&mut self.bufs);
+        let verdict = backend::apply_plan_now(self, &mut bufs, plan);
+        self.bufs = bufs;
+        verdict
     }
 
-    /// Allocation-free [`TimeTbf::apply_batch_at`]: verdicts go into
+    /// Replays a batch of precomputed plans, one tick per plan, with the
+    /// same lookahead prefetch as `observe_batch_at` — the stateful half
+    /// of [`PlannedDetector::apply_plan_batch_at`]. Verdicts go into
     /// `out` (cleared first, capacity reused).
+    ///
+    /// [`PlannedDetector::apply_plan_batch_at`]: crate::PlannedDetector::apply_plan_batch_at
     ///
     /// # Panics
     /// Panics if `plans.len() != ticks.len()`.
@@ -562,7 +565,12 @@ impl TimedCore for TimeTbf {
     }
 }
 
-impl TimedDuplicateDetector for TimeTbf {
+impl DuplicateDetector for TimeTbf {
+    fn observe(&mut self, id: &[u8]) -> Verdict {
+        let plan = self.plan(id);
+        self.apply(plan)
+    }
+
     fn observe_at(&mut self, id: &[u8], tick: u64) -> Verdict {
         let plan = self.plan(id);
         self.apply_at(plan, tick)
@@ -772,6 +780,22 @@ mod tests {
         // In-order ticks do not count.
         d.observe_at(b"later", 11_000);
         assert_eq!(d.ops().clock_regressions, 2);
+    }
+
+    #[test]
+    fn tickless_observe_judges_at_the_current_clock() {
+        let mut d = ttbf(10, 100, 1 << 12, 5);
+        // Before the first click the clock is tick 0.
+        assert_eq!(d.observe(b"early"), Verdict::Distinct);
+        assert_eq!(d.observe_at(b"early", 99), Verdict::Duplicate); // unit 0
+        assert_eq!(d.observe_at(b"x", 5_000), Verdict::Distinct);
+        let regressions = d.ops().clock_regressions;
+        assert_eq!(d.observe(b"x"), Verdict::Duplicate);
+        // Judged at unit 50, where the unit-0 click has expired.
+        assert_eq!(d.observe(b"early"), Verdict::Distinct);
+        assert_eq!(d.observe(b"fresh"), Verdict::Distinct);
+        assert_eq!(d.observe_at(b"fresh", 5_099), Verdict::Duplicate);
+        assert_eq!(d.ops().clock_regressions, regressions);
     }
 
     #[test]

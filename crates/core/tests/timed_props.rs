@@ -18,7 +18,7 @@
 
 use cfd_core::config::ProbeLayout;
 use cfd_core::{TimeGbf, TimeGbfConfig, TimeTbf, TimeTbfConfig};
-use cfd_windows::{TimedDuplicateDetector, Verdict};
+use cfd_windows::{DuplicateDetector, ObservableDetector, Verdict};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -61,7 +61,7 @@ fn jittery_stream(len: u64, period: u64, unit_ticks: u64, salt: u64) -> Vec<(Vec
 /// Self-consistent time-sliding false negatives: `valid` maps a key to
 /// the unit the detector last validated it in; the entry expires when
 /// the current unit is `window_units` or more past it.
-fn sliding_false_negatives<D: TimedDuplicateDetector>(
+fn sliding_false_negatives<D: DuplicateDetector>(
     detector: &mut D,
     window_units: u64,
     unit_ticks: u64,
@@ -87,7 +87,7 @@ fn sliding_false_negatives<D: TimedDuplicateDetector>(
 
 /// Self-consistent time-jumping false negatives: a validated key stays
 /// known for its own sub-window plus the `q - 1` following ones.
-fn jumping_false_negatives<D: TimedDuplicateDetector>(
+fn jumping_false_negatives<D: DuplicateDetector>(
     detector: &mut D,
     q: u64,
     sub_units: u64,
@@ -243,4 +243,55 @@ proptest! {
         flattened.observe_flat_at_into(&flat, 8, &ticks, &mut got);
         prop_assert_eq!(&got, &want);
     }
+}
+
+/// A boxed time detector must keep reading its ticks: every tick-carrying
+/// method of the `Box` forwarding impl reaches the inner detector's
+/// override instead of the tick-blind default. The jittery stream
+/// crosses thousands of unit boundaries, so a tick-blind path (which
+/// judges every click at the first click's unit) diverges at once.
+fn assert_boxing_keeps_ticks<D>(make: impl Fn() -> D)
+where
+    D: ObservableDetector + Send + 'static,
+{
+    let clicks = jittery_stream(4_000, 300, 16, 5);
+    let mut unboxed = make();
+    let want: Vec<Verdict> = clicks
+        .iter()
+        .map(|(key, tick)| unboxed.observe_at(key, *tick))
+        .collect();
+    let name = unboxed.name();
+
+    let mut boxed: Box<dyn ObservableDetector + Send> = Box::new(make());
+    let got: Vec<Verdict> = clicks
+        .iter()
+        .map(|(key, tick)| boxed.observe_at(key, *tick))
+        .collect();
+    assert_eq!(got, want, "{name}: boxed observe_at");
+
+    let mut boxed: Box<dyn ObservableDetector + Send> = Box::new(make());
+    let mut got = Vec::with_capacity(clicks.len());
+    for chunk in clicks.chunks(97) {
+        let ids: Vec<&[u8]> = chunk.iter().map(|(k, _)| k.as_slice()).collect();
+        let ticks: Vec<u64> = chunk.iter().map(|&(_, t)| t).collect();
+        got.extend(boxed.observe_batch_at(&ids, &ticks));
+    }
+    assert_eq!(got, want, "{name}: boxed observe_batch_at");
+
+    let mut boxed: Box<dyn ObservableDetector + Send> = Box::new(make());
+    let mut got = Vec::with_capacity(clicks.len());
+    let mut out = Vec::new();
+    for chunk in clicks.chunks(97) {
+        let keys: Vec<u8> = chunk.iter().flat_map(|(k, _)| k.iter().copied()).collect();
+        let ticks: Vec<u64> = chunk.iter().map(|&(_, t)| t).collect();
+        boxed.observe_flat_at_into(&keys, 8, &ticks, &mut out);
+        got.extend_from_slice(&out);
+    }
+    assert_eq!(got, want, "{name}: boxed observe_flat_at_into");
+}
+
+#[test]
+fn boxed_time_detectors_judge_at_their_ticks() {
+    assert_boxing_keeps_ticks(|| time_tbf(32, 16, 3, ProbeLayout::Scattered));
+    assert_boxing_keeps_ticks(|| time_gbf(4, 8, 16, 3, ProbeLayout::Scattered));
 }

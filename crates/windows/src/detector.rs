@@ -1,4 +1,5 @@
-//! The one-pass duplicate-detection contract (paper Definition 1).
+//! The one-pass duplicate-detection contract (paper Definition 1), one
+//! contract for count and time windows alike.
 
 use crate::spec::WindowSpec;
 use serde::{Deserialize, Serialize};
@@ -30,13 +31,24 @@ impl Verdict {
     }
 }
 
-/// A one-pass duplicate detector over a count-based decaying window.
+/// A one-pass duplicate detector over a decaying window.
 ///
 /// The contract mirrors the paper's problem statement (§1.3): given
-/// limited memory and a window of `N` elements, classify each click of an
-/// unbounded stream in a single pass. Implementations may be approximate
-/// with one-sided error: the GBF/TBF detectors guarantee *zero false
+/// limited memory and a window, classify each click of an unbounded
+/// stream in a single pass. Implementations may be approximate with
+/// one-sided error: the GBF/TBF detectors guarantee *zero false
 /// negatives* while allowing a small false-positive rate.
+///
+/// # One contract for both clocks
+///
+/// Every observation method has a tick-carrying `_at` twin. A count
+/// window is a time window whose clock is the arrival index, so count
+/// detectors ignore the ticks: the `_at` defaults delegate to the
+/// matching count method, keeping any batch override. Time-window
+/// detectors (`TimeTbf`, `TimeGbf`, the `ExactTime*` oracles) override
+/// the `_at` methods and read the ticks. Ticks should be non-decreasing;
+/// the `cfd-core` detectors clamp late ones to the high-water unit and
+/// count the event — time never moves backwards.
 ///
 /// # Error direction
 ///
@@ -46,6 +58,12 @@ impl Verdict {
 /// negatives; exact oracles have zero error in both directions.
 pub trait DuplicateDetector {
     /// Classifies the next click of the stream and updates internal state.
+    ///
+    /// A time-window detector judges a tickless click at its *current
+    /// clock*: the high-water tick seen so far, or tick 0 before the
+    /// first click. So after `observe_at(x, t)`, `observe(x)` is a
+    /// duplicate, and a tickless click never counts as a clock
+    /// regression.
     fn observe(&mut self, id: &[u8]) -> Verdict;
 
     /// Classifies a batch of consecutive clicks, in stream order.
@@ -102,6 +120,65 @@ pub trait DuplicateDetector {
         }
     }
 
+    /// Classifies the click arriving at `tick`. The default ignores the
+    /// tick ([`observe`]); time-window detectors override it.
+    ///
+    /// [`observe`]: DuplicateDetector::observe
+    fn observe_at(&mut self, id: &[u8], tick: u64) -> Verdict {
+        let _ = tick;
+        self.observe(id)
+    }
+
+    /// Classifies a batch of consecutive clicks, each with its own tick,
+    /// in stream order: verdict-for-verdict equivalent to calling
+    /// [`observe_at`] on each `(id, tick)` pair in order.
+    ///
+    /// # Panics
+    /// Implementations may panic if `ids.len() != ticks.len()`.
+    ///
+    /// [`observe_at`]: DuplicateDetector::observe_at
+    fn observe_batch_at(&mut self, ids: &[&[u8]], ticks: &[u64]) -> Vec<Verdict> {
+        let mut out = Vec::with_capacity(ids.len());
+        self.observe_batch_at_into(ids, ticks, &mut out);
+        out
+    }
+
+    /// Allocation-free form of [`observe_batch_at`]: verdicts are written
+    /// into `out` (cleared first, capacity reused). The default ignores
+    /// the ticks ([`observe_batch_into`]); time-window detectors override
+    /// it to hash the whole batch up front and amortize clock-advance
+    /// work across ticks that share a unit.
+    ///
+    /// # Panics
+    /// Implementations may panic if `ids.len() != ticks.len()`.
+    ///
+    /// [`observe_batch_at`]: DuplicateDetector::observe_batch_at
+    /// [`observe_batch_into`]: DuplicateDetector::observe_batch_into
+    fn observe_batch_at_into(&mut self, ids: &[&[u8]], ticks: &[u64], out: &mut Vec<Verdict>) {
+        let _ = ticks;
+        self.observe_batch_into(ids, out);
+    }
+
+    /// [`observe_flat_into`] with one tick per key — what the pipeline's
+    /// shard workers call. The default ignores the ticks
+    /// ([`observe_flat_into`]); time-window detectors override it.
+    ///
+    /// # Panics
+    /// Implementations may panic if `key_len == 0`, `keys.len()` is not a
+    /// multiple of `key_len`, or the key count differs from `ticks.len()`.
+    ///
+    /// [`observe_flat_into`]: DuplicateDetector::observe_flat_into
+    fn observe_flat_at_into(
+        &mut self,
+        keys: &[u8],
+        key_len: usize,
+        ticks: &[u64],
+        out: &mut Vec<Verdict>,
+    ) {
+        let _ = ticks;
+        self.observe_flat_into(keys, key_len, out);
+    }
+
     /// The window model this detector approximates.
     fn window(&self) -> WindowSpec;
 
@@ -116,8 +193,12 @@ pub trait DuplicateDetector {
 }
 
 /// Boxed detectors forward the whole contract, so trait objects compose
-/// with generic wrappers (e.g. `ShardedDetector<Box<dyn DuplicateDetector>>`
-/// in the CLI, where the algorithm is chosen at runtime).
+/// with generic wrappers (e.g. `ShardedDetector<Box<dyn
+/// ObservableDetector>>` in the CLI, where the algorithm is chosen at
+/// runtime). The tick-carrying methods must be forwarded too, or a boxed
+/// time detector would silently go tick-blind; `observe_batch_at` needs
+/// no forward because its default builds on the forwarded
+/// `observe_batch_at_into`.
 impl<D: DuplicateDetector + ?Sized> DuplicateDetector for Box<D> {
     fn observe(&mut self, id: &[u8]) -> Verdict {
         (**self).observe(id)
@@ -131,129 +212,8 @@ impl<D: DuplicateDetector + ?Sized> DuplicateDetector for Box<D> {
     fn observe_flat_into(&mut self, keys: &[u8], key_len: usize, out: &mut Vec<Verdict>) {
         (**self).observe_flat_into(keys, key_len, out)
     }
-    fn window(&self) -> WindowSpec {
-        (**self).window()
-    }
-    fn memory_bits(&self) -> usize {
-        (**self).memory_bits()
-    }
-    fn reset(&mut self) {
-        (**self).reset()
-    }
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-}
-
-/// A duplicate detector that also reports health telemetry.
-///
-/// Marker for `DuplicateDetector + DetectorStats`, blanket-implemented
-/// for every type satisfying both — its purpose is trait objects:
-/// `Box<dyn ObservableDetector>` keeps runtime-chosen detectors (the
-/// `cfd` CLI) both observable and drivable, where two separate `dyn`
-/// bounds could not share one box.
-///
-/// [`DetectorStats`]: cfd_telemetry::DetectorStats
-pub trait ObservableDetector: DuplicateDetector + cfd_telemetry::DetectorStats {}
-
-impl<D: DuplicateDetector + cfd_telemetry::DetectorStats + ?Sized> ObservableDetector for D {}
-
-/// A one-pass duplicate detector over a *time-based* decaying window.
-///
-/// Each observation carries its tick. Ticks should be non-decreasing;
-/// implementations document their policy for out-of-order ticks (the
-/// `cfd-core` detectors clamp them to the high-water unit and count the
-/// event — time never moves backwards).
-pub trait TimedDuplicateDetector {
-    /// Classifies the click arriving at `tick`.
-    fn observe_at(&mut self, id: &[u8], tick: u64) -> Verdict;
-
-    /// Classifies a batch of consecutive clicks, each with its own tick,
-    /// in stream order.
-    ///
-    /// Verdict-for-verdict equivalent to calling [`observe_at`] on each
-    /// `(id, tick)` pair in order; implementations may override to hash
-    /// the whole batch up front and amortize clock-advance work across
-    /// ticks that share a unit (the `cfd-core` timed detectors do).
-    ///
-    /// # Panics
-    /// Implementations may panic if `ids.len() != ticks.len()`.
-    ///
-    /// [`observe_at`]: TimedDuplicateDetector::observe_at
-    fn observe_batch_at(&mut self, ids: &[&[u8]], ticks: &[u64]) -> Vec<Verdict> {
-        let mut out = Vec::with_capacity(ids.len());
-        self.observe_batch_at_into(ids, ticks, &mut out);
-        out
-    }
-
-    /// Allocation-free form of [`observe_batch_at`]: verdicts are written
-    /// into `out` (cleared first, capacity reused).
-    ///
-    /// # Panics
-    /// Implementations may panic if `ids.len() != ticks.len()`.
-    ///
-    /// [`observe_batch_at`]: TimedDuplicateDetector::observe_batch_at
-    fn observe_batch_at_into(&mut self, ids: &[&[u8]], ticks: &[u64], out: &mut Vec<Verdict>) {
-        assert_eq!(ids.len(), ticks.len(), "one tick per id");
-        out.clear();
-        for (id, &tick) in ids.iter().zip(ticks) {
-            out.push(self.observe_at(id, tick));
-        }
-    }
-
-    /// Classifies a batch of fixed-stride ids packed end-to-end in a flat
-    /// buffer (`key_len` bytes each), each with its own tick, writing
-    /// verdicts into `out` (cleared first, capacity reused). The timed
-    /// analogue of [`DuplicateDetector::observe_flat_into`] — what the
-    /// pipeline's timed mode ships between stages.
-    ///
-    /// # Panics
-    /// Implementations may panic if `key_len == 0`, `keys.len()` is not a
-    /// multiple of `key_len`, or the key count differs from `ticks.len()`.
-    fn observe_flat_at_into(
-        &mut self,
-        keys: &[u8],
-        key_len: usize,
-        ticks: &[u64],
-        out: &mut Vec<Verdict>,
-    ) {
-        assert!(key_len > 0, "key_len must be non-zero");
-        assert_eq!(
-            keys.len() % key_len,
-            0,
-            "flat key buffer length {} is not a multiple of key_len {}",
-            keys.len(),
-            key_len
-        );
-        assert_eq!(keys.len() / key_len, ticks.len(), "one tick per key");
-        out.clear();
-        for (id, &tick) in keys.chunks_exact(key_len).zip(ticks) {
-            out.push(self.observe_at(id, tick));
-        }
-    }
-
-    /// The window model this detector approximates.
-    fn window(&self) -> WindowSpec;
-
-    /// Total payload memory, in bits.
-    fn memory_bits(&self) -> usize;
-
-    /// Resets to the empty-stream state, keeping the configuration.
-    fn reset(&mut self);
-
-    /// Human-readable algorithm name for reports and benches.
-    fn name(&self) -> &'static str;
-}
-
-/// Boxed timed detectors forward the whole contract, mirroring the
-/// count-based [`DuplicateDetector`] forwarding impl, so runtime-chosen
-/// timed algorithms compose with generic wrappers.
-impl<D: TimedDuplicateDetector + ?Sized> TimedDuplicateDetector for Box<D> {
     fn observe_at(&mut self, id: &[u8], tick: u64) -> Verdict {
         (**self).observe_at(id, tick)
-    }
-    fn observe_batch_at(&mut self, ids: &[&[u8]], ticks: &[u64]) -> Vec<Verdict> {
-        (**self).observe_batch_at(ids, ticks)
     }
     fn observe_batch_at_into(&mut self, ids: &[&[u8]], ticks: &[u64], out: &mut Vec<Verdict>) {
         (**self).observe_batch_at_into(ids, ticks, out)
@@ -281,16 +241,18 @@ impl<D: TimedDuplicateDetector + ?Sized> TimedDuplicateDetector for Box<D> {
     }
 }
 
-/// A timed duplicate detector that also reports health telemetry — the
-/// time-based counterpart of [`ObservableDetector`], blanket-implemented
-/// for every type satisfying both bounds so the CLI can drive
-/// runtime-chosen timed algorithms through one box.
-pub trait TimedObservableDetector: TimedDuplicateDetector + cfd_telemetry::DetectorStats {}
+/// A duplicate detector that also reports health telemetry.
+///
+/// Marker for `DuplicateDetector + DetectorStats`, blanket-implemented
+/// for every type satisfying both — its purpose is trait objects:
+/// `Box<dyn ObservableDetector>` keeps runtime-chosen detectors (the
+/// `cfd` CLI) both observable and drivable, where two separate `dyn`
+/// bounds could not share one box.
+///
+/// [`DetectorStats`]: cfd_telemetry::DetectorStats
+pub trait ObservableDetector: DuplicateDetector + cfd_telemetry::DetectorStats {}
 
-impl<D: TimedDuplicateDetector + cfd_telemetry::DetectorStats + ?Sized> TimedObservableDetector
-    for D
-{
-}
+impl<D: DuplicateDetector + cfd_telemetry::DetectorStats + ?Sized> ObservableDetector for D {}
 
 /// Running tallies of a detector over a stream.
 ///

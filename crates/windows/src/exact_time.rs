@@ -6,7 +6,7 @@
 //! determined valid within the current window — with expiry driven by
 //! time units instead of element counts.
 
-use crate::detector::{TimedDuplicateDetector, Verdict};
+use crate::detector::{DuplicateDetector, Verdict};
 use crate::spec::WindowSpec;
 use crate::time::UnitClock;
 use std::collections::{HashMap, VecDeque};
@@ -16,7 +16,7 @@ use std::collections::{HashMap, VecDeque};
 ///
 /// ```rust
 /// use cfd_windows::exact_time::ExactTimeSlidingDedup;
-/// use cfd_windows::{TimedDuplicateDetector, Verdict};
+/// use cfd_windows::{DuplicateDetector, Verdict};
 /// let mut d = ExactTimeSlidingDedup::new(10, 100); // 10 units of 100 ticks
 /// assert_eq!(d.observe_at(b"x", 0), Verdict::Distinct);
 /// assert_eq!(d.observe_at(b"x", 950), Verdict::Duplicate);  // unit 9
@@ -30,6 +30,8 @@ pub struct ExactTimeSlidingDedup {
     valid: HashMap<Vec<u8>, u64>,
     /// Valid clicks in arrival order for O(1) expiry.
     order: VecDeque<(u64, Vec<u8>)>,
+    /// High-water tick: the clock a tickless `observe` judges at.
+    now: u64,
 }
 
 impl ExactTimeSlidingDedup {
@@ -46,6 +48,7 @@ impl ExactTimeSlidingDedup {
             units: UnitClock::new(unit_ticks),
             valid: HashMap::new(),
             order: VecDeque::new(),
+            now: 0,
         }
     }
 
@@ -68,8 +71,13 @@ impl ExactTimeSlidingDedup {
     }
 }
 
-impl TimedDuplicateDetector for ExactTimeSlidingDedup {
+impl DuplicateDetector for ExactTimeSlidingDedup {
+    fn observe(&mut self, id: &[u8]) -> Verdict {
+        self.observe_at(id, self.now)
+    }
+
     fn observe_at(&mut self, id: &[u8], tick: u64) -> Verdict {
+        self.now = self.now.max(tick);
         let unit = self.units.unit_of(tick);
         let oldest_active = unit.saturating_sub(self.window_units - 1);
         self.expire_before(oldest_active);
@@ -101,6 +109,7 @@ impl TimedDuplicateDetector for ExactTimeSlidingDedup {
     fn reset(&mut self) {
         self.valid.clear();
         self.order.clear();
+        self.now = 0;
     }
 
     fn name(&self) -> &'static str {
@@ -118,6 +127,8 @@ pub struct ExactTimeJumpingDedup {
     units: UnitClock,
     /// (sub-window index, valid ids inserted during it), newest last.
     subs: VecDeque<(u64, std::collections::HashSet<Vec<u8>>)>,
+    /// High-water tick: the clock a tickless `observe` judges at.
+    now: u64,
 }
 
 impl ExactTimeJumpingDedup {
@@ -134,6 +145,7 @@ impl ExactTimeJumpingDedup {
             sub_units,
             units: UnitClock::new(unit_ticks),
             subs: VecDeque::new(),
+            now: 0,
         }
     }
 
@@ -142,8 +154,13 @@ impl ExactTimeJumpingDedup {
     }
 }
 
-impl TimedDuplicateDetector for ExactTimeJumpingDedup {
+impl DuplicateDetector for ExactTimeJumpingDedup {
+    fn observe(&mut self, id: &[u8]) -> Verdict {
+        self.observe_at(id, self.now)
+    }
+
     fn observe_at(&mut self, id: &[u8], tick: u64) -> Verdict {
+        self.now = self.now.max(tick);
         let sub = self.sub_of(tick);
         // Drop sub-windows outside [sub - q + 1, sub].
         let oldest = sub.saturating_sub(self.q as u64 - 1);
@@ -186,6 +203,7 @@ impl TimedDuplicateDetector for ExactTimeJumpingDedup {
 
     fn reset(&mut self) {
         self.subs.clear();
+        self.now = 0;
     }
 
     fn name(&self) -> &'static str {
@@ -254,6 +272,19 @@ mod tests {
         j.observe_at(b"a", 0);
         j.reset();
         assert_eq!(j.observe_at(b"a", 0), Verdict::Distinct);
+    }
+
+    #[test]
+    fn tickless_observe_judges_at_the_high_water_tick() {
+        let mut d = ExactTimeSlidingDedup::new(3, 10);
+        assert_eq!(d.observe(b"a"), Verdict::Distinct); // tick 0
+        assert_eq!(d.observe_at(b"b", 45), Verdict::Distinct);
+        assert_eq!(d.observe(b"b"), Verdict::Duplicate);
+        // At tick 45 (unit 4) the unit-0 click has left the window.
+        assert_eq!(d.observe(b"a"), Verdict::Distinct);
+        let mut j = ExactTimeJumpingDedup::new(2, 5, 1);
+        assert_eq!(j.observe_at(b"a", 12), Verdict::Distinct);
+        assert_eq!(j.observe(b"a"), Verdict::Duplicate);
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //!
 //! * [`spec::WindowSpec`] — the window taxonomy as data.
 //! * [`detector::DuplicateDetector`] — the one-pass contract every
-//!   detector in the suite implements (GBF, TBF, the baselines, and the
-//!   exact oracles).
+//!   detector in the suite implements (GBF, TBF, the baselines, the
+//!   exact oracles, and their time-window variants, which read the
+//!   ticks the count windows ignore).
 //! * [`wrap::WrapCounter`] — modular timestamp arithmetic with the
 //!   `N + C` wraparound range of §4.1.
 //! * [`clock::JumpingClock`] — sub-window rotation bookkeeping for
@@ -30,10 +31,7 @@ pub mod wrap;
 
 pub use cfd_telemetry::{DetectorHealth, DetectorStats};
 pub use clock::JumpingClock;
-pub use detector::{
-    DuplicateDetector, ObservableDetector, StreamSummary, TimedDuplicateDetector,
-    TimedObservableDetector, Verdict,
-};
+pub use detector::{DuplicateDetector, ObservableDetector, StreamSummary, Verdict};
 pub use exact::{ExactJumpingDedup, ExactLandmarkDedup, ExactSlidingDedup};
 pub use exact_time::{ExactTimeJumpingDedup, ExactTimeSlidingDedup};
 pub use spec::WindowSpec;

@@ -21,8 +21,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Jumping flavour: 6 sub-windows of 10 units of 1 s.
     let mut gbf = TimeGbf::new(TimeGbfConfig::new(6, 10, 1_000, 1 << 16, 8, 1)?)?;
 
-    println!("TBF window: {}", TimedDuplicateDetector::window(&tbf));
-    println!("GBF window: {}\n", TimedDuplicateDetector::window(&gbf));
+    println!("TBF window: {}", tbf.window());
+    println!("GBF window: {}\n", gbf.window());
 
     // 0.05 clicks per ms = 50/s; ids repeat with 15% probability within
     // the last 3000 clicks (~1 minute of traffic).

@@ -14,12 +14,11 @@
 //! `docs/OBSERVABILITY.md`).
 
 use cfd_adnet::{
-    replay_client, run_sharded_pipeline, run_sharded_pipeline_instrumented,
-    run_timed_sharded_pipeline, run_timed_sharded_pipeline_instrumented, serve, Advertiser,
+    replay_client, run_sharded_pipeline, run_sharded_pipeline_instrumented, serve, Advertiser,
     AdvertiserId, Campaign, ClientConfig, DrainControl, Endpoint, FraudScorer, PipelineConfig,
     PipelineTelemetry, ServeConfig, ServeInstruments, ServeTelemetry, ServerState,
 };
-use cfd_core::config::ProbeLayout;
+use cfd_core::config::{ConfigError, ProbeLayout};
 use cfd_core::registry::{BackendGeometry, DetectorBackend, MemorySpec};
 use cfd_core::sharded::{per_shard_window, ShardedDetector};
 use cfd_core::{TimeGbf, TimeGbfConfig, TimeTbf, TimeTbfConfig};
@@ -30,8 +29,7 @@ use cfd_stream::{
 };
 use cfd_telemetry::{Registry as TelemetryRegistry, Reporter, SnapshotFormat};
 use cfd_windows::{
-    DuplicateDetector, ExactSlidingDedup, ObservableDetector, StreamSummary,
-    TimedDuplicateDetector, TimedObservableDetector,
+    DuplicateDetector, ExactSlidingDedup, ObservableDetector, StreamSummary, WindowSpec,
 };
 use click_fraud_detection::{cli, sweep};
 use std::collections::HashMap;
@@ -272,7 +270,8 @@ impl TimedParams {
 }
 
 /// Builds one detector of count window `window` for `cmd_detect` /
-/// `cmd_run` (the caller passes the per-shard window when sharding).
+/// `cmd_run` (the caller passes the per-shard window when sharding), or,
+/// given `timed`, one time-window detector sized for `window` clicks.
 /// The boxed trait object carries [`ObservableDetector`] so the
 /// instrumented pipeline can also poll detector health through it.
 ///
@@ -282,7 +281,11 @@ impl TimedParams {
 fn build_detector(
     spec: &DetectorSpec,
     window: usize,
+    timed: Option<&TimedParams>,
 ) -> Result<Box<dyn ObservableDetector + Send>, String> {
+    if let Some(timed) = timed {
+        return build_timed_detector(spec, window, timed);
+    }
     if spec.algo == "exact" {
         if spec.layout == ProbeLayout::Blocked {
             return Err("--layout blocked needs a Bloom-style detector, not `exact`".into());
@@ -306,7 +309,7 @@ fn build_timed_detector(
     spec: &DetectorSpec,
     window: usize,
     timed: &TimedParams,
-) -> Result<Box<dyn TimedObservableDetector + Send>, String> {
+) -> Result<Box<dyn ObservableDetector + Send>, String> {
     let &DetectorSpec {
         q,
         cells_per_element,
@@ -315,6 +318,13 @@ fn build_timed_detector(
         layout,
         ..
     } = spec;
+    if spec.algo == "time-gbf" && q == 0 {
+        // Sizing divides by q, so reject it before the config would.
+        return Err(format!(
+            "--algo: {}",
+            ConfigError::ZeroDimension("sub-window count q")
+        ));
+    }
     Ok(match spec.algo.as_str() {
         "time-tbf" => Box::new(
             TimeTbf::new(
@@ -349,20 +359,25 @@ fn build_timed_detector(
     })
 }
 
-/// Builds the sharded composition of a time-based algorithm. Routing is
-/// tick-blind and every shard shares one wall clock, so each shard keeps
-/// the *full* time window (no `per_shard_window` rescaling); what splits
-/// across shards is memory — each shard's tables are sized for its
-/// `1/S` share of the expected clicks.
-fn build_timed_sharded(
+/// Builds the `shards`-way keyspace composition. A count window splits
+/// into per-shard windows of `N/S` (same total memory, soft window edge
+/// — see `cfd_analysis::sharding`). A time window does not split: routing
+/// is tick-blind and every shard shares one wall clock, so each shard
+/// keeps the *full* time window and its tables are sized for its `1/S`
+/// share of the expected clicks. The routing seed is decorrelated from
+/// the probe seed by `ShardRouter` itself.
+fn build_sharded(
     spec: &DetectorSpec,
-    timed: &TimedParams,
+    timed: Option<&TimedParams>,
     shards: usize,
-) -> Result<ShardedDetector<Box<dyn TimedObservableDetector + Send>>, String> {
-    let capacity = spec.window.div_ceil(shards);
+) -> Result<ShardedDetector<Box<dyn ObservableDetector + Send>>, String> {
+    let window = match timed {
+        Some(_) => spec.window.div_ceil(shards),
+        None => per_shard_window(spec.window, shards),
+    };
     let mut inner = Vec::with_capacity(shards);
     for _ in 0..shards {
-        inner.push(build_timed_detector(spec, capacity, timed)?);
+        inner.push(build_detector(spec, window, timed)?);
     }
     ShardedDetector::new(spec.seed, inner).map_err(|e| e.to_string())
 }
@@ -388,70 +403,18 @@ fn cmd_detect(opts: &Opts) -> Result<(), String> {
     let buf = std::fs::read(&trace_path).map_err(|e| format!("reading {trace_path}: {e}"))?;
     let clicks = read_trace(&buf).map_err(|e| e.to_string())?;
 
-    if spec.is_timed() {
-        let timed = TimedParams::parse(opts)?;
-        return detect_timed(opts, &spec, &timed, shards, batch, &clicks);
-    }
-
-    // With --shards S, the keyspace is split over S detectors of window
-    // N/S (same total memory, soft window edge — see
-    // `cfd_analysis::sharding`); the routing seed is decorrelated from
-    // the probe seed by `ShardRouter` itself.
+    let timed = spec
+        .is_timed()
+        .then(|| TimedParams::parse(opts))
+        .transpose()?;
     let mut detector: Box<dyn ObservableDetector + Send> = if shards > 1 {
-        let n_s = per_shard_window(spec.window, shards);
-        let mut inner = Vec::with_capacity(shards);
-        for _ in 0..shards {
-            inner.push(build_detector(&spec, n_s)?);
-        }
-        Box::new(ShardedDetector::new(spec.seed, inner).map_err(|e| e.to_string())?)
+        Box::new(build_sharded(&spec, timed.as_ref(), shards)?)
     } else {
-        build_detector(&spec, spec.window)?
+        build_detector(&spec, spec.window, timed.as_ref())?
     };
 
-    let mut summary = StreamSummary::default();
-    let mut scorer = FraudScorer::new();
-    let mut keys: Vec<[u8; 16]> = Vec::with_capacity(batch);
-    for chunk in clicks.chunks(batch) {
-        keys.clear();
-        keys.extend(chunk.iter().map(Click::key));
-        let refs: Vec<&[u8]> = keys.iter().map(<[u8; 16]>::as_slice).collect();
-        for (click, v) in chunk.iter().zip(detector.observe_batch(&refs)) {
-            summary.record(v);
-            scorer.record(click, v);
-        }
-    }
-
-    println!("detector : {} over {}", detector.name(), detector.window());
-    if shards > 1 {
-        println!(
-            "shards   : {shards} x {algo} with per-shard window {}",
-            per_shard_window(spec.window, shards)
-        );
-    }
-    println!(
-        "memory   : {:.1} KiB",
-        detector.memory_bits() as f64 / 8.0 / 1024.0
-    );
-    print_stream_report(opts, &summary, &scorer);
-    Ok(())
-}
-
-/// The timed flavor of `cmd_detect`: same report, but every click is
-/// judged at its own trace tick through `observe_batch_at`.
-fn detect_timed(
-    opts: &Opts,
-    spec: &DetectorSpec,
-    timed: &TimedParams,
-    shards: usize,
-    batch: usize,
-    clicks: &[Click],
-) -> Result<(), String> {
-    let mut detector: Box<dyn TimedObservableDetector + Send> = if shards > 1 {
-        Box::new(build_timed_sharded(spec, timed, shards)?)
-    } else {
-        build_timed_detector(spec, spec.window, timed)?
-    };
-
+    // Every click is judged at its own trace tick; count windows ignore
+    // the ticks.
     let mut summary = StreamSummary::default();
     let mut scorer = FraudScorer::new();
     let mut keys: Vec<[u8; 16]> = Vec::with_capacity(batch);
@@ -470,10 +433,13 @@ fn detect_timed(
 
     println!("detector : {} over {}", detector.name(), detector.window());
     if shards > 1 {
-        println!(
-            "shards   : {shards} x {} sharing the global time window",
-            spec.algo
-        );
+        match timed {
+            Some(_) => println!("shards   : {shards} x {algo} sharing the global time window"),
+            None => println!(
+                "shards   : {shards} x {algo} with per-shard window {}",
+                per_shard_window(spec.window, shards)
+            ),
+        }
     }
     println!(
         "memory   : {:.1} KiB",
@@ -595,30 +561,16 @@ fn cmd_run(opts: &Opts) -> Result<(), String> {
         SnapshotFormat::Table
     };
 
-    // Count and timed detectors share this scaffold: build the sharded
-    // composition (the 1-shard case still goes through the sharded
-    // pipeline — one worker, trivial router, same telemetry), then
-    // dispatch to the matching pipeline entry point below.
-    enum Runner {
-        Count(ShardedDetector<Box<dyn ObservableDetector + Send>>),
-        Timed(ShardedDetector<Box<dyn TimedObservableDetector + Send>>),
-    }
-
-    let mut timed_window_ticks = None;
-    let runner = if spec.is_timed() {
-        let timed = TimedParams::parse(opts)?;
-        timed_window_ticks = Some(match spec.algo.as_str() {
-            "time-tbf" => timed.window_units * timed.unit_ticks,
-            _ => spec.q as u64 * timed.sub_units * timed.unit_ticks,
-        });
-        Runner::Timed(build_timed_sharded(&spec, &timed, shards)?)
-    } else {
-        let n_s = per_shard_window(spec.window, shards);
-        let mut inner = Vec::with_capacity(shards);
-        for _ in 0..shards {
-            inner.push(build_detector(&spec, n_s)?);
-        }
-        Runner::Count(ShardedDetector::new(seed, inner).map_err(|e| e.to_string())?)
+    // The 1-shard case still goes through the sharded pipeline: one
+    // worker, trivial router, same telemetry.
+    let timed = spec
+        .is_timed()
+        .then(|| TimedParams::parse(opts))
+        .transpose()?;
+    let detector = build_sharded(&spec, timed.as_ref(), shards)?;
+    let time_window_ticks = match detector.window() {
+        WindowSpec::TimeSliding { ticks } | WindowSpec::TimeJumping { ticks, .. } => Some(ticks),
+        _ => None,
     };
     let registry = match opts.get("ads") {
         Some(_) => fixed_registry(opts.parse_num("ads", 64)?),
@@ -641,26 +593,17 @@ fn cmd_run(opts: &Opts) -> Result<(), String> {
             format,
             on_tick,
         );
-        let outcome = match runner {
-            Runner::Count(d) => {
-                run_sharded_pipeline_instrumented(d, registry, clicks, config, None, telemetry)
-            }
-            Runner::Timed(d) => run_timed_sharded_pipeline_instrumented(
-                d, registry, clicks, config, None, telemetry,
-            ),
-        };
+        let outcome =
+            run_sharded_pipeline_instrumented(detector, registry, clicks, config, None, telemetry);
         reporter.stop(); // final snapshot, even on sub-interval runs
         outcome
     } else {
-        match runner {
-            Runner::Count(d) => run_sharded_pipeline(d, registry, clicks, config, None),
-            Runner::Timed(d) => run_timed_sharded_pipeline(d, registry, clicks, config, None),
-        }
+        run_sharded_pipeline(detector, registry, clicks, config, None)
     };
     let elapsed = started.elapsed();
 
     let r = &outcome.report;
-    match timed_window_ticks {
+    match time_window_ticks {
         Some(t) => println!(
             "pipeline : {} over a {t}-tick time window ({shards} shards)",
             r.detector
@@ -967,4 +910,38 @@ fn cmd_sweep(opts: &Opts) -> Result<(), String> {
         eprintln!("wrote {out}");
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn time_gbf_with_zero_sub_windows_is_a_named_error() {
+        let spec = DetectorSpec {
+            algo: "time-gbf".to_owned(),
+            window: 1 << 16,
+            q: 0,
+            cells_per_element: 14,
+            k: 10,
+            seed: 0,
+            layout: ProbeLayout::Scattered,
+        };
+        let timed = TimedParams {
+            window_units: 64,
+            sub_units: 8,
+            unit_ticks: 1024,
+        };
+        let want = "--algo: sub-window count q must be positive";
+        // `cfd detect --shards 1` builds one detector, `cfd run` a
+        // sharded set; neither may reach the sizing division.
+        assert_eq!(
+            build_detector(&spec, spec.window, Some(&timed)).err(),
+            Some(want.to_owned())
+        );
+        assert_eq!(
+            build_sharded(&spec, Some(&timed), 4).err(),
+            Some(want.to_owned())
+        );
+    }
 }

@@ -33,8 +33,7 @@ use cfd_stream::scenario::{ScenarioSpec, ScenarioWindow, SweepPoint};
 use cfd_stream::Click;
 use cfd_windows::{
     DuplicateDetector, ExactJumpingDedup, ExactSlidingDedup, ExactTimeJumpingDedup,
-    ExactTimeSlidingDedup, ObservableDetector, TimedDuplicateDetector, TimedObservableDetector,
-    Verdict,
+    ExactTimeSlidingDedup, ObservableDetector, Verdict,
 };
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -209,28 +208,6 @@ fn parse_layout(layout: &str) -> ProbeLayout {
     }
 }
 
-/// A built detector of either clock discipline, driven uniformly.
-enum Driver {
-    Count(Box<dyn ObservableDetector + Send>),
-    Timed(Box<dyn TimedObservableDetector + Send>),
-}
-
-impl Driver {
-    fn observe_chunk(&mut self, refs: &[&[u8]], ticks: &[u64]) -> Vec<Verdict> {
-        match self {
-            Self::Count(d) => d.observe_batch(refs),
-            Self::Timed(d) => d.observe_batch_at(refs, ticks),
-        }
-    }
-
-    fn memory_bits(&self) -> u64 {
-        match self {
-            Self::Count(d) => d.memory_bits() as u64,
-            Self::Timed(d) => TimedDuplicateDetector::memory_bits(&**d) as u64,
-        }
-    }
-}
-
 /// Builds one count-window backend at the per-shard window.
 fn build_count_one(
     algo: &str,
@@ -255,7 +232,7 @@ fn build_timed_one(
     capacity: usize,
     spec: &ScenarioSpec,
     point: &SweepPoint,
-) -> Result<Box<dyn TimedObservableDetector + Send>, String> {
+) -> Result<Box<dyn ObservableDetector + Send>, String> {
     let ScenarioWindow::Time {
         window_units,
         sub_units,
@@ -304,7 +281,13 @@ fn build_timed_one(
 }
 
 /// Builds the full (possibly sharded) detector for one grid point.
-fn build_driver(resolved: &str, spec: &ScenarioSpec, point: &SweepPoint) -> Result<Driver, String> {
+/// Count and time windows are driven alike: every chunk is judged at its
+/// ticks, which count windows ignore.
+fn build_driver(
+    resolved: &str,
+    spec: &ScenarioSpec,
+    point: &SweepPoint,
+) -> Result<Box<dyn ObservableDetector + Send>, String> {
     let n = spec.window.n();
     if spec.window.is_timed() {
         if point.shards > 1 {
@@ -317,9 +300,9 @@ fn build_driver(resolved: &str, spec: &ScenarioSpec, point: &SweepPoint) -> Resu
             }
             let sharded = ShardedDetector::new(spec.seed, inner)
                 .map_err(|e| format!("{}: {e}", point.label()))?;
-            Ok(Driver::Timed(Box::new(sharded)))
+            Ok(Box::new(sharded))
         } else {
-            Ok(Driver::Timed(build_timed_one(resolved, n, spec, point)?))
+            build_timed_one(resolved, n, spec, point)
         }
     } else if point.shards > 1 {
         let per = per_shard_window(n, point.shards);
@@ -329,15 +312,14 @@ fn build_driver(resolved: &str, spec: &ScenarioSpec, point: &SweepPoint) -> Resu
         }
         let sharded = ShardedDetector::new(spec.seed, inner)
             .map_err(|e| format!("{}: {e}", point.label()))?;
-        Ok(Driver::Count(Box::new(sharded)))
+        Ok(Box::new(sharded))
     } else {
-        Ok(Driver::Count(build_count_one(
-            resolved, n, point, spec.seed,
-        )?))
+        build_count_one(resolved, n, point, spec.seed)
     }
 }
 
-/// Replays the stream through the exact oracle of the given semantics.
+/// Replays the stream through the exact oracle of the given semantics
+/// (count oracles ignore the ticks).
 fn oracle_verdicts(
     kind: OracleKind,
     spec: &ScenarioSpec,
@@ -345,50 +327,28 @@ fn oracle_verdicts(
     ticks: &[u64],
 ) -> Vec<bool> {
     let n = spec.window.n();
-    match kind {
-        OracleKind::Sliding => {
-            let mut o = ExactSlidingDedup::new(n);
-            keys.iter()
-                .map(|k| o.observe(k) == Verdict::Duplicate)
-                .collect()
-        }
-        OracleKind::Jumping(q) => {
-            let mut o = ExactJumpingDedup::new(n, q.max(1));
-            keys.iter()
-                .map(|k| o.observe(k) == Verdict::Duplicate)
-                .collect()
-        }
-        OracleKind::TimeSliding => {
-            let ScenarioWindow::Time {
-                window_units,
-                unit_ticks,
-                ..
-            } = spec.window
-            else {
-                unreachable!("validated: time oracle only under a time window")
-            };
-            let mut o = ExactTimeSlidingDedup::new(window_units, unit_ticks);
-            keys.iter()
-                .zip(ticks)
-                .map(|(k, &t)| o.observe_at(k, t) == Verdict::Duplicate)
-                .collect()
-        }
+    let (window_units, sub_units, unit_ticks) = match spec.window {
+        ScenarioWindow::Time {
+            window_units,
+            sub_units,
+            unit_ticks,
+            ..
+        } => (window_units, sub_units, unit_ticks),
+        // Validated: time oracles only run under a time window.
+        _ => (0, 0, 0),
+    };
+    let mut oracle: Box<dyn DuplicateDetector> = match kind {
+        OracleKind::Sliding => Box::new(ExactSlidingDedup::new(n)),
+        OracleKind::Jumping(q) => Box::new(ExactJumpingDedup::new(n, q.max(1))),
+        OracleKind::TimeSliding => Box::new(ExactTimeSlidingDedup::new(window_units, unit_ticks)),
         OracleKind::TimeJumping(q) => {
-            let ScenarioWindow::Time {
-                sub_units,
-                unit_ticks,
-                ..
-            } = spec.window
-            else {
-                unreachable!("validated: time oracle only under a time window")
-            };
-            let mut o = ExactTimeJumpingDedup::new(q.max(1), sub_units, unit_ticks);
-            keys.iter()
-                .zip(ticks)
-                .map(|(k, &t)| o.observe_at(k, t) == Verdict::Duplicate)
-                .collect()
+            Box::new(ExactTimeJumpingDedup::new(q.max(1), sub_units, unit_ticks))
         }
-    }
+    };
+    keys.iter()
+        .zip(ticks)
+        .map(|(k, &t)| oracle.observe_at(k, t) == Verdict::Duplicate)
+        .collect()
 }
 
 /// The closed-form FP model for rows where one applies: unsharded,
@@ -447,7 +407,12 @@ fn median(values: &[f64]) -> f64 {
 
 /// Drives the whole stream through a fresh detector, returning the
 /// duplicate count (accuracy passes compare verdicts instead).
-fn timed_pass(driver: &mut Driver, keys: &[[u8; 16]], ticks: &[u64], batch: usize) -> (f64, u64) {
+fn timed_pass(
+    driver: &mut Box<dyn ObservableDetector + Send>,
+    keys: &[[u8; 16]],
+    ticks: &[u64],
+    batch: usize,
+) -> (f64, u64) {
     let mut dups = 0u64;
     let mut refs: Vec<&[u8]> = Vec::with_capacity(batch);
     let start = Instant::now();
@@ -455,7 +420,7 @@ fn timed_pass(driver: &mut Driver, keys: &[[u8; 16]], ticks: &[u64], batch: usiz
         refs.clear();
         refs.extend(kc.iter().map(<[u8; 16]>::as_slice));
         dups += driver
-            .observe_chunk(&refs, tc)
+            .observe_batch_at(&refs, tc)
             .iter()
             .filter(|&&v| v == Verdict::Duplicate)
             .count() as u64;
@@ -514,14 +479,14 @@ pub fn run(spec: &ScenarioSpec, opts: &SweepOptions) -> Result<SweepReport, Stri
             .clone();
 
         let mut driver = build_driver(&resolved, spec, point)?;
-        let memory_bits = driver.memory_bits();
+        let memory_bits = driver.memory_bits() as u64;
         let mut refs: Vec<&[u8]> = Vec::with_capacity(point.batch);
         let (mut fp, mut fneg, mut detected, mut dup_truth) = (0u64, 0u64, 0u64, 0u64);
         let mut pos = 0usize;
         for (kc, tc) in keys.chunks(point.batch).zip(ticks.chunks(point.batch)) {
             refs.clear();
             refs.extend(kc.iter().map(<[u8; 16]>::as_slice));
-            for v in driver.observe_chunk(&refs, tc) {
+            for v in driver.observe_batch_at(&refs, tc) {
                 let truth = oracle[pos];
                 pos += 1;
                 let said_dup = v == Verdict::Duplicate;

@@ -8,9 +8,10 @@
 //! 1. **Zero false negatives** under its own window model (sliding or
 //!    jumping, chosen from `window()`), in the self-consistent
 //!    Definition-1 sense of `tests/common`.
-//! 2. **Batch ≡ sequential**: `observe_batch` under arbitrary chunking
-//!    and the flat-key `observe_flat_into` path are verdict-for-verdict
-//!    identical to per-click `observe`.
+//! 2. **Batch ≡ sequential**: `observe_batch` under arbitrary chunking,
+//!    the flat-key `observe_flat_into` path, and its tick-carrying
+//!    `observe_flat_at_into` twin under arbitrary (even decreasing)
+//!    ticks are verdict-for-verdict identical to per-click `observe`.
 //! 3. **Layout differential**: the blocked layout is a probe-placement
 //!    change, not a semantic one — verdicts may differ from scattered
 //!    only through one-sided false positives, so both layouts stay
@@ -174,7 +175,8 @@ proptest! {
     }
 
     /// Property 2: batching — ref-slice chunks of arbitrary size and
-    /// the flat fixed-stride path — is a pure throughput knob.
+    /// the flat fixed-stride path — is a pure throughput knob, and ticks
+    /// are ignored by count windows.
     #[test]
     fn every_backend_batch_matches_observe(
         seed in 0u64..1_000,
@@ -210,6 +212,22 @@ proptest! {
                 prop_assert_eq!(
                     &sequential, &via_flat,
                     "{} ({layout:?}): observe_flat_into diverged", entry.name
+                );
+
+                // Count windows are tick-blind: arbitrary ticks, decreasing
+                // ones included, change no verdict of the flat path.
+                let mut by_flat_at = entry.build(&geo).expect("build");
+                let ticks: Vec<u64> = (0..keys.len() as u64)
+                    .map(|i| (i ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40)
+                    .collect();
+                let mut via_flat_at = Vec::with_capacity(keys.len());
+                for (group, tc) in flat.chunks(chunk * 8).zip(ticks.chunks(chunk)) {
+                    by_flat_at.observe_flat_at_into(group, 8, tc, &mut out);
+                    via_flat_at.extend_from_slice(&out);
+                }
+                prop_assert_eq!(
+                    &sequential, &via_flat_at,
+                    "{} ({layout:?}): observe_flat_at_into diverged", entry.name
                 );
             }
         }

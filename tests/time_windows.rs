@@ -4,7 +4,7 @@
 use cfd_core::gbf_time::{TimeGbf, TimeGbfConfig};
 use cfd_core::tbf_time::{TimeTbf, TimeTbfConfig};
 use cfd_stream::{DuplicateInjector, PoissonArrivals, UniqueClickStream};
-use cfd_windows::{ExactTimeJumpingDedup, ExactTimeSlidingDedup, TimedDuplicateDetector, Verdict};
+use cfd_windows::{DuplicateDetector, ExactTimeJumpingDedup, ExactTimeSlidingDedup, Verdict};
 
 /// A bursty timed key stream: Poisson arrivals with duplicate injection.
 fn timed_keys(count: usize, rate: f64, seed: u64) -> Vec<(Vec<u8>, u64)> {
