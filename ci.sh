@@ -195,6 +195,24 @@ if [[ "${1:-}" != "quick" ]]; then
     wait "$SERVE_PID"
     cmp /tmp/cfd_serve_run.json /tmp/cfd_serve.json
     echo "   kill -9 + --resume replay matches the in-process run byte for byte"
+    echo "==> cfd serve ends with a named error, not a panic, when its checkpoint cannot be written"
+    rm -f /tmp/cfd_serve_bad.sock
+    ./target/release/cfd serve --listen unix:/tmp/cfd_serve_bad.sock --window 8192 --ads 64 \
+        --checkpoint /nonexistent/dir/s.cfdg --checkpoint-every 1000 \
+        >/dev/null 2>/tmp/cfd_serve_bad_err.txt &
+    SERVE_PID=$!
+    # The server stops reading once the checkpoint fails, so the client
+    # may fail too; only the server's exit matters here.
+    ./target/release/cfd replay-client --connect unix:/tmp/cfd_serve_bad.sock \
+        --trace /tmp/cfd_serve.cfdt --limit 20000 --drain --retries 200 >/dev/null 2>&1 || true
+    if wait "$SERVE_PID"; then
+        echo "FAIL: cfd serve exited 0 with an unwritable checkpoint"; exit 1
+    fi
+    grep -q '^error: .*checkpoint /nonexistent/dir/s.cfdg' /tmp/cfd_serve_bad_err.txt
+    if grep -q 'panicked' /tmp/cfd_serve_bad_err.txt; then
+        echo "FAIL: cfd serve panicked on an unwritable checkpoint"; exit 1
+    fi
+    echo "   exited with: $(grep '^error:' /tmp/cfd_serve_bad_err.txt)"
 fi
 
 if [[ "${1:-}" != "quick" ]]; then

@@ -66,19 +66,6 @@ impl FraudScorer {
         }
     }
 
-    /// Folds another scorer's tallies into this one.
-    ///
-    /// The sharded pipeline gives each detector worker its own scorer
-    /// (no shared state on the hot path) and merges them at join time;
-    /// merging is exact because the tallies are plain sums.
-    pub fn merge(&mut self, other: FraudScorer) {
-        for (publisher, (clicks, blocked)) in other.per_publisher {
-            let entry = self.per_publisher.entry(publisher).or_insert((0, 0));
-            entry.0 += clicks;
-            entry.1 += blocked;
-        }
-    }
-
     /// Iterates the raw `(publisher, clicks, blocked)` tallies in
     /// unspecified order — the serve checkpoint writer sorts them
     /// itself for a deterministic encoding.
@@ -208,37 +195,6 @@ mod tests {
         assert!(scores[0].rate > 0.99);
         assert!(scores[0].z_score > scores[1].z_score);
         assert_eq!(s.total_clicks(), 200);
-    }
-
-    #[test]
-    fn merged_scorers_equal_one_scorer_over_the_whole_stream() {
-        use cfd_stream::{AdId, ClickId};
-        let mk = |p: u32, ip: u32| Click::new(ClickId::new(ip, 2, AdId(3)), 0, PublisherId(p), 1);
-        let mut whole = FraudScorer::new();
-        let mut left = FraudScorer::new();
-        let mut right = FraudScorer::new();
-        for i in 0..500u32 {
-            let c = mk(i % 7, i);
-            let v = if i % 3 == 0 {
-                Verdict::Duplicate
-            } else {
-                Verdict::Distinct
-            };
-            whole.record(&c, v);
-            if i % 2 == 0 { &mut left } else { &mut right }.record(&c, v);
-        }
-        let mut merged = FraudScorer::new();
-        merged.merge(left);
-        merged.merge(right);
-        assert_eq!(merged.total_clicks(), whole.total_clicks());
-        let by_publisher = |mut v: Vec<PublisherScore>| {
-            v.sort_by_key(|s| s.publisher.0);
-            v
-        };
-        assert_eq!(
-            by_publisher(merged.scores(1)),
-            by_publisher(whole.scores(1))
-        );
     }
 
     #[test]

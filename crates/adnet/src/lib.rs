@@ -29,8 +29,9 @@
 //! * [`report`] — serde-serializable reports for the benches/examples.
 //! * [`mod@serve`] — the long-running gateway: socket/file-tail ingest of
 //!   [`cfd_stream::wire`] frames with reconnect + resume, hub
-//!   backpressure propagated to the socket, checkpoint-delimited
-//!   pipeline segments, and graceful drain (see `docs/OPERATIONS.md`).
+//!   backpressure propagated to the socket, barrier-snapshot
+//!   checkpoints written durably off the click path, and graceful
+//!   drain (see `docs/OPERATIONS.md`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -29,13 +29,12 @@
 //!   which is exactly why Theorems 1 & 2 obsess over per-element cost —
 //!   and judge whole batches via the allocation-free
 //!   [`DuplicateDetector::observe_flat_into`] (hash-then-apply
-//!   locality). Each worker keeps a private [`FraudScorer`]; the partial
-//!   scorers are [merged](FraudScorer::merge) at join time.
+//!   locality).
 //! * **Resequencer + billing** restores global stream order from the
 //!   sequence numbers (a min-heap keyed by sequence) before settling
-//!   verdicts through [`BillingEngine::process_judged`], so budget
-//!   accounting is byte-identical to a sequential run no matter how the
-//!   workers interleave.
+//!   verdicts through [`BillingEngine::process_judged`] and tallying
+//!   them in the [`FraudScorer`], so budget accounting is byte-identical
+//!   to a sequential run no matter how the workers interleave.
 //!
 //! A single-detector run is a one-shard [`ShardedDetector`]: one worker,
 //! a trivial router, the same machinery. Progress is published through
@@ -60,6 +59,23 @@
 //! [`DuplicateDetector::observe_at`] run of the same [`ShardedDetector`]
 //! would.
 //!
+//! ## Barrier snapshots
+//!
+//! A source that answers [`Pull::Barrier`] asks for a checkpoint at
+//! that point of the stream, and the run takes one without stopping
+//! (aligned barriers, as in Carbone et al., *Lightweight Asynchronous
+//! Snapshots for Distributed Dataflows*, arXiv:1506.08603). Ingest
+//! ships every partial bucket, then pushes a marker carrying a recycled
+//! snapshot buffer into each shard's raw ring. A worker that pops the
+//! marker appends its shard's `CFDS` blob to the buffer and forwards
+//! the marker on its judged ring, so the blob holds exactly the clicks
+//! before the barrier. Billing settles up to the barrier, waits for
+//! every shard's marker, copies its own state and hands the complete
+//! snapshot to the crate-private sink (`cfd serve`'s checkpoint
+//! writer). Only one snapshot is in flight: ingest takes the snapshot
+//! buffers back from the sink before it can place the next barrier.
+//! In-process runs have no sink and ignore barriers.
+//!
 //! [`ShardRouter`]: cfd_core::ShardRouter
 //! [`ShardRouter::route_flat_into`]: cfd_core::ShardRouter::route_flat_into
 
@@ -76,7 +92,7 @@ use cfd_windows::{DuplicateDetector, Verdict};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -99,10 +115,14 @@ struct JudgedClick {
 /// bytes per item, same order as `items`) so ingest hashes each key
 /// once for routing and the worker feeds the same bytes straight into
 /// [`DuplicateDetector::observe_flat_into`] without rebuilding them.
+///
+/// A batch whose `snapshot` is set is a barrier marker: it carries no
+/// clicks, only the buffer the worker appends its shard blob to.
 #[derive(Default)]
 struct ClickBatch {
     items: Vec<(u64, Click)>,
     keys: Vec<u8>,
+    snapshot: Option<Vec<u8>>,
 }
 
 impl ClickBatch {
@@ -112,10 +132,12 @@ impl ClickBatch {
     }
 }
 
-/// A pooled judged batch headed for the resequencer.
+/// A pooled judged batch headed for the resequencer; a set `snapshot`
+/// marks a forwarded barrier marker holding the shard's blob.
 #[derive(Default)]
 struct JudgedBatch {
     items: Vec<(u64, JudgedClick)>,
+    snapshot: Option<Vec<u8>>,
 }
 
 /// Heap entry of the resequencer, ordered by sequence number only.
@@ -180,6 +202,10 @@ pub enum Pull {
     /// Nothing is buffered right now, but the stream has not ended: the
     /// ingest pushes its partial batches instead of holding them back.
     Idle,
+    /// Take a snapshot here: it holds every click pulled before this
+    /// answer and none pulled after. Ignored by a run without a
+    /// snapshot sink (every public entry point).
+    Barrier,
     /// The stream (or this segment of it) is over.
     End,
 }
@@ -308,18 +334,103 @@ impl<D> SegmentOutcome<D> {
     }
 }
 
+/// A one-slot hand-over between threads that either side can close.
+pub(crate) struct Handoff<T> {
+    /// The item, and whether the hand-over is closed.
+    slot: Mutex<(Option<T>, bool)>,
+    changed: Condvar,
+}
+
+/// How often a waiting [`Handoff::take`] re-checks its `give_up` test.
+const HANDOFF_POLL: Duration = Duration::from_millis(10);
+
+impl<T> Handoff<T> {
+    pub(crate) fn new(item: Option<T>) -> Self {
+        Self {
+            slot: Mutex::new((item, false)),
+            changed: Condvar::new(),
+        }
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, (Option<T>, bool)> {
+        self.slot.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Places the item; the slot must be empty.
+    pub(crate) fn put(&self, item: T) {
+        let mut slot = self.lock();
+        debug_assert!(slot.0.is_none(), "hand-over slot already full");
+        slot.0 = Some(item);
+        drop(slot);
+        self.changed.notify_all();
+    }
+
+    /// Closes the hand-over: a waiting or later `take` of an empty slot
+    /// returns `None`. An item already placed can still be taken.
+    pub(crate) fn close(&self) {
+        self.lock().1 = true;
+        self.changed.notify_all();
+    }
+
+    /// Waits for the item. `None` once the hand-over is closed and
+    /// empty, or when `give_up()` turns true while waiting.
+    pub(crate) fn take(&self, give_up: impl Fn() -> bool) -> Option<T> {
+        let mut slot = self.lock();
+        loop {
+            if let Some(item) = slot.0.take() {
+                return Some(item);
+            }
+            if slot.1 || give_up() {
+                return None;
+            }
+            slot = self
+                .changed
+                .wait_timeout(slot, HANDOFF_POLL)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+        }
+    }
+}
+
+/// The parts of one checkpoint as of a barrier, in the recycled buffers
+/// they travel in.
+pub(crate) struct Snapshot {
+    /// Clicks the run had pulled before the barrier.
+    pub(crate) clicks: u64,
+    /// One `CFDS` blob per shard, in router order. Each buffer is
+    /// reserved to its shard's checkpoint size before the run starts.
+    pub(crate) shards: Vec<Vec<u8>>,
+    /// Billing state after settling every click before the barrier.
+    pub(crate) registry: Registry,
+    pub(crate) ledger: Ledger,
+    pub(crate) savings_micros: u64,
+    pub(crate) scorer: FraudScorer,
+    /// The sink's output buffer; the pipeline never touches it.
+    pub(crate) cfdg: Vec<u8>,
+}
+
+/// The snapshot plumbing of a run that honours [`Pull::Barrier`].
+pub(crate) struct Barriers<'a, D> {
+    /// Appends one shard's blob to a snapshot buffer.
+    pub(crate) encode: fn(&D, &mut Vec<u8>),
+    /// The idle snapshot. Ingest takes it at a barrier, waiting while
+    /// the previous one is still at the sink; the sink returns it, or
+    /// closes this hand-over when it fails, which stops the ingest.
+    pub(crate) free: &'a Handoff<Snapshot>,
+    /// Complete snapshots, from billing to the sink.
+    pub(crate) full: &'a Handoff<Snapshot>,
+}
+
 /// Runs one *segment* of a longer stream through the sharded fan-out
 /// pipeline, carrying detector and billing state across calls.
 ///
-/// This is the engine under `cfd serve`'s periodic checkpointing: the
-/// serve loop pulls a bounded span of clicks from its sources, runs it
-/// as one segment, persists the returned state, and repeats. Because
-/// the detector shards, router seed, ledger, budgets, savings, and
-/// fraud tallies all carry over — and each segment preserves per-shard
-/// observation order and reseqenced billing order — the concatenation
-/// of segments is verdict-for-verdict and micro-for-micro identical to
-/// one [`run_sharded_pipeline`] call over the whole stream (asserted by
-/// the `serve_equivalence` integration test).
+/// Because the detector shards, router seed, ledger, budgets, savings,
+/// and fraud tallies all carry over — and each segment preserves
+/// per-shard observation order and reseqenced billing order — the
+/// concatenation of segments is verdict-for-verdict and micro-for-micro
+/// identical to one [`run_sharded_pipeline`] call over the whole
+/// stream. `cfd serve` runs one segment for its whole life and takes
+/// its checkpoints as barrier snapshots instead (see the module docs).
 ///
 /// `clicks` is any [`ClickSource`]: an iterator batches exactly like
 /// [`run_sharded_pipeline`], while a live source that reports
@@ -346,6 +457,24 @@ where
     D: DuplicateDetector + DetectorStats + Send,
     S: ClickSource,
 {
+    run_barriered(detector, state, clicks, config, progress, telemetry, None)
+}
+
+/// [`run_sharded_segment`] that takes a snapshot at every
+/// [`Pull::Barrier`] when `barriers` is set.
+pub(crate) fn run_barriered<D, S>(
+    detector: ShardedDetector<D>,
+    state: SegmentState,
+    clicks: S,
+    config: PipelineConfig,
+    progress: Option<Arc<PipelineProgress>>,
+    telemetry: Option<Arc<PipelineTelemetry>>,
+    barriers: Option<Barriers<'_, D>>,
+) -> SegmentOutcome<D>
+where
+    D: DuplicateDetector + DetectorStats + Send,
+    S: ClickSource,
+{
     if let Some(t) = &telemetry {
         assert_eq!(
             t.shard_count(),
@@ -361,7 +490,7 @@ where
         },
         None => Instrumentation::off(),
     };
-    run_fanout(detector, state, clicks, config, progress, instr)
+    run_fanout(detector, state, clicks, config, progress, instr, barriers)
 }
 
 /// Instrumentation plumbing for [`run_fanout`]: the optional metric
@@ -420,6 +549,7 @@ where
         config,
         progress,
         Instrumentation::off(),
+        None,
     )
     .into_outcome()
 }
@@ -458,22 +588,40 @@ where
     .into_outcome()
 }
 
-/// Settles one judged click against the ledger, tallying fraud savings.
-fn settle_one(
-    engine: &mut BillingEngine<()>,
-    registry: &mut Registry,
-    savings: &mut u64,
-    progress: Option<&PipelineProgress>,
-    judged: &JudgedClick,
-) {
-    let outcome = engine.process_judged(&judged.click, judged.verdict, registry);
-    if outcome == ClickOutcome::DuplicateBlocked {
-        if let Some(c) = registry.campaign(judged.click.id.ad) {
-            *savings += c.cpc_micros;
+/// The billing stage's state: everything a segment carries over except
+/// the detector.
+struct Billing<'a> {
+    engine: BillingEngine<()>,
+    registry: Registry,
+    savings: u64,
+    scorer: FraudScorer,
+    progress: Option<&'a PipelineProgress>,
+}
+
+impl Billing<'_> {
+    /// Settles one judged click against the ledger, tallying fraud
+    /// savings and the publisher's score.
+    fn settle(&mut self, judged: &JudgedClick) {
+        let outcome = self
+            .engine
+            .process_judged(&judged.click, judged.verdict, &mut self.registry);
+        if outcome == ClickOutcome::DuplicateBlocked {
+            if let Some(c) = self.registry.campaign(judged.click.id.ad) {
+                self.savings += c.cpc_micros;
+            }
+        }
+        self.scorer.record(&judged.click, judged.verdict);
+        if let Some(p) = self.progress {
+            p.billed.fetch_add(1, Ordering::Relaxed);
         }
     }
-    if let Some(p) = progress {
-        p.billed.fetch_add(1, Ordering::Relaxed);
+
+    /// Copies the billing state into `snap`.
+    fn copy_into(&self, snap: &mut Snapshot) {
+        snap.registry = self.registry.clone();
+        snap.ledger = self.engine.ledger().clone();
+        snap.savings_micros = self.savings;
+        snap.scorer = self.scorer.clone();
     }
 }
 
@@ -488,6 +636,8 @@ fn settle_one(
 /// judged rings round-robin (with [`Backoff`] between empty sweeps) and
 /// `put`s each drained `JudgedBatch` back. After warm-up every `get`
 /// hits the pool — the pool-miss counters in telemetry stay flat.
+/// Barrier markers are pooled batches too, and the snapshot buffers
+/// they carry cycle between ingest, the workers, billing and the sink.
 ///
 /// Ingest hashes each staging block's keys once with the multi-lane
 /// batch hasher ([`ShardRouter::route_flat_into`]) and ships the same
@@ -503,6 +653,7 @@ fn run_fanout<D, S>(
     config: PipelineConfig,
     progress: Option<Arc<PipelineProgress>>,
     instr: Instrumentation<D>,
+    barriers: Option<Barriers<'_, D>>,
 ) -> SegmentOutcome<D>
 where
     D: DuplicateDetector + Send,
@@ -519,7 +670,7 @@ where
         registry,
         ledger: seed_ledger,
         savings_micros: seed_savings,
-        mut scorer,
+        scorer,
     } = state;
     let raw_pool = Arc::new(Pool::<ClickBatch>::new());
     let judged_pool = Arc::new(Pool::<JudgedBatch>::new());
@@ -534,9 +685,11 @@ where
         raw_pool.put(ClickBatch {
             items: Vec::with_capacity(batch),
             keys: Vec::with_capacity(batch * KEY_LEN),
+            snapshot: None,
         });
         judged_pool.put(JudgedBatch {
             items: Vec::with_capacity(batch),
+            snapshot: None,
         });
     }
     // In-flight window: ingest stages a block only while it stays within
@@ -549,11 +702,16 @@ where
     // bound only because of it.
     let window = shard_count * (2 * queue.next_power_of_two() + 3) * batch;
     let billed_seq = AtomicU64::new(0);
+    // The snapshot of the barrier in flight, from ingest to billing:
+    // ingest places it before pushing the markers, so billing finds it
+    // when the first marker arrives.
+    let in_flight: Handoff<Snapshot> = Handoff::new(None);
+    let encode = barriers.as_ref().map(|b| b.encode);
 
     thread::scope(|s| {
-        // Shard workers: exclusive detector ownership, private scorer,
-        // one raw ring in and one judged ring out per worker (SPSC at
-        // both ends — no fan-in contention point).
+        // Shard workers: exclusive detector ownership, one raw ring in
+        // and one judged ring out per worker (SPSC at both ends — no
+        // fan-in contention point).
         let mut raw_producers = Vec::with_capacity(shard_count);
         let mut judged_consumers = Vec::with_capacity(shard_count);
         let mut handles = Vec::with_capacity(shard_count);
@@ -570,36 +728,40 @@ where
             let judged_pool = Arc::clone(&judged_pool);
             handles.push(s.spawn(move || {
                 let telem = telemetry.as_deref();
-                let mut scorer = FraudScorer::new();
                 let mut verdicts: Vec<Verdict> = Vec::with_capacity(batch);
                 let mut ticks: Vec<u64> = Vec::with_capacity(batch);
                 while let Some(mut b) = raw_rx.pop() {
-                    let t0 = telem.map(|t| {
+                    if let Some(t) = telem {
                         t.shard_queue_depth(idx).sub(1);
-                        Instant::now()
-                    });
-                    // The key bytes were built (and lane-hashed for
-                    // routing) at ingest; probe them directly. Count
-                    // windows ignore the ticks, time windows read them.
-                    ticks.clear();
-                    ticks.extend(b.items.iter().map(|(_, c)| c.tick));
-                    detector.observe_flat_at_into(&b.keys, KEY_LEN, &ticks, &mut verdicts);
-                    if let Some((t, t0)) = telem.zip(t0) {
-                        t.stage_probe_ns().record(duration_ns(t0.elapsed()));
                     }
                     let mut judged = judged_pool.get();
                     judged.items.clear();
-                    judged.items.extend(
-                        b.items
-                            .drain(..)
-                            .zip(verdicts.iter().copied())
-                            .map(|((seq, click), verdict)| (seq, JudgedClick { click, verdict })),
-                    );
+                    if let Some(mut snap) = b.snapshot.take() {
+                        // A barrier: every click before it is judged, none
+                        // after it is. Copy the shard's tables and pass
+                        // the marker on.
+                        let encode = encode.expect("barrier markers come with an encoder");
+                        encode(&detector, &mut snap);
+                        judged.snapshot = Some(snap);
+                    } else {
+                        let t0 = telem.map(|_| Instant::now());
+                        // The key bytes were built (and lane-hashed for
+                        // routing) at ingest; probe them directly. Count
+                        // windows ignore the ticks, time windows read them.
+                        ticks.clear();
+                        ticks.extend(b.items.iter().map(|(_, c)| c.tick));
+                        detector.observe_flat_at_into(&b.keys, KEY_LEN, &ticks, &mut verdicts);
+                        if let Some((t, t0)) = telem.zip(t0) {
+                            t.stage_probe_ns().record(duration_ns(t0.elapsed()));
+                        }
+                        judged.items.extend(
+                            b.items.drain(..).zip(verdicts.iter().copied()).map(
+                                |((seq, click), verdict)| (seq, JudgedClick { click, verdict }),
+                            ),
+                        );
+                    }
                     b.clear();
                     raw_pool.put(b);
-                    for (_, j) in &judged.items {
-                        scorer.record(&j.click, j.verdict);
-                    }
                     if let Some(p) = &progress {
                         p.detected
                             .fetch_add(judged.items.len() as u64, Ordering::Relaxed);
@@ -635,7 +797,7 @@ where
                         .add(judged_tx.stats().full_waits);
                 }
                 let bits = detector.memory_bits();
-                (detector, scorer, bits, health)
+                (detector, bits, health)
             }));
         }
 
@@ -647,11 +809,17 @@ where
         let telemetry_bill = instr.telemetry.clone();
         let judged_pool_bill = Arc::clone(&judged_pool);
         let billed_seq = &billed_seq;
+        let in_flight = &in_flight;
+        let full = barriers.as_ref().map(|b| b.full);
         let billing = s.spawn(move || {
             let telem = telemetry_bill.as_deref();
-            let mut registry = registry;
-            let mut engine = BillingEngine::with_ledger((), seed_ledger);
-            let mut savings = seed_savings;
+            let mut bill = Billing {
+                engine: BillingEngine::with_ledger((), seed_ledger),
+                registry,
+                savings: seed_savings,
+                scorer,
+                progress: progress_bill.as_deref(),
+            };
             let mut next_seq = 0u64;
             // Every pending click is inside the in-flight window, so
             // reserving the window keeps the heap from reallocating when
@@ -659,6 +827,11 @@ where
             // allocation invariant).
             let mut pending: BinaryHeap<Reverse<Pending>> = BinaryHeap::with_capacity(window);
             let mut ready: Vec<JudgedClick> = Vec::with_capacity(window);
+            // The barrier being assembled: settling stops at its
+            // position until every shard's marker is in.
+            let mut snapshot: Option<Snapshot> = None;
+            let mut blobs: Vec<Option<Vec<u8>>> = (0..shard_count).map(|_| None).collect();
+            let mut markers = 0usize;
             let mut consumers = judged_consumers;
             let mut open = vec![true; consumers.len()];
             let mut live = consumers.len();
@@ -682,34 +855,57 @@ where
                         };
                         progressed = true;
                         let t0 = telem.map(|_| Instant::now());
+                        if let Some(blob) = jb.snapshot.take() {
+                            if snapshot.is_none() {
+                                snapshot = in_flight.take(|| false);
+                            }
+                            blobs[ci] = Some(blob);
+                            markers += 1;
+                        }
                         for (seq, judged) in jb.items.drain(..) {
                             pending.push(Reverse(Pending { seq, judged }));
                         }
                         judged_pool_bill.put(jb);
-                        while pending.peek().is_some_and(|Reverse(p)| p.seq == next_seq) {
-                            let Reverse(p) = pending.pop().expect("peeked");
-                            ready.push(p.judged);
-                            next_seq += 1;
-                        }
-                        billed_seq.store(next_seq, Ordering::Relaxed);
-                        let t1 = telem.zip(t0).map(|(t, t0)| {
-                            let now = Instant::now();
-                            t.stage_resequence_ns().record(duration_ns(now - t0));
-                            if ready.is_empty() && !pending.is_empty() {
-                                t.reseq_stalls().inc();
+                        let mut t1 = None;
+                        loop {
+                            let stop = snapshot.as_ref().map_or(u64::MAX, |snap| snap.clicks);
+                            while next_seq < stop
+                                && pending.peek().is_some_and(|Reverse(p)| p.seq == next_seq)
+                            {
+                                let Reverse(p) = pending.pop().expect("peeked");
+                                ready.push(p.judged);
+                                next_seq += 1;
                             }
-                            t.pending_peak()
-                                .set_max(i64::try_from(pending.len()).unwrap_or(i64::MAX));
-                            now
-                        });
-                        for judged in ready.drain(..) {
-                            settle_one(
-                                &mut engine,
-                                &mut registry,
-                                &mut savings,
-                                progress_bill.as_deref(),
-                                &judged,
-                            );
+                            billed_seq.store(next_seq, Ordering::Relaxed);
+                            if t1.is_none() {
+                                t1 = telem.zip(t0).map(|(t, t0)| {
+                                    let now = Instant::now();
+                                    t.stage_resequence_ns().record(duration_ns(now - t0));
+                                    if ready.is_empty() && !pending.is_empty() {
+                                        t.reseq_stalls().inc();
+                                    }
+                                    t.pending_peak()
+                                        .set_max(i64::try_from(pending.len()).unwrap_or(i64::MAX));
+                                    now
+                                });
+                            }
+                            for judged in ready.drain(..) {
+                                bill.settle(&judged);
+                            }
+                            if markers < shard_count {
+                                break;
+                            }
+                            // Every click before the barrier was in some
+                            // shard's ring ahead of its marker, so all of
+                            // them are settled now. Hand the snapshot
+                            // over, then settle what it held back.
+                            let mut snap = snapshot.take().expect("taken with the first marker");
+                            debug_assert_eq!(next_seq, snap.clicks, "barrier before its clicks");
+                            snap.shards
+                                .extend(blobs.iter_mut().map(|b| b.take().expect("one per shard")));
+                            bill.copy_into(&mut snap);
+                            full.expect("markers come with a sink").put(snap);
+                            markers = 0;
                         }
                         if let Some((t, t1)) = telem.zip(t1) {
                             t.stage_billing_ns().record(duration_ns(t1.elapsed()));
@@ -729,19 +925,18 @@ where
             // Workers are done: the remainder is a contiguous tail.
             while let Some(Reverse(p)) = pending.pop() {
                 debug_assert_eq!(p.seq, next_seq, "resequencer hole at shutdown");
-                settle_one(
-                    &mut engine,
-                    &mut registry,
-                    &mut savings,
-                    progress_bill.as_deref(),
-                    &p.judged,
-                );
+                bill.settle(&p.judged);
                 next_seq += 1;
             }
             if let Some(t) = telem {
                 t.reseq_empty_polls().add(empty_polls);
             }
-            (engine.into_ledger(), savings, registry)
+            (
+                bill.engine.into_ledger(),
+                bill.savings,
+                bill.registry,
+                bill.scorer,
+            )
         });
 
         // Ingest + route on the caller's thread: stage up to a block of
@@ -749,12 +944,13 @@ where
         // routing, then scatter into per-shard pooled batches. A bucket
         // ships when it reaches `batch`, when the source goes idle
         // (partial buckets, so buffered clicks never wait for more to
-        // arrive), or at the end of the stream.
+        // arrive), at a barrier, or at the end of the stream.
         let telem = instr.telemetry.as_deref();
         let mut stage_clicks: Vec<Click> = Vec::with_capacity(batch);
         let mut stage_keys: Vec<u8> = Vec::with_capacity(batch * KEY_LEN);
         let mut routes: Vec<usize> = Vec::with_capacity(batch);
         let mut buckets: Vec<ClickBatch> = (0..shard_count).map(|_| raw_pool.get()).collect();
+        let mut marker_bufs: Vec<Vec<u8>> = Vec::with_capacity(shard_count);
         // Pushes one batch down `shard`'s raw ring; `false` once its
         // worker is gone.
         let mut ship = |shard: usize, b: ClickBatch| {
@@ -764,6 +960,7 @@ where
             }
             raw_producers[shard].push(b).is_ok()
         };
+        let worker_died = || handles.iter().any(thread::ScopedJoinHandle::is_finished);
         let mut seq = 0u64;
         let block = batch as u64;
         let window = window as u64;
@@ -778,7 +975,7 @@ where
                 }
                 let mut backoff = Backoff::new();
                 while seq + block > billed_seq.load(Ordering::Relaxed) + window {
-                    if handles.iter().any(thread::ScopedJoinHandle::is_finished) {
+                    if worker_died() {
                         break 'ingest; // a worker died; stop feeding
                     }
                     backoff.snooze();
@@ -832,6 +1029,31 @@ where
                         }
                     }
                 }
+                Pull::Barrier => {
+                    let Some(sink) = &barriers else { continue };
+                    for (shard, b) in buckets.iter_mut().enumerate() {
+                        if !b.items.is_empty() && !ship(shard, std::mem::replace(b, raw_pool.get()))
+                        {
+                            break 'ingest;
+                        }
+                    }
+                    // Waits while the previous snapshot is at the sink;
+                    // `None` when the sink failed.
+                    let Some(mut snap) = sink.free.take(worker_died) else {
+                        break 'ingest;
+                    };
+                    snap.clicks = seq;
+                    marker_bufs.append(&mut snap.shards);
+                    in_flight.put(snap);
+                    for (shard, mut buf) in marker_bufs.drain(..).enumerate() {
+                        buf.clear();
+                        let mut marker = raw_pool.get();
+                        marker.snapshot = Some(buf);
+                        if !ship(shard, marker) {
+                            break 'ingest;
+                        }
+                    }
+                }
                 Pull::End => break,
             }
         }
@@ -848,14 +1070,12 @@ where
         let mut memory_bits = 0usize;
         let mut health = Vec::new();
         for handle in handles {
-            let (detector, partial, bits, shard_health) =
-                handle.join().expect("detector worker panicked");
+            let (detector, bits, shard_health) = handle.join().expect("detector worker panicked");
             workers.push(detector);
-            scorer.merge(partial);
             memory_bits += bits;
             health.extend(shard_health);
         }
-        let (ledger, savings, registry) = billing.join().expect("billing stage panicked");
+        let (ledger, savings, registry, scorer) = billing.join().expect("billing stage panicked");
         if let Some(t) = telem {
             t.pool_raw_misses().add(raw_pool.misses());
             t.pool_judged_misses().add(judged_pool.misses());
@@ -1380,10 +1600,10 @@ mod tests {
         assert_eq!(outcome.health[0].observed_elements, 10_000);
     }
 
-    /// The merged scorer of a 4-worker run equals the single scorer of a
-    /// 1-worker run over the same stream.
+    /// Billing's scorer over a 4-worker run equals the scorer of a
+    /// sequential run over the same stream.
     #[test]
-    fn sharded_scorer_merge_is_exact() {
+    fn sharded_scorer_matches_sequential() {
         let cs = clicks(20_000);
         let wide = run_sharded_pipeline(
             sharded_tbf(2_048, 4),
@@ -1398,7 +1618,11 @@ mod tests {
             let v = detector.observe(&c.key());
             scorer.record(c, v);
         }
-        assert_eq!(wide.scorer.total_clicks(), scorer.total_clicks());
-        assert_eq!(wide.scorer.scores(50).len(), scorer.scores(50).len());
+        let sorted = |s: &FraudScorer| {
+            let mut t: Vec<_> = s.tallies().collect();
+            t.sort_unstable();
+            t
+        };
+        assert_eq!(sorted(&wide.scorer), sorted(&scorer));
     }
 }

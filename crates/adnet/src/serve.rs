@@ -3,20 +3,40 @@
 //!
 //! This module turns the batch pipeline of [`crate::pipeline`] into a
 //! *gateway process*: clicks arrive over a socket (or are tailed from a
-//! growing frame file) speaking the [`cfd_stream::wire`] format, flow
-//! through a bounded hub into checkpoint-delimited
-//! [`run_sharded_segment`] runs, and the complete billing state is
-//! persisted after every segment so a killed server restarts without
-//! false negatives.
+//! growing frame file) speaking the [`cfd_stream::wire`] format and flow
+//! through a bounded hub into one pipeline run that lives as long as the
+//! server. Every `checkpoint_every` clicks the hub source answers a
+//! barrier, and the complete billing state as of that position is
+//! persisted by a writer thread while clicks keep moving, so a killed
+//! server restarts without false negatives.
 //!
 //! ```text
 //! client ──frames──► reader ─┐
-//! client ──frames──► reader ─┼─► Hub ─► SegmentSource ─► run_sharded_segment
-//!       (TCP/Unix)           │  (bounded)                │ (rings, shards,
-//! file  ──frames──► tailer ──┘                           │  resequencer,
-//!                                                        ▼  billing)
-//!                                              checkpoint (CFDG) per segment
+//! client ──frames──► reader ─┼─► Hub ─► HubSource ──► ingest ─► shard workers ─► billing
+//!       (TCP/Unix)           │  (bounded)  │ barrier    │ marker   │ table copy    │ registry,
+//! file  ──frames──► tailer ──┘             │ every K    └──────────┴──────────────►│ ledger copy
+//!                                          │                                     ▼
+//!                                          └───────── snapshot buffers ◄── writer thread
+//!                                                                       (CFDG, CRC, write,
+//!                                                                        fsync, rename)
 //! ```
+//!
+//! **Checkpoints** are aligned barrier snapshots (see
+//! [`crate::pipeline`]): the click path pays one copy of each shard's
+//! tables, and encoding, CRC, write and `fsync` happen on the writer
+//! thread. One checkpoint is in flight at a time: a barrier that finds
+//! the previous one unfinished waits for it, so positions stay exact
+//! multiples of `checkpoint_every` from the server's start. The drain
+//! checkpoint is written only if no barrier already covered the final
+//! position, and [`serve`] returns only once it is durable.
+//!
+//! **Durability.** A checkpoint is written to `PATH.tmp`, `fsync`ed,
+//! renamed over `PATH`, and the directory is `fsync`ed. A `kill -9`
+//! leaves either the previous or the new complete file, never a torn
+//! one; after an OS crash or power loss the file named `PATH` is the
+//! last checkpoint whose directory `fsync` completed. Clicks after that
+//! position are replayed by the client from the restarted server's
+//! `HELLO` position.
 //!
 //! **Backpressure** is propagated end to end without drops: the hub is
 //! a bounded queue, so when detection falls behind, readers block in
@@ -41,18 +61,21 @@
 //! **Drain** is cooperative: a client `DRAIN` frame or a local
 //! [`DrainControl::request_drain`] (the CLI wires `SIGTERM` to this)
 //! stops the acceptor and readers; once every producer detaches, the
-//! hub closes, the final segment completes, a last checkpoint is
-//! written, and [`serve`] returns the final [`NetworkReport`].
+//! hub closes, the pipeline finishes its in-flight clicks, the drain
+//! checkpoint is made durable, and [`serve`] returns the final
+//! [`NetworkReport`].
 
 use crate::billing::Ledger;
 use crate::entities::{Advertiser, AdvertiserId, Campaign, Registry};
 use crate::fraud::FraudScorer;
 use crate::pipeline::{
-    run_sharded_segment, ClickSource, PipelineConfig, PipelineProgress, Pull, SegmentState,
+    run_barriered, Barriers, ClickSource, Handoff, PipelineConfig, PipelineProgress, Pull,
+    SegmentState, Snapshot,
 };
 use crate::report::NetworkReport;
 use crate::ring::{Pool, TryPopError};
 use crate::telemetry::PipelineTelemetry;
+use cfd_core::checkpoint::sharded_checkpoint_into;
 use cfd_core::{CheckpointError, CheckpointState, ShardedDetector};
 use cfd_stream::wire::{self, FrameReader, WireError};
 use cfd_stream::{AdId, Click};
@@ -332,7 +355,7 @@ struct HubInner {
 }
 
 /// A bounded MPSC queue of pooled click batches between the connection
-/// readers and the segment runner.
+/// readers and the pipeline.
 ///
 /// Built on `Mutex` + `Condvar` rather than the SPSC rings of
 /// [`crate::ring`] because the producer side is *dynamic* (one per live
@@ -356,7 +379,7 @@ impl Hub {
     ///
     /// A reader thread that panics mid-send (a malformed frame, a bug
     /// in decode) poisons this mutex; `.lock().expect(..)` here would
-    /// then cascade the panic into every other reader, the segment
+    /// then cascade the panic into every other reader, the pipeline
     /// runner, and the drain path — one bad connection would wedge the
     /// whole gateway with work still queued. The inner state (queue +
     /// producer count) is consistent at every unlock point, so the
@@ -481,63 +504,55 @@ impl Drop for HubProducer<'_> {
 }
 
 // ---------------------------------------------------------------------------
-// Segment source: hub → bounded click source
+// Hub source: hub → click source with barriers
 // ---------------------------------------------------------------------------
 
-/// Feeds [`run_sharded_segment`] at most `limit` clicks per segment
-/// from the hub, carrying a partially-consumed batch across segment
-/// boundaries and recycling drained batch buffers through the pool.
+/// Feeds the pipeline from the hub, recycling drained batch buffers
+/// through the pool, and answers [`Pull::Barrier`] after every `every`
+/// clicks (never when `every` is 0). Each drained batch advances the
+/// stream position and its gauge.
 ///
 /// When the hub runs dry it reports [`Pull::Idle`] so the pipeline
 /// pushes the partial batches it holds instead of waiting for more
 /// clicks. It first yields the thread once and looks again, so under
 /// load (readers about to enqueue) it keeps batching; and it reports
 /// idle at most once before the next pull blocks on the hub.
-struct SegmentSource<'a> {
+struct HubSource<'a> {
     hub: &'a Hub,
     pool: &'a Pool<Vec<Click>>,
     current: Option<(Vec<Click>, usize)>,
-    left: u64,
-    taken: u64,
-    closed: bool,
+    every: u64,
+    /// Clicks delivered since the last barrier.
+    since_barrier: u64,
+    /// Stream position: the server's start position plus every click
+    /// delivered.
+    position: u64,
+    position_gauge: Option<&'a Gauge>,
     /// Idle was the last report: the next empty look blocks.
     idle_reported: bool,
 }
 
-impl<'a> SegmentSource<'a> {
-    fn new(hub: &'a Hub, pool: &'a Pool<Vec<Click>>) -> Self {
+impl<'a> HubSource<'a> {
+    fn new(hub: &'a Hub, pool: &'a Pool<Vec<Click>>, every: u64, start: u64) -> Self {
         Self {
             hub,
             pool,
             current: None,
-            left: 0,
-            taken: 0,
-            closed: false,
+            every,
+            since_barrier: 0,
+            position: start,
+            position_gauge: None,
             idle_reported: false,
         }
-    }
-
-    /// Arms the source for one segment of at most `limit` clicks.
-    fn begin_segment(&mut self, limit: u64) {
-        self.left = limit;
-        self.taken = 0;
-    }
-
-    /// Clicks this segment actually delivered.
-    fn taken(&self) -> u64 {
-        self.taken
-    }
-
-    /// `true` once the hub closed and every buffered click was
-    /// delivered — no further segment can produce anything.
-    fn is_closed(&self) -> bool {
-        self.closed
     }
 
     fn retire(&mut self) {
         if let Some((mut b, _)) = self.current.take() {
             b.clear();
             self.pool.put(b);
+            if let Some(g) = self.position_gauge {
+                g.set(gauge(self.position));
+            }
         }
     }
 
@@ -557,10 +572,11 @@ impl<'a> SegmentSource<'a> {
     }
 }
 
-impl ClickSource for &mut SegmentSource<'_> {
+impl ClickSource for &mut HubSource<'_> {
     fn pull(&mut self) -> Pull {
-        if self.left == 0 {
-            return Pull::End;
+        if self.every > 0 && self.since_barrier == self.every {
+            self.since_barrier = 0;
+            return Pull::Barrier;
         }
         loop {
             if let Some((batch, idx)) = &mut self.current {
@@ -570,8 +586,8 @@ impl ClickSource for &mut SegmentSource<'_> {
                     if *idx == batch.len() {
                         self.retire();
                     }
-                    self.left -= 1;
-                    self.taken += 1;
+                    self.since_barrier += 1;
+                    self.position += 1;
                     return Pull::Click(c);
                 }
                 self.retire();
@@ -583,10 +599,7 @@ impl ClickSource for &mut SegmentSource<'_> {
                     self.idle_reported = true;
                     return Pull::Idle;
                 }
-                Err(TryPopError::Disconnected) => {
-                    self.closed = true;
-                    return Pull::End;
-                }
+                Err(TryPopError::Disconnected) => return Pull::End,
             }
         }
     }
@@ -649,7 +662,11 @@ impl ServeTelemetry {
                 "waits",
                 "Reader sends that blocked on a full hub (backpressure)",
             ),
-            segments: registry.counter("serve.segments", "segments", "Pipeline segments completed"),
+            segments: registry.counter(
+                "serve.segments",
+                "segments",
+                "Pipeline runs completed (one per serve)",
+            ),
             checkpoints: registry.counter(
                 "serve.checkpoints",
                 "checkpoints",
@@ -663,7 +680,7 @@ impl ServeTelemetry {
             position: registry.gauge(
                 "serve.position",
                 "clicks",
-                "Stream position: clicks fully processed by the pipeline",
+                "Stream position: clicks taken from the hub into the pipeline",
             ),
             checkpoint_position: registry.gauge(
                 "serve.checkpoint_position",
@@ -780,6 +797,118 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
+/// Appends one complete `CFDG` blob to `out` (layout: see
+/// [`ServerState::checkpoint_bytes`]); `detector` appends the `CFDS`
+/// detector blob in place.
+///
+/// The one section encoder of the format: [`ServerState::checkpoint_bytes`]
+/// calls it with the live detector, the serve writer thread with the
+/// shard blobs a barrier copied out.
+fn encode_cfdg(
+    out: &mut Vec<u8>,
+    position: u64,
+    savings_micros: u64,
+    registry: &Registry,
+    ledger: &Ledger,
+    scorer: &FraudScorer,
+    detector: impl FnOnce(&mut Vec<u8>),
+) {
+    let start = out.len();
+    out.extend_from_slice(CHECKPOINT_MAGIC);
+    put_u16(out, CHECKPOINT_VERSION);
+    put_u64(out, position);
+    put_u64(out, savings_micros);
+
+    let len_at = out.len();
+    put_u64(out, 0);
+    detector(out);
+    let det_len = (out.len() - len_at - 8) as u64;
+    out[len_at..len_at + 8].copy_from_slice(&det_len.to_le_bytes());
+
+    let mut advertisers: Vec<&Advertiser> = registry.advertisers().collect();
+    advertisers.sort_by_key(|a| a.id);
+    put_u64(out, advertisers.len() as u64);
+    for a in advertisers {
+        put_u32(out, a.id.0);
+        put_u64(out, a.name.len() as u64);
+        out.extend_from_slice(a.name.as_bytes());
+        put_u64(out, a.budget_micros);
+        put_u64(out, a.spent_micros);
+    }
+
+    let mut campaigns: Vec<&Campaign> = registry.campaigns().collect();
+    campaigns.sort_by_key(|c| c.ad.0);
+    put_u64(out, campaigns.len() as u64);
+    for c in campaigns {
+        put_u32(out, c.ad.0);
+        put_u32(out, c.advertiser.0);
+        put_u64(out, c.cpc_micros);
+    }
+
+    for v in [
+        ledger.clicks,
+        ledger.charged,
+        ledger.duplicates_blocked,
+        ledger.budget_rejections,
+        ledger.unknown_ads,
+        ledger.revenue_micros,
+    ] {
+        put_u64(out, v);
+    }
+    let mut per_pub: Vec<(u32, u64)> = ledger
+        .per_publisher_micros
+        .iter()
+        .map(|(&p, &m)| (p, m))
+        .collect();
+    per_pub.sort_unstable();
+    put_u64(out, per_pub.len() as u64);
+    for (p, m) in per_pub {
+        put_u32(out, p);
+        put_u64(out, m);
+    }
+
+    let mut tallies: Vec<(u32, u64, u64)> = scorer.tallies().collect();
+    tallies.sort_unstable();
+    put_u64(out, tallies.len() as u64);
+    for (p, clicks, blocked) in tallies {
+        put_u32(out, p);
+        put_u64(out, clicks);
+        put_u64(out, blocked);
+    }
+
+    let crc = wire::crc32(&out[start..]);
+    put_u32(out, crc);
+}
+
+/// Writes `bytes` to `path` so that it survives an OS crash or power
+/// loss, not only a killed process: `path.tmp`, `fsync`, rename over
+/// `path`, `fsync` of the directory. A crash at any point leaves either
+/// the previous file or the new one under `path`. Errors name the
+/// checkpoint path.
+fn write_durably(path: &Path, bytes: &[u8]) -> Result<(), ServeError> {
+    let write = || -> io::Result<()> {
+        let mut tmp = path.as_os_str().to_owned();
+        tmp.push(".tmp");
+        let tmp = PathBuf::from(tmp);
+        let mut file = fs::File::create(&tmp)?;
+        file.write_all(bytes)?;
+        file.sync_all()?;
+        drop(file);
+        fs::rename(&tmp, path)?;
+        let dir = match path.parent() {
+            Some(d) if !d.as_os_str().is_empty() => d,
+            _ => Path::new("."),
+        };
+        fs::File::open(dir)?.sync_all()
+    };
+    write().map_err(|e| {
+        ServeError::Io(io::Error::new(
+            e.kind(),
+            format!("checkpoint {}: {e}", path.display()),
+        ))
+    })
+}
+
 impl<D> ServerState<D>
 where
     ShardedDetector<D>: CheckpointState,
@@ -797,69 +926,15 @@ where
     #[must_use]
     pub fn checkpoint_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(4096);
-        out.extend_from_slice(CHECKPOINT_MAGIC);
-        put_u16(&mut out, CHECKPOINT_VERSION);
-        put_u64(&mut out, self.position);
-        put_u64(&mut out, self.savings_micros);
-
-        let det = self.detector.checkpoint();
-        put_u64(&mut out, det.len() as u64);
-        out.extend_from_slice(&det);
-
-        let mut advertisers: Vec<&Advertiser> = self.registry.advertisers().collect();
-        advertisers.sort_by_key(|a| a.id);
-        put_u64(&mut out, advertisers.len() as u64);
-        for a in advertisers {
-            put_u32(&mut out, a.id.0);
-            put_u64(&mut out, a.name.len() as u64);
-            out.extend_from_slice(a.name.as_bytes());
-            put_u64(&mut out, a.budget_micros);
-            put_u64(&mut out, a.spent_micros);
-        }
-
-        let mut campaigns: Vec<&Campaign> = self.registry.campaigns().collect();
-        campaigns.sort_by_key(|c| c.ad.0);
-        put_u64(&mut out, campaigns.len() as u64);
-        for c in campaigns {
-            put_u32(&mut out, c.ad.0);
-            put_u32(&mut out, c.advertiser.0);
-            put_u64(&mut out, c.cpc_micros);
-        }
-
-        let l = &self.ledger;
-        for v in [
-            l.clicks,
-            l.charged,
-            l.duplicates_blocked,
-            l.budget_rejections,
-            l.unknown_ads,
-            l.revenue_micros,
-        ] {
-            put_u64(&mut out, v);
-        }
-        let mut per_pub: Vec<(u32, u64)> = l
-            .per_publisher_micros
-            .iter()
-            .map(|(&p, &m)| (p, m))
-            .collect();
-        per_pub.sort_unstable();
-        put_u64(&mut out, per_pub.len() as u64);
-        for (p, m) in per_pub {
-            put_u32(&mut out, p);
-            put_u64(&mut out, m);
-        }
-
-        let mut tallies: Vec<(u32, u64, u64)> = self.scorer.tallies().collect();
-        tallies.sort_unstable();
-        put_u64(&mut out, tallies.len() as u64);
-        for (p, clicks, blocked) in tallies {
-            put_u32(&mut out, p);
-            put_u64(&mut out, clicks);
-            put_u64(&mut out, blocked);
-        }
-
-        let crc = wire::crc32(&out);
-        put_u32(&mut out, crc);
+        encode_cfdg(
+            &mut out,
+            self.position,
+            self.savings_micros,
+            &self.registry,
+            &self.ledger,
+            &self.scorer,
+            |out| self.detector.checkpoint_into(out),
+        );
         out
     }
 
@@ -953,20 +1028,17 @@ where
         })
     }
 
-    /// Writes the checkpoint atomically (`path.tmp` + rename), so a
-    /// crash mid-write leaves the previous checkpoint intact. Returns
-    /// the byte size written.
+    /// Writes the checkpoint atomically and durably (`path.tmp`,
+    /// `fsync`, rename, `fsync` of the directory), so a crash mid-write
+    /// — a killed process or a lost machine — leaves the previous
+    /// checkpoint intact. Returns the byte size written.
     ///
     /// # Errors
     ///
     /// Returns [`ServeError::Io`] on filesystem failure.
     pub fn write_checkpoint(&self, path: &Path) -> Result<usize, ServeError> {
         let bytes = self.checkpoint_bytes();
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let tmp = PathBuf::from(tmp);
-        fs::write(&tmp, &bytes)?;
-        fs::rename(&tmp, path)?;
+        write_durably(path, &bytes)?;
         Ok(bytes.len())
     }
 
@@ -988,12 +1060,12 @@ where
 /// Gateway tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Pipeline knobs for each segment run.
+    /// Pipeline knobs.
     pub pipeline: PipelineConfig,
     /// Where to persist checkpoints; `None` disables checkpointing.
     pub checkpoint_path: Option<PathBuf>,
-    /// Clicks per segment (and therefore per checkpoint). `0` means a
-    /// single unbounded segment: checkpoint only at drain.
+    /// Clicks between two barrier checkpoints. `0` means no barriers:
+    /// checkpoint only at drain.
     pub checkpoint_every: u64,
     /// Hub capacity in batches; the backpressure depth between readers
     /// and the pipeline.
@@ -1028,8 +1100,7 @@ impl Default for ServeConfig {
 pub struct ServeInstruments {
     /// Gateway counters (connections, frames, checkpoints, …).
     pub serve: Option<Arc<ServeTelemetry>>,
-    /// Per-segment pipeline instruments; pass the same bundle across
-    /// the whole serve so counters accumulate.
+    /// Pipeline instruments.
     pub pipeline: Option<Arc<PipelineTelemetry>>,
     /// Lock-free progress counters (clicks detected/billed).
     pub progress: Option<Arc<PipelineProgress>>,
@@ -1240,9 +1311,106 @@ fn run_tailer(
 // The serve loop
 // ---------------------------------------------------------------------------
 
+/// Saturating gauge value of a position.
+fn gauge(v: u64) -> i64 {
+    i64::try_from(v).unwrap_or(i64::MAX)
+}
+
+/// The snapshot a barrier fills, with its table buffers reserved up
+/// front: each shard buffer holds one trial encoding (so its pages are
+/// touched before the first barrier), and the CFDG buffer has room for
+/// all shard blobs.
+fn reserved_snapshot<D: CheckpointState>(detector: &ShardedDetector<D>) -> Snapshot {
+    let shards: Vec<Vec<u8>> = detector
+        .shards()
+        .iter()
+        .map(|d| {
+            let mut buf = Vec::new();
+            d.checkpoint_into(&mut buf);
+            buf.clear();
+            buf
+        })
+        .collect();
+    let tables: usize = shards.iter().map(Vec::capacity).sum();
+    Snapshot {
+        clicks: 0,
+        shards,
+        registry: Registry::new(),
+        ledger: Ledger::default(),
+        savings_micros: 0,
+        scorer: FraudScorer::new(),
+        cfdg: Vec::with_capacity(tables + 64 * 1024),
+    }
+}
+
+/// Appends the `CFDG` of a barrier snapshot taken at `position`: the
+/// bytes [`ServerState::checkpoint_bytes`] gives for the same state.
+fn encode_snapshot(snap: &Snapshot, position: u64, router_seed: u64, out: &mut Vec<u8>) {
+    encode_cfdg(
+        out,
+        position,
+        snap.savings_micros,
+        &snap.registry,
+        &snap.ledger,
+        &snap.scorer,
+        |out| {
+            sharded_checkpoint_into(out, router_seed, snap.shards.len(), |i, out| {
+                out.extend_from_slice(&snap.shards[i]);
+            });
+        },
+    );
+}
+
+/// The checkpoint writer thread: builds a `CFDG` from each snapshot
+/// billing hands over, makes it durable, and returns the buffers for the
+/// next barrier. On a write error it closes `free`, which stops the
+/// ingest at its next barrier. Returns the position of the last durable
+/// checkpoint, if any.
+fn write_snapshots(
+    full: &Handoff<Snapshot>,
+    free: &Handoff<Snapshot>,
+    path: &Path,
+    start: u64,
+    router_seed: u64,
+    t: Option<&ServeTelemetry>,
+) -> Result<Option<u64>, ServeError> {
+    let mut durable = None;
+    while let Some(mut snap) = full.take(|| false) {
+        let position = start + snap.clicks;
+        let mut cfdg = std::mem::take(&mut snap.cfdg);
+        cfdg.clear();
+        encode_snapshot(&snap, position, router_seed, &mut cfdg);
+        if let Err(e) = write_durably(path, &cfdg) {
+            free.close();
+            return Err(e);
+        }
+        if let Some(t) = t {
+            t.checkpoints.inc();
+            t.checkpoint_bytes.add(cfdg.len() as u64);
+            t.checkpoint_position.set(gauge(position));
+        }
+        durable = Some(position);
+        snap.cfdg = cfdg;
+        free.put(snap);
+    }
+    Ok(durable)
+}
+
+/// Closes a hand-over when dropped, so a thread waiting on it is woken
+/// however the scope that owns this guard ends.
+struct CloseOnDrop<'a>(&'a Handoff<Snapshot>);
+
+impl Drop for CloseOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.close();
+    }
+}
+
 /// Runs the gateway until drained: accept connections (or tail a
-/// file), pump clicks through checkpoint-delimited pipeline segments,
-/// persist state after every segment, and return the final report.
+/// file), pump clicks through one pipeline run, checkpoint every
+/// `checkpoint_every` clicks as a barrier snapshot and at drain (unless
+/// a barrier already covered the final position), and return the final
+/// report once the last checkpoint is durable.
 ///
 /// See the module docs for the architecture; `docs/OPERATIONS.md` is
 /// the operator-facing runbook.
@@ -1255,8 +1423,7 @@ fn run_tailer(
 ///
 /// # Panics
 ///
-/// Panics if a pipeline stage panics (propagated from
-/// [`run_sharded_segment`]).
+/// Panics if a pipeline stage or the checkpoint writer panics.
 pub fn serve<D>(
     state: ServerState<D>,
     endpoint: &Endpoint,
@@ -1265,8 +1432,7 @@ pub fn serve<D>(
     instruments: &ServeInstruments,
 ) -> Result<ServeOutcome<D>, ServeError>
 where
-    D: DuplicateDetector + DetectorStats + Send,
-    ShardedDetector<D>: CheckpointState,
+    D: DuplicateDetector + DetectorStats + CheckpointState + Send,
 {
     let ServerState {
         detector,
@@ -1274,28 +1440,34 @@ where
         ledger,
         savings_micros,
         scorer,
-        position,
+        position: start,
     } = state;
-    let mut detector = detector;
-    let mut seg_state = SegmentState {
+    let seg_state = SegmentState {
         registry,
         ledger,
         savings_micros,
         scorer,
     };
-    let mut position = position;
 
-    let hub = Hub::new(config.hub_batches, position);
+    let hub = Hub::new(config.hub_batches, start);
     let pool: Pool<Vec<Click>> = Pool::new();
     for _ in 0..config.pool_buffers {
         pool.put(Vec::with_capacity(config.pool_clicks));
     }
     let serve_t = instruments.serve.as_deref();
     if let Some(t) = serve_t {
-        t.position.set(i64::try_from(position).unwrap_or(i64::MAX));
-        t.checkpoint_position
-            .set(i64::try_from(position).unwrap_or(i64::MAX));
+        t.position.set(gauge(start));
+        t.checkpoint_position.set(gauge(start));
     }
+    // Barrier snapshots need a file to go to and a cadence; without
+    // either there is no writer and no snapshot memory.
+    let barrier_path = config
+        .checkpoint_path
+        .as_deref()
+        .filter(|_| config.checkpoint_every > 0);
+    let free = Handoff::new(barrier_path.map(|_| reserved_snapshot(&detector)));
+    let full: Handoff<Snapshot> = Handoff::new(None);
+    let router_seed = detector.router_seed();
 
     let listener = NetListener::bind(endpoint)?;
 
@@ -1336,90 +1508,76 @@ where
             }
             (None, _) => unreachable!("bind() returns a listener for socket endpoints"),
         }
+        let (free_ref, full_ref) = (&free, &full);
+        let writer = barrier_path.map(|path| {
+            s.spawn(move || write_snapshots(full_ref, free_ref, path, start, router_seed, serve_t))
+        });
 
-        let mut source = SegmentSource::new(&hub, &pool);
-        let mut hub_waits_seen = 0u64;
-        let (report, health) = loop {
-            let limit = if config.checkpoint_every == 0 {
-                u64::MAX
-            } else {
-                config.checkpoint_every
-            };
-            source.begin_segment(limit);
-            let out = run_sharded_segment(
+        let mut source = HubSource::new(&hub, &pool, config.checkpoint_every, start);
+        source.position_gauge = serve_t.map(|t| &*t.position);
+        let out = {
+            // Once the run ends (or unwinds), the writer finishes the
+            // snapshot it holds and exits.
+            let _close = CloseOnDrop(&full);
+            run_barriered(
                 detector,
                 seg_state,
                 &mut source,
                 config.pipeline,
                 instruments.progress.clone(),
                 instruments.pipeline.clone(),
-            );
-            position += source.taken();
-            let report = out.report();
-            detector = out.detector;
-            seg_state = out.state;
-            let finished = source.is_closed();
-            if let Some(t) = serve_t {
-                t.segments.inc();
-                t.position.set(i64::try_from(position).unwrap_or(i64::MAX));
-                let waits = hub.full_waits();
-                t.hub_full_waits.add(waits - hub_waits_seen);
-                hub_waits_seen = waits;
+                writer.as_ref().map(|_| Barriers {
+                    encode: |d: &D, out: &mut Vec<u8>| d.checkpoint_into(out),
+                    free: &free,
+                    full: &full,
+                }),
+            )
+        };
+        let position = source.position;
+        if let Some(t) = serve_t {
+            t.segments.inc();
+            t.position.set(gauge(position));
+            t.hub_full_waits.add(hub.full_waits());
+        }
+        let durable = match writer.map(|w| w.join().expect("checkpoint writer panicked")) {
+            Some(Err(e)) => {
+                // Losing the checkpoint target is fatal, but the
+                // readers must detach before we can return, or
+                // thread::scope would wait on them forever.
+                control.request_drain();
+                while let Some(b) = hub.recv() {
+                    pool.put(b);
+                }
+                return Err(e);
             }
-            if let Some(path) = &config.checkpoint_path {
-                // Borrow the state into a throwaway view just long
-                // enough to serialize it.
-                let view = ServerState {
-                    detector,
-                    registry: seg_state.registry,
-                    ledger: seg_state.ledger,
-                    savings_micros: seg_state.savings_micros,
-                    scorer: seg_state.scorer,
-                    position,
-                };
-                let written = match view.write_checkpoint(path) {
-                    Ok(w) => w,
-                    Err(e) => {
-                        // Losing the checkpoint target is fatal, but the
-                        // readers must detach before we can return, or
-                        // thread::scope would wait on them forever.
-                        control.request_drain();
-                        while let Some(b) = hub.recv() {
-                            pool.put(b);
-                        }
-                        return Err(e);
-                    }
-                };
-                detector = view.detector;
-                seg_state = SegmentState {
-                    registry: view.registry,
-                    ledger: view.ledger,
-                    savings_micros: view.savings_micros,
-                    scorer: view.scorer,
-                };
+            Some(Ok(durable)) => durable,
+            None => None,
+        };
+        let report = out.report();
+        let state = ServerState {
+            detector: out.detector,
+            registry: out.state.registry,
+            ledger: out.state.ledger,
+            savings_micros: out.state.savings_micros,
+            scorer: out.state.scorer,
+            position,
+        };
+        if let Some(path) = &config.checkpoint_path {
+            // The drain checkpoint, unless a barrier already made this
+            // very position durable.
+            if durable != Some(position) {
+                let written = state.write_checkpoint(path)?;
                 if let Some(t) = serve_t {
                     t.checkpoints.inc();
                     t.checkpoint_bytes.add(written as u64);
-                    t.checkpoint_position
-                        .set(i64::try_from(position).unwrap_or(i64::MAX));
+                    t.checkpoint_position.set(gauge(position));
                 }
             }
-            if finished {
-                break (report, out.health);
-            }
-        };
-
+        }
         Ok(ServeOutcome {
             report,
-            state: ServerState {
-                detector,
-                registry: seg_state.registry,
-                ledger: seg_state.ledger,
-                savings_micros: seg_state.savings_micros,
-                scorer: seg_state.scorer,
-                position,
-            },
-            health,
+            state,
+            health: out.health,
         })
     });
 
@@ -1777,57 +1935,54 @@ mod tests {
         assert_eq!(hub.received(), 7_002);
     }
 
-    /// Pulls until `End`, returning the clicks' ips and how many idle
-    /// reports came in between.
-    fn drain_source(mut source: &mut SegmentSource<'_>) -> (Vec<u32>, usize) {
-        let (mut ips, mut idles) = (Vec::new(), 0);
+    /// Pulls until `End`, returning the clicks' ips, how many idle
+    /// reports came in between, and how many clicks preceded each
+    /// barrier.
+    fn drain_source(mut source: &mut HubSource<'_>) -> (Vec<u32>, usize, Vec<usize>) {
+        let (mut ips, mut idles, mut barriers) = (Vec::new(), 0, Vec::new());
         loop {
             match source.pull() {
                 Pull::Click(c) => ips.push(c.id.ip),
                 Pull::Idle => idles += 1,
-                Pull::End => return (ips, idles),
+                Pull::Barrier => barriers.push(ips.len()),
+                Pull::End => return (ips, idles, barriers),
             }
         }
     }
 
     #[test]
-    fn segment_source_limits_and_carries_across_segments() {
-        let hub = Hub::new(8, 0);
-        let pool: Pool<Vec<Click>> = Pool::new();
-        let p = hub.producer();
-        for base in [0u32, 5] {
-            p.send((base..base + 5).map(mk_click).collect());
+    fn hub_source_answers_a_barrier_every_k_clicks() {
+        for (every, want) in [
+            (0u64, vec![]),
+            (3, vec![3, 6, 9]),
+            (5, vec![5, 10]),
+            (20, vec![]),
+        ] {
+            let hub = Hub::new(8, 0);
+            let pool: Pool<Vec<Click>> = Pool::new();
+            let p = hub.producer();
+            for base in [0u32, 5] {
+                p.send((base..base + 5).map(mk_click).collect());
+            }
+            drop(p);
+            let mut source = HubSource::new(&hub, &pool, every, 0);
+            let (ips, idles, barriers) = drain_source(&mut source);
+            assert_eq!(ips, (0..10).collect::<Vec<_>>(), "every={every}");
+            assert_eq!(idles, 0, "a closed hub is never idle");
+            assert_eq!(barriers, want, "every={every}");
+            assert_eq!(source.position, 10);
+            assert_eq!((&mut source).pull(), Pull::End, "closed source stays empty");
         }
-        drop(p);
-        let mut source = SegmentSource::new(&hub, &pool);
-        source.begin_segment(3);
-        let (first, idles) = drain_source(&mut source);
-        assert_eq!(first, vec![0, 1, 2], "segment stops mid-batch at the limit");
-        assert_eq!(idles, 0, "a closed hub is never idle");
-        assert_eq!(source.taken(), 3);
-        assert!(!source.is_closed());
-        source.begin_segment(u64::MAX);
-        let (rest, idles) = drain_source(&mut source);
-        assert_eq!(
-            rest,
-            vec![3, 4, 5, 6, 7, 8, 9],
-            "carry resumes where the limit hit"
-        );
-        assert_eq!(idles, 0);
-        assert!(source.is_closed());
-        source.begin_segment(u64::MAX);
-        assert_eq!((&mut source).pull(), Pull::End, "closed source stays empty");
     }
 
     #[test]
-    fn segment_source_reports_idle_once_then_blocks() {
+    fn hub_source_reports_idle_once_then_blocks() {
         let hub = Hub::new(8, 0);
         let pool: Pool<Vec<Click>> = Pool::new();
         thread::scope(|s| {
             let p = hub.producer();
             p.send((0..3).map(mk_click).collect());
-            let mut source = SegmentSource::new(&hub, &pool);
-            source.begin_segment(4);
+            let mut source = HubSource::new(&hub, &pool, 0, 0);
             let mut src = &mut source;
             for ip in 0..3 {
                 assert_eq!(src.pull(), Pull::Click(mk_click(ip)));
@@ -1840,16 +1995,12 @@ mod tests {
                 p.send((3..6).map(mk_click).collect());
             });
             assert_eq!(src.pull(), Pull::Click(mk_click(3)));
-            assert_eq!(src.pull(), Pull::End, "segment limit of 4 reached");
-            assert_eq!(src.taken(), 4);
             late.join().expect("late sender");
-            // The carried rest of the batch comes first in the next
-            // segment, then the hub (now closed) ends the stream.
-            src.begin_segment(u64::MAX);
-            let (rest, idles) = drain_source(src);
+            // The rest of the batch comes next, then the hub (now
+            // closed) ends the stream.
+            let (rest, idles, _) = drain_source(src);
             assert_eq!(rest, vec![4, 5]);
             assert_eq!(idles, 0, "the producer detached: end, not idle");
-            assert!(source.is_closed());
         });
     }
 
@@ -1980,5 +2131,249 @@ mod tests {
                 "{e} should contain {needle}"
             );
         }
+    }
+
+    /// A seeded gateway state: 3,000 clicks over 1,000 distinct ips
+    /// through the detector, billed against two advertisers, spread
+    /// over five publishers.
+    fn seeded_state<D>(detector: ShardedDetector<D>) -> ServerState<D>
+    where
+        D: DuplicateDetector,
+    {
+        let mut state = ServerState::new(detector, two_advertisers());
+        let mut engine = crate::billing::BillingEngine::new(());
+        for c in scripted_clicks(3_000) {
+            let v = state.detector.observe(&c.key());
+            engine.process_judged(&c, v, &mut state.registry);
+            state.scorer.record(&c, v);
+        }
+        state.ledger = engine.ledger().clone();
+        state.savings_micros = 12_345;
+        state.position = 3_000;
+        state
+    }
+
+    /// Two advertisers over ads 0..4; the second one's budget runs out
+    /// mid-stream, so billing order matters.
+    fn two_advertisers() -> Registry {
+        let mut registry = Registry::new();
+        registry.add_advertiser(Advertiser::new(AdvertiserId(1), "acme", 900_000));
+        registry.add_advertiser(Advertiser::new(AdvertiserId(2), "globex", 50_000));
+        for ad in 0..4 {
+            registry
+                .add_campaign(Campaign {
+                    ad: AdId(ad),
+                    advertiser: AdvertiserId(1 + ad % 2),
+                    cpc_micros: 100 + u64::from(ad),
+                })
+                .expect("advertiser registered");
+        }
+        registry
+    }
+
+    /// `n` clicks over 1,000 distinct ips, five publishers.
+    fn scripted_clicks(n: u32) -> Vec<Click> {
+        (0..n)
+            .map(|i| {
+                let mut c = mk_click(i.wrapping_mul(2_654_435_761) % 1_000);
+                c.publisher = PublisherId(i % 5);
+                c
+            })
+            .collect()
+    }
+
+    fn sharded_gbf(shards: usize) -> ShardedDetector<cfd_core::Gbf> {
+        use cfd_core::{Gbf, GbfConfig};
+        ShardedDetector::from_fn(9, shards, |_| {
+            Gbf::new(
+                GbfConfig::builder(1 << 10, 8)
+                    .filter_bits(1 << 14)
+                    .build()
+                    .expect("cfg"),
+            )
+        })
+        .expect("detector")
+    }
+
+    /// The CFDG bytes cannot drift silently: the CRC-32 of two seeded
+    /// states is pinned to the values the encoder produced before its
+    /// one-pass rewrite. (The CRC of the body, which is the trailer; the
+    /// CRC of a whole blob is the same constant for every blob.)
+    #[test]
+    fn checkpoint_bytes_are_pinned() {
+        let body_crc = |b: &[u8]| (wire::crc32(&b[..b.len() - 4]), b.len());
+        let tbf = seeded_state(tbf_sharded(2)).checkpoint_bytes();
+        assert_eq!(body_crc(&tbf), (0xbc6b_d1dc, 40_011), "Tbf CFDG");
+        let gbf = seeded_state(sharded_gbf(2)).checkpoint_bytes();
+        assert_eq!(body_crc(&gbf), (0x61d2_893b, 262_813), "Gbf CFDG");
+    }
+
+    /// A source over `clicks` that answers a barrier after every
+    /// `every` clicks and reports idle on every 97th pull, so some
+    /// barriers land right after partial flushes.
+    struct Scripted<'a> {
+        clicks: std::slice::Iter<'a, Click>,
+        every: u64,
+        since_barrier: u64,
+        pulls: u64,
+    }
+
+    impl ClickSource for Scripted<'_> {
+        fn pull(&mut self) -> Pull {
+            if self.since_barrier == self.every {
+                self.since_barrier = 0;
+                return Pull::Barrier;
+            }
+            self.pulls += 1;
+            if self.pulls.is_multiple_of(97) {
+                return Pull::Idle;
+            }
+            match self.clicks.next() {
+                Some(&c) => {
+                    self.since_barrier += 1;
+                    Pull::Click(c)
+                }
+                None => Pull::End,
+            }
+        }
+    }
+
+    const TEST_PIPELINE: PipelineConfig = PipelineConfig {
+        batch: 64,
+        queue: 2,
+    };
+
+    /// The CFDG of every barrier of one barrier-engine run over
+    /// `clicks`, encoded the way the writer thread encodes them.
+    fn barrier_cfdgs<D>(detector: ShardedDetector<D>, clicks: &[Click], every: u64) -> Vec<Vec<u8>>
+    where
+        D: DuplicateDetector + DetectorStats + CheckpointState + Send,
+    {
+        let state = SegmentState::new(two_advertisers());
+        let free = Handoff::new(Some(reserved_snapshot(&detector)));
+        let full = Handoff::new(None);
+        let router_seed = detector.router_seed();
+        thread::scope(|s| {
+            let sink = s.spawn(|| {
+                let mut cfdgs = Vec::new();
+                while let Some(snap) = full.take(|| false) {
+                    let mut cfdg = Vec::new();
+                    encode_snapshot(&snap, snap.clicks, router_seed, &mut cfdg);
+                    cfdgs.push(cfdg);
+                    free.put(snap);
+                }
+                cfdgs
+            });
+            let source = Scripted {
+                clicks: clicks.iter(),
+                every,
+                since_barrier: 0,
+                pulls: 0,
+            };
+            {
+                let _close = CloseOnDrop(&full);
+                run_barriered(
+                    detector,
+                    state,
+                    source,
+                    TEST_PIPELINE,
+                    None,
+                    None,
+                    Some(Barriers {
+                        encode: |d: &D, out: &mut Vec<u8>| d.checkpoint_into(out),
+                        free: &free,
+                        full: &full,
+                    }),
+                );
+            }
+            sink.join().expect("sink")
+        })
+    }
+
+    /// The stop-the-world CFDGs at `every`, `2 * every`, …: one
+    /// `run_sharded_segment` per span, then `checkpoint_bytes`.
+    fn stop_the_world_cfdgs<D>(
+        mut detector: ShardedDetector<D>,
+        clicks: &[Click],
+        every: usize,
+    ) -> Vec<Vec<u8>>
+    where
+        D: DuplicateDetector + DetectorStats + CheckpointState + Send,
+    {
+        let mut state = SegmentState::new(two_advertisers());
+        let mut cfdgs = Vec::new();
+        for (i, span) in clicks.chunks_exact(every).enumerate() {
+            let out = crate::pipeline::run_sharded_segment(
+                detector,
+                state,
+                span.iter().copied(),
+                TEST_PIPELINE,
+                None,
+                None,
+            );
+            let server = ServerState {
+                detector: out.detector,
+                registry: out.state.registry,
+                ledger: out.state.ledger,
+                savings_micros: out.state.savings_micros,
+                scorer: out.state.scorer,
+                position: ((i + 1) * every) as u64,
+            };
+            cfdgs.push(server.checkpoint_bytes());
+            detector = server.detector;
+            state = SegmentState {
+                registry: server.registry,
+                ledger: server.ledger,
+                savings_micros: server.savings_micros,
+                scorer: server.scorer,
+            };
+        }
+        cfdgs
+    }
+
+    /// Barrier snapshots are the stop-the-world checkpoints, byte for
+    /// byte, at every position K, 2K, … of a 4-shard run, for count
+    /// TBF, count GBF and a registry backend behind `Box<dyn>`.
+    #[test]
+    fn barrier_snapshots_equal_stop_the_world_checkpoints() {
+        use cfd_core::registry::{self, BackendGeometry, MemorySpec};
+        use cfd_core::DetectorBackend;
+        const EVERY: usize = 700;
+        let clicks = scripted_clicks(5_000);
+        let check = |name: &str, barrier: Vec<Vec<u8>>, stw: Vec<Vec<u8>>| {
+            assert_eq!(
+                barrier.len(),
+                5_000 / EVERY,
+                "{name}: one snapshot per barrier"
+            );
+            assert_eq!(barrier.len(), stw.len(), "{name}");
+            for (i, (b, w)) in barrier.iter().zip(&stw).enumerate() {
+                assert!(
+                    b == w,
+                    "{name}: CFDG at position {} differs",
+                    (i + 1) * EVERY
+                );
+            }
+        };
+        check(
+            "tbf",
+            barrier_cfdgs(tbf_sharded(4), &clicks, EVERY as u64),
+            stop_the_world_cfdgs(tbf_sharded(4), &clicks, EVERY),
+        );
+        check(
+            "gbf",
+            barrier_cfdgs(sharded_gbf(4), &clicks, EVERY as u64),
+            stop_the_world_cfdgs(sharded_gbf(4), &clicks, EVERY),
+        );
+        let boxed = || -> ShardedDetector<Box<dyn DetectorBackend>> {
+            let geometry = BackendGeometry::new(1 << 10, MemorySpec::TotalBits(1 << 16));
+            ShardedDetector::from_fn(9, 4, |_| registry::build("apbf", &geometry))
+                .expect("detector")
+        };
+        check(
+            "boxed apbf",
+            barrier_cfdgs(boxed(), &clicks, EVERY as u64),
+            stop_the_world_cfdgs(boxed(), &clicks, EVERY),
+        );
     }
 }

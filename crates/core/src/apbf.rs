@@ -31,6 +31,7 @@ use cfd_hash::mix::splitmix64;
 use cfd_hash::{BlockGeometry, DoubleHashFamily, HashFamily, Planner, ProbePlan};
 use cfd_telemetry::DetectorStats;
 use cfd_windows::{DuplicateDetector, Verdict, WindowSpec};
+use std::borrow::Cow;
 use std::cell::Cell;
 
 /// Bits per cache-line block in the blocked layout.
@@ -171,11 +172,11 @@ enum Layout {
 }
 
 /// Dynamic APBF state captured by a checkpoint.
-pub(crate) struct ApbfState {
+pub(crate) struct ApbfState<'a> {
     pub base: usize,
     pub in_gen: usize,
     pub wipe: Option<(usize, usize)>,
-    pub bit_words: Vec<u64>,
+    pub bit_words: Cow<'a, [u64]>,
 }
 
 /// Age-partitioned Bloom-filter duplicate detector over count-based
@@ -335,20 +336,20 @@ impl Apbf {
     }
 
     /// Internal state snapshot for checkpointing.
-    pub(crate) fn checkpoint_parts(&self) -> (ApbfConfig, ApbfState) {
+    pub(crate) fn checkpoint_parts(&self) -> (ApbfConfig, ApbfState<'_>) {
         (
             self.cfg,
             ApbfState {
                 base: self.base,
                 in_gen: self.in_gen,
                 wipe: self.wipe,
-                bit_words: self.bits.as_words().to_vec(),
+                bit_words: Cow::Borrowed(self.bits.as_words()),
             },
         )
     }
 
     /// Rebuilds a detector from checkpoint parts; `None` if inconsistent.
-    pub(crate) fn from_checkpoint_parts(cfg: ApbfConfig, state: ApbfState) -> Option<Self> {
+    pub(crate) fn from_checkpoint_parts(cfg: ApbfConfig, state: ApbfState<'_>) -> Option<Self> {
         let mut d = Self::new(cfg).ok()?;
         let s = cfg.physical_slices();
         let units = match d.layout {
@@ -364,7 +365,7 @@ impl Apbf {
             }
         }
         let len = d.bits.len();
-        d.bits = BitVec::from_words(state.bit_words, len)?;
+        d.bits = BitVec::from_words(state.bit_words.into_owned(), len)?;
         d.base = state.base;
         d.in_gen = state.in_gen;
         d.wipe = state.wipe;
@@ -921,7 +922,7 @@ mod tests {
         state.base = cfg.physical_slices();
         assert!(Apbf::from_checkpoint_parts(cfg, state).is_none());
         let (cfg, mut state) = d.checkpoint_parts();
-        state.bit_words.pop();
+        state.bit_words.to_mut().pop();
         assert!(Apbf::from_checkpoint_parts(cfg, state).is_none());
     }
 

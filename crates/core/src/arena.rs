@@ -48,6 +48,7 @@ use cfd_hash::mix::splitmix64;
 use cfd_hash::{BlockGeometry, DoubleHashFamily, Planner, ProbePlan};
 use cfd_telemetry::{DetectorHealth, DetectorStats, TenantHealth};
 use cfd_windows::{DuplicateDetector, Verdict, WindowSpec};
+use std::borrow::Cow;
 use std::cell::Cell;
 
 /// Initial slot count used by [`ArenaConfig::for_budget`]: a memory
@@ -673,7 +674,7 @@ impl TenantArena {
         self.ops.elements - self.ops.insert_writes / self.k_eff as u64
     }
 
-    pub(crate) fn checkpoint_parts(&self) -> (ArenaConfig, ArenaState) {
+    pub(crate) fn checkpoint_parts(&self) -> (ArenaConfig, ArenaState<'_>) {
         (
             self.cfg,
             ArenaState {
@@ -687,20 +688,20 @@ impl TenantArena {
                     .map(|m| m.map(|m| (m.prefix, m.now, m.clean_next as u64, m.last_touch)))
                     .collect(),
                 free: self.free.iter().map(|&s| u64::from(s)).collect(),
-                words: self.slab.as_words().to_vec(),
+                words: Cow::Borrowed(self.slab.as_words()),
             },
         )
     }
 
     /// Rebuilds an arena from checkpointed parts, re-deriving the
     /// prefix→slot map; `None` on any inconsistency.
-    pub(crate) fn from_checkpoint_parts(cfg: ArenaConfig, state: ArenaState) -> Option<Self> {
+    pub(crate) fn from_checkpoint_parts(cfg: ArenaConfig, state: ArenaState<'_>) -> Option<Self> {
         let mut arena = Self::new(cfg).ok()?;
         let slots = usize::try_from(state.slots).ok()?;
         if slots < cfg.initial_slots || slots > MAX_ARENA_SLOTS || state.metas.len() != slots {
             return None;
         }
-        let slab = WordSlab::from_words(state.words, slots, cfg.stride_words().ok()?)?;
+        let slab = WordSlab::from_words(state.words.into_owned(), slots, cfg.stride_words().ok()?)?;
         let mut map = TenantMap::with_room_for(slots.min(state.metas.len()));
         let mut metas: Vec<Option<TenantMeta>> = Vec::with_capacity(slots);
         for parts in &state.metas {
@@ -756,14 +757,14 @@ impl TenantArena {
 /// Checkpointed dynamic state of an arena (configuration travels
 /// separately). The prefix→slot map is *not* part of the state — it is
 /// re-derived from the metas on restore.
-pub(crate) struct ArenaState {
+pub(crate) struct ArenaState<'a> {
     pub arrivals: u64,
     pub scan_cursor: u64,
     pub evictions: u64,
     pub slots: u64,
     pub metas: Vec<Option<(u64, u64, u64, u64)>>,
     pub free: Vec<u64>,
-    pub words: Vec<u64>,
+    pub words: Cow<'a, [u64]>,
 }
 
 impl DuplicateDetector for TenantArena {
@@ -1127,7 +1128,7 @@ mod tests {
         };
         assert!(TenantArena::from_checkpoint_parts(saved, good).is_some());
         assert!(rebuild(&|st| st.slots = 3).is_none(), "meta/slot mismatch");
-        assert!(rebuild(&|st| st.words.pop().map(|_| ()).unwrap()).is_none());
+        assert!(rebuild(&|st| st.words.to_mut().pop().map(|_| ()).unwrap()).is_none());
         assert!(rebuild(&|st| st.scan_cursor = 99).is_none());
         assert!(rebuild(&|st| st.free.clear()).is_none(), "free-list gap");
         assert!(rebuild(&|st| {

@@ -120,16 +120,16 @@ impl fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
-/// A minimal little-endian writer.
-struct Writer(Vec<u8>);
+/// A minimal little-endian writer appending to a caller-owned buffer.
+struct Writer<'a>(&'a mut Vec<u8>);
 
-impl Writer {
-    fn new(kind: u8) -> Self {
-        let mut buf = Vec::with_capacity(64);
-        buf.extend_from_slice(MAGIC);
-        buf.extend_from_slice(&VERSION.to_le_bytes());
-        buf.push(kind);
-        Self(buf)
+impl<'a> Writer<'a> {
+    /// Appends the `CFDS` header for `kind` to `out`.
+    fn open(out: &'a mut Vec<u8>, kind: u8) -> Self {
+        out.extend_from_slice(MAGIC);
+        out.extend_from_slice(&VERSION.to_le_bytes());
+        out.push(kind);
+        Self(out)
     }
     fn u8(&mut self, v: u8) {
         self.0.push(v);
@@ -140,15 +140,25 @@ impl Writer {
     fn usize(&mut self, v: usize) {
         self.u64(v as u64);
     }
+    /// Length prefix, then the words in one bulk copy: a single
+    /// reservation and a loop the compiler turns into a memcpy on
+    /// little-endian targets, instead of a growth check per word.
     fn words(&mut self, ws: &[u64]) {
         self.usize(ws.len());
-        for &w in ws {
-            self.u64(w);
+        let start = self.0.len();
+        self.0.resize(start + ws.len() * 8, 0);
+        for (dst, w) in self.0[start..].chunks_exact_mut(8).zip(ws) {
+            dst.copy_from_slice(&w.to_le_bytes());
         }
     }
-    fn bytes(&mut self, bs: &[u8]) {
-        self.usize(bs.len());
-        self.0.extend_from_slice(bs);
+    /// A length-prefixed nested blob that `body` appends in place; the
+    /// prefix is patched afterwards, so the blob is never staged.
+    fn nested(&mut self, body: impl FnOnce(&mut Vec<u8>)) {
+        let at = self.0.len();
+        self.u64(0);
+        body(self.0);
+        let len = (self.0.len() - at - 8) as u64;
+        self.0[at..at + 8].copy_from_slice(&len.to_le_bytes());
     }
     /// Flag byte + value: unlike a `u64::MAX` sentinel this stays
     /// unambiguous when the value itself can legitimately be `u64::MAX`
@@ -204,7 +214,12 @@ impl<'a> Reader<'a> {
         if len > self.0.len() / 8 {
             return Err(CheckpointError::Corrupt("word count beyond buffer"));
         }
-        (0..len).map(|_| self.u64()).collect()
+        let (head, rest) = self.0.split_at(len * 8);
+        self.0 = rest;
+        Ok(head
+            .chunks_exact(8)
+            .map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")))
+            .collect())
     }
     fn bytes(&mut self) -> Result<&'a [u8], CheckpointError> {
         let len = self.usize()?;
@@ -237,18 +252,7 @@ impl Tbf {
     /// Serializes the complete detector state.
     #[must_use]
     pub fn checkpoint(&self) -> Vec<u8> {
-        let (cfg, state) = self.checkpoint_parts();
-        let mut w = Writer::new(KIND_TBF);
-        w.usize(cfg.n);
-        w.usize(cfg.m);
-        w.usize(cfg.k);
-        w.usize(cfg.c);
-        w.u64(cfg.seed);
-        w.u8(probe_tag(cfg.probe));
-        w.u64(state.now);
-        w.usize(state.clean_next);
-        w.words(&state.entry_words);
-        w.0
+        CheckpointState::checkpoint(self)
     }
 
     /// Restores a detector from a [`Tbf::checkpoint`] buffer.
@@ -279,26 +283,7 @@ impl Gbf {
     /// Serializes the complete detector state.
     #[must_use]
     pub fn checkpoint(&self) -> Vec<u8> {
-        let (cfg, state) = self.checkpoint_parts();
-        let mut w = Writer::new(KIND_GBF);
-        w.usize(cfg.n);
-        w.usize(cfg.q);
-        w.usize(cfg.m);
-        w.usize(cfg.k);
-        w.u64(cfg.seed);
-        w.u8(match cfg.layout {
-            GbfLayout::Padded => 0,
-            GbfLayout::Tight => 1,
-        });
-        w.u8(probe_tag(cfg.probe));
-        w.usize(state.slot);
-        w.usize(state.filled);
-        w.u64(state.completed);
-        w.u64(state.spare.map_or(u64::MAX, |s| s as u64));
-        w.usize(state.clean_next);
-        w.words(&state.active_mask);
-        w.words(&state.matrix_words);
-        w.0
+        CheckpointState::checkpoint(self)
     }
 
     /// Restores a detector from a [`Gbf::checkpoint`] buffer.
@@ -358,19 +343,7 @@ impl TimeTbf {
     /// unit (so a restart expires state like a quiet gap, not a reset).
     #[must_use]
     pub fn checkpoint(&self) -> Vec<u8> {
-        let (cfg, state) = self.checkpoint_parts();
-        let mut w = Writer::new(KIND_TIME_TBF);
-        w.u64(cfg.window_units);
-        w.u64(cfg.unit_ticks);
-        w.usize(cfg.m);
-        w.usize(cfg.k);
-        w.u64(cfg.c_units);
-        w.u64(cfg.seed);
-        w.u8(probe_tag(cfg.probe));
-        w.opt_u64(state.cur_unit);
-        w.usize(state.clean_next);
-        w.words(&state.entry_words);
-        w.0
+        CheckpointState::checkpoint(self)
     }
 
     /// Restores a detector from a [`TimeTbf::checkpoint`] buffer.
@@ -392,7 +365,7 @@ impl TimeTbf {
         let state = TimeTbfState {
             cur_unit: r.opt_u64()?,
             clean_next: r.usize()?,
-            entry_words: r.words()?,
+            entry_words: r.words()?.into(),
         };
         r.finish()?;
         Self::from_checkpoint_parts(cfg, state)
@@ -405,23 +378,7 @@ impl TimeGbf {
     /// phase and the in-flight spare-lane wipe cursor.
     #[must_use]
     pub fn checkpoint(&self) -> Vec<u8> {
-        let (cfg, state) = self.checkpoint_parts();
-        let mut w = Writer::new(KIND_TIME_GBF);
-        w.usize(cfg.q);
-        w.u64(cfg.sub_units);
-        w.u64(cfg.unit_ticks);
-        w.usize(cfg.m);
-        w.usize(cfg.k);
-        w.u64(cfg.seed);
-        w.u8(probe_tag(cfg.probe));
-        w.opt_u64(state.cur_unit);
-        w.usize(state.slot);
-        w.u64(state.completed);
-        w.u64(state.spare.map_or(u64::MAX, |s| s as u64));
-        w.usize(state.clean_next);
-        w.words(&state.mask_words);
-        w.words(&state.matrix_words);
-        w.0
+        CheckpointState::checkpoint(self)
     }
 
     /// Restores a detector from a [`TimeGbf::checkpoint`] buffer.
@@ -453,8 +410,8 @@ impl TimeGbf {
             completed,
             spare,
             clean_next: r.usize()?,
-            mask_words: r.words()?,
-            matrix_words: r.words()?,
+            mask_words: r.words()?.into(),
+            matrix_words: r.words()?.into(),
         };
         r.finish()?;
         Self::from_checkpoint_parts(cfg, state)
@@ -467,22 +424,7 @@ impl Apbf {
     /// phase and the in-flight spare-slice wipe cursor.
     #[must_use]
     pub fn checkpoint(&self) -> Vec<u8> {
-        let (cfg, state) = self.checkpoint_parts();
-        let mut w = Writer::new(KIND_APBF);
-        w.usize(cfg.n);
-        w.usize(cfg.k);
-        w.usize(cfg.l);
-        w.usize(cfg.total_bits);
-        w.u64(cfg.seed);
-        w.u8(probe_tag(cfg.probe));
-        w.usize(state.base);
-        w.usize(state.in_gen);
-        w.u8(u8::from(state.wipe.is_some()));
-        let (slice, cursor) = state.wipe.unwrap_or((0, 0));
-        w.usize(slice);
-        w.usize(cursor);
-        w.words(&state.bit_words);
-        w.0
+        CheckpointState::checkpoint(self)
     }
 
     /// Restores a detector from an [`Apbf::checkpoint`] buffer.
@@ -514,7 +456,7 @@ impl Apbf {
             base,
             in_gen,
             wipe,
-            bit_words: r.words()?,
+            bit_words: r.words()?.into(),
         };
         r.finish()?;
         Self::from_checkpoint_parts(cfg, state)
@@ -527,21 +469,7 @@ impl Swbf {
     /// cursors and the side-filter liveness bookkeeping.
     #[must_use]
     pub fn checkpoint(&self) -> Vec<u8> {
-        let (cfg, state) = self.checkpoint_parts();
-        let mut w = Writer::new(KIND_SWBF);
-        w.usize(cfg.n);
-        w.usize(cfg.total_bits);
-        w.u64(u64::from(cfg.fingerprint_bits));
-        w.u64(cfg.seed);
-        w.u8(probe_tag(cfg.probe));
-        w.u64(state.now);
-        w.u64(state.arrivals);
-        w.opt_u64(state.last_side_insert);
-        w.usize(state.clean_next);
-        w.usize(state.side_clean_next);
-        w.words(&state.cell_words);
-        w.words(&state.side_words);
-        w.0
+        CheckpointState::checkpoint(self)
     }
 
     /// Restores a detector from a [`Swbf::checkpoint`] buffer.
@@ -565,8 +493,8 @@ impl Swbf {
             last_side_insert: r.opt_u64()?,
             clean_next: r.usize()?,
             side_clean_next: r.usize()?,
-            cell_words: r.words()?,
-            side_words: r.words()?,
+            cell_words: r.words()?.into(),
+            side_words: r.words()?.into(),
         };
         r.finish()?;
         Self::from_checkpoint_parts(cfg, state)
@@ -577,14 +505,27 @@ impl Swbf {
 /// Detectors whose complete state round-trips through the `CFDS` binary
 /// format.
 ///
-/// Implemented by [`Tbf`], [`Gbf`], [`TimeTbf`] and [`TimeGbf`]
-/// (delegating to their inherent methods) and generically by
+/// Implemented by every detector of this crate and generically by
 /// [`ShardedDetector`] over any checkpointable shard type, so a sharded
 /// gateway restarts with identical future verdicts just like a
 /// single-detector one.
+///
+/// There is one encoder per type, [`CheckpointState::checkpoint_into`];
+/// [`CheckpointState::checkpoint`] is a wrapper over it, so both produce
+/// the same bytes.
 pub trait CheckpointState: Sized {
+    /// Appends the complete detector state to `out`, leaving the bytes
+    /// already in it untouched. Table words are copied in bulk, and a
+    /// caller that recycles `out` pays no allocation once it has grown
+    /// to the checkpoint's size.
+    fn checkpoint_into(&self, out: &mut Vec<u8>);
+
     /// Serializes the complete detector state.
-    fn checkpoint(&self) -> Vec<u8>;
+    fn checkpoint(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.checkpoint_into(&mut out);
+        out
+    }
 
     /// Restores a detector from a [`CheckpointState::checkpoint`] buffer.
     ///
@@ -595,8 +536,18 @@ pub trait CheckpointState: Sized {
 }
 
 impl CheckpointState for Tbf {
-    fn checkpoint(&self) -> Vec<u8> {
-        Tbf::checkpoint(self)
+    fn checkpoint_into(&self, out: &mut Vec<u8>) {
+        let (cfg, state) = self.checkpoint_parts();
+        let mut w = Writer::open(out, KIND_TBF);
+        w.usize(cfg.n);
+        w.usize(cfg.m);
+        w.usize(cfg.k);
+        w.usize(cfg.c);
+        w.u64(cfg.seed);
+        w.u8(probe_tag(cfg.probe));
+        w.u64(state.now);
+        w.usize(state.clean_next);
+        w.words(&state.entry_words);
     }
     fn restore(buf: &[u8]) -> Result<Self, CheckpointError> {
         Tbf::restore(buf)
@@ -604,8 +555,26 @@ impl CheckpointState for Tbf {
 }
 
 impl CheckpointState for Gbf {
-    fn checkpoint(&self) -> Vec<u8> {
-        Gbf::checkpoint(self)
+    fn checkpoint_into(&self, out: &mut Vec<u8>) {
+        let (cfg, state) = self.checkpoint_parts();
+        let mut w = Writer::open(out, KIND_GBF);
+        w.usize(cfg.n);
+        w.usize(cfg.q);
+        w.usize(cfg.m);
+        w.usize(cfg.k);
+        w.u64(cfg.seed);
+        w.u8(match cfg.layout {
+            GbfLayout::Padded => 0,
+            GbfLayout::Tight => 1,
+        });
+        w.u8(probe_tag(cfg.probe));
+        w.usize(state.slot);
+        w.usize(state.filled);
+        w.u64(state.completed);
+        w.u64(state.spare.map_or(u64::MAX, |s| s as u64));
+        w.usize(state.clean_next);
+        w.words(&state.active_mask);
+        w.words(&state.matrix_words);
     }
     fn restore(buf: &[u8]) -> Result<Self, CheckpointError> {
         Gbf::restore(buf)
@@ -613,8 +582,19 @@ impl CheckpointState for Gbf {
 }
 
 impl CheckpointState for TimeTbf {
-    fn checkpoint(&self) -> Vec<u8> {
-        TimeTbf::checkpoint(self)
+    fn checkpoint_into(&self, out: &mut Vec<u8>) {
+        let (cfg, state) = self.checkpoint_parts();
+        let mut w = Writer::open(out, KIND_TIME_TBF);
+        w.u64(cfg.window_units);
+        w.u64(cfg.unit_ticks);
+        w.usize(cfg.m);
+        w.usize(cfg.k);
+        w.u64(cfg.c_units);
+        w.u64(cfg.seed);
+        w.u8(probe_tag(cfg.probe));
+        w.opt_u64(state.cur_unit);
+        w.usize(state.clean_next);
+        w.words(&state.entry_words);
     }
     fn restore(buf: &[u8]) -> Result<Self, CheckpointError> {
         TimeTbf::restore(buf)
@@ -622,8 +602,23 @@ impl CheckpointState for TimeTbf {
 }
 
 impl CheckpointState for TimeGbf {
-    fn checkpoint(&self) -> Vec<u8> {
-        TimeGbf::checkpoint(self)
+    fn checkpoint_into(&self, out: &mut Vec<u8>) {
+        let (cfg, state) = self.checkpoint_parts();
+        let mut w = Writer::open(out, KIND_TIME_GBF);
+        w.usize(cfg.q);
+        w.u64(cfg.sub_units);
+        w.u64(cfg.unit_ticks);
+        w.usize(cfg.m);
+        w.usize(cfg.k);
+        w.u64(cfg.seed);
+        w.u8(probe_tag(cfg.probe));
+        w.opt_u64(state.cur_unit);
+        w.usize(state.slot);
+        w.u64(state.completed);
+        w.u64(state.spare.map_or(u64::MAX, |s| s as u64));
+        w.usize(state.clean_next);
+        w.words(&state.mask_words);
+        w.words(&state.matrix_words);
     }
     fn restore(buf: &[u8]) -> Result<Self, CheckpointError> {
         TimeGbf::restore(buf)
@@ -635,22 +630,7 @@ impl JumpingTbf {
     /// clock position and sweep cursor.
     #[must_use]
     pub fn checkpoint(&self) -> Vec<u8> {
-        let (cfg, state) = self.checkpoint_parts();
-        let mut w = Writer::new(KIND_JUMPING_TBF);
-        w.usize(cfg.n);
-        w.usize(cfg.q);
-        w.usize(cfg.m);
-        w.usize(cfg.k);
-        w.usize(cfg.c_q);
-        w.u64(cfg.seed);
-        w.u8(probe_tag(cfg.probe));
-        w.u64(state.sub_now);
-        w.usize(state.slot);
-        w.usize(state.filled);
-        w.u64(state.completed_subwindows);
-        w.usize(state.clean_next);
-        w.words(&state.entry_words);
-        w.0
+        CheckpointState::checkpoint(self)
     }
 
     /// Restores a detector from a [`JumpingTbf::checkpoint`] buffer.
@@ -675,7 +655,7 @@ impl JumpingTbf {
             filled: r.usize()?,
             completed_subwindows: r.u64()?,
             clean_next: r.usize()?,
-            entry_words: r.words()?,
+            entry_words: r.words()?.into(),
         };
         r.finish()?;
         Self::from_checkpoint_parts(cfg, state)
@@ -684,8 +664,22 @@ impl JumpingTbf {
 }
 
 impl CheckpointState for JumpingTbf {
-    fn checkpoint(&self) -> Vec<u8> {
-        JumpingTbf::checkpoint(self)
+    fn checkpoint_into(&self, out: &mut Vec<u8>) {
+        let (cfg, state) = self.checkpoint_parts();
+        let mut w = Writer::open(out, KIND_JUMPING_TBF);
+        w.usize(cfg.n);
+        w.usize(cfg.q);
+        w.usize(cfg.m);
+        w.usize(cfg.k);
+        w.usize(cfg.c_q);
+        w.u64(cfg.seed);
+        w.u8(probe_tag(cfg.probe));
+        w.u64(state.sub_now);
+        w.usize(state.slot);
+        w.usize(state.filled);
+        w.u64(state.completed_subwindows);
+        w.usize(state.clean_next);
+        w.words(&state.entry_words);
     }
     fn restore(buf: &[u8]) -> Result<Self, CheckpointError> {
         JumpingTbf::restore(buf)
@@ -693,8 +687,22 @@ impl CheckpointState for JumpingTbf {
 }
 
 impl CheckpointState for Apbf {
-    fn checkpoint(&self) -> Vec<u8> {
-        Apbf::checkpoint(self)
+    fn checkpoint_into(&self, out: &mut Vec<u8>) {
+        let (cfg, state) = self.checkpoint_parts();
+        let mut w = Writer::open(out, KIND_APBF);
+        w.usize(cfg.n);
+        w.usize(cfg.k);
+        w.usize(cfg.l);
+        w.usize(cfg.total_bits);
+        w.u64(cfg.seed);
+        w.u8(probe_tag(cfg.probe));
+        w.usize(state.base);
+        w.usize(state.in_gen);
+        w.u8(u8::from(state.wipe.is_some()));
+        let (slice, cursor) = state.wipe.unwrap_or((0, 0));
+        w.usize(slice);
+        w.usize(cursor);
+        w.words(&state.bit_words);
     }
     fn restore(buf: &[u8]) -> Result<Self, CheckpointError> {
         Apbf::restore(buf)
@@ -702,8 +710,21 @@ impl CheckpointState for Apbf {
 }
 
 impl CheckpointState for Swbf {
-    fn checkpoint(&self) -> Vec<u8> {
-        Swbf::checkpoint(self)
+    fn checkpoint_into(&self, out: &mut Vec<u8>) {
+        let (cfg, state) = self.checkpoint_parts();
+        let mut w = Writer::open(out, KIND_SWBF);
+        w.usize(cfg.n);
+        w.usize(cfg.total_bits);
+        w.u64(u64::from(cfg.fingerprint_bits));
+        w.u64(cfg.seed);
+        w.u8(probe_tag(cfg.probe));
+        w.u64(state.now);
+        w.u64(state.arrivals);
+        w.opt_u64(state.last_side_insert);
+        w.usize(state.clean_next);
+        w.usize(state.side_clean_next);
+        w.words(&state.cell_words);
+        w.words(&state.side_words);
     }
     fn restore(buf: &[u8]) -> Result<Self, CheckpointError> {
         Swbf::restore(buf)
@@ -717,34 +738,7 @@ impl TenantArena {
     /// re-derives it from the metas.
     #[must_use]
     pub fn checkpoint(&self) -> Vec<u8> {
-        let (cfg, state) = self.checkpoint_parts();
-        let mut w = Writer::new(KIND_ARENA);
-        w.usize(cfg.tenant_window);
-        w.usize(cfg.tenant_entries);
-        w.usize(cfg.hash_count);
-        w.u64(cfg.seed);
-        w.usize(cfg.initial_slots);
-        w.opt_u64(cfg.idle_eviction);
-        w.u8(probe_tag(cfg.probe));
-        w.u64(state.arrivals);
-        w.u64(state.scan_cursor);
-        w.u64(state.evictions);
-        w.u64(state.slots);
-        for meta in &state.metas {
-            match meta {
-                None => w.u8(0),
-                Some((prefix, now, clean_next, last_touch)) => {
-                    w.u8(1);
-                    w.u64(*prefix);
-                    w.u64(*now);
-                    w.u64(*clean_next);
-                    w.u64(*last_touch);
-                }
-            }
-        }
-        w.words(&state.free);
-        w.words(&state.words);
-        w.0
+        CheckpointState::checkpoint(self)
     }
 
     /// Restores an arena from a [`TenantArena::checkpoint`] buffer.
@@ -777,7 +771,7 @@ impl TenantArena {
             slots,
             metas,
             free: r.words()?,
-            words: r.words()?,
+            words: r.words()?.into(),
         };
         r.finish()?;
         Self::from_checkpoint_parts(cfg, state)
@@ -786,25 +780,70 @@ impl TenantArena {
 }
 
 impl CheckpointState for TenantArena {
-    fn checkpoint(&self) -> Vec<u8> {
-        TenantArena::checkpoint(self)
+    fn checkpoint_into(&self, out: &mut Vec<u8>) {
+        let (cfg, state) = self.checkpoint_parts();
+        let mut w = Writer::open(out, KIND_ARENA);
+        w.usize(cfg.tenant_window);
+        w.usize(cfg.tenant_entries);
+        w.usize(cfg.hash_count);
+        w.u64(cfg.seed);
+        w.usize(cfg.initial_slots);
+        w.opt_u64(cfg.idle_eviction);
+        w.u8(probe_tag(cfg.probe));
+        w.u64(state.arrivals);
+        w.u64(state.scan_cursor);
+        w.u64(state.evictions);
+        w.u64(state.slots);
+        for meta in &state.metas {
+            match meta {
+                None => w.u8(0),
+                Some((prefix, now, clean_next, last_touch)) => {
+                    w.u8(1);
+                    w.u64(*prefix);
+                    w.u64(*now);
+                    w.u64(*clean_next);
+                    w.u64(*last_touch);
+                }
+            }
+        }
+        w.words(&state.free);
+        w.words(&state.words);
     }
     fn restore(buf: &[u8]) -> Result<Self, CheckpointError> {
         TenantArena::restore(buf)
     }
 }
 
+/// Appends a [`ShardedDetector`] `CFDS` blob: header (kind 3) | router
+/// seed | shard count | length-prefixed per-shard blobs in router order,
+/// where `shard(i, out)` appends shard `i`'s blob.
+///
+/// [`ShardedDetector`]'s own encoder is this function over its shards'
+/// [`CheckpointState::checkpoint_into`]. A caller that copied each
+/// shard's blob out earlier (the `cfd serve` snapshot writer, which
+/// takes them on the shard threads) assembles the identical bytes
+/// without touching the shards again.
+pub fn sharded_checkpoint_into(
+    out: &mut Vec<u8>,
+    router_seed: u64,
+    shard_count: usize,
+    mut shard: impl FnMut(usize, &mut Vec<u8>),
+) {
+    let mut w = Writer::open(out, KIND_SHARDED);
+    w.u64(router_seed);
+    w.usize(shard_count);
+    for i in 0..shard_count {
+        w.nested(|out| shard(i, out));
+    }
+}
+
 impl<D: CheckpointState> CheckpointState for ShardedDetector<D> {
-    /// Format: header (kind 3) | router seed | shard count |
-    /// length-prefixed per-shard `CFDS` blobs, in router order.
-    fn checkpoint(&self) -> Vec<u8> {
-        let mut w = Writer::new(KIND_SHARDED);
-        w.u64(self.router_seed());
-        w.usize(self.shard_count());
-        for shard in self.shards() {
-            w.bytes(&shard.checkpoint());
-        }
-        w.0
+    /// Format: see [`sharded_checkpoint_into`].
+    fn checkpoint_into(&self, out: &mut Vec<u8>) {
+        let shards = self.shards();
+        sharded_checkpoint_into(out, self.router_seed(), shards.len(), |i, out| {
+            shards[i].checkpoint_into(out);
+        });
     }
 
     fn restore(buf: &[u8]) -> Result<Self, CheckpointError> {
@@ -1501,5 +1540,68 @@ mod tests {
             peek_kind(&buf),
             Err(CheckpointError::BadVersion(_))
         ));
+    }
+
+    /// `checkpoint_into` appends exactly `checkpoint()`'s bytes, leaving
+    /// a prefix alone, into a recycled buffer with spare capacity: for
+    /// every registry backend (through both the concrete type's trait
+    /// and `Box<dyn DetectorBackend>`), the time-window detectors, and
+    /// 4-shard `ShardedDetector`s.
+    #[test]
+    fn checkpoint_into_appends_checkpoint_bytes_after_a_prefix() {
+        use crate::registry::{self, BackendGeometry, MemorySpec};
+        use crate::DetectorBackend;
+        fn check(name: &str, d: &impl CheckpointState) {
+            let want = d.checkpoint();
+            let mut buf = Vec::with_capacity(want.len() * 2);
+            buf.extend_from_slice(&[0xAB; 4096]);
+            buf.truncate(13); // recycled: old bytes beyond len, 13-byte prefix
+            d.checkpoint_into(&mut buf);
+            assert_eq!(&buf[..13], &[0xAB; 13], "{name}: prefix untouched");
+            assert!(buf[13..] == want[..], "{name}: appended bytes differ");
+        }
+        let observe = |d: &mut dyn DuplicateDetector| {
+            for i in 0..3_000u64 {
+                d.observe(&(i % 900).to_le_bytes());
+            }
+        };
+        let geometry = BackendGeometry::new(512, MemorySpec::TotalBits(1 << 15));
+        for entry in registry::backends() {
+            let mut boxed = entry.build(&geometry).expect("backend builds");
+            observe(&mut boxed);
+            check(entry.name, &boxed);
+            let mut via_dyn = vec![0xAB; 13];
+            DetectorBackend::checkpoint_into(&*boxed, &mut via_dyn);
+            assert!(
+                via_dyn[13..] == boxed.checkpoint()[..],
+                "{}: dyn",
+                entry.name
+            );
+            let mut sharded = ShardedDetector::from_fn(5, 4, |_| entry.build(&geometry))
+                .expect("sharded backend");
+            observe(&mut sharded);
+            check(entry.name, &sharded);
+        }
+        let mut t = tbf();
+        observe(&mut t);
+        check("tbf", &t);
+        let mut g = gbf(GbfLayout::Tight);
+        observe(&mut g);
+        check("gbf tight", &g);
+        let mut time_tbf = TimeTbf::new(TimeTbfConfig::new(64, 16, 1 << 12, 6, 4).expect("cfg"))
+            .expect("detector");
+        let mut time_gbf = TimeGbf::new(TimeGbfConfig::new(8, 16, 4, 1 << 10, 4, 3).expect("cfg"))
+            .expect("detector");
+        for i in 0..3_000u64 {
+            time_tbf.observe_at(&(i % 900).to_le_bytes(), i / 3);
+            time_gbf.observe_at(&(i % 900).to_le_bytes(), i / 3);
+        }
+        check("time-tbf", &time_tbf);
+        check("time-gbf", &time_gbf);
+        let mut sharded_tbf =
+            ShardedDetector::from_fn(5, 4, |_| Ok::<_, crate::ConfigError>(tbf()))
+                .expect("sharded tbf");
+        observe(&mut sharded_tbf);
+        check("sharded tbf", &sharded_tbf);
     }
 }

@@ -26,17 +26,18 @@ use cfd_bits::{InterleavedBitMatrix, TightBitMatrix};
 use cfd_hash::{BlockGeometry, DoubleHashFamily, HashFamily, Planner, ProbePlan};
 use cfd_telemetry::DetectorStats;
 use cfd_windows::{DuplicateDetector, JumpingClock, Verdict, WindowSpec};
+use std::borrow::Cow;
 use std::cell::Cell;
 
 /// Dynamic GBF state captured by a checkpoint.
-pub(crate) struct GbfState {
+pub(crate) struct GbfState<'a> {
     pub slot: usize,
     pub filled: usize,
     pub completed: u64,
     pub spare: Option<usize>,
     pub clean_next: usize,
-    pub active_mask: Vec<u64>,
-    pub matrix_words: Vec<u64>,
+    pub active_mask: Cow<'a, [u64]>,
+    pub matrix_words: Cow<'a, [u64]>,
 }
 
 /// The group matrix in either memory layout (verdict-identical; see
@@ -223,10 +224,10 @@ impl Gbf {
     }
 
     /// Internal state snapshot for checkpointing.
-    pub(crate) fn checkpoint_parts(&self) -> (GbfConfig, GbfState) {
+    pub(crate) fn checkpoint_parts(&self) -> (GbfConfig, GbfState<'_>) {
         let matrix_words = match &self.matrix {
-            GroupMatrix::Padded(mx) => mx.as_words().to_vec(),
-            GroupMatrix::Tight(mx) => mx.as_words().to_vec(),
+            GroupMatrix::Padded(mx) => mx.as_words(),
+            GroupMatrix::Tight(mx) => mx.as_words(),
         };
         (
             self.cfg,
@@ -236,8 +237,8 @@ impl Gbf {
                 completed: self.clock.completed_subwindows(),
                 spare: self.spare,
                 clean_next: self.clean_next,
-                active_mask: self.active_mask.clone(),
-                matrix_words,
+                active_mask: Cow::Borrowed(&self.active_mask),
+                matrix_words: Cow::Borrowed(matrix_words),
             },
         )
     }

@@ -41,10 +41,11 @@ use cfd_hash::{BlockGeometry, DoubleHashFamily, HashFamily, Planner, ProbePlan};
 use cfd_telemetry::DetectorStats;
 use cfd_windows::time::UnitClock;
 use cfd_windows::{DuplicateDetector, Verdict, WindowSpec};
+use std::borrow::Cow;
 use std::cell::Cell;
 
 /// Dynamic [`TimeGbf`] state captured by a checkpoint.
-pub(crate) struct TimeGbfState {
+pub(crate) struct TimeGbfState<'a> {
     /// Absolute high-water unit (`None` before the first observation).
     pub cur_unit: Option<u64>,
     /// Current insertion lane.
@@ -56,9 +57,9 @@ pub(crate) struct TimeGbfState {
     /// Next group index the incremental wipe will visit.
     pub clean_next: usize,
     /// Active-lane bitmask words.
-    pub mask_words: Vec<u64>,
+    pub mask_words: Cow<'a, [u64]>,
     /// Raw words of the interleaved matrix.
-    pub matrix_words: Vec<u64>,
+    pub matrix_words: Cow<'a, [u64]>,
 }
 
 /// Configuration of a [`TimeGbf`] detector.
@@ -310,7 +311,7 @@ impl TimeGbf {
     }
 
     /// Internal state snapshot for checkpointing.
-    pub(crate) fn checkpoint_parts(&self) -> (TimeGbfConfig, TimeGbfState) {
+    pub(crate) fn checkpoint_parts(&self) -> (TimeGbfConfig, TimeGbfState<'_>) {
         (
             self.cfg,
             TimeGbfState {
@@ -319,14 +320,17 @@ impl TimeGbf {
                 completed: self.completed,
                 spare: self.spare,
                 clean_next: self.clean_next,
-                mask_words: self.active_mask.clone(),
-                matrix_words: self.matrix.as_words().to_vec(),
+                mask_words: Cow::Borrowed(&self.active_mask),
+                matrix_words: Cow::Borrowed(self.matrix.as_words()),
             },
         )
     }
 
     /// Rebuilds a detector from checkpoint parts; `None` if inconsistent.
-    pub(crate) fn from_checkpoint_parts(cfg: TimeGbfConfig, state: TimeGbfState) -> Option<Self> {
+    pub(crate) fn from_checkpoint_parts(
+        cfg: TimeGbfConfig,
+        state: TimeGbfState<'_>,
+    ) -> Option<Self> {
         let lanes = cfg.q.checked_add(1)?;
         // Size-check against the payload BEFORE allocating.
         let lane_words = lanes.div_ceil(64);
@@ -351,8 +355,8 @@ impl TimeGbf {
         d.completed = state.completed;
         d.spare = state.spare;
         d.clean_next = state.clean_next;
-        d.active_mask = state.mask_words;
-        d.matrix = InterleavedBitMatrix::from_words(state.matrix_words, cfg.m, lanes)?;
+        d.active_mask = state.mask_words.into_owned();
+        d.matrix = InterleavedBitMatrix::from_words(state.matrix_words.into_owned(), cfg.m, lanes)?;
         Some(d)
     }
 

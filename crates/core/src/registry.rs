@@ -56,14 +56,22 @@ use std::fmt;
 /// every generic wrapper — `ShardedDetector<Box<dyn DetectorBackend>>`
 /// keeps hash-once routing *and* checkpointing.
 pub trait DetectorBackend: PlannedDetector + DetectorStats + Send {
+    /// Appends the complete state in the tagged `CFDS` framing to `out`
+    /// (object-safe form of [`CheckpointState::checkpoint_into`]).
+    fn checkpoint_into(&self, out: &mut Vec<u8>);
+
     /// Serializes the complete state in the tagged `CFDS` framing
     /// (object-safe form of [`CheckpointState::checkpoint`]).
-    fn checkpoint_bytes(&self) -> Vec<u8>;
+    fn checkpoint_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.checkpoint_into(&mut out);
+        out
+    }
 }
 
 impl<T: PlannedDetector + DetectorStats + CheckpointState + Send> DetectorBackend for T {
-    fn checkpoint_bytes(&self) -> Vec<u8> {
-        CheckpointState::checkpoint(self)
+    fn checkpoint_into(&self, out: &mut Vec<u8>) {
+        CheckpointState::checkpoint_into(self, out);
     }
 }
 
@@ -86,8 +94,8 @@ impl PlannedDetector for Box<dyn DetectorBackend> {
 }
 
 impl CheckpointState for Box<dyn DetectorBackend> {
-    fn checkpoint(&self) -> Vec<u8> {
-        (**self).checkpoint_bytes()
+    fn checkpoint_into(&self, out: &mut Vec<u8>) {
+        (**self).checkpoint_into(out);
     }
 
     /// Restores whichever backend the buffer's kind tag names — the

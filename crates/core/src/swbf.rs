@@ -35,6 +35,7 @@ use cfd_hash::mix::splitmix64;
 use cfd_hash::{BlockGeometry, DoubleHashFamily, HashFamily, HashPair, Planner, ProbePlan};
 use cfd_telemetry::DetectorStats;
 use cfd_windows::{DuplicateDetector, Verdict, WindowSpec, WrapCounter};
+use std::borrow::Cow;
 use std::cell::Cell;
 
 /// Candidate cells probed per element in the main dictionary.
@@ -181,14 +182,14 @@ impl SwbfConfig {
 }
 
 /// Dynamic SWBF state captured by a checkpoint.
-pub(crate) struct SwbfState {
+pub(crate) struct SwbfState<'a> {
     pub now: u64,
     pub arrivals: u64,
     pub last_side_insert: Option<u64>,
     pub clean_next: usize,
     pub side_clean_next: usize,
-    pub cell_words: Vec<u64>,
-    pub side_words: Vec<u64>,
+    pub cell_words: Cow<'a, [u64]>,
+    pub side_words: Cow<'a, [u64]>,
 }
 
 /// Dictionary-based sliding-window Bloom-filter duplicate detector over
@@ -366,7 +367,7 @@ impl Swbf {
     }
 
     /// Internal state snapshot for checkpointing.
-    pub(crate) fn checkpoint_parts(&self) -> (SwbfConfig, SwbfState) {
+    pub(crate) fn checkpoint_parts(&self) -> (SwbfConfig, SwbfState<'_>) {
         (
             self.cfg,
             SwbfState {
@@ -375,14 +376,14 @@ impl Swbf {
                 last_side_insert: self.last_side_insert,
                 clean_next: self.clean_next,
                 side_clean_next: self.side_clean_next,
-                cell_words: self.cells.as_words().to_vec(),
-                side_words: self.side.as_words().to_vec(),
+                cell_words: Cow::Borrowed(self.cells.as_words()),
+                side_words: Cow::Borrowed(self.side.as_words()),
             },
         )
     }
 
     /// Rebuilds a detector from checkpoint parts; `None` if inconsistent.
-    pub(crate) fn from_checkpoint_parts(cfg: SwbfConfig, state: SwbfState) -> Option<Self> {
+    pub(crate) fn from_checkpoint_parts(cfg: SwbfConfig, state: SwbfState<'_>) -> Option<Self> {
         let mut d = Self::new(cfg).ok()?;
         if state.clean_next >= cfg.cells() || state.side_clean_next >= cfg.side_cells() {
             return None;
@@ -393,8 +394,13 @@ impl Swbf {
             }
         }
         d.wrap = WrapCounter::from_parts(cfg.range(), state.now)?;
-        d.cells = PackedIntVec::from_words(state.cell_words, cfg.cells(), cfg.cell_bits())?;
-        d.side = PackedIntVec::from_words(state.side_words, cfg.side_cells(), cfg.ts_bits())?;
+        d.cells =
+            PackedIntVec::from_words(state.cell_words.into_owned(), cfg.cells(), cfg.cell_bits())?;
+        d.side = PackedIntVec::from_words(
+            state.side_words.into_owned(),
+            cfg.side_cells(),
+            cfg.ts_bits(),
+        )?;
         d.arrivals = state.arrivals;
         d.last_side_insert = state.last_side_insert;
         d.clean_next = state.clean_next;
@@ -944,7 +950,7 @@ mod tests {
         state.clean_next = cfg.cells();
         assert!(Swbf::from_checkpoint_parts(cfg, state).is_none());
         let (cfg, mut state) = d.checkpoint_parts();
-        state.cell_words.pop();
+        state.cell_words.to_mut().pop();
         assert!(Swbf::from_checkpoint_parts(cfg, state).is_none());
         let (cfg, mut state) = d.checkpoint_parts();
         state.last_side_insert = Some(state.arrivals + 1);

@@ -24,13 +24,14 @@ use cfd_bits::PackedIntVec;
 use cfd_hash::{BlockGeometry, DoubleHashFamily, HashFamily, Planner, ProbePlan};
 use cfd_telemetry::DetectorStats;
 use cfd_windows::{DuplicateDetector, Verdict, WindowSpec, WrapCounter};
+use std::borrow::Cow;
 use std::cell::Cell;
 
 /// Dynamic TBF state captured by a checkpoint.
-pub(crate) struct TbfState {
+pub(crate) struct TbfState<'a> {
     pub now: u64,
     pub clean_next: usize,
-    pub entry_words: Vec<u64>,
+    pub entry_words: Cow<'a, [u64]>,
 }
 
 /// Timing-Bloom-filter duplicate detector over count-based sliding
@@ -171,13 +172,13 @@ impl Tbf {
     }
 
     /// Internal state snapshot for checkpointing.
-    pub(crate) fn checkpoint_parts(&self) -> (TbfConfig, TbfState) {
+    pub(crate) fn checkpoint_parts(&self) -> (TbfConfig, TbfState<'_>) {
         (
             self.cfg,
             TbfState {
                 now: self.wrap.now(),
                 clean_next: self.clean_next,
-                entry_words: self.entries.as_words().to_vec(),
+                entry_words: Cow::Borrowed(self.entries.as_words()),
             },
         )
     }

@@ -20,6 +20,7 @@ use cfd_bits::PackedIntVec;
 use cfd_hash::{BlockGeometry, DoubleHashFamily, HashFamily, Planner, ProbePlan};
 use cfd_telemetry::DetectorStats;
 use cfd_windows::{DuplicateDetector, JumpingClock, Verdict, WindowSpec, WrapCounter};
+use std::borrow::Cow;
 use std::cell::Cell;
 
 /// Configuration of a [`JumpingTbf`] detector.
@@ -134,13 +135,13 @@ impl JumpingTbfConfig {
 
 /// Mutable-state snapshot carried by a checkpoint (the configuration
 /// travels separately).
-pub(crate) struct JumpingTbfState {
+pub(crate) struct JumpingTbfState<'a> {
     pub sub_now: u64,
     pub slot: usize,
     pub filled: usize,
     pub completed_subwindows: u64,
     pub clean_next: usize,
-    pub entry_words: Vec<u64>,
+    pub entry_words: Cow<'a, [u64]>,
 }
 
 /// Timing-Bloom-filter duplicate detector over count-based jumping
@@ -238,7 +239,7 @@ impl JumpingTbf {
     }
 
     /// Internal state snapshot for checkpointing.
-    pub(crate) fn checkpoint_parts(&self) -> (JumpingTbfConfig, JumpingTbfState) {
+    pub(crate) fn checkpoint_parts(&self) -> (JumpingTbfConfig, JumpingTbfState<'_>) {
         (
             self.cfg,
             JumpingTbfState {
@@ -247,7 +248,7 @@ impl JumpingTbf {
                 filled: self.clock.filled(),
                 completed_subwindows: self.clock.completed_subwindows(),
                 clean_next: self.clean_next,
-                entry_words: self.entries.as_words().to_vec(),
+                entry_words: Cow::Borrowed(self.entries.as_words()),
             },
         )
     }
@@ -255,7 +256,7 @@ impl JumpingTbf {
     /// Rebuilds a detector from checkpoint parts; `None` if inconsistent.
     pub(crate) fn from_checkpoint_parts(
         cfg: JumpingTbfConfig,
-        state: JumpingTbfState,
+        state: JumpingTbfState<'_>,
     ) -> Option<Self> {
         // Size-check against the provided payload BEFORE allocating: a
         // corrupt header could otherwise request an absurd table.
@@ -273,7 +274,11 @@ impl JumpingTbf {
             state.completed_subwindows,
         )?;
         d.clean_next = state.clean_next;
-        d.entries = cfd_bits::PackedIntVec::from_words(state.entry_words, cfg.m, cfg.entry_bits())?;
+        d.entries = cfd_bits::PackedIntVec::from_words(
+            state.entry_words.into_owned(),
+            cfg.m,
+            cfg.entry_bits(),
+        )?;
         Some(d)
     }
 

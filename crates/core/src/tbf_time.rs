@@ -48,16 +48,17 @@ use cfd_hash::{BlockGeometry, DoubleHashFamily, HashFamily, Planner, ProbePlan};
 use cfd_telemetry::DetectorStats;
 use cfd_windows::time::UnitClock;
 use cfd_windows::{DuplicateDetector, Verdict, WindowSpec};
+use std::borrow::Cow;
 use std::cell::Cell;
 
 /// Dynamic [`TimeTbf`] state captured by a checkpoint.
-pub(crate) struct TimeTbfState {
+pub(crate) struct TimeTbfState<'a> {
     /// Absolute high-water unit (`None` before the first observation).
     pub cur_unit: Option<u64>,
     /// Next entry index the incremental sweep will visit.
     pub clean_next: usize,
     /// Raw words of the packed entry table.
-    pub entry_words: Vec<u64>,
+    pub entry_words: Cow<'a, [u64]>,
 }
 
 /// Configuration of a [`TimeTbf`] detector.
@@ -307,19 +308,22 @@ impl TimeTbf {
     }
 
     /// Internal state snapshot for checkpointing.
-    pub(crate) fn checkpoint_parts(&self) -> (TimeTbfConfig, TimeTbfState) {
+    pub(crate) fn checkpoint_parts(&self) -> (TimeTbfConfig, TimeTbfState<'_>) {
         (
             self.cfg,
             TimeTbfState {
                 cur_unit: self.cur_unit,
                 clean_next: self.clean_next,
-                entry_words: self.entries.as_words().to_vec(),
+                entry_words: Cow::Borrowed(self.entries.as_words()),
             },
         )
     }
 
     /// Rebuilds a detector from checkpoint parts; `None` if inconsistent.
-    pub(crate) fn from_checkpoint_parts(cfg: TimeTbfConfig, state: TimeTbfState) -> Option<Self> {
+    pub(crate) fn from_checkpoint_parts(
+        cfg: TimeTbfConfig,
+        state: TimeTbfState<'_>,
+    ) -> Option<Self> {
         // Size-check against the provided payload BEFORE allocating: a
         // corrupt header could otherwise request an absurd table.
         let expected_words = cfg.m.checked_mul(cfg.entry_bits() as usize)?.div_ceil(64);
@@ -329,7 +333,8 @@ impl TimeTbf {
         let mut d = Self::new(cfg).ok()?;
         d.cur_unit = state.cur_unit;
         d.clean_next = state.clean_next;
-        d.entries = PackedIntVec::from_words(state.entry_words, cfg.m, cfg.entry_bits())?;
+        d.entries =
+            PackedIntVec::from_words(state.entry_words.into_owned(), cfg.m, cfg.entry_bits())?;
         Some(d)
     }
 

@@ -99,12 +99,13 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// IEEE CRC-32 lookup tables for slicing-by-8 (reflected, polynomial
+/// IEEE CRC-32 lookup tables for slicing-by-16 (reflected, polynomial
 /// `0xEDB88320`), built at compile time. `CRC_TABLES[0]` is the classic
 /// bytewise table; `CRC_TABLES[k][n]` is the CRC of byte `n` followed
-/// by `k` zero bytes, so eight lookups fold eight input bytes at once.
-const CRC_TABLES: [[u32; 256]; 8] = {
-    let mut tables = [[0u32; 256]; 8];
+/// by `k` zero bytes, so sixteen lookups fold sixteen input bytes at
+/// once.
+const CRC_TABLES: [[u32; 256]; 16] = {
+    let mut tables = [[0u32; 256]; 16];
     let mut n = 0;
     while n < 256 {
         let mut c = n as u32;
@@ -123,7 +124,7 @@ const CRC_TABLES: [[u32; 256]; 8] = {
     let mut n = 0;
     while n < 256 {
         let mut k = 1;
-        while k < 8 {
+        while k < 16 {
             let prev = tables[k - 1][n];
             tables[k][n] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
             k += 1;
@@ -135,25 +136,36 @@ const CRC_TABLES: [[u32; 256]; 8] = {
 
 /// IEEE CRC-32 (the zlib/PNG polynomial) of `data`.
 ///
-/// Slicing-by-8: each step folds eight bytes through eight table
-/// lookups instead of eight dependent bytewise steps; the tail of
-/// fewer than eight bytes goes bytewise.
+/// Slicing-by-16: each step folds sixteen bytes through sixteen
+/// independent table lookups instead of sixteen dependent bytewise
+/// steps; the tail of fewer than sixteen bytes goes bytewise.
 #[must_use]
 pub fn crc32(data: &[u8]) -> u32 {
     let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    let mut blocks = data.chunks_exact(8);
+    let mut blocks = data.chunks_exact(16);
     for b in &mut blocks {
-        let lo = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
-        let hi = u32::from_le_bytes([b[4], b[5], b[6], b[7]]);
-        c = t[7][(lo & 0xFF) as usize]
-            ^ t[6][((lo >> 8) & 0xFF) as usize]
-            ^ t[5][((lo >> 16) & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][(hi & 0xFF) as usize]
-            ^ t[2][((hi >> 8) & 0xFF) as usize]
-            ^ t[1][((hi >> 16) & 0xFF) as usize]
-            ^ t[0][(hi >> 24) as usize];
+        let b: &[u8; 16] = b.try_into().expect("16-byte block");
+        let w0 = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        let w1 = u32::from_le_bytes([b[4], b[5], b[6], b[7]]);
+        let w2 = u32::from_le_bytes([b[8], b[9], b[10], b[11]]);
+        let w3 = u32::from_le_bytes([b[12], b[13], b[14], b[15]]);
+        c = t[15][(w0 & 0xFF) as usize]
+            ^ t[14][((w0 >> 8) & 0xFF) as usize]
+            ^ t[13][((w0 >> 16) & 0xFF) as usize]
+            ^ t[12][(w0 >> 24) as usize]
+            ^ t[11][(w1 & 0xFF) as usize]
+            ^ t[10][((w1 >> 8) & 0xFF) as usize]
+            ^ t[9][((w1 >> 16) & 0xFF) as usize]
+            ^ t[8][(w1 >> 24) as usize]
+            ^ t[7][(w2 & 0xFF) as usize]
+            ^ t[6][((w2 >> 8) & 0xFF) as usize]
+            ^ t[5][((w2 >> 16) & 0xFF) as usize]
+            ^ t[4][(w2 >> 24) as usize]
+            ^ t[3][(w3 & 0xFF) as usize]
+            ^ t[2][((w3 >> 8) & 0xFF) as usize]
+            ^ t[1][((w3 >> 16) & 0xFF) as usize]
+            ^ t[0][(w3 >> 24) as usize];
     }
     for &b in blocks.remainder() {
         c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);

@@ -153,11 +153,12 @@ pub const SERVE_USAGE: &str = "\
              [--queue <Q>] [--ads <N>] [--hub-batches <batches>]
              [--checkpoint <file>] [--checkpoint-every <clicks>] [--resume]
              [--report-json <file>] [--metrics[=millis]] [--metrics-json]
-             (any `cfd algos` backend; clicks arrive as CFDW wire frames,
-              flow through a bounded hub into checkpoint-delimited
-              pipeline segments, and the complete billing state is
-              persisted after every segment; SIGTERM/SIGINT or a client
-              DRAIN frame drains gracefully -- final segment, final
+             (any `cfd algos` backend; clicks arrive as CFDW wire frames
+              and flow through a bounded hub into one pipeline run; every
+              --checkpoint-every clicks a barrier snapshot of the complete
+              billing state is written and fsynced by a writer thread
+              while clicks keep moving; SIGTERM/SIGINT or a client DRAIN
+              frame drains gracefully -- in-flight clicks, final
               checkpoint, final report; --resume restarts from
               --checkpoint, and the HELLO position makes clients skip
               everything the checkpoint already covers; --ads N bills
