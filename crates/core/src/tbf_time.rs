@@ -357,9 +357,9 @@ impl TimeTbf {
     }
 
     /// One unit's worth of the cleaning daemon, evaluated at virtual unit
-    /// `abs_unit`. Runs on the wide
-    /// [`PackedIntVec::expire_timestamps`] compare-and-store (eight
-    /// stamps per classify on AVX2) with the wraparound clock position
+    /// `abs_unit`. Runs on [`PackedIntVec::expire_timestamps`] (on the
+    /// wide dispatch: a store-free classify pass, then a rewrite of the
+    /// expired entries only) with the wraparound clock position
     /// computed once per sweep — at production sizings the sweep visits
     /// several entries per arriving click, so its per-entry cost bounds
     /// detector throughput. The timed predicate differs from the
