@@ -71,7 +71,7 @@ EOF
     fi
     grep -q -- '--transport' /tmp/cfd_opt_err.txt
     echo "   rejected with: $(head -n 1 /tmp/cfd_opt_err.txt)"
-    echo "==> cfd rejects time-gbf with zero sub-windows by name, not a panic"
+    echo "==> cfd detect|run|serve reject time-gbf with zero sub-windows by name, not a panic"
     ./target/release/cfd generate --kind botnet --count 1000 --out /tmp/cfd_q0.cfdt >/dev/null
     for cmd in detect run; do
         if ./target/release/cfd "$cmd" --algo time-gbf --sub-windows 0 \
@@ -84,6 +84,21 @@ EOF
         fi
         echo "   $cmd rejected with: $(head -n 1 /tmp/cfd_q0_err.txt)"
     done
+    # serve builds its detector before it binds, so it must fail the
+    # same way without creating the socket.
+    rm -f /tmp/cfd_q0.sock
+    if ./target/release/cfd serve --algo time-gbf --sub-windows 0 \
+        --listen unix:/tmp/cfd_q0.sock 2>/tmp/cfd_q0_err.txt >/dev/null; then
+        echo "FAIL: cfd serve accepted --sub-windows 0"; exit 1
+    fi
+    grep -q 'sub-window' /tmp/cfd_q0_err.txt
+    if grep -q 'panicked' /tmp/cfd_q0_err.txt; then
+        echo "FAIL: cfd serve panicked on --sub-windows 0"; exit 1
+    fi
+    if [[ -e /tmp/cfd_q0.sock ]]; then
+        echo "FAIL: cfd serve bound its socket before rejecting --sub-windows 0"; exit 1
+    fi
+    echo "   serve rejected with: $(head -n 1 /tmp/cfd_q0_err.txt)"
 fi
 
 if [[ "${1:-}" != "quick" ]]; then

@@ -640,12 +640,6 @@ impl DuplicateDetector for Apbf {
         self.apply(plan)
     }
 
-    fn observe_batch(&mut self, ids: &[&[u8]]) -> Vec<Verdict> {
-        let mut out = Vec::with_capacity(ids.len());
-        self.observe_batch_into(ids, &mut out);
-        out
-    }
-
     fn observe_batch_into(&mut self, ids: &[&[u8]], out: &mut Vec<Verdict>) {
         let mut bufs = std::mem::take(&mut self.bufs);
         let planner = self.planner();

@@ -471,12 +471,6 @@ impl DuplicateDetector for Gbf {
         self.apply(plan)
     }
 
-    fn observe_batch(&mut self, ids: &[&[u8]]) -> Vec<Verdict> {
-        let mut out = Vec::with_capacity(ids.len());
-        self.observe_batch_into(ids, &mut out);
-        out
-    }
-
     fn observe_batch_into(&mut self, ids: &[&[u8]], out: &mut Vec<Verdict>) {
         // Hash the whole batch first (pure, multi-lane over equal-length
         // runs) and expand every plan's probe groups into one flat

@@ -15,7 +15,8 @@
 //!   timestamps; an incremental sweep erases expired timestamps before
 //!   their values can be reused.
 //! * [`JumpingTbf`] — TBF adapted to jumping windows with *large* `Q`,
-//!   where GBF's `Q`-lane probe would be too wide (§4.1 extension).
+//!   where GBF's `Q`-lane probe would be too wide (§4.1 extension): a
+//!   [`TimeTbf`] whose time unit is one sub-window of arrivals.
 //! * [`TimeGbf`] / [`TimeTbf`] — the time-based-window extensions of
 //!   §3.1 / §4.1: windows measured in time units instead of elements.
 //! * [`ShardedDetector`] — keyspace-sharded composition of any detector:

@@ -1,8 +1,9 @@
 //! The backend registry: window-filter detectors as named plugins.
 //!
-//! Every count-window detector in this crate — TBF, GBF, jumping-TBF,
-//! APBF, SWBF — shares the same operational contract: it classifies
-//! clicks ([`DuplicateDetector`](cfd_windows::DuplicateDetector)),
+//! Every detector in this crate — TBF, GBF, jumping-TBF, their
+//! time-window forms, APBF, SWBF and the tenant arena — shares the same
+//! operational contract: it classifies clicks
+//! ([`DuplicateDetector`](cfd_windows::DuplicateDetector)),
 //! exposes its hashing half for batch and sharded replay
 //! ([`PlannedDetector`]), reports health telemetry
 //! ([`DetectorStats`]), and round-trips
@@ -16,6 +17,10 @@
 //! exist: `--algo` help text, the README algorithm table, and the
 //! differential test harness all iterate [`backends`], so adding a
 //! backend here is the *only* step needed to surface it everywhere.
+//! Whether a backend's window is counted in arrivals or in feed ticks
+//! is a property of its entry ([`BackendEntry::timed`]), and so is the
+//! one rule for splitting it over keyspace shards
+//! ([`BackendGeometry::for_shards`]).
 //!
 //! ```rust
 //! use cfd_core::registry::{self, BackendGeometry, MemorySpec};
@@ -33,19 +38,22 @@
 use crate::arena::{ArenaConfig, TenantArena};
 use crate::checkpoint::{
     self, CheckpointError, CheckpointState, KIND_APBF, KIND_ARENA, KIND_GBF, KIND_JUMPING_TBF,
-    KIND_SWBF, KIND_TBF,
+    KIND_SWBF, KIND_TBF, KIND_TIME_GBF, KIND_TIME_TBF,
 };
 use crate::config::{ConfigError, ProbeLayout};
-use crate::sharded::PlannedDetector;
+use crate::sharded::{per_shard_window, PlannedDetector};
 use crate::tbf_jumping::JumpingTbfConfig;
-use crate::{Apbf, ApbfConfig, Gbf, GbfConfig, JumpingTbf, Swbf, SwbfConfig, Tbf, TbfConfig};
+use crate::{
+    Apbf, ApbfConfig, Gbf, GbfConfig, JumpingTbf, Swbf, SwbfConfig, Tbf, TbfConfig, TimeGbf,
+    TimeGbfConfig, TimeTbf, TimeTbfConfig,
+};
 use cfd_bits::words::bits_for_value;
 use cfd_hash::{Planner, ProbePlan};
 use cfd_telemetry::DetectorStats;
 use cfd_windows::Verdict;
 use std::fmt;
 
-/// The full plugin contract of a count-window detector backend: stream
+/// The full plugin contract of a detector backend: stream
 /// classification, hash-once batch replay, health telemetry, and tagged
 /// checkpointing. Blanket-implemented for every [`CheckpointState`]
 /// detector, so concrete backends never implement it by hand.
@@ -127,10 +135,13 @@ pub enum MemorySpec {
 /// Backends ignore the knobs they do not have: APBF and SWBF derive
 /// their own probe counts from the budget, so `hash_count` only binds
 /// the TBF/GBF family; `sub_windows` only binds the jumping-window
+/// detectors; the three time fields only bind the time-window
 /// detectors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BackendGeometry {
-    /// Count-window length `N` in elements.
+    /// Count-window length `N` in elements. For a time-window backend,
+    /// the window's capacity: the clicks one window is expected to hold,
+    /// which sizes its tables.
     pub window: usize,
     /// Memory to spend, total or per element.
     pub memory: MemorySpec,
@@ -143,11 +154,20 @@ pub struct BackendGeometry {
     pub seed: u64,
     /// Probe index layout (scattered vs. cache-line-blocked).
     pub probe: ProbeLayout,
+    /// Time-window span `R` in units (`time-tbf`).
+    pub window_units: u64,
+    /// Units per sub-window (`time-gbf`, whose window is
+    /// `sub_windows × sub_units` units).
+    pub sub_units: u64,
+    /// Feed ticks per time unit.
+    pub unit_ticks: u64,
 }
 
 impl BackendGeometry {
     /// A geometry with the CLI's defaults: 8 sub-windows, 10 hashes,
-    /// seed 0, scattered probes.
+    /// seed 0, scattered probes, and a 65 536-tick time window (64
+    /// units, or 8 sub-windows of 8 units, of 1024 ticks) — the span of
+    /// the default count window on one-click-per-tick workloads.
     #[must_use]
     pub fn new(window: usize, memory: MemorySpec) -> Self {
         Self {
@@ -157,6 +177,9 @@ impl BackendGeometry {
             hash_count: 10,
             seed: 0,
             probe: ProbeLayout::Scattered,
+            window_units: 64,
+            sub_units: 8,
+            unit_ticks: 1024,
         }
     }
 
@@ -187,6 +210,34 @@ impl BackendGeometry {
         self.probe = probe;
         self
     }
+
+    /// Returns the geometry with the time window replaced: `window_units`
+    /// units (`time-tbf`) or sub-windows of `sub_units` units
+    /// (`time-gbf`), of `unit_ticks` ticks each.
+    #[must_use]
+    pub fn with_time_units(mut self, window_units: u64, sub_units: u64, unit_ticks: u64) -> Self {
+        self.window_units = window_units;
+        self.sub_units = sub_units;
+        self.unit_ticks = unit_ticks;
+        self
+    }
+
+    /// The geometry of each of `shards` keyspace shards — the one
+    /// sharding rule. A count window splits into per-shard windows of
+    /// [`per_shard_window`]`(N, S)`: same total memory, soft window edge
+    /// (see `cfd_analysis::sharding`). A time window (`timed`, from
+    /// [`BackendEntry::timed`]) keeps its span, because routing is
+    /// tick-blind and every shard shares one clock; only its capacity
+    /// splits, to `⌈N/S⌉`.
+    #[must_use]
+    pub fn for_shards(mut self, shards: usize, timed: bool) -> Self {
+        self.window = if timed {
+            self.window.div_ceil(shards.max(1))
+        } else {
+            per_shard_window(self.window, shards)
+        };
+        self
+    }
 }
 
 /// Constructor signature of a registered backend.
@@ -201,6 +252,9 @@ pub struct BackendEntry {
     pub name: &'static str,
     /// The `CFDS` kind tag its checkpoints carry.
     pub kind: u8,
+    /// `true` when the window is measured in feed ticks (a time
+    /// window); `false` when it is counted in arrivals.
+    pub timed: bool,
     /// Window model, for generated docs.
     pub window_model: &'static str,
     /// One-line summary, for generated docs and help text.
@@ -240,25 +294,42 @@ impl BackendEntry {
     }
 }
 
-/// TBF entries for a memory spec (`M / entry_bits`, Theorem 2).
-fn tbf_entries(geo: &BackendGeometry) -> usize {
+/// Timestamp entries for a memory spec: `M / entry_bits` (Theorem 2),
+/// or `c` entries per window element.
+fn tbf_entries(geo: &BackendGeometry, entry_bits: u32) -> usize {
     match geo.memory {
-        MemorySpec::TotalBits(total) => {
-            total / bits_for_value(2 * geo.window.max(1) as u64 - 1) as usize
-        }
+        MemorySpec::TotalBits(total) => total / entry_bits as usize,
         MemorySpec::CellsPerElement(c) => geo.window * c,
     }
+}
+
+/// Bits per GBF sub-window filter for a memory spec. The default padded
+/// layout spends one whole word per probe group (`group_bits`), so an
+/// equal-memory build must divide by the real group stride, not
+/// `Q + 1` — GBF pays for its padding in the comparison. Rejects
+/// `Q = 0` before the sizing divides by it.
+fn gbf_filter_bits(geo: &BackendGeometry) -> Result<usize, ConfigError> {
+    let q = geo.sub_windows;
+    if q == 0 {
+        return Err(ConfigError::ZeroDimension("sub-window count q"));
+    }
+    Ok(match geo.memory {
+        MemorySpec::TotalBits(total) => total / ((q + 1).div_ceil(64) * 64),
+        MemorySpec::CellsPerElement(c) => geo.window.div_ceil(q) * c,
+    })
 }
 
 static BACKENDS: &[BackendEntry] = &[
     BackendEntry {
         name: "tbf",
         kind: KIND_TBF,
+        timed: false,
         window_model: "sliding, count-based",
         summary: "timing Bloom filter: O(log N)-bit timestamp cells, incremental sweep (paper §4)",
         build: |geo| {
+            let entry_bits = bits_for_value(2 * geo.window.max(1) as u64 - 1);
             let cfg = TbfConfig::builder(geo.window)
-                .entries(tbf_entries(geo))
+                .entries(tbf_entries(geo, entry_bits))
                 .hash_count(geo.hash_count)
                 .seed(geo.seed)
                 .probe(geo.probe)
@@ -270,24 +341,12 @@ static BACKENDS: &[BackendEntry] = &[
     BackendEntry {
         name: "gbf",
         kind: KIND_GBF,
+        timed: false,
         window_model: "jumping, count-based, small Q",
         summary: "group Bloom filters: Q sub-window filters probed in one interleaved read (paper §3)",
         build: |geo| {
-            let mut b = GbfConfig::builder(geo.window, geo.sub_windows);
-            b = match geo.memory {
-                // The default padded layout spends one whole word per
-                // probe group (`group_bits`), so an equal-memory build
-                // must divide by the real group stride, not `Q + 1` —
-                // GBF pays for its padding in the comparison.
-                MemorySpec::TotalBits(total) => {
-                    let group_bits = (geo.sub_windows + 1).div_ceil(64) * 64;
-                    b.filter_bits(total / group_bits)
-                }
-                MemorySpec::CellsPerElement(c) => {
-                    b.filter_bits(geo.window.div_ceil(geo.sub_windows.max(1)) * c)
-                }
-            };
-            let cfg = b
+            let cfg = GbfConfig::builder(geo.window, geo.sub_windows)
+                .filter_bits(gbf_filter_bits(geo)?)
                 .hash_count(geo.hash_count)
                 .seed(geo.seed)
                 .probe(geo.probe)
@@ -299,14 +358,12 @@ static BACKENDS: &[BackendEntry] = &[
     BackendEntry {
         name: "jumping-tbf",
         kind: KIND_JUMPING_TBF,
+        timed: false,
         window_model: "jumping, count-based, large Q",
         summary: "TBF over sub-window indices: jumping windows where GBF's Q-lane probe is too wide (§4.1)",
         build: |geo| {
             let q = geo.sub_windows;
-            let m = match geo.memory {
-                MemorySpec::TotalBits(total) => total / bits_for_value(2 * q.max(1) as u64) as usize,
-                MemorySpec::CellsPerElement(c) => geo.window * c,
-            };
+            let m = tbf_entries(geo, bits_for_value(2 * q.max(1) as u64));
             let cfg = JumpingTbfConfig::new(geo.window, q, m, geo.hash_count, geo.seed)?
                 .with_probe(geo.probe)?;
             Ok(Box::new(JumpingTbf::new(cfg)?))
@@ -314,8 +371,51 @@ static BACKENDS: &[BackendEntry] = &[
         restore: |buf| Ok(Box::new(JumpingTbf::restore(buf)?)),
     },
     BackendEntry {
+        name: "time-tbf",
+        kind: KIND_TIME_TBF,
+        timed: true,
+        window_model: "sliding, time-based",
+        summary: "TBF over time units: entries stamp the unit, the sweep runs once per unit (§4.1)",
+        build: |geo| {
+            // Stamps wrap over R + C = 2R units.
+            let m = tbf_entries(geo, bits_for_value(geo.window_units.saturating_mul(2)));
+            let cfg = TimeTbfConfig::new(
+                geo.window_units,
+                geo.unit_ticks,
+                m,
+                geo.hash_count,
+                geo.seed,
+            )?
+            .with_probe(geo.probe)?;
+            Ok(Box::new(TimeTbf::new(cfg)?))
+        },
+        restore: |buf| Ok(Box::new(TimeTbf::restore(buf)?)),
+    },
+    BackendEntry {
+        name: "time-gbf",
+        kind: KIND_TIME_GBF,
+        timed: true,
+        window_model: "jumping, time-based",
+        summary: "GBF over time units: Q sub-window filters of equal duration, wiped once per unit (§3.1)",
+        build: |geo| {
+            let m = gbf_filter_bits(geo)?;
+            let cfg = TimeGbfConfig::new(
+                geo.sub_windows,
+                geo.sub_units,
+                geo.unit_ticks,
+                m,
+                geo.hash_count,
+                geo.seed,
+            )?
+            .with_probe(geo.probe)?;
+            Ok(Box::new(TimeGbf::new(cfg)?))
+        },
+        restore: |buf| Ok(Box::new(TimeGbf::restore(buf)?)),
+    },
+    BackendEntry {
         name: "apbf",
         kind: KIND_APBF,
+        timed: false,
         window_model: "sliding, count-based",
         summary: "age-partitioned Bloom filter: k+l rotating slices, k-run queries, no timestamps",
         build: |geo| {
@@ -331,6 +431,7 @@ static BACKENDS: &[BackendEntry] = &[
     BackendEntry {
         name: "swbf",
         kind: KIND_SWBF,
+        timed: false,
         window_model: "sliding, count-based",
         summary: "sliding window Bloom filter: fingerprinted timestamp dictionary with cuckoo-style candidates",
         build: |geo| {
@@ -353,6 +454,7 @@ static BACKENDS: &[BackendEntry] = &[
     BackendEntry {
         name: "arena",
         kind: KIND_ARENA,
+        timed: false,
         window_model: "sliding, count-based, per tenant",
         summary: "multi-tenant arena: one TBF region per key prefix (advertiser, campaign) in a shared slab, hash-once routing",
         build: |geo| {
@@ -373,7 +475,7 @@ static BACKENDS: &[BackendEntry] = &[
     },
 ];
 
-/// Every registered count-window backend, in documentation order.
+/// Every registered backend, in documentation order.
 #[must_use]
 pub fn backends() -> &'static [BackendEntry] {
     BACKENDS
@@ -473,7 +575,7 @@ pub fn markdown_table() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cfd_windows::DuplicateDetector;
+    use cfd_windows::{DuplicateDetector, WindowSpec};
 
     fn geo() -> BackendGeometry {
         BackendGeometry::new(512, MemorySpec::TotalBits(512 * 64)).with_seed(7)
@@ -486,12 +588,20 @@ mod tests {
                 let mut d = entry.build(&geo().with_probe(probe)).expect(entry.name);
                 assert_eq!(d.observe(b"click-a"), Verdict::Distinct, "{}", entry.name);
                 assert_eq!(d.observe(b"click-a"), Verdict::Duplicate, "{}", entry.name);
-                let n = match d.window() {
-                    cfd_windows::WindowSpec::Sliding { n }
-                    | cfd_windows::WindowSpec::Jumping { n, .. } => n,
+                // Count windows span the geometry's 512 arrivals, time
+                // windows its default 65 536 ticks.
+                let timed = match d.window() {
+                    WindowSpec::Sliding { n } | WindowSpec::Jumping { n, .. } => {
+                        assert_eq!(n, 512, "{}", entry.name);
+                        false
+                    }
+                    WindowSpec::TimeSliding { ticks } | WindowSpec::TimeJumping { ticks, .. } => {
+                        assert_eq!(ticks, 65_536, "{}", entry.name);
+                        true
+                    }
                     other => panic!("{}: unexpected window {other:?}", entry.name),
                 };
-                assert_eq!(n, 512, "{}", entry.name);
+                assert_eq!(timed, entry.timed, "{}", entry.name);
             }
         }
     }
@@ -514,6 +624,47 @@ mod tests {
         )
         .expect("detector");
         assert_eq!(built.memory_bits(), direct.memory_bits());
+    }
+
+    #[test]
+    fn time_backends_size_like_the_legacy_cli_builders() {
+        // Before the registry built them, the CLI and the sweep sized
+        // time tables by hand: `N·c` entries for time-tbf, `⌈N/Q⌉·c`
+        // filter bits for time-gbf.
+        let geo = BackendGeometry::new(1000, MemorySpec::CellsPerElement(14))
+            .with_seed(3)
+            .with_time_units(32, 4, 256);
+        let tbf = TimeTbf::new(TimeTbfConfig::new(32, 256, 1000 * 14, 10, 3).expect("cfg"))
+            .expect("detector");
+        let gbf = TimeGbf::new(TimeGbfConfig::new(8, 4, 256, 125 * 14, 10, 3).expect("cfg"))
+            .expect("detector");
+        let built = build("time-tbf", &geo).expect("time-tbf");
+        assert_eq!(built.memory_bits(), tbf.memory_bits());
+        assert_eq!(built.window(), tbf.window());
+        let built = build("time-gbf", &geo).expect("time-gbf");
+        assert_eq!(built.memory_bits(), gbf.memory_bits());
+        assert_eq!(built.window(), gbf.window());
+    }
+
+    #[test]
+    fn shards_split_count_windows_but_only_time_capacity() {
+        let geo = BackendGeometry::new(1000, MemorySpec::CellsPerElement(14));
+        assert_eq!(geo.for_shards(4, false).window, per_shard_window(1000, 4));
+        let shard = geo.for_shards(3, true);
+        assert_eq!(shard.window, 334);
+        assert_eq!(
+            BackendGeometry {
+                window: 1000,
+                ..shard
+            },
+            geo,
+            "only the capacity splits"
+        );
+        for name in ["time-tbf", "time-gbf"] {
+            let whole = build(name, &geo).expect(name);
+            let part = build(name, &shard).expect(name);
+            assert_eq!(whole.window(), part.window(), "{name} keeps its span");
+        }
     }
 
     #[test]

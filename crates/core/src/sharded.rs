@@ -218,13 +218,7 @@ macro_rules! planned_detector {
     )*};
 }
 
-planned_detector!(
-    crate::Tbf,
-    crate::Gbf,
-    crate::Apbf,
-    crate::Swbf,
-    crate::tbf_jumping::JumpingTbf
-);
+planned_detector!(crate::Tbf, crate::Gbf, crate::Apbf, crate::Swbf);
 planned_detector!(timed: crate::TimeTbf, crate::TimeGbf);
 
 /// The per-shard count window implementing the `N/S` sizing rule.

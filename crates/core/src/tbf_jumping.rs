@@ -7,21 +7,23 @@
 //! When `Q` is large, GBF cannot process the click stream efficiently,
 //! and TBF is a better choice."
 //!
-//! Entries store the *sub-window index* (wraparound range `Q + C_q`)
-//! instead of the element position, so entry width is `O(log Q)` — far
-//! below the sliding TBF's `O(log N)` — and the probe is `k` entry reads
-//! regardless of `Q`, where GBF would need `k × ⌈(Q+1)/64⌉` word reads.
+//! That is a time-window TBF whose time unit is one sub-window of
+//! arrivals, so [`JumpingTbf`] is a [`TimeTbf`] with `R = Q` units of
+//! `⌈N/Q⌉` ticks and range extension `C_q`, clocked by its own arrival
+//! counter: arrival `i` is judged at tick `i`, and feed ticks are
+//! ignored. Entries store the wraparound *sub-window index* (range
+//! `Q + C_q`), so entry width is `O(log Q)` — far below the sliding
+//! TBF's `O(log N)` — and the probe is `k` entry reads regardless of
+//! `Q`, where GBF would need `k × ⌈(Q+1)/64⌉` word reads.
 
-use crate::backend::{self, BatchBufs, CountCore, ProbeCore};
 use crate::config::{ConfigError, ProbeLayout};
 use crate::ops::OpCounters;
-use cfd_bits::words::bits_for_value;
-use cfd_bits::PackedIntVec;
-use cfd_hash::{BlockGeometry, DoubleHashFamily, HashFamily, Planner, ProbePlan};
-use cfd_telemetry::DetectorStats;
-use cfd_windows::{DuplicateDetector, JumpingClock, Verdict, WindowSpec, WrapCounter};
+use crate::sharded::PlannedDetector;
+use crate::tbf_time::{TimeTbf, TimeTbfConfig, TimeTbfState};
+use cfd_hash::{Planner, ProbePlan};
+use cfd_telemetry::{DetectorHealth, DetectorStats};
+use cfd_windows::{DuplicateDetector, Verdict, WindowSpec};
 use std::borrow::Cow;
-use std::cell::Cell;
 
 /// Configuration of a [`JumpingTbf`] detector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,44 +72,30 @@ impl JumpingTbfConfig {
     /// requested but the entry width / table shape cannot form blocks.
     pub fn with_probe(mut self, probe: ProbeLayout) -> Result<Self, ConfigError> {
         self.probe = probe;
-        if probe == ProbeLayout::Blocked && self.block_geometry().is_none() {
-            return Err(ConfigError::BlockedUnsupported {
-                slot_bits: self.entry_bits() as usize,
-                m: self.m,
-            });
-        }
+        self.time_config().with_probe(probe)?;
         Ok(self)
     }
 
-    /// Cache-line block geometry for the blocked probe layout; `None`
-    /// when scattered or when the shape does not admit blocks.
+    /// The time-window TBF this detector runs: `Q` units of `⌈N/Q⌉`
+    /// arrivals (one sub-window each), range extension `C_q` units. Its
+    /// entries are `⌈log2(Q + C_q + 1)⌉` bits wide, all-ones reserved as
+    /// empty.
     #[must_use]
-    pub fn block_geometry(&self) -> Option<BlockGeometry> {
-        if self.probe != ProbeLayout::Blocked {
-            return None;
+    pub fn time_config(&self) -> TimeTbfConfig {
+        TimeTbfConfig {
+            window_units: self.q as u64,
+            unit_ticks: self.sub_len(),
+            m: self.m,
+            k: self.k,
+            c_units: self.c_q as u64,
+            seed: self.seed,
+            probe: self.probe,
         }
-        BlockGeometry::for_line(self.m, self.entry_bits() as usize)
     }
 
-    /// The wraparound sub-index range (`Q + C_q`).
-    #[must_use]
-    pub fn range(&self) -> u64 {
-        (self.q + self.c_q) as u64
-    }
-
-    /// Bits per entry (`⌈log2(Q + C_q + 1)⌉`, all-ones reserved as empty).
-    #[must_use]
-    pub fn entry_bits(&self) -> u32 {
-        bits_for_value(self.range())
-    }
-
-    /// Entries swept per arrival: the cleanable band of an entry spans
-    /// `C_q` sub-windows = `C_q × ⌈N/Q⌉` arrivals, so
-    /// `⌈m / (C_q · sub_len)⌉` keeps the sweep ahead of value reuse.
-    #[must_use]
-    pub fn clean_quota(&self) -> usize {
-        let band = self.c_q * self.n.div_ceil(self.q);
-        self.m.div_ceil(band.max(1))
+    /// Arrivals per sub-window, `⌈N/Q⌉`.
+    fn sub_len(&self) -> u64 {
+        self.n.div_ceil(self.q.max(1)) as u64
     }
 
     fn validate(&self) -> Result<(), ConfigError> {
@@ -133,8 +121,10 @@ impl JumpingTbfConfig {
     }
 }
 
-/// Mutable-state snapshot carried by a checkpoint (the configuration
-/// travels separately).
+/// Mutable-state snapshot carried by a kind-8 checkpoint (the
+/// configuration travels separately). The clock fields keep the layout
+/// of the sub-window clock the format was defined with; all four are
+/// functions of the arrival count.
 pub(crate) struct JumpingTbfState<'a> {
     pub sub_now: u64,
     pub slot: usize,
@@ -163,23 +153,11 @@ pub(crate) struct JumpingTbfState<'a> {
 #[derive(Debug, Clone)]
 pub struct JumpingTbf {
     cfg: JumpingTbfConfig,
-    entries: PackedIntVec,
-    clock: JumpingClock,
-    /// Wraparound *sub-window* counter; `now()` is the current sub-index.
-    sub: WrapCounter,
-    family: DoubleHashFamily,
-    clean_next: usize,
-    clean_quota: usize,
-    empty: u64,
-    ops: OpCounters,
-    bufs: BatchBufs,
-    /// Blocked-probe geometry; `None` in scattered mode.
-    geo: Option<BlockGeometry>,
-    /// Probes per element: `k` scattered, `min(k, slots/2)` blocked
-    /// (saturation cap; see [`crate::Gbf`]).
-    k_eff: usize,
-    /// `O(m)` occupancy scans performed (snapshot cadence only).
-    scans: Cell<u64>,
+    inner: TimeTbf,
+    /// Arrivals so far: the tick the next click is judged at.
+    arrivals: u64,
+    /// Recycled tick buffer for the batch paths.
+    ticks: Vec<u64>,
 }
 
 impl JumpingTbf {
@@ -190,32 +168,11 @@ impl JumpingTbf {
     /// Returns [`ConfigError`] if the configuration is inconsistent.
     pub fn new(cfg: JumpingTbfConfig) -> Result<Self, ConfigError> {
         cfg.validate()?;
-        let geo = match cfg.probe {
-            ProbeLayout::Scattered => None,
-            ProbeLayout::Blocked => Some(cfg.block_geometry().ok_or(
-                ConfigError::BlockedUnsupported {
-                    slot_bits: cfg.entry_bits() as usize,
-                    m: cfg.m,
-                },
-            )?),
-        };
-        let k_eff = backend::effective_k(cfg.k, geo.as_ref());
-        let entries = PackedIntVec::new_all_ones(cfg.m, cfg.entry_bits());
-        let empty = entries.max_value();
         Ok(Self {
-            clock: JumpingClock::new(cfg.q, cfg.n.div_ceil(cfg.q)),
-            sub: WrapCounter::new(cfg.range()),
-            family: DoubleHashFamily::new(cfg.seed),
-            clean_next: 0,
-            clean_quota: cfg.clean_quota(),
-            empty,
-            ops: OpCounters::new(),
-            bufs: BatchBufs::default(),
-            geo,
-            k_eff,
-            scans: Cell::new(0),
-            entries,
+            inner: TimeTbf::new(cfg.time_config())?,
             cfg,
+            arrivals: 0,
+            ticks: Vec::new(),
         })
     }
 
@@ -223,7 +180,7 @@ impl JumpingTbf {
     /// slots/2)` in blocked mode (saturation cap; see [`crate::Gbf`]).
     #[must_use]
     pub fn effective_hash_count(&self) -> usize {
-        self.k_eff
+        self.inner.effective_hash_count()
     }
 
     /// The configuration.
@@ -235,225 +192,116 @@ impl JumpingTbf {
     /// Memory-operation counters.
     #[must_use]
     pub fn ops(&self) -> OpCounters {
-        self.ops
+        self.inner.ops()
     }
 
     /// Internal state snapshot for checkpointing.
     pub(crate) fn checkpoint_parts(&self) -> (JumpingTbfConfig, JumpingTbfState<'_>) {
+        let sub_len = self.cfg.sub_len();
+        let completed = self.arrivals / sub_len;
+        let (time_cfg, state) = self.inner.checkpoint_parts();
         (
             self.cfg,
             JumpingTbfState {
-                sub_now: self.sub.now(),
-                slot: self.clock.slot(),
-                filled: self.clock.filled(),
-                completed_subwindows: self.clock.completed_subwindows(),
-                clean_next: self.clean_next,
-                entry_words: Cow::Borrowed(self.entries.as_words()),
+                sub_now: completed % time_cfg.range(),
+                slot: (completed % (self.cfg.q as u64 + 1)) as usize,
+                filled: (self.arrivals % sub_len) as usize,
+                completed_subwindows: completed,
+                clean_next: state.clean_next,
+                entry_words: state.entry_words,
             },
         )
     }
 
     /// Rebuilds a detector from checkpoint parts; `None` if inconsistent.
+    ///
+    /// The sweep cursor of a checkpoint may come from a schedule that
+    /// swept per arrival rather than per unit, so the restored table is
+    /// swept once in full: expired entries read as absent either way, so
+    /// this changes no verdict, and it re-establishes the per-unit
+    /// sweep's invariant that no expired stamp outlives its range.
     pub(crate) fn from_checkpoint_parts(
         cfg: JumpingTbfConfig,
         state: JumpingTbfState<'_>,
     ) -> Option<Self> {
-        // Size-check against the provided payload BEFORE allocating: a
-        // corrupt header could otherwise request an absurd table.
-        let expected_words = cfg.m.checked_mul(cfg.entry_bits() as usize)?.div_ceil(64);
-        if state.entry_words.len() != expected_words || state.clean_next >= cfg.m {
+        cfg.validate().ok()?;
+        let sub_len = cfg.sub_len();
+        let completed = state.completed_subwindows;
+        let slots = (cfg.q as u64).checked_add(1)?;
+        if state.filled as u64 >= sub_len
+            || state.slot as u64 != completed % slots
+            || state.sub_now != completed % cfg.time_config().range()
+        {
             return None;
         }
-        let mut d = Self::new(cfg).ok()?;
-        d.sub = WrapCounter::from_parts(cfg.range(), state.sub_now)?;
-        d.clock = JumpingClock::from_parts(
-            cfg.q,
-            cfg.n.div_ceil(cfg.q),
-            state.slot,
-            state.filled,
-            state.completed_subwindows,
+        let arrivals = completed
+            .checked_mul(sub_len)?
+            .checked_add(state.filled as u64)?;
+        let mut inner = TimeTbf::from_checkpoint_parts(
+            cfg.time_config(),
+            TimeTbfState {
+                cur_unit: arrivals.checked_sub(1).map(|last| last / sub_len),
+                clean_next: state.clean_next,
+                entry_words: state.entry_words,
+            },
         )?;
-        d.clean_next = state.clean_next;
-        d.entries = cfd_bits::PackedIntVec::from_words(
-            state.entry_words.into_owned(),
-            cfg.m,
-            cfg.entry_bits(),
-        )?;
-        Some(d)
+        inner.expire_all();
+        Some(Self {
+            cfg,
+            inner,
+            arrivals,
+            ticks: Vec::new(),
+        })
     }
 
-    /// Number of entries holding an *active* sub-window index — the
-    /// occupancy that drives the false-positive rate (`O(m)`).
-    #[must_use]
-    pub fn active_entries(&self) -> usize {
-        self.scans.set(self.scans.get() + 1);
-        (0..self.cfg.m)
-            .filter(|&i| {
-                let e = self.entries.get(i);
-                e != self.empty && self.is_active(e)
-            })
-            .count()
-    }
-
-    /// Sub-index age: 0 = current sub-window. Active iff `< Q`.
-    #[inline]
-    fn sub_age(&self, e: u64) -> u64 {
-        let now = self.sub.now();
-        let range = self.cfg.range();
-        if now >= e {
-            now - e
-        } else {
-            range - e + now
-        }
-    }
-
-    #[inline]
-    fn is_active(&self, e: u64) -> bool {
-        self.sub_age(e) < self.cfg.q as u64
-    }
-
-    fn clean_step(&mut self) {
-        let m = self.cfg.m;
-        for _ in 0..self.clean_quota {
-            let i = self.clean_next;
-            self.clean_next += 1;
-            if self.clean_next == m {
-                self.clean_next = 0;
-            }
-            let e = self.entries.get(i);
-            self.ops.clean_reads += 1;
-            if e != self.empty && !self.is_active(e) {
-                self.entries.set(i, self.empty);
-                self.ops.clean_writes += 1;
-            }
-        }
-    }
-
-    /// The pure hashing half of this detector, shareable across threads.
-    #[must_use]
-    pub fn planner(&self) -> Planner {
-        Planner::from_family(self.family)
-    }
-
-    /// Hashes `id` into a replayable [`ProbePlan`] (pure; no state touched).
-    #[inline]
-    #[must_use]
-    pub fn plan(&self, id: &[u8]) -> ProbePlan {
-        ProbePlan::from_pair(self.family.pair(id))
-    }
-
-    /// The stateful half of an observation; `observe(id)` ≡
-    /// `apply(plan(id))`. The hash evaluation is accounted to this
-    /// element regardless of where it was computed.
-    pub fn apply(&mut self, plan: ProbePlan) -> Verdict {
-        let mut bufs = std::mem::take(&mut self.bufs);
-        let verdict = backend::apply_plan(self, &mut bufs, plan);
-        self.bufs = bufs;
-        verdict
-    }
-
-    /// Replays a batch of precomputed plans with the same lookahead
-    /// prefetch as `observe_batch` — the stateful half of the sharded
-    /// hash-once path, where plans were produced while routing.
-    /// Verdicts go into `out` (cleared first, capacity reused).
-    pub fn apply_batch_into(&mut self, plans: &[ProbePlan], out: &mut Vec<Verdict>) {
-        let mut bufs = std::mem::take(&mut self.bufs);
-        backend::apply_batch_into(self, &mut bufs, plans, out);
-        self.bufs = bufs;
-    }
-
-    /// [`JumpingTbf::apply`] with the probe indices already expanded —
-    /// the innermost stateful step, shared by per-click and batch paths.
-    fn apply_at(&mut self, probes: &[usize]) -> Verdict {
-        self.ops.elements += 1;
-        self.ops.hash_evals += 1;
-        self.clean_step();
-
-        let mut present_and_active = true;
-        for &i in probes {
-            let e = self.entries.get(i);
-            self.ops.probe_reads += 1;
-            if e == self.empty || !self.is_active(e) {
-                present_and_active = false;
-                break;
-            }
-        }
-
-        let verdict = if present_and_active {
-            Verdict::Duplicate
-        } else {
-            let t = self.sub.now();
-            for &i in probes {
-                self.entries.set(i, t);
-            }
-            self.ops.insert_writes += probes.len() as u64;
-            Verdict::Distinct
-        };
-
-        if self.clock.record_arrival().is_some() {
-            // All elements of the finished sub-window share the expiring
-            // timestamp; advancing the sub-counter retires them together.
-            self.sub.advance();
-        }
-        verdict
+    /// The ticks of the next `count` arrivals, in the recycled buffer
+    /// (hand it back to `self.ticks` after use).
+    fn take_ticks(&mut self, count: usize) -> Vec<u64> {
+        let mut ticks = std::mem::take(&mut self.ticks);
+        ticks.clear();
+        ticks.extend(self.arrivals..self.arrivals + count as u64);
+        self.arrivals += count as u64;
+        ticks
     }
 }
 
-impl ProbeCore for JumpingTbf {
-    #[inline]
-    fn table_len(&self) -> usize {
-        self.cfg.m
+/// Every path judges arrivals at their own index; feed ticks are
+/// ignored (the trait defaults of the `_at` forms).
+impl PlannedDetector for JumpingTbf {
+    fn probe_planner(&self) -> Planner {
+        self.inner.planner()
     }
 
-    #[inline]
-    fn probe_width(&self) -> usize {
-        self.k_eff
+    fn apply_plan(&mut self, plan: ProbePlan) -> Verdict {
+        let tick = self.arrivals;
+        self.arrivals += 1;
+        self.inner.apply_at(plan, tick)
     }
 
-    #[inline]
-    fn block_geo(&self) -> Option<&BlockGeometry> {
-        self.geo.as_ref()
-    }
-
-    #[inline]
-    fn prefetch(&self, idx: usize) {
-        self.entries.prefetch(idx);
-    }
-}
-
-impl CountCore for JumpingTbf {
-    #[inline]
-    fn apply_probes(&mut self, _plan: ProbePlan, probes: &[usize]) -> Verdict {
-        self.apply_at(probes)
+    fn apply_plan_batch_into(&mut self, plans: &[ProbePlan], out: &mut Vec<Verdict>) {
+        let ticks = self.take_ticks(plans.len());
+        self.inner.apply_batch_at_into(plans, &ticks, out);
+        self.ticks = ticks;
     }
 }
 
 impl DuplicateDetector for JumpingTbf {
     fn observe(&mut self, id: &[u8]) -> Verdict {
-        let plan = self.plan(id);
-        self.apply(plan)
-    }
-
-    fn observe_batch(&mut self, ids: &[&[u8]]) -> Vec<Verdict> {
-        let mut out = Vec::with_capacity(ids.len());
-        self.observe_batch_into(ids, &mut out);
-        out
+        let plan = self.inner.plan(id);
+        self.apply_plan(plan)
     }
 
     fn observe_batch_into(&mut self, ids: &[&[u8]], out: &mut Vec<Verdict>) {
-        // Hash up front (multi-lane over equal-length runs) and replay
-        // with lookahead prefetch — same pattern as `Tbf`.
-        let mut bufs = std::mem::take(&mut self.bufs);
-        let planner = self.planner();
-        backend::observe_refs_into(self, &mut bufs, planner, ids, out);
-        self.bufs = bufs;
+        let ticks = self.take_ticks(ids.len());
+        self.inner.observe_batch_at_into(ids, &ticks, out);
+        self.ticks = ticks;
     }
 
     fn observe_flat_into(&mut self, keys: &[u8], key_len: usize, out: &mut Vec<Verdict>) {
-        let mut bufs = std::mem::take(&mut self.bufs);
-        let planner = self.planner();
-        backend::observe_flat_into(self, &mut bufs, planner, keys, key_len, out);
-        self.bufs = bufs;
+        assert!(key_len > 0, "key_len must be non-zero");
+        let ticks = self.take_ticks(keys.len() / key_len);
+        self.inner.observe_flat_at_into(keys, key_len, &ticks, out);
+        self.ticks = ticks;
     }
 
     fn window(&self) -> WindowSpec {
@@ -464,11 +312,12 @@ impl DuplicateDetector for JumpingTbf {
     }
 
     fn memory_bits(&self) -> usize {
-        self.entries.memory_bits()
+        self.inner.memory_bits()
     }
 
     fn reset(&mut self) {
-        *self = Self::new(self.cfg).expect("configuration was already validated");
+        self.inner.reset();
+        self.arrivals = 0;
     }
 
     fn name(&self) -> &'static str {
@@ -481,54 +330,38 @@ impl DetectorStats for JumpingTbf {
         "jumping-tbf"
     }
 
-    /// One entry: the active-sub-index occupancy ratio (`O(m)`).
     fn fill_ratios(&self) -> Vec<f64> {
-        vec![self.active_entries() as f64 / self.cfg.m as f64]
+        self.inner.fill_ratios()
     }
 
-    /// Normalized position of the incremental sweep through the table.
     fn sweep_position(&self) -> f64 {
-        self.clean_next as f64 / self.cfg.m as f64
+        self.inner.sweep_position()
     }
 
     fn cleaned_entries(&self) -> u64 {
-        self.ops.clean_writes
+        self.inner.cleaned_entries()
     }
 
     fn observed_elements(&self) -> u64 {
-        self.ops.elements
+        self.inner.observed_elements()
     }
 
-    /// Distinct elements perform exactly `k_eff` insert writes, so the
-    /// duplicate count is recoverable from the op counters.
     fn observed_duplicates(&self) -> u64 {
-        self.ops.elements - self.ops.insert_writes / self.k_eff as u64
+        self.inner.observed_duplicates()
     }
 
-    /// Classical Bloom FP at the live active occupancy:
-    /// `(active/m)^k_eff`.
     fn estimated_fp(&self) -> f64 {
-        (self.active_entries() as f64 / self.cfg.m as f64).powi(self.k_eff as i32)
+        self.inner.estimated_fp()
     }
 
     fn occupancy_scans(&self) -> u64 {
-        self.scans.get()
+        self.inner.occupancy_scans()
     }
 
-    /// Single-scan override: `fill_ratios` and `estimated_fp` each need
-    /// the `O(m)` active-entry count; assemble the sample from one scan
-    /// (see the matching override on `Tbf`).
-    fn health(&self) -> cfd_telemetry::DetectorHealth {
-        let fill = self.active_entries() as f64 / self.cfg.m as f64;
-        cfd_telemetry::DetectorHealth {
+    fn health(&self) -> DetectorHealth {
+        DetectorHealth {
             detector: self.stats_name(),
-            fill_ratios: vec![fill],
-            cleaning_backlog: 0.0,
-            sweep_position: self.sweep_position(),
-            cleaned_entries: self.cleaned_entries(),
-            observed_elements: self.observed_elements(),
-            observed_duplicates: self.observed_duplicates(),
-            estimated_fp: fill.powi(self.k_eff as i32),
+            ..self.inner.health()
         }
     }
 }
@@ -600,7 +433,7 @@ mod tests {
         // range = 2q = 2^11 (power of two, so one extra bit keeps the
         // all-ones empty pattern distinct) -> 12-bit entries, vs 21 for
         // the sliding TBF over the same N = 2^20 window.
-        assert_eq!(cfg.entry_bits(), 12);
+        assert_eq!(cfg.time_config().entry_bits(), 12);
     }
 
     #[test]

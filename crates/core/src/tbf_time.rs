@@ -356,8 +356,8 @@ impl TimeTbf {
         self.unit_age_mod(now_mod, e) < self.cfg.window_units
     }
 
-    /// One unit's worth of the cleaning daemon, evaluated at virtual unit
-    /// `abs_unit`. Runs on [`PackedIntVec::expire_timestamps`] (on the
+    /// `count` entries of the cleaning daemon — one unit's worth is
+    /// `clean_chunk` — evaluated at virtual unit `abs_unit`. Runs on [`PackedIntVec::expire_timestamps`] (on the
     /// wide dispatch: a store-free classify pass, then a rewrite of the
     /// expired entries only) with the wraparound clock position
     /// computed once per sweep — at production sizings the sweep visits
@@ -365,12 +365,12 @@ impl TimeTbf {
     /// detector throughput. The timed predicate differs from the
     /// count-based TBF's only in its activity interval: age 0 (written
     /// this unit) is still live, so it is `[0, window - 1]`.
-    fn sweep_one_unit(&mut self, abs_unit: u64) {
+    fn sweep(&mut self, abs_unit: u64, count: usize) {
         let m = self.cfg.m;
         let range = self.cfg.range();
         let window = self.cfg.window_units;
         let now_mod = abs_unit % range;
-        let mut remaining = self.clean_chunk;
+        let mut remaining = count;
         while remaining > 0 {
             let start = self.clean_next;
             let seg = remaining.min(m - start);
@@ -391,6 +391,15 @@ impl TimeTbf {
                 self.clean_next = 0;
             }
             remaining -= seg;
+        }
+    }
+
+    /// Sweeps the whole table once at the high-water unit (a no-op
+    /// before the first observation). Changes no verdict: an expired
+    /// stamp already reads as absent.
+    pub(crate) fn expire_all(&mut self) {
+        if let Some(now) = self.cur_unit {
+            self.sweep(now, self.cfg.m);
         }
     }
 
@@ -425,7 +434,7 @@ impl TimeTbf {
             self.clean_next = 0;
         } else {
             for u in (last + 1)..=unit {
-                self.sweep_one_unit(u);
+                self.sweep(u, self.clean_chunk);
             }
         }
         self.cur_unit = Some(unit);

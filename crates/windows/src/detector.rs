@@ -69,15 +69,18 @@ pub trait DuplicateDetector {
     /// Classifies a batch of consecutive clicks, in stream order.
     ///
     /// Verdict-for-verdict equivalent to calling [`observe`] on each id
-    /// in order; implementations may override to hash the whole batch up
-    /// front before touching filter state (the GBF/TBF detectors do),
-    /// which improves locality without changing any verdict. The default
-    /// is the plain loop, so trait objects and third-party detectors get
-    /// batching for free.
+    /// in order. Built on [`observe_batch_into`], which implementations
+    /// may override to hash the whole batch up front before touching
+    /// filter state (the GBF/TBF detectors do), which improves locality
+    /// without changing any verdict; its default is the plain loop, so
+    /// trait objects and third-party detectors get batching for free.
     ///
     /// [`observe`]: DuplicateDetector::observe
+    /// [`observe_batch_into`]: DuplicateDetector::observe_batch_into
     fn observe_batch(&mut self, ids: &[&[u8]]) -> Vec<Verdict> {
-        ids.iter().map(|id| self.observe(id)).collect()
+        let mut out = Vec::with_capacity(ids.len());
+        self.observe_batch_into(ids, &mut out);
+        out
     }
 
     /// Allocation-free form of [`observe_batch`]: verdicts are written into

@@ -18,10 +18,9 @@ use cfd_adnet::{
     AdvertiserId, Campaign, ClientConfig, DrainControl, Endpoint, FraudScorer, PipelineConfig,
     PipelineTelemetry, ServeConfig, ServeInstruments, ServeTelemetry, ServerState,
 };
-use cfd_core::config::{ConfigError, ProbeLayout};
+use cfd_core::config::ProbeLayout;
 use cfd_core::registry::{BackendGeometry, DetectorBackend, MemorySpec};
-use cfd_core::sharded::{per_shard_window, ShardedDetector};
-use cfd_core::{TimeGbf, TimeGbfConfig, TimeTbf, TimeTbfConfig};
+use cfd_core::sharded::ShardedDetector;
 use cfd_stream::{
     read_trace, write_trace, AdId, BotnetConfig, BotnetStream, Click, CoalitionConfig,
     CoalitionStream, CrawlerStream, DuplicateInjector, FlashCrowdConfig, FlashCrowdStream,
@@ -197,6 +196,12 @@ fn synth_clicks(kind: &str, count: usize, seed: u64) -> Result<Vec<Click>, Strin
     })
 }
 
+/// Reads a `CFDT` trace file.
+fn load_trace(path: &str) -> Result<Vec<Click>, String> {
+    let buf = std::fs::read(path).map_err(|e| format!("reading {path}: {e}"))?;
+    read_trace(&buf).map_err(|e| e.to_string())
+}
+
 fn cmd_generate(opts: &Opts) -> Result<(), String> {
     let kind = opts.required("kind")?.to_owned();
     let count: usize = opts.parse_num("count", 100_000)?;
@@ -210,68 +215,41 @@ fn cmd_generate(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-/// The detector-shaping options shared by `cmd_detect` and `cmd_run`,
-/// parsed once so the count and timed builders agree on every knob.
+/// The detector-shaping options shared by `cmd_detect`, `cmd_run` and
+/// `cmd_serve`, parsed once into the registry's geometry so every
+/// command builds the same detector from the same flags.
 struct DetectorSpec {
-    algo: String,
-    window: usize,
-    q: usize,
-    cells_per_element: usize,
-    k: usize,
-    seed: u64,
-    layout: ProbeLayout,
+    geo: BackendGeometry,
+    /// Whether the backend's window is a time window (from its registry
+    /// entry; `exact` is a count window).
+    timed: bool,
 }
 
 impl DetectorSpec {
     fn parse(opts: &Opts, algo: &str) -> Result<Self, String> {
+        // A zero window or zero cells-per-element would hand the
+        // registry a zero-bit memory budget (for the arena backend, a
+        // zero budget for every tenant) — reject it up front.
+        let window = opts.positive("window", 1 << 16)?;
+        let cells = opts.positive("cells-per-element", 14)?;
+        let geo = BackendGeometry::new(window, MemorySpec::CellsPerElement(cells))
+            .with_sub_windows(opts.parse_num("sub-windows", 8)?)
+            .with_hash_count(opts.parse_num("k", 10)?)
+            .with_seed(opts.parse_num("seed", 0)?)
+            .with_probe(parse_layout(opts)?)
+            .with_time_units(
+                opts.positive("window-units", 64)? as u64,
+                opts.positive("sub-units", 8)? as u64,
+                opts.positive("unit-ticks", 1024)? as u64,
+            );
         Ok(Self {
-            algo: algo.to_owned(),
-            // A zero window or zero cells-per-element would hand the
-            // registry a zero-bit memory budget (for the arena backend,
-            // a zero budget for every tenant) — reject it up front.
-            window: opts.positive("window", 1 << 16)?,
-            q: opts.parse_num("sub-windows", 8)?,
-            cells_per_element: opts.positive("cells-per-element", 14)?,
-            k: opts.parse_num("k", 10)?,
-            seed: opts.parse_num("seed", 0)?,
-            layout: parse_layout(opts)?,
+            geo,
+            timed: cfd_core::registry::find(algo).is_some_and(|e| e.timed),
         })
     }
-
-    /// `true` for the time-based-window algorithms, which judge each
-    /// click at its own trace tick rather than by arrival count.
-    fn is_timed(&self) -> bool {
-        matches!(self.algo.as_str(), "time-tbf" | "time-gbf")
-    }
 }
 
-/// The time-window geometry for `time-tbf` / `time-gbf`. The defaults
-/// give a 65 536-tick window either way (64 units, or 8 sub-windows of
-/// 8 units, of 1024 ticks) — the same span as the default count window
-/// on the built-in one-click-per-tick workloads.
-struct TimedParams {
-    window_units: u64,
-    sub_units: u64,
-    unit_ticks: u64,
-}
-
-impl TimedParams {
-    fn parse(opts: &Opts) -> Result<Self, String> {
-        let p = Self {
-            window_units: opts.parse_num("window-units", 64)?,
-            sub_units: opts.parse_num("sub-units", 8)?,
-            unit_ticks: opts.parse_num("unit-ticks", 1024)?,
-        };
-        if p.window_units == 0 || p.sub_units == 0 || p.unit_ticks == 0 {
-            return Err("--window-units, --sub-units, and --unit-ticks must be at least 1".into());
-        }
-        Ok(p)
-    }
-}
-
-/// Builds one detector of count window `window` for `cmd_detect` /
-/// `cmd_run` (the caller passes the per-shard window when sharding), or,
-/// given `timed`, one time-window detector sized for `window` clicks.
+/// Builds one detector at geometry `geo` for `cmd_detect` / `cmd_run`.
 /// The boxed trait object carries [`ObservableDetector`] so the
 /// instrumented pipeline can also poll detector health through it.
 ///
@@ -279,107 +257,33 @@ impl TimedParams {
 /// (`cfd_core::registry`); only the `exact` oracle — which needs raw
 /// ids, not hashes — is built here directly.
 fn build_detector(
-    spec: &DetectorSpec,
-    window: usize,
-    timed: Option<&TimedParams>,
+    algo: &str,
+    geo: &BackendGeometry,
 ) -> Result<Box<dyn ObservableDetector + Send>, String> {
-    if let Some(timed) = timed {
-        return build_timed_detector(spec, window, timed);
-    }
-    if spec.algo == "exact" {
-        if spec.layout == ProbeLayout::Blocked {
+    if algo == "exact" {
+        if geo.probe == ProbeLayout::Blocked {
             return Err("--layout blocked needs a Bloom-style detector, not `exact`".into());
         }
-        return Ok(Box::new(ExactSlidingDedup::new(window)));
+        return Ok(Box::new(ExactSlidingDedup::new(geo.window)));
     }
-    let geo = BackendGeometry::new(window, MemorySpec::CellsPerElement(spec.cells_per_element))
-        .with_sub_windows(spec.q)
-        .with_hash_count(spec.k)
-        .with_seed(spec.seed)
-        .with_probe(spec.layout);
-    let backend =
-        cfd_core::registry::build(&spec.algo, &geo).map_err(|e| format!("--algo: {e}"))?;
+    let backend = cfd_core::registry::build(algo, geo).map_err(|e| format!("--algo: {e}"))?;
     Ok(Box::new(backend))
 }
 
-/// Builds one time-based detector. `window` is the *capacity* (expected
-/// clicks per time window) and only sizes the tables; the window itself
-/// is wall-clock, from `timed`.
-fn build_timed_detector(
+/// Builds the `shards`-way keyspace composition, each shard built by
+/// `build` at the registry's per-shard geometry
+/// ([`BackendGeometry::for_shards`]). The routing seed is decorrelated
+/// from the probe seed by `ShardRouter` itself.
+fn build_sharded<D>(
     spec: &DetectorSpec,
-    window: usize,
-    timed: &TimedParams,
-) -> Result<Box<dyn ObservableDetector + Send>, String> {
-    let &DetectorSpec {
-        q,
-        cells_per_element,
-        k,
-        seed,
-        layout,
-        ..
-    } = spec;
-    if spec.algo == "time-gbf" && q == 0 {
-        // Sizing divides by q, so reject it before the config would.
-        return Err(format!(
-            "--algo: {}",
-            ConfigError::ZeroDimension("sub-window count q")
-        ));
-    }
-    Ok(match spec.algo.as_str() {
-        "time-tbf" => Box::new(
-            TimeTbf::new(
-                TimeTbfConfig::new(
-                    timed.window_units,
-                    timed.unit_ticks,
-                    window * cells_per_element,
-                    k,
-                    seed,
-                )
-                .and_then(|c| c.with_probe(layout))
-                .map_err(|e| e.to_string())?,
-            )
-            .map_err(|e| e.to_string())?,
-        ),
-        "time-gbf" => Box::new(
-            TimeGbf::new(
-                TimeGbfConfig::new(
-                    q,
-                    timed.sub_units,
-                    timed.unit_ticks,
-                    window.div_ceil(q) * cells_per_element,
-                    k,
-                    seed,
-                )
-                .and_then(|c| c.with_probe(layout))
-                .map_err(|e| e.to_string())?,
-            )
-            .map_err(|e| e.to_string())?,
-        ),
-        other => return Err(format!("`{other}` is not a time-based detector")),
-    })
-}
-
-/// Builds the `shards`-way keyspace composition. A count window splits
-/// into per-shard windows of `N/S` (same total memory, soft window edge
-/// — see `cfd_analysis::sharding`). A time window does not split: routing
-/// is tick-blind and every shard shares one wall clock, so each shard
-/// keeps the *full* time window and its tables are sized for its `1/S`
-/// share of the expected clicks. The routing seed is decorrelated from
-/// the probe seed by `ShardRouter` itself.
-fn build_sharded(
-    spec: &DetectorSpec,
-    timed: Option<&TimedParams>,
     shards: usize,
-) -> Result<ShardedDetector<Box<dyn ObservableDetector + Send>>, String> {
-    let window = match timed {
-        Some(_) => spec.window.div_ceil(shards),
-        None => per_shard_window(spec.window, shards),
-    };
-    let mut inner = Vec::with_capacity(shards);
-    for _ in 0..shards {
-        inner.push(build_detector(spec, window, timed)?);
-    }
-    ShardedDetector::new(spec.seed, inner).map_err(|e| e.to_string())
+    build: impl Fn(&BackendGeometry) -> Result<D, String>,
+) -> Result<ShardedDetector<D>, String> {
+    let geo = spec.geo.for_shards(shards, spec.timed);
+    let inner = (0..shards)
+        .map(|_| build(&geo))
+        .collect::<Result<Vec<_>, _>>()?;
+    ShardedDetector::new(spec.geo.seed, inner).map_err(|e| e.to_string())
 }
 
 /// Parses `--layout scattered|blocked` (default scattered).
@@ -398,19 +302,14 @@ fn cmd_detect(opts: &Opts) -> Result<(), String> {
     let spec = DetectorSpec::parse(opts, &algo)?;
     let shards: usize = opts.positive("shards", 1)?;
     let batch: usize = opts.positive("batch", 512)?;
-    let trace_path = opts.required("trace")?.to_owned();
+    let clicks = load_trace(opts.required("trace")?)?;
 
-    let buf = std::fs::read(&trace_path).map_err(|e| format!("reading {trace_path}: {e}"))?;
-    let clicks = read_trace(&buf).map_err(|e| e.to_string())?;
-
-    let timed = spec
-        .is_timed()
-        .then(|| TimedParams::parse(opts))
-        .transpose()?;
     let mut detector: Box<dyn ObservableDetector + Send> = if shards > 1 {
-        Box::new(build_sharded(&spec, timed.as_ref(), shards)?)
+        Box::new(build_sharded(&spec, shards, |geo| {
+            build_detector(&algo, geo)
+        })?)
     } else {
-        build_detector(&spec, spec.window, timed.as_ref())?
+        build_detector(&algo, &spec.geo)?
     };
 
     // Every click is judged at its own trace tick; count windows ignore
@@ -433,12 +332,13 @@ fn cmd_detect(opts: &Opts) -> Result<(), String> {
 
     println!("detector : {} over {}", detector.name(), detector.window());
     if shards > 1 {
-        match timed {
-            Some(_) => println!("shards   : {shards} x {algo} sharing the global time window"),
-            None => println!(
+        if spec.timed {
+            println!("shards   : {shards} x {algo} sharing the global time window");
+        } else {
+            println!(
                 "shards   : {shards} x {algo} with per-shard window {}",
-                per_shard_window(spec.window, shards)
-            ),
+                spec.geo.for_shards(shards, false).window
+            );
         }
     }
     println!(
@@ -485,32 +385,9 @@ fn print_stream_report(opts: &Opts, summary: &StreamSummary, scorer: &FraudScore
     }
 }
 
-/// The fixed billing registry behind `--ads N`: one advertiser with an
-/// effectively unlimited budget and campaigns `0..N` at a flat CPC.
-/// `cfd run --ads N` and `cfd serve --ads N` build this identically, so
-/// their `--report-json` outputs are comparable byte for byte.
-fn fixed_registry(ads: u32) -> cfd_adnet::Registry {
-    let mut registry = cfd_adnet::Registry::new();
-    registry.add_advertiser(Advertiser::new(AdvertiserId(1), "advertiser", u64::MAX / 4));
-    for ad in 0..ads {
-        registry
-            .add_campaign(Campaign {
-                ad: AdId(ad),
-                advertiser: AdvertiserId(1),
-                cpc_micros: 100,
-            })
-            .expect("advertiser just registered");
-    }
-    registry
-}
-
-/// A billing registry covering every ad that appears in `clicks`: one
-/// advertiser with an effectively unlimited budget, one campaign per
-/// distinct ad at a flat CPC.
-fn billing_registry(clicks: &[Click]) -> cfd_adnet::Registry {
-    let mut ads: Vec<_> = clicks.iter().map(|c| c.id.ad).collect();
-    ads.sort_unstable();
-    ads.dedup();
+/// A billing registry of one advertiser with an effectively unlimited
+/// budget and one flat-CPC campaign per ad in `ads`.
+fn flat_registry(ads: impl IntoIterator<Item = AdId>) -> cfd_adnet::Registry {
     let mut registry = cfd_adnet::Registry::new();
     registry.add_advertiser(Advertiser::new(AdvertiserId(1), "advertiser", u64::MAX / 4));
     for ad in ads {
@@ -525,19 +402,82 @@ fn billing_registry(clicks: &[Click]) -> cfd_adnet::Registry {
     registry
 }
 
+/// The fixed billing registry behind `--ads N`: campaigns `0..N`.
+/// `cfd run --ads N` and `cfd serve --ads N` build this identically, so
+/// their `--report-json` outputs are comparable byte for byte.
+fn fixed_registry(ads: u32) -> cfd_adnet::Registry {
+    flat_registry((0..ads).map(AdId))
+}
+
+/// A billing registry covering every distinct ad that appears in
+/// `clicks`.
+fn billing_registry(clicks: &[Click]) -> cfd_adnet::Registry {
+    let mut ads: Vec<_> = clicks.iter().map(|c| c.id.ad).collect();
+    ads.sort_unstable();
+    ads.dedup();
+    flat_registry(ads)
+}
+
+/// Parses `--metrics[=millis]` / `--metrics-json`, shared by `cmd_run`
+/// and `cmd_serve`: whether metrics are on, the snapshot interval
+/// (`--metrics` alone means 1s) and the snapshot format.
+fn parse_metrics(opts: &Opts) -> Result<(bool, Duration, SnapshotFormat), String> {
+    let interval_ms: u64 = match opts.get("metrics") {
+        None | Some("true") => 1_000,
+        Some(v) => v
+            .parse()
+            .map_err(|_| format!("--metrics: bad interval `{v}`"))?,
+    };
+    let format = if opts.flag("metrics-json") {
+        SnapshotFormat::JsonLines
+    } else {
+        SnapshotFormat::Table
+    };
+    Ok((
+        opts.flag("metrics") || opts.flag("metrics-json"),
+        Duration::from_millis(interval_ms.max(1)),
+        format,
+    ))
+}
+
+/// The billing tail shared by `cmd_run` and `cmd_serve`: totals, one
+/// health line per shard, and the optional `--report-json` file.
+fn print_billing(
+    opts: &Opts,
+    r: &cfd_adnet::NetworkReport,
+    health: &[cfd_telemetry::DetectorHealth],
+) -> Result<(), String> {
+    println!("charged  : {}", r.charged);
+    println!(
+        "blocked  : {} duplicates ({} micros saved)",
+        r.duplicates_blocked, r.savings_micros
+    );
+    println!("revenue  : {} micros", r.revenue_micros);
+    for (i, h) in health.iter().enumerate() {
+        println!(
+            "shard {i}  : fill={:.4} est_fp={:.2e} dup_rate={:.4} elements={}",
+            h.mean_fill(),
+            h.estimated_fp,
+            h.duplicate_rate(),
+            h.observed_elements
+        );
+    }
+    if let Some(path) = opts.get("report-json") {
+        std::fs::write(path, r.to_json()).map_err(|e| format!("writing {path}: {e}"))?;
+    }
+    Ok(())
+}
+
 fn cmd_run(opts: &Opts) -> Result<(), String> {
     let algo = opts.get("algo").unwrap_or("tbf").to_owned();
     let spec = DetectorSpec::parse(opts, &algo)?;
-    let seed = spec.seed;
+    let seed = spec.geo.seed;
     let shards: usize = opts.positive("shards", 4)?;
     let batch: usize = opts.positive("batch", 512)?;
     let queue: usize = opts.positive("queue", 16)?;
 
     let clicks: Vec<Click> = match opts.get("trace") {
-        Some(path) => {
-            let buf = std::fs::read(path).map_err(|e| format!("reading {path}: {e}"))?;
-            read_trace(&buf).map_err(|e| e.to_string())?
-        }
+        Some(path) => load_trace(path)?,
         None => {
             let kind = opts.get("kind").unwrap_or("botnet");
             let count: usize = opts.parse_num("count", 1_000_000)?;
@@ -545,29 +485,11 @@ fn cmd_run(opts: &Opts) -> Result<(), String> {
         }
     };
 
-    // `--metrics` alone means a 1s cadence; `--metrics=250` (or
-    // `--metrics 250`) overrides it. `--metrics-json` implies metrics.
-    let interval_ms: u64 = match opts.get("metrics") {
-        None => 1_000,
-        Some("true") => 1_000,
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("--metrics: bad interval `{v}`"))?,
-    };
-    let metrics_on = opts.flag("metrics") || opts.flag("metrics-json");
-    let format = if opts.flag("metrics-json") {
-        SnapshotFormat::JsonLines
-    } else {
-        SnapshotFormat::Table
-    };
+    let (metrics_on, interval, format) = parse_metrics(opts)?;
 
     // The 1-shard case still goes through the sharded pipeline: one
     // worker, trivial router, same telemetry.
-    let timed = spec
-        .is_timed()
-        .then(|| TimedParams::parse(opts))
-        .transpose()?;
-    let detector = build_sharded(&spec, timed.as_ref(), shards)?;
+    let detector = build_sharded(&spec, shards, |geo| build_detector(&algo, geo))?;
     let time_window_ticks = match detector.window() {
         WindowSpec::TimeSliding { ticks } | WindowSpec::TimeJumping { ticks, .. } => Some(ticks),
         _ => None,
@@ -587,12 +509,7 @@ fn cmd_run(opts: &Opts) -> Result<(), String> {
             let telemetry = Arc::clone(&telemetry);
             move || telemetry.request_detector_health()
         };
-        let reporter = Reporter::spawn(
-            Arc::clone(&metrics),
-            Duration::from_millis(interval_ms.max(1)),
-            format,
-            on_tick,
-        );
+        let reporter = Reporter::spawn(Arc::clone(&metrics), interval, format, on_tick);
         let outcome =
             run_sharded_pipeline_instrumented(detector, registry, clicks, config, None, telemetry);
         reporter.stop(); // final snapshot, even on sub-interval runs
@@ -610,7 +527,7 @@ fn cmd_run(opts: &Opts) -> Result<(), String> {
         ),
         None => println!(
             "pipeline : {} over {} ({shards} shards)",
-            r.detector, spec.window
+            r.detector, spec.geo.window
         ),
     }
     println!(
@@ -622,26 +539,7 @@ fn cmd_run(opts: &Opts) -> Result<(), String> {
         elapsed.as_secs_f64(),
         total as f64 / elapsed.as_secs_f64().max(1e-9)
     );
-    println!("charged  : {}", r.charged);
-    println!(
-        "blocked  : {} duplicates ({} micros saved)",
-        r.duplicates_blocked, r.savings_micros
-    );
-    println!("revenue  : {} micros", r.revenue_micros);
-    for (i, h) in outcome.health.iter().enumerate() {
-        println!(
-            "shard {i}  : fill={:.4} est_fp={:.2e} dup_rate={:.4} elements={}",
-            h.mean_fill(),
-            h.estimated_fp,
-            h.duplicate_rate(),
-            h.observed_elements
-        );
-    }
-    if let Some(path) = opts.get("report-json") {
-        std::fs::write(path, outcome.report.to_json())
-            .map_err(|e| format!("writing {path}: {e}"))?;
-    }
-    Ok(())
+    print_billing(opts, r, &outcome.health)
 }
 
 /// Set by the `SIGTERM`/`SIGINT` handler; a watcher thread inside
@@ -663,11 +561,6 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
     let endpoint = Endpoint::parse(opts.required("listen")?).map_err(|e| e.to_string())?;
     let algo = opts.get("algo").unwrap_or("tbf").to_owned();
     let spec = DetectorSpec::parse(opts, &algo)?;
-    if spec.is_timed() || algo == "exact" {
-        return Err(
-            "cfd serve checkpoints its detector; pick a registry backend (`cfd algos`)".into(),
-        );
-    }
     let shards: usize = opts.positive("shards", 4)?;
     let batch: usize = opts.positive("batch", 512)?;
     let queue: usize = opts.positive("queue", 16)?;
@@ -688,31 +581,13 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
         );
         state
     } else {
-        let n_s = per_shard_window(spec.window, shards);
-        let geo = BackendGeometry::new(n_s, MemorySpec::CellsPerElement(spec.cells_per_element))
-            .with_sub_windows(spec.q)
-            .with_hash_count(spec.k)
-            .with_seed(spec.seed)
-            .with_probe(spec.layout);
-        let detector = ShardedDetector::from_fn(spec.seed, shards, |_| {
-            cfd_core::registry::build(&algo, &geo)
-        })
-        .map_err(|e| format!("--algo: {e}"))?;
+        let detector = build_sharded(&spec, shards, |geo| {
+            cfd_core::registry::build(&algo, geo).map_err(|e| format!("--algo: {e}"))
+        })?;
         ServerState::new(detector, fixed_registry(ads))
     };
 
-    let interval_ms: u64 = match opts.get("metrics") {
-        None | Some("true") => 1_000,
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("--metrics: bad interval `{v}`"))?,
-    };
-    let metrics_on = opts.flag("metrics") || opts.flag("metrics-json");
-    let format = if opts.flag("metrics-json") {
-        SnapshotFormat::JsonLines
-    } else {
-        SnapshotFormat::Table
-    };
+    let (metrics_on, interval, format) = parse_metrics(opts)?;
     let metrics = Arc::new(TelemetryRegistry::new());
     let pipeline_t = metrics_on.then(|| Arc::new(PipelineTelemetry::new(&metrics, shards)));
     let instruments = ServeInstruments {
@@ -729,12 +604,7 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
                 }
             }
         };
-        Reporter::spawn(
-            Arc::clone(&metrics),
-            Duration::from_millis(interval_ms.max(1)),
-            format,
-            on_tick,
-        )
+        Reporter::spawn(Arc::clone(&metrics), interval, format, on_tick)
     });
 
     let config = ServeConfig {
@@ -784,32 +654,12 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
         elapsed.as_secs_f64(),
         r.clicks as f64 / elapsed.as_secs_f64().max(1e-9)
     );
-    println!("charged  : {}", r.charged);
-    println!(
-        "blocked  : {} duplicates ({} micros saved)",
-        r.duplicates_blocked, r.savings_micros
-    );
-    println!("revenue  : {} micros", r.revenue_micros);
-    for (i, h) in outcome.health.iter().enumerate() {
-        println!(
-            "shard {i}  : fill={:.4} est_fp={:.2e} dup_rate={:.4} elements={}",
-            h.mean_fill(),
-            h.estimated_fp,
-            h.duplicate_rate(),
-            h.observed_elements
-        );
-    }
-    if let Some(path) = opts.get("report-json") {
-        std::fs::write(path, r.to_json()).map_err(|e| format!("writing {path}: {e}"))?;
-    }
-    Ok(())
+    print_billing(opts, r, &outcome.health)
 }
 
 fn cmd_replay_client(opts: &Opts) -> Result<(), String> {
     let endpoint = Endpoint::parse(opts.required("connect")?).map_err(|e| e.to_string())?;
-    let path = opts.required("trace")?.to_owned();
-    let buf = std::fs::read(&path).map_err(|e| format!("reading {path}: {e}"))?;
-    let clicks = read_trace(&buf).map_err(|e| e.to_string())?;
+    let clicks = load_trace(opts.required("trace")?)?;
 
     let limit = match opts.get("limit") {
         None => None,
@@ -910,38 +760,4 @@ fn cmd_sweep(opts: &Opts) -> Result<(), String> {
         eprintln!("wrote {out}");
     }
     Ok(())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn time_gbf_with_zero_sub_windows_is_a_named_error() {
-        let spec = DetectorSpec {
-            algo: "time-gbf".to_owned(),
-            window: 1 << 16,
-            q: 0,
-            cells_per_element: 14,
-            k: 10,
-            seed: 0,
-            layout: ProbeLayout::Scattered,
-        };
-        let timed = TimedParams {
-            window_units: 64,
-            sub_units: 8,
-            unit_ticks: 1024,
-        };
-        let want = "--algo: sub-window count q must be positive";
-        // `cfd detect --shards 1` builds one detector, `cfd run` a
-        // sharded set; neither may reach the sizing division.
-        assert_eq!(
-            build_detector(&spec, spec.window, Some(&timed)).err(),
-            Some(want.to_owned())
-        );
-        assert_eq!(
-            build_sharded(&spec, Some(&timed), 4).err(),
-            Some(want.to_owned())
-        );
-    }
 }

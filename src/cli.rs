@@ -98,7 +98,7 @@ pub const GENERATE_USAGE: &str = "  generate   synthesize a click trace
 /// The `cfd detect` usage block (`{algos}` is spliced in from the
 /// backend registry).
 pub const DETECT_USAGE: &str = "  detect     run a duplicate detector over a trace
-             --algo {algos}|time-tbf|time-gbf|exact
+             --algo {algos}|exact
              --window <N> [--sub-windows <Q>] [--cells-per-element <c>]
              [--k <hashes>] [--seed <u64>] --trace <file>
              [--shards <S>] [--batch <B>] [--layout scattered|blocked]
@@ -118,7 +118,7 @@ pub const DETECT_USAGE: &str = "  detect     run a duplicate detector over a tra
 /// The `cfd run` usage block (`{algos}` is spliced in from the backend
 /// registry).
 pub const RUN_USAGE: &str = "  run        drive the concurrent billing pipeline end to end
-             --algo {algos}|time-tbf|time-gbf|exact
+             --algo {algos}|exact
              [--window <N>]
              [--sub-windows <Q>] [--cells-per-element <c>] [--k <hashes>]
              [--seed <u64>] [--shards <S>] [--batch <B>] [--queue <Q>]
@@ -150,11 +150,14 @@ pub const SERVE_USAGE: &str = "\
              [--algo <backend>] [--window <N>] [--shards <S>]
              [--sub-windows <Q>] [--cells-per-element <c>] [--k <hashes>]
              [--seed <u64>] [--layout scattered|blocked] [--batch <B>]
+             [--window-units <U>] [--sub-units <U>] [--unit-ticks <T>]
              [--queue <Q>] [--ads <N>] [--hub-batches <batches>]
              [--checkpoint <file>] [--checkpoint-every <clicks>] [--resume]
              [--report-json <file>] [--metrics[=millis]] [--metrics-json]
-             (any `cfd algos` backend; clicks arrive as CFDW wire frames
-              and flow through a bounded hub into one pipeline run; every
+             (any `cfd algos` backend; time-tbf/time-gbf judge each click
+              at its CFDW tick over the time window `cfd detect`
+              describes; clicks arrive as CFDW wire frames and flow
+              through a bounded hub into one pipeline run; every
               --checkpoint-every clicks a barrier snapshot of the complete
               billing state is written and fsynced by a writer thread
               while clicks keep moving; SIGTERM/SIGINT or a client DRAIN

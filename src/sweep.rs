@@ -27,13 +27,12 @@
 use cfd_analysis::select::{auto_select, auto_select_timed, AutoChoice};
 use cfd_core::config::ProbeLayout;
 use cfd_core::registry::{self, BackendGeometry, MemorySpec};
-use cfd_core::sharded::{per_shard_window, ShardedDetector};
-use cfd_core::{TimeGbf, TimeGbfConfig, TimeTbf, TimeTbfConfig};
+use cfd_core::sharded::ShardedDetector;
 use cfd_stream::scenario::{ScenarioSpec, ScenarioWindow, SweepPoint};
 use cfd_stream::Click;
 use cfd_windows::{
     DuplicateDetector, ExactJumpingDedup, ExactSlidingDedup, ExactTimeJumpingDedup,
-    ExactTimeSlidingDedup, ObservableDetector, Verdict,
+    ExactTimeSlidingDedup, ObservableDetector, Verdict, WindowSpec,
 };
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -164,37 +163,40 @@ enum OracleKind {
     TimeJumping(usize),
 }
 
-/// The oracle semantics of a (resolved) backend name.
-fn oracle_kind(algo: &str, q: usize) -> OracleKind {
-    match algo {
-        "gbf" | "jumping-tbf" => OracleKind::Jumping(q),
-        "time-tbf" => OracleKind::TimeSliding,
-        "time-gbf" => OracleKind::TimeJumping(q),
+/// The oracle semantics of a built detector's window.
+fn oracle_kind(window: WindowSpec) -> OracleKind {
+    match window {
+        WindowSpec::Jumping { q, .. } => OracleKind::Jumping(q),
+        WindowSpec::TimeSliding { .. } => OracleKind::TimeSliding,
+        WindowSpec::TimeJumping { q, .. } => OracleKind::TimeJumping(q),
         _ => OracleKind::Sliding,
     }
 }
 
-/// Count-window backends the sweep accepts (`arena` needs per-tenant
-/// ground truth the global oracles cannot express; it has its own
-/// harness in `throughput --tenants`).
+/// Registry backends the sweep accepts under the spec's window model:
+/// time backends under a time window, count backends under a count
+/// window (`arena` needs per-tenant ground truth the global oracles
+/// cannot express; it has its own harness in `throughput --tenants`).
+fn sweepable(spec: &ScenarioSpec) -> impl Iterator<Item = &'static registry::BackendEntry> {
+    let timed = spec.window.is_timed();
+    registry::backends()
+        .iter()
+        .filter(move |e| e.timed == timed && e.name != "arena")
+}
+
 fn validate_algos(spec: &ScenarioSpec) -> Result<(), String> {
     for algo in &spec.sweep.algos {
-        let ok = if spec.window.is_timed() {
-            matches!(algo.as_str(), "auto" | "time-tbf" | "time-gbf")
-        } else {
-            algo == "auto" || (algo != "arena" && registry::find(algo).is_some())
-        };
-        if !ok {
-            let accepted = if spec.window.is_timed() {
-                "auto, time-tbf, time-gbf (window.model = \"time\")".to_owned()
-            } else {
-                format!(
-                    "auto or a registry backend except arena (have: {})",
-                    registry::algo_list()
-                )
-            };
+        if algo != "auto" && !sweepable(spec).any(|e| e.name == algo) {
+            let names: Vec<&str> = sweepable(spec).map(|e| e.name).collect();
             return Err(format!(
-                "sweep.algo: `{algo}` is not sweepable (accepted: {accepted})"
+                "sweep.algo: `{algo}` is not sweepable under window.model = \"{}\" \
+                 (accepted: auto, {})",
+                if spec.window.is_timed() {
+                    "time"
+                } else {
+                    "count"
+                },
+                names.join(", ")
             ));
         }
     }
@@ -208,142 +210,72 @@ fn parse_layout(layout: &str) -> ProbeLayout {
     }
 }
 
-/// Builds one count-window backend at the per-shard window.
-fn build_count_one(
-    algo: &str,
-    window: usize,
-    point: &SweepPoint,
-    seed: u64,
-) -> Result<Box<dyn ObservableDetector + Send>, String> {
-    let geo = BackendGeometry::new(window, MemorySpec::CellsPerElement(point.cells_per_element))
-        .with_sub_windows(point.q)
-        .with_hash_count(point.k)
-        .with_seed(seed)
-        .with_probe(parse_layout(&point.layout));
-    let backend = registry::build(algo, &geo).map_err(|e| format!("{}: {e}", point.label()))?;
-    Ok(Box::new(backend))
-}
-
-/// Builds one time-window backend sized for `capacity` expected clicks
-/// (mirrors the `cfd` binary's builder, so sweep rows and `cfd detect`
-/// agree exactly).
-fn build_timed_one(
-    algo: &str,
-    capacity: usize,
-    spec: &ScenarioSpec,
-    point: &SweepPoint,
-) -> Result<Box<dyn ObservableDetector + Send>, String> {
-    let ScenarioWindow::Time {
-        window_units,
-        sub_units,
-        unit_ticks,
-        ..
-    } = spec.window
-    else {
-        return Err(format!(
-            "{}: time backend under a count window",
-            point.label()
-        ));
-    };
-    let layout = parse_layout(&point.layout);
-    let err = |e: cfd_core::ConfigError| format!("{}: {e}", point.label());
-    Ok(match algo {
-        "time-tbf" => Box::new(
-            TimeTbf::new(
-                TimeTbfConfig::new(
-                    window_units,
-                    unit_ticks,
-                    capacity * point.cells_per_element,
-                    point.k,
-                    spec.seed,
-                )
-                .and_then(|c| c.with_probe(layout))
-                .map_err(err)?,
-            )
-            .map_err(err)?,
-        ),
-        _ => Box::new(
-            TimeGbf::new(
-                TimeGbfConfig::new(
-                    point.q,
-                    sub_units,
-                    unit_ticks,
-                    capacity.div_ceil(point.q) * point.cells_per_element,
-                    point.k,
-                    spec.seed,
-                )
-                .and_then(|c| c.with_probe(layout))
-                .map_err(err)?,
-            )
-            .map_err(err)?,
-        ),
-    })
-}
-
-/// Builds the full (possibly sharded) detector for one grid point.
-/// Count and time windows are driven alike: every chunk is judged at its
-/// ticks, which count windows ignore.
-fn build_driver(
-    resolved: &str,
-    spec: &ScenarioSpec,
-    point: &SweepPoint,
-) -> Result<Box<dyn ObservableDetector + Send>, String> {
-    let n = spec.window.n();
-    if spec.window.is_timed() {
-        if point.shards > 1 {
-            // Shards share one wall clock, so each keeps the full time
-            // window; memory splits via per-shard capacity.
-            let capacity = n.div_ceil(point.shards);
-            let mut inner = Vec::with_capacity(point.shards);
-            for _ in 0..point.shards {
-                inner.push(build_timed_one(resolved, capacity, spec, point)?);
-            }
-            let sharded = ShardedDetector::new(spec.seed, inner)
-                .map_err(|e| format!("{}: {e}", point.label()))?;
-            Ok(Box::new(sharded))
-        } else {
-            build_timed_one(resolved, n, spec, point)
-        }
-    } else if point.shards > 1 {
-        let per = per_shard_window(n, point.shards);
-        let mut inner = Vec::with_capacity(point.shards);
-        for _ in 0..point.shards {
-            inner.push(build_count_one(resolved, per, point, spec.seed)?);
-        }
-        let sharded = ShardedDetector::new(spec.seed, inner)
-            .map_err(|e| format!("{}: {e}", point.label()))?;
-        Ok(Box::new(sharded))
-    } else {
-        build_count_one(resolved, n, point, spec.seed)
-    }
-}
-
-/// Replays the stream through the exact oracle of the given semantics
-/// (count oracles ignore the ticks).
-fn oracle_verdicts(
-    kind: OracleKind,
-    spec: &ScenarioSpec,
-    keys: &[[u8; 16]],
-    ticks: &[u64],
-) -> Vec<bool> {
-    let n = spec.window.n();
-    let (window_units, sub_units, unit_ticks) = match spec.window {
+/// The whole-stream geometry of one grid point: the spec's window (and
+/// time units, under a time window) at the point's memory, `k`, `Q` and
+/// layout.
+fn geometry(spec: &ScenarioSpec, point: &SweepPoint) -> BackendGeometry {
+    let geo = BackendGeometry::new(
+        spec.window.n(),
+        MemorySpec::CellsPerElement(point.cells_per_element),
+    )
+    .with_sub_windows(point.q)
+    .with_hash_count(point.k)
+    .with_seed(spec.seed)
+    .with_probe(parse_layout(&point.layout));
+    match spec.window {
         ScenarioWindow::Time {
             window_units,
             sub_units,
             unit_ticks,
             ..
-        } => (window_units, sub_units, unit_ticks),
-        // Validated: time oracles only run under a time window.
-        _ => (0, 0, 0),
-    };
+        } => geo.with_time_units(window_units, sub_units, unit_ticks),
+        ScenarioWindow::Count { .. } => geo,
+    }
+}
+
+/// Builds the full (possibly sharded) detector for one grid point, each
+/// shard at the registry's per-shard geometry. Count and time windows
+/// are driven alike: every chunk is judged at its ticks, which count
+/// windows ignore.
+fn build_driver(
+    resolved: &str,
+    spec: &ScenarioSpec,
+    point: &SweepPoint,
+) -> Result<Box<dyn ObservableDetector + Send>, String> {
+    let err = |e: &dyn std::fmt::Display| format!("{}: {e}", point.label());
+    let entry = registry::find(resolved).ok_or_else(|| err(&"not a registry backend"))?;
+    let geo = geometry(spec, point);
+    if point.shards == 1 {
+        return Ok(Box::new(entry.build(&geo).map_err(|e| err(&e))?));
+    }
+    let shard_geo = geo.for_shards(point.shards, entry.timed);
+    let inner = (0..point.shards)
+        .map(|_| entry.build(&shard_geo))
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(|e| err(&e))?;
+    let sharded = ShardedDetector::new(spec.seed, inner).map_err(|e| err(&e))?;
+    Ok(Box::new(sharded))
+}
+
+/// Replays the stream through the exact oracle of the given semantics
+/// over `geo`'s window (count oracles ignore the ticks).
+fn oracle_verdicts(
+    kind: OracleKind,
+    geo: &BackendGeometry,
+    keys: &[[u8; 16]],
+    ticks: &[u64],
+) -> Vec<bool> {
     let mut oracle: Box<dyn DuplicateDetector> = match kind {
-        OracleKind::Sliding => Box::new(ExactSlidingDedup::new(n)),
-        OracleKind::Jumping(q) => Box::new(ExactJumpingDedup::new(n, q.max(1))),
-        OracleKind::TimeSliding => Box::new(ExactTimeSlidingDedup::new(window_units, unit_ticks)),
-        OracleKind::TimeJumping(q) => {
-            Box::new(ExactTimeJumpingDedup::new(q.max(1), sub_units, unit_ticks))
+        OracleKind::Sliding => Box::new(ExactSlidingDedup::new(geo.window)),
+        OracleKind::Jumping(q) => Box::new(ExactJumpingDedup::new(geo.window, q.max(1))),
+        OracleKind::TimeSliding => {
+            Box::new(ExactTimeSlidingDedup::new(geo.window_units, geo.unit_ticks))
         }
+        OracleKind::TimeJumping(q) => Box::new(ExactTimeJumpingDedup::new(
+            q.max(1),
+            geo.sub_units,
+            geo.unit_ticks,
+        )),
     };
     keys.iter()
         .zip(ticks)
@@ -359,9 +291,11 @@ fn fp_model_for(resolved: &str, spec: &ScenarioSpec, point: &SweepPoint) -> Opti
     }
     let n = spec.window.n();
     let c = point.cells_per_element;
-    match resolved {
-        "tbf" | "time-tbf" => Some(cfd_analysis::tbf::fp_sliding(n * c, point.k, n)),
-        "gbf" | "time-gbf" => Some(cfd_analysis::gbf::fp_worst_case(
+    // A time backend runs its count twin's algorithm over a window
+    // holding `n` clicks, so it shares the twin's model.
+    match resolved.strip_prefix("time-").unwrap_or(resolved) {
+        "tbf" => Some(cfd_analysis::tbf::fp_sliding(n * c, point.k, n)),
+        "gbf" => Some(cfd_analysis::gbf::fp_worst_case(
             n.div_ceil(point.q) * c,
             point.k,
             n,
@@ -374,24 +308,18 @@ fn fp_model_for(resolved: &str, spec: &ScenarioSpec, point: &SweepPoint) -> Opti
 
 /// Resolves `auto` for the spec's window model at this grid point.
 fn resolve_auto(spec: &ScenarioSpec, point: &SweepPoint) -> AutoChoice {
-    let n = spec.window.n();
-    if spec.window.is_timed() {
-        auto_select_timed(
-            n,
-            point.q,
-            point.cells_per_element,
-            point.k,
-            spec.sweep.target_fp,
-        )
+    let select = if spec.window.is_timed() {
+        auto_select_timed
     } else {
-        auto_select(
-            n,
-            point.q,
-            point.cells_per_element,
-            point.k,
-            spec.sweep.target_fp,
-        )
-    }
+        auto_select
+    };
+    select(
+        spec.window.n(),
+        point.q,
+        point.cells_per_element,
+        point.k,
+        spec.sweep.target_fp,
+    )
 }
 
 fn median(values: &[f64]) -> f64 {
@@ -405,28 +333,23 @@ fn median(values: &[f64]) -> f64 {
     }
 }
 
-/// Drives the whole stream through a fresh detector, returning the
-/// duplicate count (accuracy passes compare verdicts instead).
-fn timed_pass(
+/// Judges the whole stream through `driver` in batches of `batch`, each
+/// click at its tick, handing every batch's verdicts to `each`.
+fn replay(
     driver: &mut Box<dyn ObservableDetector + Send>,
     keys: &[[u8; 16]],
     ticks: &[u64],
     batch: usize,
-) -> (f64, u64) {
-    let mut dups = 0u64;
+    mut each: impl FnMut(&[Verdict]),
+) {
     let mut refs: Vec<&[u8]> = Vec::with_capacity(batch);
-    let start = Instant::now();
+    let mut out = Vec::with_capacity(batch);
     for (kc, tc) in keys.chunks(batch).zip(ticks.chunks(batch)) {
         refs.clear();
         refs.extend(kc.iter().map(<[u8; 16]>::as_slice));
-        dups += driver
-            .observe_batch_at(&refs, tc)
-            .iter()
-            .filter(|&&v| v == Verdict::Duplicate)
-            .count() as u64;
+        driver.observe_batch_at_into(&refs, tc, &mut out);
+        each(&out);
     }
-    let secs = start.elapsed().as_secs_f64();
-    (keys.len() as f64 / secs, dups)
 }
 
 /// Runs the full sweep of `spec` at the given scale.
@@ -472,30 +395,27 @@ pub fn run(spec: &ScenarioSpec, opts: &SweepOptions) -> Result<SweepReport, Stri
             (point.algo.clone(), None, None)
         };
 
-        let kind = oracle_kind(&resolved, point.q);
+        let mut driver = build_driver(&resolved, spec, point)?;
+        let kind = oracle_kind(driver.window());
         let oracle = oracles
             .entry(kind)
-            .or_insert_with(|| Rc::new(oracle_verdicts(kind, spec, &keys, &ticks)))
+            .or_insert_with(|| {
+                Rc::new(oracle_verdicts(kind, &geometry(spec, point), &keys, &ticks))
+            })
             .clone();
 
-        let mut driver = build_driver(&resolved, spec, point)?;
         let memory_bits = driver.memory_bits() as u64;
-        let mut refs: Vec<&[u8]> = Vec::with_capacity(point.batch);
         let (mut fp, mut fneg, mut detected, mut dup_truth) = (0u64, 0u64, 0u64, 0u64);
-        let mut pos = 0usize;
-        for (kc, tc) in keys.chunks(point.batch).zip(ticks.chunks(point.batch)) {
-            refs.clear();
-            refs.extend(kc.iter().map(<[u8; 16]>::as_slice));
-            for v in driver.observe_batch_at(&refs, tc) {
-                let truth = oracle[pos];
-                pos += 1;
+        let mut truths = oracle.iter();
+        replay(&mut driver, &keys, &ticks, point.batch, |verdicts| {
+            for (&v, &truth) in verdicts.iter().zip(&mut truths) {
                 let said_dup = v == Verdict::Duplicate;
                 detected += u64::from(said_dup);
                 dup_truth += u64::from(truth);
                 fp += u64::from(said_dup && !truth);
                 fneg += u64::from(!said_dup && truth);
             }
-        }
+        });
         let distinct = keys.len() as u64 - dup_truth;
         outcomes.push(ConfigOutcome {
             point: point.clone(),
@@ -530,7 +450,9 @@ pub fn run(spec: &ScenarioSpec, opts: &SweepOptions) -> Result<SweepReport, Stri
         for idx in order {
             let o = &mut outcomes[idx];
             let mut driver = build_driver(&o.resolved_algo, spec, &o.point)?;
-            let (rate, _) = timed_pass(&mut driver, &keys, &ticks, o.point.batch);
+            let start = Instant::now();
+            replay(&mut driver, &keys, &ticks, o.point.batch, |_| {});
+            let rate = keys.len() as f64 / start.elapsed().as_secs_f64();
             o.rates.push(rate);
         }
     }

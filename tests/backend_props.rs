@@ -3,15 +3,18 @@
 //! Earlier PRs grew one property file per detector; this harness runs
 //! the whole matrix from a single parameterized loop over
 //! [`cfd_core::registry::backends`], so a backend registered there is
-//! automatically held to the full contract:
+//! automatically held to the full contract. Every stream is fed one
+//! click per tick; count windows ignore the ticks, and the shared
+//! geometry sizes time windows to span the same `N` clicks.
 //!
 //! 1. **Zero false negatives** under its own window model (sliding or
-//!    jumping, chosen from `window()`), in the self-consistent
-//!    Definition-1 sense of `tests/common`.
+//!    jumping, count or time, chosen from `window()`), in the
+//!    self-consistent Definition-1 sense of `tests/common`.
 //! 2. **Batch ≡ sequential**: `observe_batch` under arbitrary chunking,
 //!    the flat-key `observe_flat_into` path, and its tick-carrying
 //!    `observe_flat_at_into` twin under arbitrary (even decreasing)
-//!    ticks are verdict-for-verdict identical to per-click `observe`.
+//!    ticks are verdict-for-verdict identical to per-click `observe`
+//!    (`observe_at`, at the same ticks, for time windows).
 //! 3. **Layout differential**: the blocked layout is a probe-placement
 //!    change, not a semantic one — verdicts may differ from scattered
 //!    only through one-sided false positives, so both layouts stay
@@ -35,13 +38,20 @@ use cfd_stream::{
     BotnetConfig, BotnetStream, DuplicateInjector, TenantTraffic, TenantTrafficConfig,
     UniqueClickStream, TENANT_KEY_LEN,
 };
-use cfd_windows::{DuplicateDetector, WindowSpec};
+use cfd_windows::exact_time::{ExactTimeJumpingDedup, ExactTimeSlidingDedup};
+use cfd_windows::{DuplicateDetector, Verdict, WindowSpec};
 use proptest::prelude::*;
 use std::sync::Mutex;
 
 /// Window length shared by every property: small enough that a few
 /// thousand keys cross many window turnovers.
 const N: usize = 512;
+
+/// Time geometry: 64 units (time-tbf), or 4 sub-windows of 16 units
+/// (time-gbf), of 8 ticks — `N` ticks, so `N` clicks at one per tick.
+const WINDOW_UNITS: u64 = 64;
+const SUB_UNITS: u64 = 16;
+const UNIT_TICKS: u64 = 8;
 
 /// Both probe layouts, the inner axis of every loop.
 const LAYOUTS: [ProbeLayout; 2] = [ProbeLayout::Scattered, ProbeLayout::Blocked];
@@ -57,6 +67,7 @@ fn geometry(seed: u64, layout: ProbeLayout, bits_per_element: usize) -> BackendG
         .with_hash_count(4)
         .with_seed(seed)
         .with_probe(layout)
+        .with_time_units(WINDOW_UNITS, SUB_UNITS, UNIT_TICKS)
 }
 
 /// Duplicate-heavy keys: 40% re-clicks within a short gap, so every
@@ -139,6 +150,27 @@ fn tenant_of(key: &[u8; TENANT_KEY_LEN]) -> u64 {
     u64::from_le_bytes(key[..8].try_into().unwrap())
 }
 
+/// The time-window form of `tests/common`'s self-consistent oracles,
+/// one click per tick (click `i` at tick `i`):
+/// `oracle` is an exact detector of the same window that is shown only
+/// the clicks `detector` judged valid, so a `Distinct` verdict on a
+/// click the oracle still holds inside its window is a false negative.
+fn time_false_negatives<D: DuplicateDetector>(
+    detector: &mut D,
+    mut oracle: impl DuplicateDetector,
+    keys: impl Iterator<Item = Vec<u8>>,
+) -> u64 {
+    let mut false_negatives = 0u64;
+    for (tick, key) in (0u64..).zip(keys) {
+        if detector.observe_at(&key, tick) == Verdict::Distinct
+            && oracle.observe_at(&key, tick) == Verdict::Duplicate
+        {
+            false_negatives += 1;
+        }
+    }
+    false_negatives
+}
+
 /// Runs the self-consistent false-negative oracle matching the
 /// detector's own window model.
 fn false_negatives<D: DuplicateDetector>(d: &mut D, keys: impl Iterator<Item = Vec<u8>>) -> u64 {
@@ -147,7 +179,16 @@ fn false_negatives<D: DuplicateDetector>(d: &mut D, keys: impl Iterator<Item = V
             common::sliding_false_negatives(d, n, keys)
         }
         WindowSpec::Jumping { n, q } => common::jumping_false_negatives(d, n, q, keys),
-        other => unreachable!("registry backends are count-window detectors, got {other:?}"),
+        WindowSpec::TimeSliding { .. } => time_false_negatives(
+            d,
+            ExactTimeSlidingDedup::new(WINDOW_UNITS, UNIT_TICKS),
+            keys,
+        ),
+        WindowSpec::TimeJumping { q, .. } => time_false_negatives(
+            d,
+            ExactTimeJumpingDedup::new(q, SUB_UNITS, UNIT_TICKS),
+            keys,
+        ),
     }
 }
 
@@ -175,8 +216,8 @@ proptest! {
     }
 
     /// Property 2: batching — ref-slice chunks of arbitrary size and
-    /// the flat fixed-stride path — is a pure throughput knob, and ticks
-    /// are ignored by count windows.
+    /// the flat fixed-stride path — is a pure throughput knob; ticks are
+    /// ignored by count windows and honoured per click by time windows.
     #[test]
     fn every_backend_batch_matches_observe(
         seed in 0u64..1_000,
@@ -214,19 +255,26 @@ proptest! {
                     "{} ({layout:?}): observe_flat_into diverged", entry.name
                 );
 
-                // Count windows are tick-blind: arbitrary ticks, decreasing
-                // ones included, change no verdict of the flat path.
+                // Arbitrary ticks, decreasing ones included: count windows
+                // ignore them, time windows judge each click at its tick
+                // exactly as the per-click path does.
                 let mut by_flat_at = entry.build(&geo).expect("build");
                 let ticks: Vec<u64> = (0..keys.len() as u64)
                     .map(|i| (i ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40)
                     .collect();
+                let sequential_at: Vec<_> = if entry.timed {
+                    let mut seq_at = entry.build(&geo).expect("build");
+                    keys.iter().zip(&ticks).map(|(k, &t)| seq_at.observe_at(k, t)).collect()
+                } else {
+                    sequential.clone()
+                };
                 let mut via_flat_at = Vec::with_capacity(keys.len());
                 for (group, tc) in flat.chunks(chunk * 8).zip(ticks.chunks(chunk)) {
                     by_flat_at.observe_flat_at_into(group, 8, tc, &mut out);
                     via_flat_at.extend_from_slice(&out);
                 }
                 prop_assert_eq!(
-                    &sequential, &via_flat_at,
+                    &sequential_at, &via_flat_at,
                     "{} ({layout:?}): observe_flat_at_into diverged", entry.name
                 );
             }
@@ -248,9 +296,9 @@ proptest! {
             let mut blocked = entry
                 .build(&geometry(seed, ProbeLayout::Blocked, 512))
                 .expect("build");
-            let disagreements = keys
-                .iter()
-                .filter(|k| scattered.observe(k) != blocked.observe(k))
+            let disagreements = (0u64..)
+                .zip(&keys)
+                .filter(|&(t, k)| scattered.observe_at(k, t) != blocked.observe_at(k, t))
                 .count();
             prop_assert!(
                 disagreements <= keys.len() / 20,
@@ -278,6 +326,7 @@ proptest! {
         let mut keys = injected_keys(seed, 3_000);
         keys.extend(botnet_keys(seed, 2_000));
         let refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
+        let ticks: Vec<u64> = (0..keys.len() as u64).collect();
         let result = std::panic::catch_unwind(|| {
             for entry in registry::backends() {
                 for layout in LAYOUTS {
@@ -287,14 +336,14 @@ proptest! {
 
                     cfd_core::simd::set_scalar_override(Some(true));
                     let mut scalar_verdicts = Vec::with_capacity(keys.len());
-                    for group in refs.chunks(chunk) {
-                        scalar_verdicts.extend(forced.observe_batch(group));
+                    for (group, tc) in refs.chunks(chunk).zip(ticks.chunks(chunk)) {
+                        scalar_verdicts.extend(forced.observe_batch_at(group, tc));
                     }
 
                     cfd_core::simd::set_scalar_override(Some(false));
                     let mut wide_verdicts = Vec::with_capacity(keys.len());
-                    for group in refs.chunks(chunk) {
-                        wide_verdicts.extend(wide.observe_batch(group));
+                    for (group, tc) in refs.chunks(chunk).zip(ticks.chunks(chunk)) {
+                        wide_verdicts.extend(wide.observe_batch_at(group, tc));
                     }
 
                     assert_eq!(
@@ -323,8 +372,8 @@ proptest! {
         for entry in registry::backends() {
             for layout in LAYOUTS {
                 let mut original = entry.build(&geometry(seed, layout, 64)).expect("build");
-                for k in prefix {
-                    original.observe(k);
+                for (t, k) in (0u64..).zip(prefix) {
+                    original.observe_at(k, t);
                 }
                 let buf = original.checkpoint_bytes();
                 let mut restored = registry::restore_any(&buf)
@@ -332,18 +381,38 @@ proptest! {
                 let mut via_entry = entry.restore(&buf).expect("entry restore");
                 prop_assert_eq!(restored.window(), original.window());
                 prop_assert_eq!(restored.memory_bits(), original.memory_bits());
-                for k in suffix {
-                    let want = original.observe(k);
+                for (t, k) in (prefix.len() as u64..).zip(suffix) {
+                    let want = original.observe_at(k, t);
                     prop_assert_eq!(
-                        restored.observe(k), want,
+                        restored.observe_at(k, t), want,
                         "{} ({layout:?}): restore_any diverged", entry.name
                     );
                     prop_assert_eq!(
-                        via_entry.observe(k), want,
+                        via_entry.observe_at(k, t), want,
                         "{} ({layout:?}): entry restore diverged", entry.name
                     );
                 }
             }
+        }
+    }
+}
+
+/// `time-gbf` sizes its filters by `⌈N/Q⌉`, so `Q = 0` is rejected by
+/// name before the sizing divides — for one detector and for every
+/// shard of a sharded build, under both memory specs.
+#[test]
+fn time_gbf_with_zero_sub_windows_is_a_named_error() {
+    let timed = registry::find("time-gbf").expect("registered").timed;
+    for memory in [
+        MemorySpec::CellsPerElement(14),
+        MemorySpec::TotalBits(1 << 20),
+    ] {
+        let geo = BackendGeometry::new(1 << 16, memory).with_sub_windows(0);
+        for geo in [geo, geo.for_shards(4, timed)] {
+            let err = registry::build("time-gbf", &geo)
+                .err()
+                .expect("q = 0 is rejected");
+            assert_eq!(err.to_string(), "sub-window count q must be positive");
         }
     }
 }
