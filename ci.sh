@@ -102,17 +102,6 @@ EOF
 fi
 
 if [[ "${1:-}" != "quick" ]]; then
-    echo "==> throughput smoke: blocked vs scattered (quick scale)"
-    # Quick scale writes its own file; the committed full-scale
-    # BENCH_pr3.json is regenerated only by a manual full run.
-    ./target/release/throughput --quick --out target/BENCH_quick.json \
-        >/tmp/cfd_throughput.txt
-    tail -n 4 /tmp/cfd_throughput.txt | sed 's/^/   /'
-    echo "==> BENCH json schema + blocked FP within model bound (>10% fails)"
-    python3 tools/check_bench.py target/BENCH_quick.json BENCH_pr3.json
-fi
-
-if [[ "${1:-}" != "quick" ]]; then
     echo "==> pipeline smoke: multi-lane vs scalar batch hash (quick scale)"
     # Quick scale writes its own file; the committed full-scale
     # BENCH_pr4.json is the archived cfd-bench-pipeline/1 record.
@@ -121,39 +110,6 @@ if [[ "${1:-}" != "quick" ]]; then
     tail -n 4 /tmp/cfd_pipeline.txt | sed 's/^/   /'
     echo "==> BENCH pipeline json schema + hash speedup gate (full scale only)"
     python3 tools/check_bench.py target/BENCH_pipeline_quick.json BENCH_pr4.json
-fi
-
-if [[ "${1:-}" != "quick" ]]; then
-    echo "==> timed smoke: TimeTbf/TimeGbf sequential vs batch (quick scale)"
-    # Quick scale writes its own file; the committed full-scale
-    # BENCH_pr5.json is regenerated only by a manual full run.
-    ./target/release/throughput --timed --quick --out target/BENCH_timed_quick.json \
-        >/tmp/cfd_timed.txt
-    tail -n 4 /tmp/cfd_timed.txt | sed 's/^/   /'
-    echo "==> BENCH timed json schema + batch/blocked speedup gates (full scale only)"
-    python3 tools/check_bench.py target/BENCH_timed_quick.json BENCH_pr5.json
-fi
-
-if [[ "${1:-}" != "quick" ]]; then
-    echo "==> shootout smoke: tbf/gbf/apbf/swbf at equal memory (quick scale)"
-    # Quick scale writes its own file; the committed full-scale
-    # BENCH_pr6.json is regenerated only by a manual full run.
-    ./target/release/throughput --shootout --quick --out target/BENCH_shootout_quick.json \
-        >/tmp/cfd_shootout.txt
-    tail -n 8 /tmp/cfd_shootout.txt | sed 's/^/   /'
-    echo "==> BENCH shootout json schema + Pareto/FP/speedup gates (full scale only)"
-    python3 tools/check_bench.py target/BENCH_shootout_quick.json BENCH_pr6.json
-fi
-
-if [[ "${1:-}" != "quick" ]]; then
-    echo "==> simd smoke: wide vs forced-scalar dispatch, verdicts must agree (quick scale)"
-    # Quick scale writes its own file; the committed full-scale
-    # BENCH_pr8.json is regenerated only by a manual full run.
-    ./target/release/throughput --simd --quick --out target/BENCH_simd_quick.json \
-        >/tmp/cfd_simd.txt
-    tail -n 6 /tmp/cfd_simd.txt | sed 's/^/   /'
-    echo "==> BENCH simd json schema + wide-speedup gates (full scale only)"
-    python3 tools/check_bench.py target/BENCH_simd_quick.json BENCH_pr8.json
 fi
 
 if [[ "${1:-}" != "quick" ]]; then
@@ -174,12 +130,19 @@ if [[ "${1:-}" != "quick" ]]; then
     tail -n 6 /tmp/cfd_sweep.txt | sed 's/^/   /'
     echo "==> BENCH sweep json schema + grid-coverage/fn<=fp gates"
     python3 tools/check_bench.py target/BENCH_sweep_quick.json
-    echo "==> scenario sweep smoke: same spec through throughput --scenario"
-    ./target/release/throughput --scenario scenarios/ci_smoke.toml --quick \
-        --out target/BENCH_sweep_tp_quick.json >/dev/null
-    python3 tools/check_bench.py target/BENCH_sweep_tp_quick.json
-    echo "==> throughput --scenario rejects a missing spec with a named-option error"
-    if ./target/release/throughput --scenario /nonexistent.toml 2>/tmp/cfd_sweep_err.txt; then
+    # Each benchmark spec runs at quick scale, where the checks and FP
+    # models bind; its [[gates]] floors bind on the committed full-scale
+    # record BENCH_<name>.json, regenerated by a manual full run.
+    for spec in scenarios/bench_*.toml; do
+        name=$(basename "$spec" .toml)
+        name=${name#bench_}
+        echo "==> bench sweep smoke: $spec (quick scale) + BENCH_$name.json gates"
+        ./target/release/cfd sweep --scenario "$spec" --quick \
+            --out "target/BENCH_${name}_quick.json"
+        python3 tools/check_bench.py "target/BENCH_${name}_quick.json" "BENCH_$name.json"
+    done
+    echo "==> cfd sweep rejects a missing spec with a named-option error"
+    if ./target/release/cfd sweep --scenario /nonexistent.toml 2>/tmp/cfd_sweep_err.txt; then
         echo "FAIL: missing scenario file was not rejected"; exit 1
     fi
     grep -q -- '--scenario' /tmp/cfd_sweep_err.txt

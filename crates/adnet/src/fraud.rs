@@ -87,7 +87,8 @@ impl FraudScorer {
         self.per_publisher.values().map(|&(c, _)| c).sum()
     }
 
-    /// Computes the per-publisher scores, highest z first.
+    /// Computes the per-publisher scores, highest z first, ties in
+    /// publisher order.
     ///
     /// Publishers with fewer than `min_clicks` are skipped (a z-test on
     /// ten clicks means nothing).
@@ -125,7 +126,13 @@ impl FraudScorer {
                 z_score,
             });
         }
-        out.sort_by(|a, b| b.z_score.total_cmp(&a.z_score));
+        // Ties break by publisher id: the map's iteration order is not
+        // stable across runs, and reports must be.
+        out.sort_by(|a, b| {
+            b.z_score
+                .total_cmp(&a.z_score)
+                .then(a.publisher.0.cmp(&b.publisher.0))
+        });
         out
     }
 
@@ -195,6 +202,24 @@ mod tests {
         assert!(scores[0].rate > 0.99);
         assert!(scores[0].z_score > scores[1].z_score);
         assert_eq!(s.total_clicks(), 200);
+    }
+
+    #[test]
+    fn tied_scores_come_out_in_publisher_order_whatever_the_insertion_order() {
+        // Two tied groups: every third publisher blocks 10%, the rest 1%.
+        let scores = |order: Vec<u32>| {
+            let mut s = FraudScorer::new();
+            for p in order {
+                s.set_tally(p, 400, if p % 3 == 0 { 40 } else { 4 });
+            }
+            s.scores(10)
+                .iter()
+                .map(|s| s.publisher.0)
+                .collect::<Vec<_>>()
+        };
+        let forward = scores((0..15).collect());
+        assert_eq!(forward, scores((0..15).rev().collect()));
+        assert_eq!(forward, [0, 3, 6, 9, 12, 1, 2, 4, 5, 7, 8, 10, 11, 13, 14]);
     }
 
     #[test]

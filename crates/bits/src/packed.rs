@@ -232,7 +232,11 @@ impl PackedIntVec {
     /// expired-bit mask; a second pass rewrites only the set bits. The
     /// scalar dispatch is the original register-cached per-entry branch
     /// chain ([`PackedIntVec::update_range`]), so `CFD_FORCE_SCALAR=1`
-    /// measures the pre-SIMD code path. Both are bit-identical.
+    /// measures the pre-SIMD code path. Both are bit-identical. When the
+    /// empty sentinel is all ones, the wide dispatch skips a chunk whose
+    /// covering words are all ones without decoding it; the return value
+    /// is unchanged, and callers count every swept entry as a read
+    /// either way.
     ///
     /// # Panics
     ///
@@ -283,6 +287,11 @@ impl PackedIntVec {
         }
         let bits = self.bits as usize;
         let max = self.max;
+        // An all-ones empty sentinel makes an all-ones word all-empty,
+        // so a chunk whose covering words are all `u64::MAX` holds no
+        // occupied entry. Off-peak time windows sweep long runs of
+        // those; skipping them changes nothing but the work.
+        let skip_empty = empty == ts_mask && ts_mask == max;
         let words = &mut self.words[..];
         let mut changed = 0usize;
         // Classify, then rewrite. The first pass decodes each entry of a
@@ -297,6 +306,14 @@ impl PackedIntVec {
         while chunk < end {
             let n = (end - chunk).min(64);
             let base = chunk * bits;
+            if skip_empty
+                && words[base / WORD_BITS..=(base + n * bits - 1) / WORD_BITS]
+                    .iter()
+                    .all(|&w| w == u64::MAX)
+            {
+                chunk += n;
+                continue;
+            }
             let mut expired = 0u64;
             for j in 0..n {
                 let ts = load_entry(words, base + j * bits, max) & ts_mask;

@@ -141,19 +141,24 @@ proptest! {
         empty_hi in any::<u64>(),
         now_seed in any::<u64>(),
         lo in 0u64..=1,
+        all_ones in any::<bool>(),
+        runs in prop::collection::vec((any::<usize>(), 0usize..200), 0..3),
     ) {
         // The timestamp field may be narrower than the entry (SWBF
         // cells carry a fingerprint above it), and `empty` need only
-        // have an all-ones timestamp field.
-        let ts_bits = ts_bits.min(bits);
+        // have an all-ones timestamp field. With an all-ones sentinel
+        // (TBF entries, TimeTbf units), runs of empty entries that start
+        // and end inside a 64-entry chunk give the wide sweep all-ones
+        // words to skip.
+        let ts_bits = if all_ones { bits } else { ts_bits.min(bits) };
         let mask = low_mask(bits);
         let ts_mask = low_mask(ts_bits);
-        let empty = ts_mask | (empty_hi & mask);
+        let empty = if all_ones { mask } else { ts_mask | (empty_hi & mask) };
         let range = ts_mask.clamp(2, 1 << 40);
         let now = now_seed % range;
         let hi = (range / 2).max(lo);
         let (start, count) = range_of(len, start, count, to_end);
-        let vals: Vec<u64> = values(len, bits, seed)
+        let mut vals: Vec<u64> = values(len, bits, seed)
             .into_iter()
             .enumerate()
             .map(|(i, raw)| {
@@ -164,6 +169,10 @@ proptest! {
                 }
             })
             .collect();
+        for &(at, run) in &runs {
+            let at = at % len;
+            vals[at..(at + run).min(len)].fill(empty);
+        }
         let mut want = vals.clone();
         let mut want_changed = 0;
         for e in &mut want[start..start + count] {

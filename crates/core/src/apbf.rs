@@ -70,6 +70,18 @@ impl ApbfConfig {
         self.k + self.l + 1
     }
 
+    /// Bits addressable per slice once laid out: whole words of an even
+    /// split when scattered, one power-of-two lane of every 512-bit line
+    /// when blocked (`0` when the budget funds no slice).
+    #[must_use]
+    pub fn slice_capacity(&self) -> usize {
+        let s = self.physical_slices();
+        match self.probe {
+            ProbeLayout::Scattered => (self.total_bits / s) / 64 * 64,
+            ProbeLayout::Blocked => lane_bits_for(s).map_or(0, |w| self.total_bits / LINE_BITS * w),
+        }
+    }
+
     /// Searches `(k, l)` for the lowest modeled false-positive rate at
     /// window `n` under `total_bits` of memory — the equal-memory
     /// counterpart of `TbfConfig::builder(n).entries(..)`.
@@ -101,17 +113,15 @@ impl ApbfConfig {
         let mut best: Option<(f64, usize, usize)> = None;
         for k in 2..=16usize {
             for l in 1..=48usize {
-                let s = k + l + 1;
-                let per_slice = match probe {
-                    ProbeLayout::Scattered => (total_bits / s) / 64 * 64,
-                    ProbeLayout::Blocked => {
-                        let lines = total_bits / LINE_BITS;
-                        match lane_bits_for(s) {
-                            Some(w) => lines * w,
-                            None => continue,
-                        }
-                    }
-                };
+                let per_slice = Self {
+                    n,
+                    k,
+                    l,
+                    total_bits,
+                    seed,
+                    probe,
+                }
+                .slice_capacity();
                 if per_slice == 0 {
                     continue;
                 }
@@ -307,13 +317,11 @@ impl Apbf {
         self.cfg.n
     }
 
-    /// Bits addressable per slice under the realized layout.
+    /// Bits addressable per slice under the realized layout
+    /// ([`ApbfConfig::slice_capacity`]).
     #[must_use]
     pub fn slice_capacity(&self) -> usize {
-        match self.layout {
-            Layout::Scattered { slice_words } => slice_words * 64,
-            Layout::Blocked { lines, lane_bits } => lines * lane_bits,
-        }
+        self.cfg.slice_capacity()
     }
 
     /// Arrivals after which an insertion is guaranteed gone: `(l+1)·g`

@@ -319,6 +319,90 @@ fn gbf_filter_bits(geo: &BackendGeometry) -> Result<usize, ConfigError> {
     })
 }
 
+// Each entry's configuration at a geometry — exactly what its `build`
+// constructs, or the `ConfigError` that rejects the geometry — public so
+// a model (the sweep's FP models) sees the shape that runs.
+
+/// The `tbf` entry's configuration: entries wide enough for stamps over
+/// `2N - 1` arrivals.
+pub fn tbf_config(geo: &BackendGeometry) -> Result<TbfConfig, ConfigError> {
+    let entry_bits = bits_for_value(2 * geo.window.max(1) as u64 - 1);
+    TbfConfig::builder(geo.window)
+        .entries(tbf_entries(geo, entry_bits))
+        .hash_count(geo.hash_count)
+        .seed(geo.seed)
+        .probe(geo.probe)
+        .build()
+}
+
+/// The `gbf` entry's configuration.
+pub fn gbf_config(geo: &BackendGeometry) -> Result<GbfConfig, ConfigError> {
+    GbfConfig::builder(geo.window, geo.sub_windows)
+        .filter_bits(gbf_filter_bits(geo)?)
+        .hash_count(geo.hash_count)
+        .seed(geo.seed)
+        .probe(geo.probe)
+        .build()
+}
+
+/// The `jumping-tbf` entry's configuration.
+pub fn jumping_tbf_config(geo: &BackendGeometry) -> Result<JumpingTbfConfig, ConfigError> {
+    let q = geo.sub_windows;
+    let m = tbf_entries(geo, bits_for_value(2 * q.max(1) as u64));
+    JumpingTbfConfig::new(geo.window, q, m, geo.hash_count, geo.seed)?.with_probe(geo.probe)
+}
+
+/// The `time-tbf` entry's configuration: stamps wrap over `R + C = 2R`
+/// units.
+pub fn time_tbf_config(geo: &BackendGeometry) -> Result<TimeTbfConfig, ConfigError> {
+    let m = tbf_entries(geo, bits_for_value(geo.window_units.saturating_mul(2)));
+    TimeTbfConfig::new(
+        geo.window_units,
+        geo.unit_ticks,
+        m,
+        geo.hash_count,
+        geo.seed,
+    )?
+    .with_probe(geo.probe)
+}
+
+/// The `time-gbf` entry's configuration.
+pub fn time_gbf_config(geo: &BackendGeometry) -> Result<TimeGbfConfig, ConfigError> {
+    TimeGbfConfig::new(
+        geo.sub_windows,
+        geo.sub_units,
+        geo.unit_ticks,
+        gbf_filter_bits(geo)?,
+        geo.hash_count,
+        geo.seed,
+    )?
+    .with_probe(geo.probe)
+}
+
+/// The `apbf` entry's configuration: a cell is one filter bit.
+pub fn apbf_config(geo: &BackendGeometry) -> Result<ApbfConfig, ConfigError> {
+    let total = match geo.memory {
+        MemorySpec::TotalBits(total) => total,
+        MemorySpec::CellsPerElement(c) => geo.window * c,
+    };
+    ApbfConfig::for_budget(geo.window, total, geo.seed, geo.probe)
+}
+
+/// The `swbf` entry's configuration.
+pub fn swbf_config(geo: &BackendGeometry) -> Result<SwbfConfig, ConfigError> {
+    let total = match geo.memory {
+        MemorySpec::TotalBits(total) => total,
+        // A SWBF "cell" is a fingerprint+timestamp dictionary slot;
+        // fund `c` slots per element at a nominal 12-bit fingerprint
+        // (`for_budget` re-picks the exact width for the final budget).
+        MemorySpec::CellsPerElement(c) => {
+            let ts = bits_for_value(2 * geo.window.max(1) as u64 - 1) as usize;
+            geo.window * c * (ts + 12)
+        }
+    };
+    SwbfConfig::for_budget(geo.window, total, geo.seed, geo.probe)
+}
+
 static BACKENDS: &[BackendEntry] = &[
     BackendEntry {
         name: "tbf",
@@ -326,16 +410,7 @@ static BACKENDS: &[BackendEntry] = &[
         timed: false,
         window_model: "sliding, count-based",
         summary: "timing Bloom filter: O(log N)-bit timestamp cells, incremental sweep (paper §4)",
-        build: |geo| {
-            let entry_bits = bits_for_value(2 * geo.window.max(1) as u64 - 1);
-            let cfg = TbfConfig::builder(geo.window)
-                .entries(tbf_entries(geo, entry_bits))
-                .hash_count(geo.hash_count)
-                .seed(geo.seed)
-                .probe(geo.probe)
-                .build()?;
-            Ok(Box::new(Tbf::new(cfg)?))
-        },
+        build: |geo| Ok(Box::new(Tbf::new(tbf_config(geo)?)?)),
         restore: |buf| Ok(Box::new(Tbf::restore(buf)?)),
     },
     BackendEntry {
@@ -344,15 +419,7 @@ static BACKENDS: &[BackendEntry] = &[
         timed: false,
         window_model: "jumping, count-based, small Q",
         summary: "group Bloom filters: Q sub-window filters probed in one interleaved read (paper §3)",
-        build: |geo| {
-            let cfg = GbfConfig::builder(geo.window, geo.sub_windows)
-                .filter_bits(gbf_filter_bits(geo)?)
-                .hash_count(geo.hash_count)
-                .seed(geo.seed)
-                .probe(geo.probe)
-                .build()?;
-            Ok(Box::new(Gbf::new(cfg)?))
-        },
+        build: |geo| Ok(Box::new(Gbf::new(gbf_config(geo)?)?)),
         restore: |buf| Ok(Box::new(Gbf::restore(buf)?)),
     },
     BackendEntry {
@@ -361,13 +428,7 @@ static BACKENDS: &[BackendEntry] = &[
         timed: false,
         window_model: "jumping, count-based, large Q",
         summary: "TBF over sub-window indices: jumping windows where GBF's Q-lane probe is too wide (§4.1)",
-        build: |geo| {
-            let q = geo.sub_windows;
-            let m = tbf_entries(geo, bits_for_value(2 * q.max(1) as u64));
-            let cfg = JumpingTbfConfig::new(geo.window, q, m, geo.hash_count, geo.seed)?
-                .with_probe(geo.probe)?;
-            Ok(Box::new(JumpingTbf::new(cfg)?))
-        },
+        build: |geo| Ok(Box::new(JumpingTbf::new(jumping_tbf_config(geo)?)?)),
         restore: |buf| Ok(Box::new(JumpingTbf::restore(buf)?)),
     },
     BackendEntry {
@@ -376,19 +437,7 @@ static BACKENDS: &[BackendEntry] = &[
         timed: true,
         window_model: "sliding, time-based",
         summary: "TBF over time units: entries stamp the unit, the sweep runs once per unit (§4.1)",
-        build: |geo| {
-            // Stamps wrap over R + C = 2R units.
-            let m = tbf_entries(geo, bits_for_value(geo.window_units.saturating_mul(2)));
-            let cfg = TimeTbfConfig::new(
-                geo.window_units,
-                geo.unit_ticks,
-                m,
-                geo.hash_count,
-                geo.seed,
-            )?
-            .with_probe(geo.probe)?;
-            Ok(Box::new(TimeTbf::new(cfg)?))
-        },
+        build: |geo| Ok(Box::new(TimeTbf::new(time_tbf_config(geo)?)?)),
         restore: |buf| Ok(Box::new(TimeTbf::restore(buf)?)),
     },
     BackendEntry {
@@ -397,19 +446,7 @@ static BACKENDS: &[BackendEntry] = &[
         timed: true,
         window_model: "jumping, time-based",
         summary: "GBF over time units: Q sub-window filters of equal duration, wiped once per unit (§3.1)",
-        build: |geo| {
-            let m = gbf_filter_bits(geo)?;
-            let cfg = TimeGbfConfig::new(
-                geo.sub_windows,
-                geo.sub_units,
-                geo.unit_ticks,
-                m,
-                geo.hash_count,
-                geo.seed,
-            )?
-            .with_probe(geo.probe)?;
-            Ok(Box::new(TimeGbf::new(cfg)?))
-        },
+        build: |geo| Ok(Box::new(TimeGbf::new(time_gbf_config(geo)?)?)),
         restore: |buf| Ok(Box::new(TimeGbf::restore(buf)?)),
     },
     BackendEntry {
@@ -418,14 +455,7 @@ static BACKENDS: &[BackendEntry] = &[
         timed: false,
         window_model: "sliding, count-based",
         summary: "age-partitioned Bloom filter: k+l rotating slices, k-run queries, no timestamps",
-        build: |geo| {
-            let total = match geo.memory {
-                MemorySpec::TotalBits(total) => total,
-                MemorySpec::CellsPerElement(c) => geo.window * c,
-            };
-            let cfg = ApbfConfig::for_budget(geo.window, total, geo.seed, geo.probe)?;
-            Ok(Box::new(Apbf::new(cfg)?))
-        },
+        build: |geo| Ok(Box::new(Apbf::new(apbf_config(geo)?)?)),
         restore: |buf| Ok(Box::new(Apbf::restore(buf)?)),
     },
     BackendEntry {
@@ -434,21 +464,7 @@ static BACKENDS: &[BackendEntry] = &[
         timed: false,
         window_model: "sliding, count-based",
         summary: "sliding window Bloom filter: fingerprinted timestamp dictionary with cuckoo-style candidates",
-        build: |geo| {
-            let total = match geo.memory {
-                MemorySpec::TotalBits(total) => total,
-                // A SWBF "cell" is a fingerprint+timestamp dictionary
-                // slot; fund `c` slots per element at a nominal 12-bit
-                // fingerprint (`for_budget` re-picks the exact width
-                // for the final budget).
-                MemorySpec::CellsPerElement(c) => {
-                    let ts = bits_for_value(2 * geo.window.max(1) as u64 - 1) as usize;
-                    geo.window * c * (ts + 12)
-                }
-            };
-            let cfg = SwbfConfig::for_budget(geo.window, total, geo.seed, geo.probe)?;
-            Ok(Box::new(Swbf::new(cfg)?))
-        },
+        build: |geo| Ok(Box::new(Swbf::new(swbf_config(geo)?)?)),
         restore: |buf| Ok(Box::new(Swbf::restore(buf)?)),
     },
     BackendEntry {

@@ -42,7 +42,7 @@ use std::cell::Cell;
 const B_CANDIDATES: usize = 4;
 
 /// Probes per element in the side mini-TBF.
-const K_SIDE: usize = 4;
+pub const K_SIDE: usize = 4;
 
 /// Fraction of the budget (as a divisor) given to the side filter.
 const SIDE_DIVISOR: usize = 32;
@@ -179,6 +179,25 @@ impl SwbfConfig {
     pub fn side_cells(&self) -> usize {
         self.side_bits() / self.ts_bits() as usize
     }
+
+    /// Blocked-probe geometry of the main dictionary; `None` when
+    /// scattered or when no cell fits a line.
+    #[must_use]
+    pub fn block_geometry(&self) -> Option<BlockGeometry> {
+        match self.probe {
+            ProbeLayout::Scattered => None,
+            ProbeLayout::Blocked => {
+                BlockGeometry::for_line(self.cells(), self.cell_bits() as usize)
+            }
+        }
+    }
+
+    /// Candidate cells probed per element (the blocked layout may cap
+    /// them at half a line's slots).
+    #[must_use]
+    pub fn effective_candidates(&self) -> usize {
+        backend::effective_k(B_CANDIDATES, self.block_geometry().as_ref())
+    }
 }
 
 /// Dynamic SWBF state captured by a checkpoint.
@@ -257,16 +276,14 @@ impl Swbf {
         cfg.validate()?;
         let m = cfg.cells();
         let cell_bits = cfg.cell_bits();
-        let geo = match cfg.probe {
-            ProbeLayout::Scattered => None,
-            ProbeLayout::Blocked => Some(BlockGeometry::for_line(m, cell_bits as usize).ok_or(
-                ConfigError::BlockedUnsupported {
-                    slot_bits: cell_bits as usize,
-                    m,
-                },
-            )?),
-        };
-        let b_eff = backend::effective_k(B_CANDIDATES, geo.as_ref());
+        let geo = cfg.block_geometry();
+        if cfg.probe == ProbeLayout::Blocked && geo.is_none() {
+            return Err(ConfigError::BlockedUnsupported {
+                slot_bits: cell_bits as usize,
+                m,
+            });
+        }
+        let b_eff = cfg.effective_candidates();
         let cells = PackedIntVec::new_all_ones(m, cell_bits);
         let side = PackedIntVec::new_all_ones(cfg.side_cells(), cfg.ts_bits());
         let ts_bits = cfg.ts_bits();

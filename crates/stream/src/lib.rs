@@ -42,8 +42,8 @@ pub use gen::timing::PoissonArrivals;
 pub use gen::unique::{UniqueClickStream, UniqueIdStream};
 pub use gen::zipf::{ZipfClickStream, ZipfSampler};
 pub use scenario::{
-    MixEntry, MixKind, ScenarioClick, ScenarioError, ScenarioSpec, ScenarioStream, ScenarioWindow,
-    SweepGrid, SweepPoint,
+    Budget, MixEntry, MixKind, RatioGate, ScenarioClick, ScenarioError, ScenarioSpec,
+    ScenarioStream, ScenarioWindow, SweepGrid, SweepPoint,
 };
 pub use trace::{read_trace, write_trace, TraceError};
 pub use wire::{FrameReader, WireError};

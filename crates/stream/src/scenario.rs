@@ -15,9 +15,12 @@
 //!   tick-gap ramp for the latter;
 //! * an optional **tenant remap** — ads redrawn from a Zipf tenant
 //!   universe, the multi-tenant arena workload;
-//! * a **sweep grid** — the (algo, m, k, Q, layout, shards, batch)
-//!   cartesian product the sweep driver brute-forces, with `algo =
-//!   "auto"` resolved from the `cfd-analysis` closed forms.
+//! * a **sweep grid** — the (algo, memory, k, Q, layout, shards, batch,
+//!   dispatch) cartesian product the sweep driver brute-forces, with
+//!   `algo = "auto"` resolved from the `cfd-analysis` closed forms;
+//! * **ratio gates** — `[[gates]]` floors on the median throughput of
+//!   one axis value over another, which the benchmark specs under
+//!   `scenarios/bench_*.toml` declare instead of hand-coded checks.
 //!
 //! The dependency shims vendored for the offline build do not include a
 //! TOML crate, so this module carries its own parser for the subset the
@@ -433,14 +436,18 @@ impl<'a> Sect<'a> {
         match self.table.get(key) {
             None => Ok(None),
             Some(Node::Table(t)) => Ok(Some(Sect {
-                path: if self.path.is_empty() {
-                    key.to_owned()
-                } else {
-                    format!("{}.{key}", self.path)
-                },
+                path: self.child(key),
                 table: t,
             })),
             Some(_) => Err(self.err(key, "expected a [table]")),
+        }
+    }
+
+    fn child(&self, key: &str) -> String {
+        if self.path.is_empty() {
+            key.to_owned()
+        } else {
+            format!("{}.{key}", self.path)
         }
     }
 
@@ -451,7 +458,7 @@ impl<'a> Sect<'a> {
                 .iter()
                 .enumerate()
                 .map(|(i, t)| Sect {
-                    path: format!("{}.{key}[{i}]", self.path),
+                    path: format!("{}[{i}]", self.child(key)),
                     table: t,
                 })
                 .collect()),
@@ -476,6 +483,19 @@ impl<'a> Sect<'a> {
                 Ok(out)
             }
             Some(_) => Err(self.err(key, "expected an array of strings")),
+        }
+    }
+
+    /// A string array whose entries must each be one of `accepted`
+    /// (default: the first).
+    fn choices(&self, key: &str, accepted: &[&str]) -> Result<Vec<String>, ScenarioError> {
+        let values = self.str_array(key, &accepted[..1])?;
+        match values.iter().find(|v| !accepted.contains(&v.as_str())) {
+            Some(v) => Err(self.err(
+                key,
+                format!("unknown {key} `{v}` (accepted: {})", accepted.join(", ")),
+            )),
+            None => Ok(values),
         }
     }
 
@@ -655,14 +675,44 @@ pub struct TenantSpec {
     pub skew: f64,
 }
 
+/// A grid point's memory budget.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Budget {
+    /// The paper's `m/n`: backend-native cells per window element.
+    CellsPerElement(usize),
+    /// Bits per window element: every backend spends `n × b` bits its
+    /// own way, the equal-memory comparison.
+    BitsPerElement(usize),
+}
+
+impl Budget {
+    /// The spec key this budget is declared under.
+    #[must_use]
+    pub fn key(self) -> &'static str {
+        match self {
+            Self::CellsPerElement(_) => "cells_per_element",
+            Self::BitsPerElement(_) => "bits_per_element",
+        }
+    }
+
+    /// The per-element amount, in cells or bits.
+    #[must_use]
+    pub fn per_element(self) -> usize {
+        match self {
+            Self::CellsPerElement(v) | Self::BitsPerElement(v) => v,
+        }
+    }
+}
+
 /// The `[sweep]` section: the grid the sweep driver brute-forces.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepGrid {
     /// Backend names (`cfd algos`, `time-tbf`/`time-gbf` under a time
     /// window, or `auto` to resolve from the closed forms).
     pub algos: Vec<String>,
-    /// Memory budgets, as cells per window element (the paper's `m/n`).
-    pub cells_per_element: Vec<usize>,
+    /// Memory budgets, all in one unit: `cells_per_element` (the
+    /// paper's `m/n`) or `bits_per_element`.
+    pub budgets: Vec<Budget>,
     /// Hash counts (`k`).
     pub hash_counts: Vec<usize>,
     /// Sub-window counts (`Q`, jumping-window backends).
@@ -671,32 +721,83 @@ pub struct SweepGrid {
     pub layouts: Vec<String>,
     /// Shard counts.
     pub shards: Vec<usize>,
-    /// Observe batch sizes.
+    /// Observe batch sizes (`1` is the per-click path).
     pub batches: Vec<usize>,
+    /// Kernel dispatch: `auto` (runtime detection, the default),
+    /// `wide` or `scalar`.
+    pub dispatches: Vec<String>,
     /// Target false-positive rate for `algo = "auto"` resolution.
     pub target_fp: f64,
     /// Sweep axis the compare-groups report groups by.
     pub group_by: String,
 }
 
-/// Axes [`SweepGrid::group_by`] accepts.
+impl SweepGrid {
+    /// The values of a grid axis, in declared order, as strings (the
+    /// unused budget key has none).
+    #[must_use]
+    pub fn axis_values(&self, axis: &str) -> Vec<String> {
+        let nums = |v: &[usize]| v.iter().map(ToString::to_string).collect();
+        match axis {
+            "algo" => self.algos.clone(),
+            "cells_per_element" | "bits_per_element" => self
+                .budgets
+                .iter()
+                .filter(|b| b.key() == axis)
+                .map(|b| b.per_element().to_string())
+                .collect(),
+            "k" => nums(&self.hash_counts),
+            "sub_windows" => nums(&self.sub_windows),
+            "layout" => self.layouts.clone(),
+            "shards" => nums(&self.shards),
+            "batch" => nums(&self.batches),
+            "dispatch" => self.dispatches.clone(),
+            _ => Vec::new(),
+        }
+    }
+}
+
+/// Axes [`SweepGrid::group_by`] (and a gate's `axis`) accept.
 pub const GROUP_BY_AXES: &[&str] = &[
     "algo",
     "cells_per_element",
+    "bits_per_element",
     "k",
     "sub_windows",
     "layout",
     "shards",
     "batch",
+    "dispatch",
 ];
+
+/// Kernel dispatches a grid accepts; `auto` (the default) pins none.
+pub const DISPATCHES: &[&str] = &["auto", "wide", "scalar"];
+
+/// One `[[gates]]` entry: for every algo in `algos`, the median
+/// clicks/s of the grid point with `axis = num` over the one with
+/// `axis = den` must reach `floor`. Both points hold every other axis
+/// at its first declared value.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RatioGate {
+    /// The grid axis the two points differ in.
+    pub axis: String,
+    /// The numerator's axis value (a string, `"1024"` for a batch).
+    pub num: String,
+    /// The denominator's axis value.
+    pub den: String,
+    /// The lowest passing ratio.
+    pub floor: f64,
+    /// The declared algos the gate applies to.
+    pub algos: Vec<String>,
+}
 
 /// One point of the sweep grid.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SweepPoint {
     /// Backend name as requested (possibly `auto`).
     pub algo: String,
-    /// Cells per window element.
-    pub cells_per_element: usize,
+    /// Memory budget.
+    pub budget: Budget,
     /// Hash count.
     pub k: usize,
     /// Sub-window count.
@@ -707,19 +808,33 @@ pub struct SweepPoint {
     pub shards: usize,
     /// Observe batch size.
     pub batch: usize,
+    /// Kernel dispatch.
+    pub dispatch: String,
 }
 
 impl SweepPoint {
     /// A compact one-line label for tables and logs.
     #[must_use]
     pub fn label(&self) -> String {
+        let budget = match self.budget {
+            Budget::CellsPerElement(c) => format!("c={c}"),
+            Budget::BitsPerElement(b) => format!("bits={b}"),
+        };
+        let dispatch = if self.dispatch == "auto" {
+            ""
+        } else {
+            &self.dispatch
+        };
         format!(
-            "{} c={} k={} q={} {} s={} b={}",
-            self.algo, self.cells_per_element, self.k, self.q, self.layout, self.shards, self.batch
+            "{} {budget} k={} q={} {} s={} b={} {dispatch}",
+            self.algo, self.k, self.q, self.layout, self.shards, self.batch
         )
+        .trim_end()
+        .to_owned()
     }
 
-    /// The value of the named sweep axis, as a string.
+    /// The value of the named sweep axis, as a string (`-` for the
+    /// budget key this point does not use).
     ///
     /// # Panics
     ///
@@ -729,12 +844,16 @@ impl SweepPoint {
     pub fn axis(&self, axis: &str) -> String {
         match axis {
             "algo" => self.algo.clone(),
-            "cells_per_element" => self.cells_per_element.to_string(),
+            "cells_per_element" | "bits_per_element" if self.budget.key() == axis => {
+                self.budget.per_element().to_string()
+            }
+            "cells_per_element" | "bits_per_element" => "-".to_owned(),
             "k" => self.k.to_string(),
             "sub_windows" => self.q.to_string(),
             "layout" => self.layout.clone(),
             "shards" => self.shards.to_string(),
             "batch" => self.batch.to_string(),
+            "dispatch" => self.dispatch.clone(),
             other => panic!("unknown sweep axis `{other}`"),
         }
     }
@@ -763,6 +882,8 @@ pub struct ScenarioSpec {
     pub tenants: Option<TenantSpec>,
     /// Sweep grid.
     pub sweep: SweepGrid,
+    /// Ratio floors the sweep report must meet at full scale.
+    pub gates: Vec<RatioGate>,
 }
 
 /// Most namespaces a mix can consume (each entry takes a primary +
@@ -784,7 +905,7 @@ impl ScenarioSpec {
             table: &doc,
         };
         root.reject_unknown(&[
-            "scenario", "window", "traffic", "inject", "ramp", "tenants", "sweep",
+            "scenario", "window", "traffic", "inject", "ramp", "tenants", "sweep", "gates",
         ])?;
 
         let meta = root
@@ -987,68 +1108,100 @@ impl ScenarioSpec {
             } else {
                 &["tbf"]
             };
-            let (algos, cells, ks, qs, layouts, shards, batches, target_fp, group_by);
-            match root.sub("sweep")? {
-                None => {
-                    algos = default_algo.iter().map(|s| (*s).to_owned()).collect();
-                    cells = vec![14];
-                    ks = vec![10];
-                    qs = vec![8];
-                    layouts = vec!["scattered".to_owned()];
-                    shards = vec![1];
-                    batches = vec![512];
-                    target_fp = 0.01;
-                    group_by = "algo".to_owned();
-                }
-                Some(s) => {
-                    s.reject_unknown(&[
-                        "algo",
-                        "cells_per_element",
-                        "k",
-                        "sub_windows",
-                        "layout",
-                        "shards",
-                        "batch",
-                        "target_fp",
-                        "group_by",
-                    ])?;
-                    algos = s.str_array("algo", default_algo)?;
-                    cells = s.usize_array("cells_per_element", &[14])?;
-                    ks = s.usize_array("k", &[10])?;
-                    qs = s.usize_array("sub_windows", &[8])?;
-                    layouts = s.str_array("layout", &["scattered"])?;
-                    for l in &layouts {
-                        if l != "scattered" && l != "blocked" {
-                            return Err(s.err("layout", format!("unknown layout `{l}`")));
-                        }
-                    }
-                    shards = s.usize_array("shards", &[1])?;
-                    batches = s.usize_array("batch", &[512])?;
-                    target_fp = s.f64("target_fp", 0.01)?;
-                    if !(0.0..1.0).contains(&target_fp) || target_fp <= 0.0 {
-                        return Err(s.err("target_fp", "must be in (0, 1)"));
-                    }
-                    group_by = s.str("group_by", "algo")?;
-                    if !GROUP_BY_AXES.contains(&group_by.as_str()) {
-                        return Err(s.err(
-                            "group_by",
-                            format!("must be one of: {}", GROUP_BY_AXES.join(", ")),
-                        ));
-                    }
-                }
+            let empty = Table::default();
+            let s = root.sub("sweep")?.unwrap_or(Sect {
+                path: "sweep".to_owned(),
+                table: &empty,
+            });
+            s.reject_unknown(&[
+                "algo",
+                "cells_per_element",
+                "bits_per_element",
+                "k",
+                "sub_windows",
+                "layout",
+                "shards",
+                "batch",
+                "dispatch",
+                "target_fp",
+                "group_by",
+            ])?;
+            let algos = s.str_array("algo", default_algo)?;
+            let budgets: Vec<Budget> = if s.value("bits_per_element")?.is_none() {
+                let cells = s.usize_array("cells_per_element", &[14])?;
+                cells.into_iter().map(Budget::CellsPerElement).collect()
+            } else if s.value("cells_per_element")?.is_some() {
+                return Err(s.err("bits_per_element", "cannot be set with cells_per_element"));
+            } else if algos.iter().any(|a| a == "auto") {
+                return Err(s.err("algo", "`auto` needs cells_per_element"));
+            } else {
+                let bits = s.usize_array("bits_per_element", &[])?;
+                bits.into_iter().map(Budget::BitsPerElement).collect()
+            };
+            let target_fp = s.f64("target_fp", 0.01)?;
+            if !(0.0..1.0).contains(&target_fp) || target_fp <= 0.0 {
+                return Err(s.err("target_fp", "must be in (0, 1)"));
             }
-            SweepGrid {
+            let grid = SweepGrid {
                 algos,
-                cells_per_element: cells,
-                hash_counts: ks,
-                sub_windows: qs,
-                layouts,
-                shards,
-                batches,
+                budgets,
+                hash_counts: s.usize_array("k", &[10])?,
+                sub_windows: s.usize_array("sub_windows", &[8])?,
+                layouts: s.choices("layout", &["scattered", "blocked"])?,
+                shards: s.usize_array("shards", &[1])?,
+                batches: s.usize_array("batch", &[512])?,
+                dispatches: s.choices("dispatch", DISPATCHES)?,
                 target_fp,
-                group_by,
+                group_by: s.str("group_by", "algo")?,
+            };
+            if grid.axis_values(&grid.group_by).is_empty() {
+                return Err(s.err(
+                    "group_by",
+                    format!(
+                        "must be a grid axis: one of {} (with the budget key the grid sets)",
+                        GROUP_BY_AXES.join(", ")
+                    ),
+                ));
             }
+            grid
         };
+
+        let mut gates = Vec::new();
+        for g in root.many("gates")? {
+            g.reject_unknown(&["axis", "num", "den", "floor", "algos"])?;
+            let axis = g.required_str("axis")?;
+            let values = sweep.axis_values(&axis);
+            if values.is_empty() {
+                return Err(g.err("axis", format!("`{axis}` is not an axis of the grid")));
+            }
+            let (num, den) = (g.required_str("num")?, g.required_str("den")?);
+            for (key, v) in [("num", &num), ("den", &den)] {
+                if !values.contains(v) {
+                    return Err(g.err(key, format!("`{v}` is not a value of sweep.{axis}")));
+                }
+            }
+            if num == den {
+                return Err(g.err("den", "must differ from num"));
+            }
+            let floor = g.f64("floor", 1.0)?;
+            if floor <= 0.0 {
+                return Err(g.err("floor", "must be positive"));
+            }
+            let algos = g.str_array("algos", &[])?;
+            if algos.is_empty() {
+                return Err(g.err("algos", "required key is missing"));
+            }
+            if let Some(a) = algos.iter().find(|a| !sweep.algos.contains(a)) {
+                return Err(g.err("algos", format!("`{a}` is not in sweep.algo")));
+            }
+            gates.push(RatioGate {
+                axis,
+                num,
+                den,
+                floor,
+                algos,
+            });
+        }
 
         Ok(Self {
             name,
@@ -1061,6 +1214,7 @@ impl ScenarioSpec {
             ramp,
             tenants,
             sweep,
+            gates,
         })
     }
 
@@ -1153,11 +1307,10 @@ impl ScenarioSpec {
         }
         let _ = writeln!(out, "\n[sweep]");
         let _ = writeln!(out, "algo = {}", toml_str_array(&self.sweep.algos));
-        let _ = writeln!(
-            out,
-            "cells_per_element = {}",
-            toml_int_array(&self.sweep.cells_per_element)
-        );
+        let budgets: Vec<usize> = self.sweep.budgets.iter().map(|b| b.per_element()).collect();
+        if let Some(b) = self.sweep.budgets.first() {
+            let _ = writeln!(out, "{} = {}", b.key(), toml_int_array(&budgets));
+        }
         let _ = writeln!(out, "k = {}", toml_int_array(&self.sweep.hash_counts));
         let _ = writeln!(
             out,
@@ -1167,32 +1320,49 @@ impl ScenarioSpec {
         let _ = writeln!(out, "layout = {}", toml_str_array(&self.sweep.layouts));
         let _ = writeln!(out, "shards = {}", toml_int_array(&self.sweep.shards));
         let _ = writeln!(out, "batch = {}", toml_int_array(&self.sweep.batches));
+        let _ = writeln!(out, "dispatch = {}", toml_str_array(&self.sweep.dispatches));
         let _ = writeln!(out, "target_fp = {:?}", self.sweep.target_fp);
         let _ = writeln!(out, "group_by = {}", toml_str(&self.sweep.group_by));
+        for g in &self.gates {
+            let _ = writeln!(out, "\n[[gates]]");
+            let _ = writeln!(out, "axis = {}", toml_str(&g.axis));
+            let _ = writeln!(
+                out,
+                "num = {}\nden = {}",
+                toml_str(&g.num),
+                toml_str(&g.den)
+            );
+            let _ = writeln!(out, "floor = {:?}", g.floor);
+            let _ = writeln!(out, "algos = {}", toml_str_array(&g.algos));
+        }
         out
     }
 
-    /// The full cartesian sweep grid, in deterministic order.
+    /// The full cartesian sweep grid, in deterministic order (the
+    /// declared order of each axis, `algo` outermost).
     #[must_use]
     pub fn grid(&self) -> Vec<SweepPoint> {
         let s = &self.sweep;
         let mut points = Vec::new();
         for algo in &s.algos {
-            for &cells in &s.cells_per_element {
+            for &budget in &s.budgets {
                 for &k in &s.hash_counts {
                     for &q in &s.sub_windows {
                         for layout in &s.layouts {
                             for &shards in &s.shards {
                                 for &batch in &s.batches {
-                                    points.push(SweepPoint {
-                                        algo: algo.clone(),
-                                        cells_per_element: cells,
-                                        k,
-                                        q,
-                                        layout: layout.clone(),
-                                        shards,
-                                        batch,
-                                    });
+                                    for dispatch in &s.dispatches {
+                                        points.push(SweepPoint {
+                                            algo: algo.clone(),
+                                            budget,
+                                            k,
+                                            q,
+                                            layout: layout.clone(),
+                                            shards,
+                                            batch,
+                                            dispatch: dispatch.clone(),
+                                        });
+                                    }
                                 }
                             }
                         }
@@ -1642,6 +1812,41 @@ group_by = "algo"
             .map(|c| c.click.id.ad.0)
             .collect();
         assert!(ads.len() > 5_000, "remap should spread ads: {}", ads.len());
+    }
+
+    #[test]
+    fn budgets_take_one_unit_and_gates_name_grid_values() {
+        let gated = format!(
+            "{FULL}dispatch = [\"wide\", \"scalar\"]\n[[gates]]\naxis = \"batch\"\n\
+             num = \"256\"\nden = \"1\"\nfloor = 1.3\nalgos = [\"gbf\"]\n"
+        )
+        .replace("batch = [256]", "batch = [256, 1]");
+        let spec = ScenarioSpec::parse(&gated).unwrap();
+        assert_eq!((spec.gates[0].num.as_str(), spec.grid().len()), ("256", 32));
+        assert_eq!(ScenarioSpec::parse(&spec.to_toml()).unwrap(), spec);
+        let bits = gated.replace("cells_per_element = [14]", "bits_per_element = [272]");
+        let spec = ScenarioSpec::parse(&bits).unwrap();
+        assert_eq!(spec.sweep.budgets, [Budget::BitsPerElement(272)]);
+        for (from, to, path) in [
+            ("den = \"1\"", "den = \"256\"", "gates[0].den"),
+            ("den = \"1\"", "den = \"64\"", "gates[0].den"),
+            ("den = \"1\"", "den = 1", "gates[0].den"),
+            ("[\"gbf\"]\n", "[\"swbf\"]\n", "gates[0].algos"),
+            (
+                "dispatch = [\"wide\"",
+                "dispatch = [\"avx\"",
+                "sweep.dispatch",
+            ),
+            ("algo = [\"tbf\"", "algo = [\"auto\"", "sweep.algo"),
+            (
+                "k = [10]",
+                "k = [10]\ncells_per_element = [14]",
+                "sweep.bits_per_element",
+            ),
+        ] {
+            let err = ScenarioSpec::parse(&bits.replace(from, to)).unwrap_err();
+            assert_eq!(err.path, path, "{from} -> {to}: {err}");
+        }
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! from one drawn seed.
 
 use cfd_stream::scenario::{
-    InjectSpec, MixEntry, MixKind, RampSpec, ScenarioClick, ScenarioSpec, ScenarioWindow,
-    SweepGrid, TenantSpec, TrafficSpec, GROUP_BY_AXES,
+    Budget, InjectSpec, MixEntry, MixKind, RampSpec, RatioGate, ScenarioClick, ScenarioSpec,
+    ScenarioWindow, SweepGrid, TenantSpec, TrafficSpec, DISPATCHES, GROUP_BY_AXES,
 };
 use proptest::prelude::*;
 
@@ -110,6 +110,50 @@ fn random_spec(seed: u64) -> ScenarioSpec {
         r.subset(&["tbf", "gbf", "apbf", "swbf", "jumping-tbf", "auto"])
     };
     let name_pool = ["alpha", "beta-2", "gamma", "sweep-x", "d7"];
+    // `auto` resolves from cells, so a bits grid leaves it out.
+    let bits = !algos.contains(&"auto") && r.next() & 1 == 1;
+    let (budget, unused): (fn(usize) -> Budget, _) = if bits {
+        (Budget::BitsPerElement, "cells_per_element")
+    } else {
+        (Budget::CellsPerElement, "bits_per_element")
+    };
+    let strings = |v: Vec<&str>| v.into_iter().map(str::to_owned).collect();
+    let mut sweep = SweepGrid {
+        algos: strings(algos),
+        budgets: r
+            .subset(&[4usize, 14, 272])
+            .into_iter()
+            .map(budget)
+            .collect(),
+        hash_counts: r.subset(&[4usize, 8, 10]),
+        sub_windows: r.subset(&[4usize, 8, 16]),
+        layouts: strings(r.subset(&["scattered", "blocked"])),
+        shards: r.subset(&[1usize, 2, 4]),
+        batches: r.subset(&[1usize, 64, 256, 512]),
+        dispatches: strings(r.subset(DISPATCHES)),
+        target_fp: r.f64(0.001, 0.5),
+        group_by: String::new(),
+    };
+    let axes: Vec<&str> = GROUP_BY_AXES
+        .iter()
+        .copied()
+        .filter(|&a| a != unused)
+        .collect();
+    sweep.group_by = (*r.pick(&axes)).to_owned();
+    // One gate over the first axis the grid gives two values.
+    let gates = axes
+        .iter()
+        .map(|&a| (a, sweep.axis_values(a)))
+        .find(|(_, v)| v.len() > 1)
+        .map(|(axis, values)| RatioGate {
+            axis: axis.to_owned(),
+            num: values[1].clone(),
+            den: values[0].clone(),
+            floor: r.f64(0.5, 2.0),
+            algos: vec![sweep.algos[0].clone()],
+        })
+        .into_iter()
+        .collect();
     ScenarioSpec {
         name: (*r.pick(&name_pool)).to_owned(),
         description: if r.next() & 1 == 1 {
@@ -141,21 +185,8 @@ fn random_spec(seed: u64) -> ScenarioSpec {
             count: r.range(1, 10_000) as u32,
             skew: r.f64(0.0, 2.0),
         }),
-        sweep: SweepGrid {
-            algos: algos.into_iter().map(str::to_owned).collect(),
-            cells_per_element: r.subset(&[4usize, 8, 14, 20]),
-            hash_counts: r.subset(&[4usize, 8, 10]),
-            sub_windows: r.subset(&[4usize, 8, 16]),
-            layouts: r
-                .subset(&["scattered", "blocked"])
-                .into_iter()
-                .map(str::to_owned)
-                .collect(),
-            shards: r.subset(&[1usize, 2, 4]),
-            batches: r.subset(&[64usize, 256, 512]),
-            target_fp: r.f64(0.001, 0.5),
-            group_by: (*r.pick(GROUP_BY_AXES)).to_owned(),
-        },
+        sweep,
+        gates,
     }
 }
 

@@ -747,7 +747,9 @@ fn cmd_sweep(opts: &Opts) -> Result<(), String> {
         "sweeping `{}`: {} grid points over {} clicks{}",
         spec.name,
         spec.grid().len(),
-        spec.clicks,
+        sweep_opts
+            .max_clicks
+            .map_or(spec.clicks, |c| c.min(spec.clicks)),
         if sweep_opts.quick { " [quick]" } else { "" }
     );
     let report = sweep::run(&spec, &sweep_opts)?;

@@ -189,13 +189,14 @@ pub const SWEEP_USAGE: &str = "\
              --scenario <file.toml> [--quick] [--out <report.json>]
              [--table]
              (compiles the spec's traffic mix into one click stream,
-              runs every (algo, cells, k, Q, layout, shards, batch)
-              grid point against it -- `algo = \"auto\"` resolves from
-              the closed-form FP models -- and writes a
+              runs every (algo, memory, k, Q, layout, shards, batch,
+              dispatch) grid point against it -- `algo = \"auto\"`
+              resolves from the closed-form FP models -- and writes a
               `cfd-bench-sweep/1` report with per-config accuracy,
               memory, and median throughput plus compare-groups rows;
-              `tools/check_bench.py` validates the artifact; --quick
-              caps the stream for CI smoke runs)";
+              `tools/check_bench.py` validates the artifact and its
+              [[gates]]; --quick caps the stream, shrinking the spec's
+              windows with it, for CI smoke runs)";
 
 /// The option names a usage block accepts: every `--name` token in it,
 /// without the dashes (a bare `--` separator in prose names nothing).

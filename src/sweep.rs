@@ -1,6 +1,8 @@
 //! The scenario sweep driver: brute-force a [`ScenarioSpec`]'s declared
-//! grid over (algo, m, k, Q, layout, shards, batch) against its
-//! compiled click stream.
+//! grid over (algo, memory, k, Q, layout, shards, batch, dispatch)
+//! against its compiled click stream. It is the one harness for
+//! detector comparisons: the `scenarios/bench_*.toml` specs are the
+//! benchmark records.
 //!
 //! One compiled stream, many detector configurations. For every
 //! [`SweepPoint`] of the grid the driver:
@@ -13,22 +15,33 @@
 //!    semantics, so the grid doesn't re-pay it;
 //! 3. runs an accuracy pass (false positives / false negatives against
 //!    the oracle) and `rounds` timed passes with the configuration
-//!    order alternated between rounds, reporting the median clicks/s —
-//!    the same protocol as the `cfd-bench` binaries;
+//!    order alternated between rounds, reporting the median clicks/s.
+//!    `batch = 1` judges click by click through `observe_at`; larger
+//!    batches replay through `observe_flat_at_into`, the path the
+//!    pipeline workers use (a sharded count window hashes each click
+//!    once for routing and probing). A `wide` or `scalar` dispatch pins
+//!    the SIMD kernels for the point's passes. Every timed round must
+//!    flag as many duplicates as the accuracy pass;
 //! 4. folds the per-config rows into a compare-groups report along the
 //!    spec's `group_by` axis.
 //!
-//! [`report_json`] emits the `cfd-bench-sweep/1` artifact
-//! `tools/check_bench.py` validates; [`render_table`] the human table.
+//! A capped run (`--quick`) shrinks every click-denominated length of
+//! the spec with the stream, so a window sized for the full stream
+//! still fills ([`SweepOptions::max_clicks`]).
 //!
-//! Used by `cfd sweep --scenario <file>` and
-//! `throughput --scenario <file>`.
+//! [`report_json`] emits the `cfd-bench-sweep/1` artifact;
+//! [`render_table`] the human table. `tools/check_bench.py` holds every
+//! gate on the artifact: the FP models, the spec's `[[gates]]` ratio
+//! floors, and the checks that hold on every sweep (no occupancy scan,
+//! identical verdicts across batch and dispatch, memory within ±12% of
+//! a `bits_per_element` budget). Used by `cfd sweep --scenario <file>`.
 
 use cfd_analysis::select::{auto_select, auto_select_timed, AutoChoice};
 use cfd_core::config::ProbeLayout;
-use cfd_core::registry::{self, BackendGeometry, MemorySpec};
+use cfd_core::registry::{self, BackendGeometry, DetectorBackend, MemorySpec};
 use cfd_core::sharded::ShardedDetector;
-use cfd_stream::scenario::{ScenarioSpec, ScenarioWindow, SweepPoint};
+use cfd_core::{simd, ShardRouter};
+use cfd_stream::scenario::{Budget, ScenarioSpec, ScenarioWindow, SweepPoint, GROUP_BY_AXES};
 use cfd_stream::Click;
 use cfd_windows::{
     DuplicateDetector, ExactJumpingDedup, ExactSlidingDedup, ExactTimeJumpingDedup,
@@ -39,6 +52,9 @@ use std::fmt::Write as _;
 use std::rc::Rc;
 use std::time::Instant;
 
+/// Bytes per click key ([`Click::key`]).
+const KEY_LEN: usize = 16;
+
 /// How hard to drive the sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SweepOptions {
@@ -46,28 +62,29 @@ pub struct SweepOptions {
     pub quick: bool,
     /// Timed rounds per configuration (the median is reported).
     pub rounds: usize,
-    /// Cap on the stream length, regardless of the spec.
+    /// Cap on the stream length, regardless of the spec. A cap below
+    /// the spec's `clicks` shrinks the spec's windows with it.
     pub max_clicks: Option<u64>,
 }
 
 impl SweepOptions {
-    /// Full scale: the spec's click count, 5 timed rounds.
+    /// Full scale: the spec's click count, 10 timed rounds.
     #[must_use]
     pub fn full() -> Self {
         Self {
             quick: false,
-            rounds: 5,
+            rounds: 10,
             max_clicks: None,
         }
     }
 
-    /// CI smoke scale: at most 2^15 clicks, 2 timed rounds.
+    /// CI smoke scale: at most 2^18 clicks, 2 timed rounds.
     #[must_use]
     pub fn quick() -> Self {
         Self {
             quick: true,
             rounds: 2,
-            max_clicks: Some(1 << 15),
+            max_clicks: Some(1 << 18),
         }
     }
 }
@@ -101,11 +118,14 @@ pub struct ConfigOutcome {
     pub false_negatives: u64,
     /// `false_positives / distinct`.
     pub fp_rate: f64,
-    /// Closed-form FP model where one applies (unsharded scattered
-    /// TBF/GBF families).
+    /// The closed-form FP model of the built shape, per shard (every
+    /// backend but blocked `jumping-tbf`; a sharded count window only
+    /// over a stream that repeats no id).
     pub fp_model: Option<f64>,
     /// Detector memory, bits.
     pub memory_bits: u64,
+    /// Occupancy scans over the accuracy and timed passes.
+    pub occupancy_scans: u64,
     /// Every timed round, clicks/s.
     pub rates: Vec<f64>,
     /// Median of `rates`.
@@ -137,7 +157,8 @@ pub struct GroupSummary {
 /// A finished sweep: the spec, the stream's vitals, and every row.
 #[derive(Debug, Clone)]
 pub struct SweepReport {
-    /// The scenario that was swept.
+    /// The scenario that was swept (windows as run: shrunk at a capped
+    /// scale).
     pub spec: ScenarioSpec,
     /// Whether this ran at quick (CI) scale.
     pub quick: bool,
@@ -147,6 +168,8 @@ pub struct SweepReport {
     pub injected: u64,
     /// Timed rounds per config.
     pub rounds: usize,
+    /// Lanes the `wide` dispatch runs on this host (1 without AVX2).
+    pub lanes: usize,
     /// One row per grid point, in grid order.
     pub configs: Vec<ConfigOutcome>,
     /// The compare-groups folding along `spec.sweep.group_by`.
@@ -203,6 +226,32 @@ fn validate_algos(spec: &ScenarioSpec) -> Result<(), String> {
     Ok(())
 }
 
+/// The spec as run with its stream capped at `clicks`: unchanged when
+/// the cap does not bind, else every click-denominated length (window
+/// capacity, unit ticks, injection lag, ramp period) divided by the
+/// power of two that brings the spec's click count under the cap.
+fn at_scale(spec: &ScenarioSpec, clicks: u64) -> ScenarioSpec {
+    let mut spec = spec.clone();
+    if clicks >= spec.clicks {
+        return spec;
+    }
+    let div = spec.clicks.div_ceil(clicks.max(1)).next_power_of_two();
+    let shrink = |x: u64| (x / div).max(1);
+    match &mut spec.window {
+        ScenarioWindow::Count { n } => *n = shrink(*n as u64) as usize,
+        ScenarioWindow::Time { n, unit_ticks, .. } => {
+            *n = shrink(*n as u64) as usize;
+            *unit_ticks = shrink(*unit_ticks);
+        }
+    }
+    spec.inject.max_lag = shrink(spec.inject.max_lag as u64) as usize;
+    if let Some(r) = spec.ramp.as_mut() {
+        r.period = shrink(r.period);
+    }
+    spec.clicks = clicks;
+    spec
+}
+
 fn parse_layout(layout: &str) -> ProbeLayout {
     match layout {
         "blocked" => ProbeLayout::Blocked,
@@ -210,19 +259,28 @@ fn parse_layout(layout: &str) -> ProbeLayout {
     }
 }
 
+/// `geo` funded by `budget` at its own window: `c` cells or `b` bits
+/// per element of it.
+fn funded(geo: BackendGeometry, budget: Budget) -> BackendGeometry {
+    BackendGeometry {
+        memory: match budget {
+            Budget::CellsPerElement(c) => MemorySpec::CellsPerElement(c),
+            Budget::BitsPerElement(b) => MemorySpec::TotalBits(geo.window * b),
+        },
+        ..geo
+    }
+}
+
 /// The whole-stream geometry of one grid point: the spec's window (and
-/// time units, under a time window) at the point's memory, `k`, `Q` and
+/// time units, under a time window) at the point's budget, `k`, `Q` and
 /// layout.
 fn geometry(spec: &ScenarioSpec, point: &SweepPoint) -> BackendGeometry {
-    let geo = BackendGeometry::new(
-        spec.window.n(),
-        MemorySpec::CellsPerElement(point.cells_per_element),
-    )
-    .with_sub_windows(point.q)
-    .with_hash_count(point.k)
-    .with_seed(spec.seed)
-    .with_probe(parse_layout(&point.layout));
-    match spec.window {
+    let geo = BackendGeometry::new(spec.window.n(), MemorySpec::CellsPerElement(1))
+        .with_sub_windows(point.q)
+        .with_hash_count(point.k)
+        .with_seed(spec.seed)
+        .with_probe(parse_layout(&point.layout));
+    let geo = match spec.window {
         ScenarioWindow::Time {
             window_units,
             sub_units,
@@ -230,31 +288,116 @@ fn geometry(spec: &ScenarioSpec, point: &SweepPoint) -> BackendGeometry {
             ..
         } => geo.with_time_units(window_units, sub_units, unit_ticks),
         ScenarioWindow::Count { .. } => geo,
+    };
+    funded(geo, point.budget)
+}
+
+/// The geometry each shard of a grid point is built at: the spec's
+/// window split over the shards, funded at the point's budget per
+/// element of its own share (so a sharded row spends what an unsharded
+/// one does), probing with the router's hash family so one hash per
+/// click serves routing and probing. One shard is the whole geometry.
+fn shard_geometry(
+    spec: &ScenarioSpec,
+    point: &SweepPoint,
+    timed: bool,
+) -> Result<BackendGeometry, String> {
+    let geo = geometry(spec, point);
+    if point.shards == 1 {
+        return Ok(geo);
+    }
+    let router = ShardRouter::new(spec.seed, point.shards).map_err(|e| e.to_string())?;
+    Ok(funded(geo.for_shards(point.shards, timed), point.budget).with_seed(router.probe_seed()))
+}
+
+/// One grid point's detector: a registry backend, or shards of one
+/// behind a router. Sharded count windows judge batches hash-once
+/// ([`ShardedDetector::observe_batch_hash_once`]); routing is
+/// tick-blind, so time windows take the per-click path.
+enum Driver {
+    One(Box<dyn DetectorBackend>),
+    Sharded {
+        shards: ShardedDetector<Box<dyn DetectorBackend>>,
+        hash_once: bool,
+    },
+}
+
+impl Driver {
+    /// Builds the detector for one grid point, each shard at its
+    /// [`shard_geometry`].
+    fn build(resolved: &str, spec: &ScenarioSpec, point: &SweepPoint) -> Result<Self, String> {
+        let err = |e: &dyn std::fmt::Display| format!("{}: {e}", point.label());
+        let entry = registry::find(resolved).ok_or_else(|| err(&"not a registry backend"))?;
+        let geo = shard_geometry(spec, point, entry.timed).map_err(|e| err(&e))?;
+        let one = || entry.build(&geo).map_err(|e| err(&e));
+        if point.shards == 1 {
+            return Ok(Self::One(one()?));
+        }
+        let inner = (0..point.shards)
+            .map(|_| one())
+            .collect::<Result<Vec<_>, _>>()?;
+        let shards = ShardedDetector::new(spec.seed, inner).map_err(|e| err(&e))?;
+        debug_assert!(shards.hash_once_aligned());
+        Ok(Self::Sharded {
+            shards,
+            hash_once: !entry.timed,
+        })
+    }
+
+    fn detector(&mut self) -> &mut dyn ObservableDetector {
+        match self {
+            Self::One(d) => d,
+            Self::Sharded { shards, .. } => shards,
+        }
+    }
+
+    /// Judges the whole stream, each click at its tick, handing every
+    /// batch's verdicts to `each`: click by click through `observe_at`
+    /// for `batch = 1`, else through `observe_flat_at_into` (or the
+    /// hash-once path of a sharded count window).
+    fn replay(
+        &mut self,
+        keys: &[u8],
+        ticks: &[u64],
+        batch: usize,
+        mut each: impl FnMut(&[Verdict]),
+    ) {
+        match self {
+            Self::Sharded {
+                shards,
+                hash_once: true,
+            } if batch > 1 => {
+                let mut ids = Vec::with_capacity(batch);
+                for chunk in keys.chunks(batch * KEY_LEN) {
+                    ids.clear();
+                    ids.extend(chunk.chunks_exact(KEY_LEN));
+                    each(&shards.observe_batch_hash_once(&ids));
+                }
+            }
+            Self::One(d) => replay_on(d, keys, ticks, batch, each),
+            Self::Sharded { shards, .. } => replay_on(shards, keys, ticks, batch, each),
+        }
     }
 }
 
-/// Builds the full (possibly sharded) detector for one grid point, each
-/// shard at the registry's per-shard geometry. Count and time windows
-/// are driven alike: every chunk is judged at its ticks, which count
-/// windows ignore.
-fn build_driver(
-    resolved: &str,
-    spec: &ScenarioSpec,
-    point: &SweepPoint,
-) -> Result<Box<dyn ObservableDetector + Send>, String> {
-    let err = |e: &dyn std::fmt::Display| format!("{}: {e}", point.label());
-    let entry = registry::find(resolved).ok_or_else(|| err(&"not a registry backend"))?;
-    let geo = geometry(spec, point);
-    if point.shards == 1 {
-        return Ok(Box::new(entry.build(&geo).map_err(|e| err(&e))?));
+fn replay_on(
+    d: &mut impl DuplicateDetector,
+    keys: &[u8],
+    ticks: &[u64],
+    batch: usize,
+    mut each: impl FnMut(&[Verdict]),
+) {
+    if batch == 1 {
+        for (key, &tick) in keys.chunks_exact(KEY_LEN).zip(ticks) {
+            each(&[d.observe_at(key, tick)]);
+        }
+        return;
     }
-    let shard_geo = geo.for_shards(point.shards, entry.timed);
-    let inner = (0..point.shards)
-        .map(|_| entry.build(&shard_geo))
-        .collect::<Result<Vec<_>, _>>()
-        .map_err(|e| err(&e))?;
-    let sharded = ShardedDetector::new(spec.seed, inner).map_err(|e| err(&e))?;
-    Ok(Box::new(sharded))
+    let mut out = Vec::with_capacity(batch);
+    for (kc, tc) in keys.chunks(batch * KEY_LEN).zip(ticks.chunks(batch)) {
+        d.observe_flat_at_into(kc, KEY_LEN, tc, &mut out);
+        each(&out);
+    }
 }
 
 /// Replays the stream through the exact oracle of the given semantics
@@ -262,7 +405,7 @@ fn build_driver(
 fn oracle_verdicts(
     kind: OracleKind,
     geo: &BackendGeometry,
-    keys: &[[u8; 16]],
+    keys: &[u8],
     ticks: &[u64],
 ) -> Vec<bool> {
     let mut oracle: Box<dyn DuplicateDetector> = match kind {
@@ -277,36 +420,79 @@ fn oracle_verdicts(
             geo.unit_ticks,
         )),
     };
-    keys.iter()
+    keys.chunks_exact(KEY_LEN)
         .zip(ticks)
         .map(|(k, &t)| oracle.observe_at(k, t) == Verdict::Duplicate)
         .collect()
 }
 
-/// The closed-form FP model for rows where one applies: unsharded,
-/// scattered, TBF/GBF families (the models the figures validate).
-fn fp_model_for(resolved: &str, spec: &ScenarioSpec, point: &SweepPoint) -> Option<f64> {
-    if point.shards != 1 || point.layout != "scattered" {
-        return None;
-    }
-    let n = spec.window.n();
-    let c = point.cells_per_element;
-    // A time backend runs its count twin's algorithm over a window
-    // holding `n` clicks, so it shares the twin's model.
-    match resolved.strip_prefix("time-").unwrap_or(resolved) {
-        "tbf" => Some(cfd_analysis::tbf::fp_sliding(n * c, point.k, n)),
-        "gbf" => Some(cfd_analysis::gbf::fp_worst_case(
-            n.div_ceil(point.q) * c,
-            point.k,
-            n,
-            point.q,
-        )),
-        "jumping-tbf" => Some(cfd_analysis::tbf::fp_jumping_bounds(n * c, point.k, n, point.q).1),
-        _ => None,
-    }
+/// The closed-form FP model of the shape the registry builds at `geo`
+/// (a sharded row's per-shard geometry: each shard sees its share of
+/// the stream through its share of the window). A time backend runs its
+/// count twin's algorithm over a window holding `n` clicks, so it
+/// shares the twin's model. Blocked `jumping-tbf` has none.
+fn fp_model_for(resolved: &str, geo: &BackendGeometry) -> Option<f64> {
+    use cfd_analysis::blocked::{fp_blocked_gbf, fp_blocked_tbf};
+    use cfd_analysis::{apbf, gbf, swbf, tbf};
+    let n = geo.window;
+    Some(match resolved {
+        "tbf" | "time-tbf" => {
+            let (m, k, block) = if resolved == "tbf" {
+                let c = registry::tbf_config(geo).ok()?;
+                (c.m, c.k, c.block_geometry())
+            } else {
+                let c = registry::time_tbf_config(geo).ok()?;
+                (c.m, c.k, c.block_geometry())
+            };
+            match block {
+                None => tbf::fp_sliding(m, k, n),
+                Some(b) => fp_blocked_tbf(m, b.slots(), k, n),
+            }
+        }
+        "gbf" | "time-gbf" => {
+            let (m, k, q, block) = if resolved == "gbf" {
+                let c = registry::gbf_config(geo).ok()?;
+                (c.m, c.k, c.q, c.block_geometry())
+            } else {
+                let c = registry::time_gbf_config(geo).ok()?;
+                (c.m, c.k, c.q, c.block_geometry())
+            };
+            match block {
+                None => gbf::fp_worst_case(m, k, n, q),
+                Some(b) => fp_blocked_gbf(m, b.slots(), k, n, q),
+            }
+        }
+        "jumping-tbf" if geo.probe == ProbeLayout::Scattered => {
+            let c = registry::jumping_tbf_config(geo).ok()?;
+            tbf::fp_jumping_bounds(c.m, c.k, n, c.q).1
+        }
+        "apbf" => {
+            let c = registry::apbf_config(geo).ok()?;
+            let cap = c.slice_capacity();
+            match c.probe {
+                ProbeLayout::Scattered => apbf::fp_sliding(n, c.k, c.l, cap),
+                ProbeLayout::Blocked => {
+                    // One lane of every 512-bit line per slice.
+                    let lines = c.total_bits / 512;
+                    apbf::fp_sliding_blocked(n, c.k, c.l, lines, cap / lines.max(1))
+                }
+            }
+        }
+        "swbf" => {
+            let c = registry::swbf_config(geo).ok()?;
+            let (cells, side, fpb) = (c.cells(), c.side_cells(), c.fingerprint_bits);
+            let (b, k_side) = (c.effective_candidates(), cfd_core::swbf::K_SIDE);
+            match c.block_geometry() {
+                None => swbf::fp_sliding(n, cells, side, fpb, b, k_side),
+                Some(g) => swbf::fp_sliding_blocked(n, cells, side, fpb, g.slots(), b, k_side),
+            }
+        }
+        _ => return None,
+    })
 }
 
-/// Resolves `auto` for the spec's window model at this grid point.
+/// Resolves `auto` for the spec's window model at this grid point
+/// (the parser only admits `auto` on a `cells_per_element` grid).
 fn resolve_auto(spec: &ScenarioSpec, point: &SweepPoint) -> AutoChoice {
     let select = if spec.window.is_timed() {
         auto_select_timed
@@ -316,7 +502,7 @@ fn resolve_auto(spec: &ScenarioSpec, point: &SweepPoint) -> AutoChoice {
     select(
         spec.window.n(),
         point.q,
-        point.cells_per_element,
+        point.budget.per_element(),
         point.k,
         spec.sweep.target_fp,
     )
@@ -333,22 +519,24 @@ fn median(values: &[f64]) -> f64 {
     }
 }
 
-/// Judges the whole stream through `driver` in batches of `batch`, each
-/// click at its tick, handing every batch's verdicts to `each`.
-fn replay(
-    driver: &mut Box<dyn ObservableDetector + Send>,
-    keys: &[[u8; 16]],
-    ticks: &[u64],
-    batch: usize,
-    mut each: impl FnMut(&[Verdict]),
-) {
-    let mut refs: Vec<&[u8]> = Vec::with_capacity(batch);
-    let mut out = Vec::with_capacity(batch);
-    for (kc, tc) in keys.chunks(batch).zip(ticks.chunks(batch)) {
-        refs.clear();
-        refs.extend(kc.iter().map(<[u8; 16]>::as_slice));
-        driver.observe_batch_at_into(&refs, tc, &mut out);
-        each(&out);
+/// Pins the SIMD kernel dispatch for one grid point's passes and
+/// restores the environment's choice when dropped.
+struct DispatchPin;
+
+impl DispatchPin {
+    fn new(dispatch: &str) -> Self {
+        simd::set_scalar_override(match dispatch {
+            "wide" => Some(false),
+            "scalar" => Some(true),
+            _ => None,
+        });
+        Self
+    }
+}
+
+impl Drop for DispatchPin {
+    fn drop(&mut self) {
+        simd::set_scalar_override(None);
     }
 }
 
@@ -360,21 +548,18 @@ fn replay(
 /// backend cannot be built or an algo is not sweepable.
 pub fn run(spec: &ScenarioSpec, opts: &SweepOptions) -> Result<SweepReport, String> {
     validate_algos(spec)?;
+    let spec = &at_scale(spec, opts.max_clicks.unwrap_or(u64::MAX));
 
     // Compile the stream once; every grid point replays the same
     // clicks.
-    let clicks_wanted = match opts.max_clicks {
-        Some(cap) => spec.clicks.min(cap),
-        None => spec.clicks,
-    };
     let mut stream = spec.compile();
     let clicks: Vec<Click> = stream
         .by_ref()
-        .take(clicks_wanted as usize)
+        .take(spec.clicks as usize)
         .map(|sc| sc.click)
         .collect();
     let injected = stream.injected_duplicates();
-    let keys: Vec<[u8; 16]> = clicks.iter().map(Click::key).collect();
+    let keys: Vec<u8> = clicks.iter().flat_map(Click::key).collect();
     let ticks: Vec<u64> = clicks.iter().map(|c| c.tick).collect();
     drop(clicks);
 
@@ -395,19 +580,19 @@ pub fn run(spec: &ScenarioSpec, opts: &SweepOptions) -> Result<SweepReport, Stri
             (point.algo.clone(), None, None)
         };
 
-        let mut driver = build_driver(&resolved, spec, point)?;
-        let kind = oracle_kind(driver.window());
+        let _pin = DispatchPin::new(&point.dispatch);
+        let mut driver = Driver::build(&resolved, spec, point)?;
+        let kind = oracle_kind(driver.detector().window());
+        let geo = geometry(spec, point);
         let oracle = oracles
             .entry(kind)
-            .or_insert_with(|| {
-                Rc::new(oracle_verdicts(kind, &geometry(spec, point), &keys, &ticks))
-            })
+            .or_insert_with(|| Rc::new(oracle_verdicts(kind, &geo, &keys, &ticks)))
             .clone();
 
-        let memory_bits = driver.memory_bits() as u64;
+        let memory_bits = driver.detector().memory_bits() as u64;
         let (mut fp, mut fneg, mut detected, mut dup_truth) = (0u64, 0u64, 0u64, 0u64);
         let mut truths = oracle.iter();
-        replay(&mut driver, &keys, &ticks, point.batch, |verdicts| {
+        driver.replay(&keys, &ticks, point.batch, |verdicts| {
             for (&v, &truth) in verdicts.iter().zip(&mut truths) {
                 let said_dup = v == Verdict::Duplicate;
                 detected += u64::from(said_dup);
@@ -416,10 +601,20 @@ pub fn run(spec: &ScenarioSpec, opts: &SweepOptions) -> Result<SweepReport, Stri
                 fneg += u64::from(!said_dup && truth);
             }
         });
-        let distinct = keys.len() as u64 - dup_truth;
+        let distinct = ticks.len() as u64 - dup_truth;
+        // Shards are modelled per shard. Against the global oracle a
+        // sharded count window's FP also counts repeats its shard
+        // window still holds after the global one let them go, which no
+        // filter model bounds, unless the stream repeats no id. Time
+        // shards share one clock, so their window is the global one.
+        let timed = spec.window.is_timed();
+        let modelled = point.shards == 1 || timed || dup_truth == 0;
         outcomes.push(ConfigOutcome {
             point: point.clone(),
-            fp_model: fp_model_for(&resolved, spec, point),
+            fp_model: shard_geometry(spec, point, timed)
+                .ok()
+                .filter(|_| modelled)
+                .and_then(|shard| fp_model_for(&resolved, &shard)),
             resolved_algo: resolved,
             auto_predicted_fp,
             auto_meets_target,
@@ -434,13 +629,15 @@ pub fn run(spec: &ScenarioSpec, opts: &SweepOptions) -> Result<SweepReport, Stri
                 fp as f64 / distinct as f64
             },
             memory_bits,
+            occupancy_scans: driver.detector().occupancy_scans(),
             rates: Vec::new(),
             clicks_per_sec: 0.0,
         });
     }
 
     // Timed rounds, configuration order alternated so drift hits the
-    // grid symmetrically.
+    // grid symmetrically. Every round must repeat the accuracy pass's
+    // verdicts.
     for round in 0..opts.rounds {
         let order: Vec<usize> = if round % 2 == 0 {
             (0..outcomes.len()).collect()
@@ -449,26 +646,41 @@ pub fn run(spec: &ScenarioSpec, opts: &SweepOptions) -> Result<SweepReport, Stri
         };
         for idx in order {
             let o = &mut outcomes[idx];
-            let mut driver = build_driver(&o.resolved_algo, spec, &o.point)?;
+            let _pin = DispatchPin::new(&o.point.dispatch);
+            let mut driver = Driver::build(&o.resolved_algo, spec, &o.point)?;
+            let mut detected = 0u64;
             let start = Instant::now();
-            replay(&mut driver, &keys, &ticks, o.point.batch, |_| {});
-            let rate = keys.len() as f64 / start.elapsed().as_secs_f64();
+            driver.replay(&keys, &ticks, o.point.batch, |verdicts| {
+                detected += verdicts.iter().filter(|v| v.is_duplicate()).count() as u64;
+            });
+            let rate = ticks.len() as f64 / start.elapsed().as_secs_f64();
+            if detected != o.detected {
+                return Err(format!(
+                    "{}: timed round {round} flagged {detected} duplicates, the accuracy pass {}",
+                    o.point.label(),
+                    o.detected
+                ));
+            }
             o.rates.push(rate);
+            o.occupancy_scans += driver.detector().occupancy_scans();
         }
     }
     for o in &mut outcomes {
         o.clicks_per_sec = median(&o.rates);
     }
 
-    let groups = fold_groups(spec, &outcomes);
     Ok(SweepReport {
+        groups: fold_groups(spec, &outcomes),
         spec: spec.clone(),
         quick: opts.quick,
-        clicks: keys.len() as u64,
+        clicks: ticks.len() as u64,
         injected,
         rounds: opts.rounds,
+        lanes: {
+            let _wide = DispatchPin::new("wide");
+            simd::active_lanes()
+        },
         configs: outcomes,
-        groups,
     })
 }
 
@@ -546,9 +758,14 @@ fn json_str_array(items: &[String]) -> String {
     format!("[{}]", quoted.join(", "))
 }
 
-fn json_usize_array(items: &[usize]) -> String {
-    let nums: Vec<String> = items.iter().map(ToString::to_string).collect();
-    format!("[{}]", nums.join(", "))
+/// A grid axis value as JSON: a string for the named axes, a number
+/// otherwise, `null` for the budget key a grid does not use.
+fn json_axis_value(axis: &str, value: &str) -> String {
+    match (axis, value) {
+        (_, "-") => "null".to_owned(),
+        ("algo" | "layout" | "dispatch", v) => format!("\"{}\"", json_escape(v)),
+        (_, v) => v.to_owned(),
+    }
 }
 
 /// Serializes a report as the `cfd-bench-sweep/1` JSON artifact.
@@ -566,6 +783,7 @@ pub fn report_json(r: &SweepReport) -> String {
     let _ = writeln!(out, "  \"clicks\": {},", r.clicks);
     let _ = writeln!(out, "  \"rounds\": {},", r.rounds);
     let _ = writeln!(out, "  \"injected_duplicates\": {},", r.injected);
+    let _ = writeln!(out, "  \"lanes\": {},", r.lanes);
     let _ = writeln!(out, "  \"scenario\": {{");
     let _ = writeln!(out, "    \"name\": \"{}\",", json_escape(&spec.name));
     let _ = writeln!(out, "    \"seed\": {},", spec.seed);
@@ -591,44 +809,47 @@ pub fn report_json(r: &SweepReport) -> String {
     let s = &spec.sweep;
     let _ = writeln!(out, "  \"group_by\": \"{}\",", json_escape(&s.group_by));
     let _ = writeln!(out, "  \"grid\": {{");
-    let _ = writeln!(out, "    \"algo\": {},", json_str_array(&s.algos));
-    let _ = writeln!(
-        out,
-        "    \"cells_per_element\": {},",
-        json_usize_array(&s.cells_per_element)
-    );
-    let _ = writeln!(out, "    \"k\": {},", json_usize_array(&s.hash_counts));
-    let _ = writeln!(
-        out,
-        "    \"sub_windows\": {},",
-        json_usize_array(&s.sub_windows)
-    );
-    let _ = writeln!(out, "    \"layout\": {},", json_str_array(&s.layouts));
-    let _ = writeln!(out, "    \"shards\": {},", json_usize_array(&s.shards));
-    let _ = writeln!(out, "    \"batch\": {},", json_usize_array(&s.batches));
+    for axis in GROUP_BY_AXES {
+        let values: Vec<String> = s
+            .axis_values(axis)
+            .iter()
+            .map(|v| json_axis_value(axis, v))
+            .collect();
+        let _ = writeln!(out, "    \"{axis}\": [{}],", values.join(", "));
+    }
     let _ = writeln!(out, "    \"target_fp\": {}", json_f64(s.target_fp));
     let _ = writeln!(out, "  }},");
+    let gates: Vec<String> = spec
+        .gates
+        .iter()
+        .map(|g| {
+            format!(
+                "{{\"axis\": \"{}\", \"num\": \"{}\", \"den\": \"{}\", \"floor\": {}, \"algos\": {}}}",
+                json_escape(&g.axis),
+                json_escape(&g.num),
+                json_escape(&g.den),
+                json_f64(g.floor),
+                json_str_array(&g.algos)
+            )
+        })
+        .collect();
+    let _ = writeln!(out, "  \"gates\": [{}],", gates.join(", "));
     out.push_str("  \"configs\": [\n");
     for (i, o) in r.configs.iter().enumerate() {
         let p = &o.point;
         out.push_str("    {");
+        for axis in GROUP_BY_AXES {
+            let _ = write!(
+                out,
+                "\"{axis}\": {}, ",
+                json_axis_value(axis, &p.axis(axis))
+            );
+        }
         let _ = write!(
             out,
-            "\"algo\": \"{}\", \"resolved_algo\": \"{}\", \"cells_per_element\": {}, \
-             \"k\": {}, \"sub_windows\": {}, \"layout\": \"{}\", \"shards\": {}, \"batch\": {}, ",
-            json_escape(&p.algo),
-            json_escape(&o.resolved_algo),
-            p.cells_per_element,
-            p.k,
-            p.q,
-            json_escape(&p.layout),
-            p.shards,
-            p.batch
-        );
-        let _ = write!(
-            out,
-            "\"distinct\": {}, \"duplicates\": {}, \"detected\": {}, \
+            "\"resolved_algo\": \"{}\", \"distinct\": {}, \"duplicates\": {}, \"detected\": {}, \
              \"false_positives\": {}, \"false_negatives\": {}, \"fp_rate\": {}, ",
+            json_escape(&o.resolved_algo),
             o.distinct,
             o.duplicates,
             o.detected,
@@ -647,8 +868,10 @@ pub fn report_json(r: &SweepReport) -> String {
         let rates: Vec<String> = o.rates.iter().map(|&x| json_f64(x)).collect();
         let _ = write!(
             out,
-            "\"memory_bits\": {}, \"clicks_per_sec_median\": {}, \"clicks_per_sec_rounds\": [{}]",
+            "\"memory_bits\": {}, \"occupancy_scans\": {}, \
+             \"clicks_per_sec_median\": {}, \"clicks_per_sec_rounds\": [{}]",
             o.memory_bits,
+            o.occupancy_scans,
             json_f64(o.clicks_per_sec),
             rates.join(", ")
         );
@@ -702,7 +925,7 @@ pub fn render_table(r: &SweepReport) -> String {
     );
     let _ = writeln!(
         out,
-        "{:<42} {:>12} {:>10} {:>5} {:>12} {:>14}",
+        "{:<48} {:>12} {:>10} {:>5} {:>12} {:>14}",
         "config", "fp_rate", "fp_model", "fn", "mem_bits", "clicks/s"
     );
     for o in &r.configs {
@@ -713,7 +936,7 @@ pub fn render_table(r: &SweepReport) -> String {
         };
         let _ = writeln!(
             out,
-            "{:<42} {:>12.3e} {:>10} {:>5} {:>12} {:>14.0}",
+            "{:<48} {:>12.3e} {:>10} {:>5} {:>12} {:>14.0}",
             label,
             o.fp_rate,
             o.fp_model
@@ -748,6 +971,15 @@ pub fn render_table(r: &SweepReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// Serializes the sweeps: a `dispatch` row pins the process-wide
+    /// kernel override, so two concurrent sweeps would unpin each
+    /// other's rows.
+    fn serial() -> MutexGuard<'static, ()> {
+        static SERIAL: Mutex<()> = Mutex::new(());
+        SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     const SPEC: &str = r#"
 [scenario]
@@ -789,6 +1021,15 @@ target_fp = 0.01
 group_by = "algo"
 "#;
 
+    /// `spec` under a time window of 16 units of 64 ticks (time-gbf: 8
+    /// sub-windows of 2 units).
+    fn timed(spec: &str) -> String {
+        spec.replace(
+            "model = \"count\"\nn = 1024",
+            "model = \"time\"\nn = 1024\nwindow_units = 16\nsub_units = 2\nunit_ticks = 64",
+        )
+    }
+
     fn quick() -> SweepOptions {
         SweepOptions {
             quick: true,
@@ -799,6 +1040,7 @@ group_by = "algo"
 
     #[test]
     fn sweep_covers_the_grid_and_bounds_misses_by_false_positives() {
+        let _serial = serial();
         let spec = ScenarioSpec::parse(SPEC).unwrap();
         let report = run(&spec, &quick()).unwrap();
         assert_eq!(report.configs.len(), 3 * 2);
@@ -833,6 +1075,7 @@ group_by = "algo"
 
     #[test]
     fn report_json_is_parseable_shape() {
+        let _serial = serial();
         let spec = ScenarioSpec::parse(SPEC).unwrap();
         let report = run(&spec, &quick()).unwrap();
         let json = report_json(&report);
@@ -850,15 +1093,11 @@ group_by = "algo"
 
     #[test]
     fn timed_specs_sweep_time_backends() {
-        let spec_text = SPEC
-            .replace(
-                "model = \"count\"\nn = 1024",
-                "model = \"time\"\nn = 1024\nwindow_units = 16\nsub_units = 2\nunit_ticks = 64",
-            )
-            .replace(
-                "algo = [\"tbf\", \"gbf\", \"auto\"]",
-                "algo = [\"time-tbf\", \"time-gbf\", \"auto\"]",
-            );
+        let _serial = serial();
+        let spec_text = timed(SPEC).replace(
+            "algo = [\"tbf\", \"gbf\", \"auto\"]",
+            "algo = [\"time-tbf\", \"time-gbf\", \"auto\"]",
+        );
         let spec = ScenarioSpec::parse(&spec_text).unwrap();
         let report = run(&spec, &quick()).unwrap();
         assert_eq!(report.configs.len(), 6);
@@ -878,6 +1117,7 @@ group_by = "algo"
 
     #[test]
     fn count_spec_rejects_time_backends_by_name() {
+        let _serial = serial();
         let spec_text = SPEC.replace(
             "algo = [\"tbf\", \"gbf\", \"auto\"]",
             "algo = [\"time-tbf\"]",
@@ -889,5 +1129,65 @@ group_by = "algo"
         let spec_text = SPEC.replace("algo = [\"tbf\", \"gbf\", \"auto\"]", "algo = [\"arena\"]");
         let spec = ScenarioSpec::parse(&spec_text).unwrap();
         assert!(run(&spec, &quick()).unwrap_err().contains("sweep.algo"));
+    }
+
+    #[test]
+    fn batch_and_dispatch_never_change_a_verdict() {
+        let _serial = serial();
+        let axes = "layout = [\"scattered\", \"blocked\"]\nshards = [1, 2]\n\
+                    batch = [1, 256]\ndispatch = [\"wide\", \"scalar\"]";
+        let grid = |algos: &str| {
+            SPEC.replace("algo = [\"tbf\", \"gbf\", \"auto\"]", algos)
+                .replace(
+                    "layout = [\"scattered\"]\nshards = [1, 2]\nbatch = [128]",
+                    axes,
+                )
+        };
+        // Every count backend at an equal bits budget, which every
+        // shard count must realize, then the time pair under a time
+        // window.
+        let count = grid("algo = [\"tbf\", \"gbf\", \"jumping-tbf\", \"apbf\", \"swbf\"]")
+            .replace("cells_per_element = [14]", "bits_per_element = [272]");
+        let time = timed(&grid("algo = [\"time-tbf\", \"time-gbf\"]"));
+        for (text, algos) in [(count, 5), (time, 2)] {
+            let report = run(&ScenarioSpec::parse(&text).unwrap(), &quick()).unwrap();
+            assert_eq!(report.configs.len(), algos * 2 * 2 * 4);
+            let counts = |o: &ConfigOutcome| (o.false_positives, o.false_negatives, o.detected);
+            for family in report.configs.chunks(4) {
+                assert!(family[0].detected > 0, "{}", family[0].point.label());
+                for o in family {
+                    assert_eq!(o.point.layout, family[0].point.layout);
+                    assert_eq!(counts(o), counts(&family[0]), "{}", o.point.label());
+                    assert_eq!(o.occupancy_scans, 0, "{}", o.point.label());
+                    // Sharded count rows over repeating ids and blocked
+                    // jumping-tbf have no model.
+                    let modelled = (o.point.shards == 1 || algos == 2)
+                        && (o.point.algo != "jumping-tbf" || o.point.layout == "scattered");
+                    assert_eq!(o.fp_model.is_some(), modelled, "{}", o.point.label());
+                    if o.point.budget == Budget::BitsPerElement(272) {
+                        let used = o.memory_bits as f64 / (1024.0 * 272.0);
+                        assert!((0.88..=1.12).contains(&used), "{}", o.point.label());
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn capped_runs_shrink_click_lengths_so_windows_fill() {
+        let spec = ScenarioSpec::parse(&timed(SPEC)).unwrap();
+        assert_eq!(at_scale(&spec, 6_000), spec);
+        // 6000 / 1000 rounds up to a divisor of 8.
+        let small = at_scale(&spec, 1_000);
+        let want = ScenarioWindow::Time {
+            n: 128,
+            window_units: 16,
+            sub_units: 2,
+            unit_ticks: 8,
+        };
+        assert_eq!(
+            (small.clicks, small.window, small.inject.max_lag),
+            (1_000, want, 32)
+        );
     }
 }
