@@ -1,10 +1,10 @@
 //! The charging pipeline: detector verdict → billing outcome.
 
 use crate::entities::Registry;
+use cfd_core::MixMap;
 use cfd_stream::{Click, PublisherId};
 use cfd_windows::{DuplicateDetector, Verdict};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// What happened to one click in the billing pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -32,7 +32,7 @@ impl ClickOutcome {
 }
 
 /// Per-publisher and global billing tallies.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Default, Serialize, Deserialize)]
 pub struct Ledger {
     /// Clicks processed.
     pub clicks: u64,
@@ -47,7 +47,27 @@ pub struct Ledger {
     /// Total revenue (micro-units) credited to publishers.
     pub revenue_micros: u64,
     /// Revenue per publisher.
-    pub per_publisher_micros: HashMap<u32, u64>,
+    pub per_publisher_micros: MixMap<u32, u64>,
+}
+
+impl Clone for Ledger {
+    fn clone(&self) -> Self {
+        Self {
+            per_publisher_micros: self.per_publisher_micros.clone(),
+            ..*self
+        }
+    }
+
+    /// Reuses the per-publisher table, so a barrier copy allocates
+    /// nothing once the table is as large as `source`'s.
+    fn clone_from(&mut self, source: &Self) {
+        let mut per_publisher_micros = std::mem::take(&mut self.per_publisher_micros);
+        per_publisher_micros.clone_from(&source.per_publisher_micros);
+        *self = Self {
+            per_publisher_micros,
+            ..*source
+        };
+    }
 }
 
 impl Ledger {
@@ -105,43 +125,53 @@ impl<D> BillingEngine<D> {
         verdict: Verdict,
         registry: &mut Registry,
     ) -> ClickOutcome {
-        self.ledger.clicks += 1;
-        let Some(campaign) = registry.campaign(click.id.ad).copied() else {
-            self.ledger.unknown_ads += 1;
-            return ClickOutcome::UnknownAd;
-        };
-        self.settle(click, campaign, verdict, registry)
+        self.settle_judged(click, verdict, registry).0
     }
 
-    /// Shared billing tail: verdict → ledger/budget bookkeeping.
+    /// [`BillingEngine::process_judged`] that also returns the fraud
+    /// savings of the click: its campaign's cpc when it is a blocked
+    /// duplicate, else 0 — so the caller needs no second lookup.
+    pub(crate) fn settle_judged(
+        &mut self,
+        click: &Click,
+        verdict: Verdict,
+        registry: &mut Registry,
+    ) -> (ClickOutcome, u64) {
+        self.ledger.clicks += 1;
+        let Some(slot) = registry.campaign_slot(click.id.ad) else {
+            self.ledger.unknown_ads += 1;
+            return (ClickOutcome::UnknownAd, 0);
+        };
+        self.settle(click, slot, verdict, registry)
+    }
+
+    /// Shared billing tail: verdict → ledger/budget bookkeeping for the
+    /// campaign in `slot`, returning the outcome and the savings.
     fn settle(
         &mut self,
         click: &Click,
-        campaign: crate::entities::Campaign,
+        slot: usize,
         verdict: Verdict,
         registry: &mut Registry,
-    ) -> ClickOutcome {
+    ) -> (ClickOutcome, u64) {
+        let (campaign, advertiser) = registry.charge_target(slot);
+        let cpc_micros = campaign.cpc_micros;
         if verdict == Verdict::Duplicate {
             self.ledger.duplicates_blocked += 1;
-            return ClickOutcome::DuplicateBlocked;
+            return (ClickOutcome::DuplicateBlocked, cpc_micros);
         }
-        let advertiser = registry
-            .advertiser_mut(campaign.advertiser)
-            .expect("registry enforces advertiser existence");
-        if !advertiser.try_charge(campaign.cpc_micros) {
+        if !advertiser.try_charge(cpc_micros) {
             self.ledger.budget_rejections += 1;
-            return ClickOutcome::BudgetExhausted;
+            return (ClickOutcome::BudgetExhausted, 0);
         }
         self.ledger.charged += 1;
-        self.ledger.revenue_micros += campaign.cpc_micros;
+        self.ledger.revenue_micros += cpc_micros;
         *self
             .ledger
             .per_publisher_micros
             .entry(click.publisher.0)
-            .or_insert(0) += campaign.cpc_micros;
-        ClickOutcome::Charged {
-            cpc_micros: campaign.cpc_micros,
-        }
+            .or_insert(0) += cpc_micros;
+        (ClickOutcome::Charged { cpc_micros }, 0)
     }
 
     /// The running ledger.
@@ -162,7 +192,7 @@ impl<D: DuplicateDetector> BillingEngine<D> {
     /// crediting publisher revenue.
     pub fn process(&mut self, click: &Click, registry: &mut Registry) -> ClickOutcome {
         self.ledger.clicks += 1;
-        let Some(campaign) = registry.campaign(click.id.ad).copied() else {
+        let Some(slot) = registry.campaign_slot(click.id.ad) else {
             self.ledger.unknown_ads += 1;
             return ClickOutcome::UnknownAd;
         };
@@ -170,7 +200,7 @@ impl<D: DuplicateDetector> BillingEngine<D> {
         // registered ad, duplicates included, so its window semantics
         // match the oracle definitions exactly.
         let verdict = self.detector.observe(&click.key());
-        self.settle(click, campaign, verdict, registry)
+        self.settle(click, slot, verdict, registry).0
     }
 
     /// The wrapped detector (e.g. for op-counter inspection).

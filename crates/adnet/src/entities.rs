@@ -1,15 +1,15 @@
 //! Advertisers, campaigns, and the registry binding ads to both.
 
+use cfd_core::MixMap;
 use cfd_stream::AdId;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// An advertiser account.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct AdvertiserId(pub u32);
 
 /// An advertiser with a spending budget.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Advertiser {
     /// Account id.
     pub id: AdvertiserId,
@@ -60,6 +60,22 @@ impl Advertiser {
     }
 }
 
+impl Clone for Advertiser {
+    fn clone(&self) -> Self {
+        Self {
+            name: self.name.clone(),
+            ..*self
+        }
+    }
+
+    /// Reuses the name's buffer, so a barrier copy allocates nothing.
+    fn clone_from(&mut self, source: &Self) {
+        let mut name = std::mem::take(&mut self.name);
+        name.clone_from(&source.name);
+        *self = Self { name, ..*source };
+    }
+}
+
 /// A pay-per-click campaign: one ad link owned by one advertiser.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Campaign {
@@ -72,10 +88,38 @@ pub struct Campaign {
 }
 
 /// The network's directory of advertisers and campaigns.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+///
+/// Registration gives every advertiser and campaign a dense slot, and
+/// each campaign keeps its advertiser's slot. Settling a click therefore
+/// costs one [`MixMap`] lookup (ad → campaign slot) and two `Vec`
+/// indexings; re-registering an id replaces the entry in its slot.
+#[derive(Debug, Default, Serialize, Deserialize)]
 pub struct Registry {
-    advertisers: HashMap<AdvertiserId, Advertiser>,
-    campaigns: HashMap<AdId, Campaign>,
+    advertisers: Vec<Advertiser>,
+    advertiser_slots: MixMap<AdvertiserId, usize>,
+    /// Each campaign with its advertiser's slot.
+    campaigns: Vec<(Campaign, usize)>,
+    campaign_slots: MixMap<AdId, usize>,
+}
+
+impl Clone for Registry {
+    fn clone(&self) -> Self {
+        Self {
+            advertisers: self.advertisers.clone(),
+            advertiser_slots: self.advertiser_slots.clone(),
+            campaigns: self.campaigns.clone(),
+            campaign_slots: self.campaign_slots.clone(),
+        }
+    }
+
+    /// Copies into this registry's buffers: allocation-free once they
+    /// have held a registry as large as `source`.
+    fn clone_from(&mut self, source: &Self) {
+        self.advertisers.clone_from(&source.advertisers);
+        self.advertiser_slots.clone_from(&source.advertiser_slots);
+        self.campaigns.clone_from(&source.campaigns);
+        self.campaign_slots.clone_from(&source.campaign_slots);
+    }
 }
 
 impl Registry {
@@ -87,37 +131,64 @@ impl Registry {
 
     /// Registers an advertiser, replacing any previous entry.
     pub fn add_advertiser(&mut self, advertiser: Advertiser) {
-        self.advertisers.insert(advertiser.id, advertiser);
+        match self.advertiser_slots.get(&advertiser.id) {
+            Some(&slot) => self.advertisers[slot] = advertiser,
+            None => {
+                self.advertiser_slots
+                    .insert(advertiser.id, self.advertisers.len());
+                self.advertisers.push(advertiser);
+            }
+        }
     }
 
-    /// Registers a campaign.
+    /// Registers a campaign, replacing any previous campaign of its ad.
     ///
     /// # Errors
     ///
     /// Returns the campaign if its advertiser is unknown.
     pub fn add_campaign(&mut self, campaign: Campaign) -> Result<(), Campaign> {
-        if !self.advertisers.contains_key(&campaign.advertiser) {
+        let Some(&advertiser) = self.advertiser_slots.get(&campaign.advertiser) else {
             return Err(campaign);
+        };
+        match self.campaign_slots.get(&campaign.ad) {
+            Some(&slot) => self.campaigns[slot] = (campaign, advertiser),
+            None => {
+                self.campaign_slots
+                    .insert(campaign.ad, self.campaigns.len());
+                self.campaigns.push((campaign, advertiser));
+            }
         }
-        self.campaigns.insert(campaign.ad, campaign);
         Ok(())
     }
 
     /// Looks up the campaign for an ad link.
     #[must_use]
     pub fn campaign(&self, ad: AdId) -> Option<&Campaign> {
-        self.campaigns.get(&ad)
+        self.campaign_slot(ad).map(|slot| &self.campaigns[slot].0)
+    }
+
+    /// The slot of `ad`'s campaign: the one lookup a settled click makes.
+    pub(crate) fn campaign_slot(&self, ad: AdId) -> Option<usize> {
+        self.campaign_slots.get(&ad).copied()
+    }
+
+    /// The campaign in `slot` and its advertiser, for charging.
+    pub(crate) fn charge_target(&mut self, slot: usize) -> (&Campaign, &mut Advertiser) {
+        let (campaign, advertiser) = &self.campaigns[slot];
+        (campaign, &mut self.advertisers[*advertiser])
     }
 
     /// Immutable advertiser access.
     #[must_use]
     pub fn advertiser(&self, id: AdvertiserId) -> Option<&Advertiser> {
-        self.advertisers.get(&id)
+        let slot = *self.advertiser_slots.get(&id)?;
+        Some(&self.advertisers[slot])
     }
 
     /// Mutable advertiser access (budget charging).
     pub fn advertiser_mut(&mut self, id: AdvertiserId) -> Option<&mut Advertiser> {
-        self.advertisers.get_mut(&id)
+        let slot = *self.advertiser_slots.get(&id)?;
+        Some(&mut self.advertisers[slot])
     }
 
     /// Number of registered advertisers.
@@ -132,15 +203,15 @@ impl Registry {
         self.campaigns.len()
     }
 
-    /// Iterates advertisers in unspecified order.
+    /// Iterates advertisers in registration order.
     pub fn advertisers(&self) -> impl Iterator<Item = &Advertiser> {
-        self.advertisers.values()
+        self.advertisers.iter()
     }
 
-    /// Iterates campaigns in unspecified order — the serve checkpoint
-    /// writer sorts them itself for a deterministic encoding.
+    /// Iterates campaigns in registration order — the serve checkpoint
+    /// writer sorts them by ad for its encoding.
     pub fn campaigns(&self) -> impl Iterator<Item = &Campaign> {
-        self.campaigns.values()
+        self.campaigns.iter().map(|(c, _)| c)
     }
 }
 
@@ -180,6 +251,37 @@ mod tests {
         assert_eq!(r.campaign(AdId(1)), Some(&c));
         assert_eq!(r.campaign_count(), 1);
         assert_eq!(r.advertiser_count(), 1);
+    }
+
+    #[test]
+    fn re_registering_replaces_in_place() {
+        let mut r = Registry::new();
+        r.add_advertiser(Advertiser::new(AdvertiserId(1), "a", 1_000));
+        r.add_advertiser(Advertiser::new(AdvertiserId(2), "b", 1_000));
+        let c = Campaign {
+            ad: AdId(5),
+            advertiser: AdvertiserId(1),
+            cpc_micros: 100,
+        };
+        r.add_campaign(c).expect("known advertiser");
+        let slot = r.campaign_slot(AdId(5)).expect("registered");
+        assert!(r.charge_target(slot).1.try_charge(100));
+        // A replaced advertiser starts from its new record, and the
+        // campaign charges it through the same slot.
+        r.add_advertiser(Advertiser::new(AdvertiserId(1), "a2", 50));
+        assert_eq!(r.advertiser(AdvertiserId(1)).expect("kept").spent_micros, 0);
+        assert_eq!(r.charge_target(slot).1.name, "a2");
+        // A replaced campaign moves to its new advertiser and price.
+        let moved = Campaign {
+            advertiser: AdvertiserId(2),
+            cpc_micros: 7,
+            ..c
+        };
+        r.add_campaign(moved).expect("known advertiser");
+        assert_eq!(r.campaign_slot(AdId(5)), Some(slot));
+        let (campaign, advertiser) = r.charge_target(slot);
+        assert_eq!((*campaign, advertiser.id), (moved, AdvertiserId(2)));
+        assert_eq!((r.advertiser_count(), r.campaign_count()), (2, 1));
     }
 
     #[test]

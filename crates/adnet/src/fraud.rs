@@ -12,10 +12,10 @@
 //! against the pooled rate of all *other* publishers, so a large
 //! coalition cannot hide by dragging the global mean up.
 
+use cfd_core::MixMap;
 use cfd_stream::{Click, PublisherId};
 use cfd_windows::Verdict;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Per-publisher fraud score.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -42,9 +42,23 @@ impl PublisherScore {
 }
 
 /// Streaming per-publisher duplicate tallies.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Default, Serialize, Deserialize)]
 pub struct FraudScorer {
-    per_publisher: HashMap<u32, (u64, u64)>, // clicks, blocked
+    per_publisher: MixMap<u32, (u64, u64)>, // clicks, blocked
+}
+
+impl Clone for FraudScorer {
+    fn clone(&self) -> Self {
+        Self {
+            per_publisher: self.per_publisher.clone(),
+        }
+    }
+
+    /// Reuses the tally table, so a barrier copy allocates nothing once
+    /// the table is as large as `source`'s.
+    fn clone_from(&mut self, source: &Self) {
+        self.per_publisher.clone_from(&source.per_publisher);
+    }
 }
 
 impl FraudScorer {
@@ -61,9 +75,7 @@ impl FraudScorer {
             .entry(click.publisher.0)
             .or_insert((0, 0));
         entry.0 += 1;
-        if verdict == Verdict::Duplicate {
-            entry.1 += 1;
-        }
+        entry.1 += u64::from(verdict == Verdict::Duplicate);
     }
 
     /// Iterates the raw `(publisher, clicks, blocked)` tallies in

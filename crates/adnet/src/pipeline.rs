@@ -31,10 +31,10 @@
 //!   [`DuplicateDetector::observe_flat_into`] (hash-then-apply
 //!   locality).
 //! * **Resequencer + billing** restores global stream order from the
-//!   sequence numbers (a min-heap keyed by sequence) before settling
-//!   verdicts through [`BillingEngine::process_judged`] and tallying
-//!   them in the [`FraudScorer`], so budget accounting is byte-identical
-//!   to a sequential run no matter how the workers interleave.
+//!   sequence numbers (a reorder ring indexed by sequence number) and
+//!   settles each click straight from its slot through the
+//!   [`BillingEngine`] and the [`FraudScorer`], so budget accounting is
+//!   byte-identical to a sequential run however the workers interleave.
 //!
 //! A single-detector run is a one-shard [`ShardedDetector`]: one worker,
 //! a trivial router, the same machinery. Progress is published through
@@ -79,7 +79,7 @@
 //! [`ShardRouter`]: cfd_core::ShardRouter
 //! [`ShardRouter::route_flat_into`]: cfd_core::ShardRouter::route_flat_into
 
-use crate::billing::{BillingEngine, ClickOutcome, Ledger};
+use crate::billing::{BillingEngine, Ledger};
 use crate::entities::Registry;
 use crate::fraud::FraudScorer;
 use crate::report::NetworkReport;
@@ -89,8 +89,6 @@ use cfd_core::sharded::ShardedDetector;
 use cfd_stream::Click;
 use cfd_telemetry::{DetectorHealth, DetectorStats, TenantHealth};
 use cfd_windows::{DuplicateDetector, Verdict};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread;
@@ -140,26 +138,45 @@ struct JudgedBatch {
     snapshot: Option<Vec<u8>>,
 }
 
-/// Heap entry of the resequencer, ordered by sequence number only.
-struct Pending {
-    seq: u64,
-    judged: JudgedClick,
+/// The resequencer: sequence number `s` waits in slot `s & mask`,
+/// tagged with `s`. Ingest stages no click a window or more past the
+/// next one to settle, so a ring covering the window never holds two
+/// clicks in one slot. Slots are reserved up front and first written
+/// when a sequence number reaches them.
+struct ReorderRing {
+    slots: Vec<(u64, JudgedClick)>,
+    mask: u64,
+    /// The next sequence number to settle.
+    next: u64,
+    /// Clicks placed and not yet settled.
+    held: usize,
 }
 
-impl PartialEq for Pending {
-    fn eq(&self, other: &Self) -> bool {
-        self.seq == other.seq
+impl ReorderRing {
+    fn place(&mut self, seq: u64, judged: JudgedClick) {
+        let i = (seq & self.mask) as usize;
+        if i >= self.slots.len() {
+            // First lap: tag the gap with a sequence number never reached.
+            self.slots.resize(i + 1, (u64::MAX, judged));
+        }
+        let tag = self.slots[i].0;
+        debug_assert!(tag < self.next || tag == u64::MAX, "{seq} overwrote {tag}");
+        self.slots[i] = (seq, judged);
+        self.held += 1;
     }
-}
-impl Eq for Pending {}
-impl PartialOrd for Pending {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Pending {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.seq.cmp(&other.seq)
+
+    /// Settles held clicks in sequence order up to the first missing one
+    /// or `stop`.
+    fn release(&mut self, stop: u64, mut settle: impl FnMut(&JudgedClick)) {
+        let from = self.next;
+        while self.next < stop {
+            match self.slots.get((self.next & self.mask) as usize) {
+                Some((seq, judged)) if *seq == self.next => settle(judged),
+                _ => break,
+            }
+            self.next += 1;
+        }
+        self.held -= (self.next - from) as usize;
     }
 }
 
@@ -601,27 +618,23 @@ struct Billing<'a> {
 impl Billing<'_> {
     /// Settles one judged click against the ledger, tallying fraud
     /// savings and the publisher's score.
-    fn settle(&mut self, judged: &JudgedClick) {
-        let outcome = self
+    fn settle(&mut self, &JudgedClick { click, verdict }: &JudgedClick) {
+        let (_, saved) = self
             .engine
-            .process_judged(&judged.click, judged.verdict, &mut self.registry);
-        if outcome == ClickOutcome::DuplicateBlocked {
-            if let Some(c) = self.registry.campaign(judged.click.id.ad) {
-                self.savings += c.cpc_micros;
-            }
-        }
-        self.scorer.record(&judged.click, judged.verdict);
+            .settle_judged(&click, verdict, &mut self.registry);
+        self.savings += saved;
+        self.scorer.record(&click, verdict);
         if let Some(p) = self.progress {
             p.billed.fetch_add(1, Ordering::Relaxed);
         }
     }
 
-    /// Copies the billing state into `snap`.
+    /// Copies the billing state into `snap`'s recycled buffers.
     fn copy_into(&self, snap: &mut Snapshot) {
-        snap.registry = self.registry.clone();
-        snap.ledger = self.engine.ledger().clone();
+        snap.registry.clone_from(&self.registry);
+        snap.ledger.clone_from(self.engine.ledger());
         snap.savings_micros = self.savings;
-        snap.scorer = self.scorer.clone();
+        snap.scorer.clone_from(&self.scorer);
     }
 }
 
@@ -697,9 +710,8 @@ where
     // It covers both rings of every shard full plus every hand, so clicks
     // completing in order never wait on it. It binds when one shard
     // falls behind while the others run ahead (or a skewed stream leaves
-    // one shard's bucket unshipped): without it the resequencer heap
-    // grows with the backlog, and its pre-reservation below is a real
-    // bound only because of it.
+    // one shard's bucket unshipped): without it the resequencer backlog
+    // grows with the stream, and the reorder ring could not be sized.
     let window = shard_count * (2 * queue.next_power_of_two() + 3) * batch;
     let billed_seq = AtomicU64::new(0);
     // The snapshot of the barrier in flight, from ingest to billing:
@@ -820,13 +832,12 @@ where
                 scorer,
                 progress: progress_bill.as_deref(),
             };
-            let mut next_seq = 0u64;
-            // Every pending click is inside the in-flight window, so
-            // reserving the window keeps the heap from reallocating when
-            // the out-of-order backlog spikes mid-run (zero-steady-state-
-            // allocation invariant).
-            let mut pending: BinaryHeap<Reverse<Pending>> = BinaryHeap::with_capacity(window);
-            let mut ready: Vec<JudgedClick> = Vec::with_capacity(window);
+            let mut ring = ReorderRing {
+                slots: Vec::with_capacity(window.next_power_of_two()),
+                mask: window.next_power_of_two() as u64 - 1,
+                next: 0,
+                held: 0,
+            };
             // The barrier being assembled: settling stops at its
             // position until every shard's marker is in.
             let mut snapshot: Option<Snapshot> = None;
@@ -863,35 +874,21 @@ where
                             markers += 1;
                         }
                         for (seq, judged) in jb.items.drain(..) {
-                            pending.push(Reverse(Pending { seq, judged }));
+                            ring.place(seq, judged);
                         }
                         judged_pool_bill.put(jb);
-                        let mut t1 = None;
+                        let t1 = telem.zip(t0).map(|(t, t0)| {
+                            let now = Instant::now();
+                            t.stage_resequence_ns().record(duration_ns(now - t0));
+                            now
+                        });
+                        let from = ring.next;
                         loop {
                             let stop = snapshot.as_ref().map_or(u64::MAX, |snap| snap.clicks);
-                            while next_seq < stop
-                                && pending.peek().is_some_and(|Reverse(p)| p.seq == next_seq)
-                            {
-                                let Reverse(p) = pending.pop().expect("peeked");
-                                ready.push(p.judged);
-                                next_seq += 1;
-                            }
-                            billed_seq.store(next_seq, Ordering::Relaxed);
-                            if t1.is_none() {
-                                t1 = telem.zip(t0).map(|(t, t0)| {
-                                    let now = Instant::now();
-                                    t.stage_resequence_ns().record(duration_ns(now - t0));
-                                    if ready.is_empty() && !pending.is_empty() {
-                                        t.reseq_stalls().inc();
-                                    }
-                                    t.pending_peak()
-                                        .set_max(i64::try_from(pending.len()).unwrap_or(i64::MAX));
-                                    now
-                                });
-                            }
-                            for judged in ready.drain(..) {
-                                bill.settle(&judged);
-                            }
+                            ring.release(stop, |judged| bill.settle(judged));
+                            // Published only after settling: ingest may
+                            // then stage clicks a window past it.
+                            billed_seq.store(ring.next, Ordering::Relaxed);
                             if markers < shard_count {
                                 break;
                             }
@@ -900,7 +897,7 @@ where
                             // them are settled now. Hand the snapshot
                             // over, then settle what it held back.
                             let mut snap = snapshot.take().expect("taken with the first marker");
-                            debug_assert_eq!(next_seq, snap.clicks, "barrier before its clicks");
+                            debug_assert_eq!(ring.next, snap.clicks, "barrier before its clicks");
                             snap.shards
                                 .extend(blobs.iter_mut().map(|b| b.take().expect("one per shard")));
                             bill.copy_into(&mut snap);
@@ -908,6 +905,11 @@ where
                             markers = 0;
                         }
                         if let Some((t, t1)) = telem.zip(t1) {
+                            if ring.next == from && ring.held > 0 {
+                                t.reseq_stalls().inc();
+                            }
+                            t.pending_peak()
+                                .set_max(i64::try_from(ring.held).unwrap_or(i64::MAX));
                             t.stage_billing_ns().record(duration_ns(t1.elapsed()));
                         }
                     }
@@ -923,11 +925,8 @@ where
                 }
             }
             // Workers are done: the remainder is a contiguous tail.
-            while let Some(Reverse(p)) = pending.pop() {
-                debug_assert_eq!(p.seq, next_seq, "resequencer hole at shutdown");
-                bill.settle(&p.judged);
-                next_seq += 1;
-            }
+            ring.release(u64::MAX, |judged| bill.settle(judged));
+            debug_assert_eq!(ring.held, 0, "resequencer hole at shutdown");
             if let Some(t) = telem {
                 t.reseq_empty_polls().add(empty_polls);
             }
@@ -1099,6 +1098,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::billing::ClickOutcome;
     use crate::entities::{Advertiser, AdvertiserId, Campaign};
     use cfd_core::sharded::per_shard_window;
     use cfd_core::{Tbf, TbfConfig, TimeTbf, TimeTbfConfig};
@@ -1389,37 +1389,105 @@ mod tests {
     /// A skewed stream parks shard 0's only click in a partial bucket
     /// while shard 1 runs ahead. The in-flight window ships that bucket
     /// and holds ingest back, so the resequencer backlog stays within
-    /// the window (`2 * (2 * 16 + 3) * 256` clicks at the defaults)
-    /// instead of growing with the stream, and billing equals a
-    /// sequential run.
+    /// the window (`shards * (2 * queue + 3) * batch` clicks) instead of
+    /// growing with the stream, and billing equals a sequential run.
+    ///
+    /// The second case sizes the window just under a power of two (3 ×
+    /// 5 × 256 = 3,840 clicks), so its backlog overflows any reorder
+    /// ring smaller than the window's power of two, and sets a budget
+    /// that runs out inside the first window: which publishers earn the
+    /// last charges then depends on settlement order, so per-publisher
+    /// revenue, spend and the scorer are compared too. A resequencer
+    /// that loses or stalls a click fails the watchdog instead of
+    /// hanging the test.
     #[test]
     fn skewed_stream_keeps_the_resequencer_within_the_window() {
-        let shards = 2;
-        let router = sharded_tbf(2_048, shards).router();
-        let (mut to0, to1): (Vec<Click>, Vec<Click>) = clicks(120_000)
-            .into_iter()
-            .partition(|c| router.route(&c.key()) == 0);
-        to0.truncate(1);
-        to0.extend(to1.into_iter().take(50_000));
-        let mut net = crate::network::AdNetwork::new(sharded_tbf(2_048, shards));
-        let mut reg = registry();
-        std::mem::swap(net.registry_mut(), &mut reg);
-        let expected = net.run(to0.iter());
-        let metrics = Arc::new(cfd_telemetry::Registry::new());
-        let out = run_sharded_pipeline_instrumented(
-            sharded_tbf(2_048, shards),
-            registry(),
-            to0.iter().copied(),
-            PipelineConfig::default(),
-            None,
-            Arc::new(PipelineTelemetry::new(&metrics, shards)),
-        );
-        assert_eq!(out.report, expected);
-        let peak = metrics
-            .snapshot()
-            .get_gauge("pipeline.reseq.pending_peak")
-            .expect("registered");
-        assert!(peak <= 2 * (2 * 16 + 3) * 256, "backlog peaked at {peak}");
+        let wide = PipelineConfig::default();
+        let tight = PipelineConfig {
+            batch: 256,
+            queue: 1,
+        };
+        for (shards, config, budget) in [(2, wide, u64::MAX / 4), (3, tight, 200_000)] {
+            let router = sharded_tbf(2_048, shards).router();
+            let mut skewed: Vec<Click> = Vec::new();
+            for c in clicks(150_000) {
+                let shard = router.route(&c.key());
+                if (shard == 0 && skewed.is_empty()) || (shard == 1 && !skewed.is_empty()) {
+                    skewed.push(c);
+                }
+            }
+            skewed.truncate(40_000);
+            let mut sequential = BillingEngine::new(sharded_tbf(2_048, shards));
+            let mut reg = registry_with_budget(budget);
+            let mut scorer = FraudScorer::new();
+            let mut savings = 0;
+            for c in &skewed {
+                // Every ad is registered: a blocked click is a duplicate
+                // verdict, any other outcome a distinct one.
+                let outcome = sequential.process(c, &mut reg);
+                let blocked = outcome == ClickOutcome::DuplicateBlocked;
+                savings += if blocked { 100 } else { 0 };
+                scorer.record(
+                    c,
+                    if blocked {
+                        Verdict::Duplicate
+                    } else {
+                        Verdict::Distinct
+                    },
+                );
+            }
+            let detector = sequential.detector();
+            let expected = NetworkReport::from_ledger(
+                detector.name(),
+                detector.memory_bits(),
+                sequential.ledger(),
+                savings,
+            );
+            assert!(budget > 1 << 40 || expected.budget_rejections > 0);
+
+            let metrics = Arc::new(cfd_telemetry::Registry::new());
+            let telemetry = Arc::new(PipelineTelemetry::new(&metrics, shards));
+            let (done, outcome) = std::sync::mpsc::channel();
+            thread::spawn(move || {
+                let out = run_sharded_segment(
+                    sharded_tbf(2_048, shards),
+                    SegmentState::new(registry_with_budget(budget)),
+                    skewed.into_iter(),
+                    config,
+                    None,
+                    Some(telemetry),
+                );
+                done.send(out).ok();
+            });
+            let out = outcome
+                .recv_timeout(Duration::from_secs(120))
+                .expect("the pipeline neither panicked nor stalled");
+            assert_eq!(out.report(), expected, "shards {shards}");
+            let sorted = |m: &cfd_core::MixMap<u32, u64>| {
+                let mut v: Vec<_> = m.iter().map(|(&p, &r)| (p, r)).collect();
+                v.sort_unstable();
+                v
+            };
+            assert_eq!(
+                sorted(&out.state.ledger.per_publisher_micros),
+                sorted(&sequential.ledger().per_publisher_micros),
+                "per-publisher revenue, shards {shards}"
+            );
+            let spend = |r: &Registry| r.advertiser(AdvertiserId(1)).map(|a| a.spent_micros);
+            assert_eq!(spend(&out.state.registry), spend(&reg), "shards {shards}");
+            let tallies = |s: &FraudScorer| {
+                let mut t: Vec<_> = s.tallies().collect();
+                t.sort_unstable();
+                t
+            };
+            assert_eq!(tallies(&out.state.scorer), tallies(&scorer));
+            let peak = metrics
+                .snapshot()
+                .get_gauge("pipeline.reseq.pending_peak")
+                .expect("registered");
+            let window = shards * (2 * config.queue.next_power_of_two() + 3) * config.batch;
+            assert!(peak <= window as i64, "backlog peaked at {peak}");
+        }
     }
 
     /// A source that reports idle after every `every` clicks.

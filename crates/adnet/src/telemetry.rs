@@ -13,11 +13,12 @@
 //!   wall time for the four stages: `hash` (ingest key building and
 //!   shard routing), `probe` (detector
 //!   [`observe_flat_into`](cfd_windows::DuplicateDetector::observe_flat_into)),
-//!   `resequence` (heap traffic), and `billing` (ledger settlement).
+//!   `resequence` (placing a judged batch in the reorder ring), and
+//!   `billing` (releasing and settling clicks in sequence order).
 //! * **resequencer stalls** — a [`Counter`] of judged batches that
 //!   could not release a single click because the head-of-line sequence
-//!   number was still missing, plus a high-water gauge of the pending
-//!   heap.
+//!   number was still missing, plus a high-water gauge of the clicks
+//!   the reorder ring holds.
 //! * **detector health** — per-shard [`FloatGauge`]s (fill ratio,
 //!   online FP estimate, duplicate rate, cleaning backlog, sweep
 //!   position) fed by [`cfd_telemetry::DetectorStats::health`].
@@ -195,7 +196,7 @@ impl PipelineTelemetry {
             stage_resequence_ns: registry.histogram(
                 "pipeline.stage.resequence_ns",
                 "ns",
-                "per-batch resequencer heap latency",
+                "per-batch reorder-ring placement latency",
             ),
             stage_billing_ns: registry.histogram(
                 "pipeline.stage.billing_ns",
@@ -210,7 +211,7 @@ impl PipelineTelemetry {
             pending_peak: registry.gauge(
                 "pipeline.reseq.pending_peak",
                 "clicks",
-                "high-water mark of the resequencer heap",
+                "high-water mark of clicks held in the reorder ring",
             ),
             reseq_empty_polls: registry.counter(
                 "pipeline.reseq.empty_polls",

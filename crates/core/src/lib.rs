@@ -73,6 +73,9 @@ pub use arena::{ArenaConfig, ArenaStats, TenantArena};
 /// cleaning kernels (re-exported so frontends — telemetry, benches,
 /// the CLI — can read and steer it without a `cfd-bits` dependency).
 pub use cfd_bits::simd;
+/// The id-keyed map of the billing stage's per-click lookups
+/// (re-exported so `cfd-adnet` needs no `cfd-hash` dependency).
+pub use cfd_hash::mix::MixMap;
 pub use checkpoint::{CheckpointError, CheckpointState};
 pub use config::{
     ConfigError, GbfConfig, GbfConfigBuilder, GbfLayout, ProbeLayout, TbfConfig, TbfConfigBuilder,

@@ -107,9 +107,91 @@ pub fn combine(a: u64, b: u64) -> u64 {
     )
 }
 
+/// A [`std::hash::Hasher`] for integer ids: each written word goes
+/// through one [`splitmix64`] round over the running state, which
+/// starts at the [`MixState`]'s seed.
+///
+/// An id keys a map in one multiply-xorshift chain instead of SipHash's
+/// compression rounds. It is not a cryptographic hash: the per-map
+/// random seed only keeps ids a client picks (publishers first seen on
+/// the wire) from being chosen offline to collide.
+///
+/// ```rust
+/// use cfd_hash::mix::MixMap;
+/// let mut m: MixMap<u32, u64> = MixMap::default();
+/// *m.entry(7).or_insert(0) += 3;
+/// assert_eq!(m.get(&7), Some(&3));
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct MixHasher(u64);
+
+impl std::hash::Hasher for MixHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.0 = splitmix64(self.0 ^ n);
+    }
+}
+
+/// Builds the [`MixHasher`]s of one map from a random seed drawn when
+/// the map is created (clones keep it).
+#[derive(Debug, Clone, Copy)]
+pub struct MixState(u64);
+
+impl Default for MixState {
+    fn default() -> Self {
+        // `RandomState` carries per-process random keys; hashing a
+        // constant with a fresh one yields a fresh random seed.
+        use std::hash::BuildHasher;
+        Self(std::collections::hash_map::RandomState::new().hash_one(0_u64))
+    }
+}
+
+impl std::hash::BuildHasher for MixState {
+    type Hasher = MixHasher;
+
+    #[inline]
+    fn build_hasher(&self) -> MixHasher {
+        MixHasher(self.0)
+    }
+}
+
+/// A `HashMap` keyed through [`MixHasher`].
+pub type MixMap<K, V> = std::collections::HashMap<K, V, MixState>;
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn mix_hasher_separates_ids_and_byte_strings() {
+        use std::hash::BuildHasher;
+        let build = MixState::default();
+        let ids: std::collections::HashSet<u64> =
+            (0..10_000u32).map(|i| build.hash_one(i)).collect();
+        assert_eq!(ids.len(), 10_000, "u32 ids collide");
+        assert_eq!(build.hash_one(5u32), splitmix64(build.0 ^ 5));
+        assert_ne!(build.hash_one("ab"), build.hash_one("ba"));
+        assert_ne!(build.0, MixState::default().0, "each map draws a seed");
+    }
 
     #[test]
     fn splitmix_known_values_are_stable() {

@@ -43,12 +43,36 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
+        Err(Failure::Usage(e)) => {
             eprintln!("error: {e}");
             eprintln!();
             eprintln!("{}", usage());
             ExitCode::FAILURE
         }
+        Err(Failure::Runtime(e)) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// Why a command failed. A usage error (an unknown command or option, a
+/// missing value, a bad value) prints the usage text after its `error:`
+/// line; any other failure prints the `error:` line alone.
+enum Failure {
+    Usage(String),
+    Runtime(String),
+}
+
+impl From<String> for Failure {
+    fn from(e: String) -> Self {
+        Self::Runtime(e)
+    }
+}
+
+impl From<cli::UsageError> for Failure {
+    fn from(e: cli::UsageError) -> Self {
+        Self::Usage(e.to_string())
     }
 }
 
@@ -81,13 +105,13 @@ struct Opts(HashMap<String, String>);
 impl Opts {
     /// Parses `args`, rejecting any option the command's `usage` block
     /// does not name.
-    fn parse(args: &[String], usage: &str) -> Result<Self, String> {
+    fn parse(args: &[String], usage: &str) -> Result<Self, Failure> {
         let mut map = HashMap::new();
         let mut it = args.iter().peekable();
         while let Some(arg) = it.next() {
             let name = arg
                 .strip_prefix("--")
-                .ok_or_else(|| format!("expected an option, got `{arg}`"))?;
+                .ok_or_else(|| Failure::Usage(format!("expected an option, got `{arg}`")))?;
             // `--name=value` binds inline; otherwise the next
             // non-option token is the value, and a bare flag is "true".
             if let Some((name, value)) = name.split_once('=') {
@@ -100,7 +124,7 @@ impl Opts {
             };
             map.insert(name.to_owned(), value);
         }
-        cli::check_options(usage, map.keys().map(String::as_str)).map_err(|e| e.to_string())?;
+        cli::check_options(usage, map.keys().map(String::as_str))?;
         Ok(Self(map))
     }
 
@@ -108,14 +132,15 @@ impl Opts {
         self.0.get(name).map(String::as_str)
     }
 
-    fn required(&self, name: &str) -> Result<&str, String> {
-        self.get(name).ok_or_else(|| format!("missing --{name}"))
+    fn required(&self, name: &str) -> Result<&str, Failure> {
+        self.get(name)
+            .ok_or_else(|| Failure::Usage(format!("missing --{name}")))
     }
 
-    fn parse_num<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
+    fn parse_num<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, Failure> {
         match self.get(name) {
             None => Ok(default),
-            Some(v) => v.parse().map_err(|_| format!("--{name}: bad value `{v}`")),
+            Some(v) => v.parse().map_err(|_| bad_value(name, v)),
         }
     }
 
@@ -127,15 +152,20 @@ impl Opts {
     /// (and garbage) with the typed [`cli::UsageError`] instead of
     /// letting a zero-shard router or zero-bit detector budget panic
     /// deeper in the stack.
-    fn positive(&self, name: &'static str, default: usize) -> Result<usize, String> {
+    fn positive(&self, name: &'static str, default: usize) -> Result<usize, Failure> {
         match self.get(name) {
             None => Ok(default),
-            Some(raw) => cli::parse_positive(name, raw).map_err(|e| e.to_string()),
+            Some(raw) => Ok(cli::parse_positive(name, raw)?),
         }
     }
 }
 
-fn run(args: &[String]) -> Result<(), String> {
+/// The usage error of an option value that does not parse.
+fn bad_value(name: &str, value: &str) -> Failure {
+    Failure::Usage(format!("--{name}: bad value `{value}`"))
+}
+
+fn run(args: &[String]) -> Result<(), Failure> {
     match args.first().map(String::as_str) {
         Some("generate") => cmd_generate(&Opts::parse(&args[1..], cli::GENERATE_USAGE)?),
         Some("detect") => cmd_detect(&Opts::parse(&args[1..], cli::DETECT_USAGE)?),
@@ -152,13 +182,13 @@ fn run(args: &[String]) -> Result<(), String> {
             println!("{}", usage());
             Ok(())
         }
-        Some(other) => Err(format!("unknown command `{other}`")),
+        Some(other) => Err(Failure::Usage(format!("unknown command `{other}`"))),
     }
 }
 
 /// Synthesizes `count` clicks of the named workload (shared by
 /// `cfd generate` and `cfd run`).
-fn synth_clicks(kind: &str, count: usize, seed: u64) -> Result<Vec<Click>, String> {
+fn synth_clicks(kind: &str, count: usize, seed: u64) -> Result<Vec<Click>, Failure> {
     Ok(match kind {
         "unique" => UniqueClickStream::new(seed, 16, 64).take(count).collect(),
         "duplicates" => {
@@ -192,7 +222,11 @@ fn synth_clicks(kind: &str, count: usize, seed: u64) -> Result<Vec<Click>, Strin
         .take(count)
         .map(|c| c.click)
         .collect(),
-        other => return Err(format!("--kind: unknown workload `{other}`")),
+        other => {
+            return Err(Failure::Usage(format!(
+                "--kind: unknown workload `{other}`"
+            )))
+        }
     })
 }
 
@@ -202,7 +236,7 @@ fn load_trace(path: &str) -> Result<Vec<Click>, String> {
     read_trace(&buf).map_err(|e| e.to_string())
 }
 
-fn cmd_generate(opts: &Opts) -> Result<(), String> {
+fn cmd_generate(opts: &Opts) -> Result<(), Failure> {
     let kind = opts.required("kind")?.to_owned();
     let count: usize = opts.parse_num("count", 100_000)?;
     let seed: u64 = opts.parse_num("seed", 0)?;
@@ -226,7 +260,7 @@ struct DetectorSpec {
 }
 
 impl DetectorSpec {
-    fn parse(opts: &Opts, algo: &str) -> Result<Self, String> {
+    fn parse(opts: &Opts, algo: &str) -> Result<Self, Failure> {
         // A zero window or zero cells-per-element would hand the
         // registry a zero-bit memory budget (for the arena backend, a
         // zero budget for every tenant) — reject it up front.
@@ -259,15 +293,22 @@ impl DetectorSpec {
 fn build_detector(
     algo: &str,
     geo: &BackendGeometry,
-) -> Result<Box<dyn ObservableDetector + Send>, String> {
+) -> Result<Box<dyn ObservableDetector + Send>, Failure> {
     if algo == "exact" {
         if geo.probe == ProbeLayout::Blocked {
-            return Err("--layout blocked needs a Bloom-style detector, not `exact`".into());
+            return Err(Failure::Usage(
+                "--layout blocked needs a Bloom-style detector, not `exact`".into(),
+            ));
         }
         return Ok(Box::new(ExactSlidingDedup::new(geo.window)));
     }
-    let backend = cfd_core::registry::build(algo, geo).map_err(|e| format!("--algo: {e}"))?;
-    Ok(Box::new(backend))
+    Ok(Box::new(build_backend(algo, geo)?))
+}
+
+/// Builds one registry backend; the flags chose both name and geometry,
+/// so a rejection is a usage error.
+fn build_backend(algo: &str, geo: &BackendGeometry) -> Result<Box<dyn DetectorBackend>, Failure> {
+    cfd_core::registry::build(algo, geo).map_err(|e| Failure::Usage(format!("--algo: {e}")))
 }
 
 /// Builds the `shards`-way keyspace composition, each shard built by
@@ -277,27 +318,27 @@ fn build_detector(
 fn build_sharded<D>(
     spec: &DetectorSpec,
     shards: usize,
-    build: impl Fn(&BackendGeometry) -> Result<D, String>,
-) -> Result<ShardedDetector<D>, String> {
+    build: impl Fn(&BackendGeometry) -> Result<D, Failure>,
+) -> Result<ShardedDetector<D>, Failure> {
     let geo = spec.geo.for_shards(shards, spec.timed);
     let inner = (0..shards)
         .map(|_| build(&geo))
         .collect::<Result<Vec<_>, _>>()?;
-    ShardedDetector::new(spec.geo.seed, inner).map_err(|e| e.to_string())
+    Ok(ShardedDetector::new(spec.geo.seed, inner).map_err(|e| e.to_string())?)
 }
 
 /// Parses `--layout scattered|blocked` (default scattered).
-fn parse_layout(opts: &Opts) -> Result<ProbeLayout, String> {
+fn parse_layout(opts: &Opts) -> Result<ProbeLayout, Failure> {
     match opts.get("layout").unwrap_or("scattered") {
         "scattered" => Ok(ProbeLayout::Scattered),
         "blocked" => Ok(ProbeLayout::Blocked),
-        other => Err(format!(
+        other => Err(Failure::Usage(format!(
             "--layout: `{other}` (accepted: scattered, blocked)"
-        )),
+        ))),
     }
 }
 
-fn cmd_detect(opts: &Opts) -> Result<(), String> {
+fn cmd_detect(opts: &Opts) -> Result<(), Failure> {
     let algo = opts.required("algo")?.to_owned();
     let spec = DetectorSpec::parse(opts, &algo)?;
     let shards: usize = opts.positive("shards", 1)?;
@@ -421,12 +462,10 @@ fn billing_registry(clicks: &[Click]) -> cfd_adnet::Registry {
 /// Parses `--metrics[=millis]` / `--metrics-json`, shared by `cmd_run`
 /// and `cmd_serve`: whether metrics are on, the snapshot interval
 /// (`--metrics` alone means 1s) and the snapshot format.
-fn parse_metrics(opts: &Opts) -> Result<(bool, Duration, SnapshotFormat), String> {
+fn parse_metrics(opts: &Opts) -> Result<(bool, Duration, SnapshotFormat), Failure> {
     let interval_ms: u64 = match opts.get("metrics") {
         None | Some("true") => 1_000,
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("--metrics: bad interval `{v}`"))?,
+        Some(v) => v.parse().map_err(|_| bad_value("metrics", v))?,
     };
     let format = if opts.flag("metrics-json") {
         SnapshotFormat::JsonLines
@@ -446,7 +485,7 @@ fn print_billing(
     opts: &Opts,
     r: &cfd_adnet::NetworkReport,
     health: &[cfd_telemetry::DetectorHealth],
-) -> Result<(), String> {
+) -> Result<(), Failure> {
     println!("charged  : {}", r.charged);
     println!(
         "blocked  : {} duplicates ({} micros saved)",
@@ -468,7 +507,7 @@ fn print_billing(
     Ok(())
 }
 
-fn cmd_run(opts: &Opts) -> Result<(), String> {
+fn cmd_run(opts: &Opts) -> Result<(), Failure> {
     let algo = opts.get("algo").unwrap_or("tbf").to_owned();
     let spec = DetectorSpec::parse(opts, &algo)?;
     let seed = spec.geo.seed;
@@ -557,8 +596,9 @@ extern "C" {
 const SIGINT: i32 = 2;
 const SIGTERM: i32 = 15;
 
-fn cmd_serve(opts: &Opts) -> Result<(), String> {
-    let endpoint = Endpoint::parse(opts.required("listen")?).map_err(|e| e.to_string())?;
+fn cmd_serve(opts: &Opts) -> Result<(), Failure> {
+    let endpoint = Endpoint::parse(opts.required("listen")?)
+        .map_err(|e| Failure::Usage(format!("--listen: {e}")))?;
     let algo = opts.get("algo").unwrap_or("tbf").to_owned();
     let spec = DetectorSpec::parse(opts, &algo)?;
     let shards: usize = opts.positive("shards", 4)?;
@@ -572,7 +612,9 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
     // A restart has only the checkpoint file: detector tables, billing
     // ledger, scorer tallies, and the resume position all come from it.
     let state: ServerState<Box<dyn DetectorBackend>> = if opts.flag("resume") {
-        let path = checkpoint.as_deref().ok_or("--resume needs --checkpoint")?;
+        let path = checkpoint
+            .as_deref()
+            .ok_or_else(|| Failure::Usage("--resume needs --checkpoint".into()))?;
         let state = ServerState::read_checkpoint(path).map_err(|e| e.to_string())?;
         eprintln!(
             "resumed from {} at position {}",
@@ -581,9 +623,7 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
         );
         state
     } else {
-        let detector = build_sharded(&spec, shards, |geo| {
-            cfd_core::registry::build(&algo, geo).map_err(|e| format!("--algo: {e}"))
-        })?;
+        let detector = build_sharded(&spec, shards, |geo| build_backend(&algo, geo))?;
         ServerState::new(detector, fixed_registry(ads))
     };
 
@@ -657,19 +697,19 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
     print_billing(opts, r, &outcome.health)
 }
 
-fn cmd_replay_client(opts: &Opts) -> Result<(), String> {
-    let endpoint = Endpoint::parse(opts.required("connect")?).map_err(|e| e.to_string())?;
+fn cmd_replay_client(opts: &Opts) -> Result<(), Failure> {
+    let endpoint = Endpoint::parse(opts.required("connect")?)
+        .map_err(|e| Failure::Usage(format!("--connect: {e}")))?;
     let clicks = load_trace(opts.required("trace")?)?;
 
     let limit = match opts.get("limit") {
         None => None,
-        Some(v) => Some(v.parse().map_err(|_| format!("--limit: bad value `{v}`"))?),
+        Some(v) => Some(v.parse().map_err(|_| bad_value("limit", v))?),
     };
     let throttle = match opts.get("throttle-ms") {
         None => None,
         Some(v) => Some(Duration::from_millis(
-            v.parse()
-                .map_err(|_| format!("--throttle-ms: bad value `{v}`"))?,
+            v.parse().map_err(|_| bad_value("throttle-ms", v))?,
         )),
     };
     let config = ClientConfig {
@@ -696,20 +736,24 @@ fn cmd_replay_client(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_size(opts: &Opts) -> Result<(), String> {
+fn cmd_size(opts: &Opts) -> Result<(), Failure> {
     let algo = opts.required("algo")?.to_owned();
     let window: usize = opts.parse_num("window", 1 << 20)?;
     let q: usize = opts.parse_num("sub-windows", 8)?;
     let target: f64 = opts.parse_num("target-fp", 0.001)?;
     if !(target > 0.0 && target < 1.0) {
-        return Err("--target-fp must be in (0, 1)".into());
+        return Err(Failure::Usage("--target-fp must be in (0, 1)".into()));
     }
 
     let sizing = match algo.as_str() {
         "gbf" => cfd_analysis::sizing::gbf_sizing(window, q, target),
         "tbf" => cfd_analysis::sizing::tbf_sizing(window, target),
         "metwally" => cfd_analysis::sizing::counting_scheme_sizing(window, q, target),
-        other => return Err(format!("--algo: unknown detector `{other}`")),
+        other => {
+            return Err(Failure::Usage(format!(
+                "--algo: unknown detector `{other}`"
+            )))
+        }
     };
     println!("algorithm    : {algo}");
     println!("window       : {window} elements");
@@ -727,17 +771,13 @@ fn cmd_size(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_sweep(opts: &Opts) -> Result<(), String> {
+fn cmd_sweep(opts: &Opts) -> Result<(), Failure> {
     let path = opts
         .get("scenario")
-        .ok_or_else(|| cli::UsageError::Missing("scenario").to_string())?;
-    let spec = cfd_stream::scenario::ScenarioSpec::from_path(path.as_ref()).map_err(|e| {
-        cli::UsageError::Invalid {
-            option: "scenario",
-            reason: e.to_string(),
-        }
-        .to_string()
-    })?;
+        .ok_or(cli::UsageError::Missing("scenario"))?;
+    // An unreadable or malformed spec file is not a command-line error.
+    let spec = cfd_stream::scenario::ScenarioSpec::from_path(path.as_ref())
+        .map_err(|e| format!("--scenario: {e}"))?;
     let sweep_opts = if opts.flag("quick") {
         sweep::SweepOptions::quick()
     } else {

@@ -34,8 +34,8 @@ pub enum UsageError {
     /// A required option was not given.
     Missing(&'static str),
     /// An option's value parsed but was rejected for a stated reason
-    /// (an unreadable scenario file, a malformed spec, an unknown
-    /// enum value).
+    /// (an unknown enum value). A file named by an option that cannot be
+    /// read or parsed is not a usage error: `cfd` reports it alone.
     Invalid {
         /// The option name, without the `--` prefix.
         option: &'static str,
