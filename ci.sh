@@ -176,6 +176,30 @@ if [[ "${1:-}" != "quick" ]]; then
     wait "$SERVE_PID"
     cmp /tmp/cfd_serve_run.json /tmp/cfd_serve.json
     echo "   kill -9 + --resume replay matches the in-process run byte for byte"
+    echo "==> serve smoke: --resume with --metrics keeps the checkpoint's shard count"
+    rm -f /tmp/cfd_serve2.sock /tmp/cfd_serve2.cfdg /tmp/cfd_serve2_run.json /tmp/cfd_serve2.json
+    ./target/release/cfd run --trace /tmp/cfd_serve.cfdt --window 8192 --ads 64 --shards 2 \
+        --report-json /tmp/cfd_serve2_run.json >/dev/null
+    ./target/release/cfd serve --listen unix:/tmp/cfd_serve2.sock --window 8192 --ads 64 \
+        --shards 2 --checkpoint /tmp/cfd_serve2.cfdg >/dev/null 2>&1 &
+    SERVE_PID=$!
+    ./target/release/cfd replay-client --connect unix:/tmp/cfd_serve2.sock \
+        --trace /tmp/cfd_serve.cfdt --limit 100000 --drain --retries 200 >/dev/null
+    wait "$SERVE_PID"
+    # Resume with the default --shards (4) and live metrics: telemetry
+    # must follow the 2-shard detector the checkpoint holds.
+    ./target/release/cfd serve --listen unix:/tmp/cfd_serve2.sock --window 8192 --ads 64 \
+        --checkpoint /tmp/cfd_serve2.cfdg --resume --metrics=200 --metrics-json \
+        --report-json /tmp/cfd_serve2.json >/dev/null 2>/tmp/cfd_serve2_err.txt &
+    SERVE_PID=$!
+    ./target/release/cfd replay-client --connect unix:/tmp/cfd_serve2.sock \
+        --trace /tmp/cfd_serve.cfdt --drain --retries 200 >/dev/null
+    wait "$SERVE_PID"
+    if grep -q 'panicked' /tmp/cfd_serve2_err.txt; then
+        echo "FAIL: cfd serve --resume --metrics panicked"; exit 1
+    fi
+    cmp /tmp/cfd_serve2_run.json /tmp/cfd_serve2.json
+    echo "   2-shard checkpoint resumed under --metrics matches cfd run --shards 2"
     echo "==> cfd serve ends with a named error, not a panic, when its checkpoint cannot be written"
     rm -f /tmp/cfd_serve_bad.sock
     ./target/release/cfd serve --listen unix:/tmp/cfd_serve_bad.sock --window 8192 --ads 64 \

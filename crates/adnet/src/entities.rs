@@ -178,6 +178,18 @@ impl Registry {
         (campaign, &mut self.advertisers[*advertiser])
     }
 
+    /// The advertiser in registration slot `slot` (see
+    /// [`Registry::advertisers`]).
+    pub(crate) fn advertiser_in(&self, slot: usize) -> &Advertiser {
+        &self.advertisers[slot]
+    }
+
+    /// The campaign in registration slot `slot` (see
+    /// [`Registry::campaigns`]).
+    pub(crate) fn campaign_in(&self, slot: usize) -> &Campaign {
+        &self.campaigns[slot].0
+    }
+
     /// Immutable advertiser access.
     #[must_use]
     pub fn advertiser(&self, id: AdvertiserId) -> Option<&Advertiser> {

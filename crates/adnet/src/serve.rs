@@ -28,7 +28,11 @@
 //! the previous one unfinished waits for it, so positions stay exact
 //! multiples of `checkpoint_every` from the server's start. The drain
 //! checkpoint is written only if no barrier already covered the final
-//! position, and [`serve`] returns only once it is durable.
+//! position, and [`serve`] returns only once it is durable. The `CFDG`
+//! file is written and read with [`Writer`] and [`Reader`], the codec
+//! of the `CFDS` detector blob it nests; the writer thread keeps its
+//! sort scratch and `.tmp` path across barriers, so a barrier
+//! checkpoint allocates nothing once the tables stop growing.
 //!
 //! **Durability.** A checkpoint is written to `PATH.tmp`, `fsync`ed,
 //! renamed over `PATH`, and the directory is `fsync`ed. A `kill -9`
@@ -63,7 +67,10 @@
 //! stops the acceptor and readers; once every producer detaches, the
 //! hub closes, the pipeline finishes its in-flight clicks, the drain
 //! checkpoint is made durable, and [`serve`] returns the final
-//! [`NetworkReport`].
+//! [`NetworkReport`]. However [`serve`] ends — drained, failed, or
+//! unwinding from a panic — it requests a drain and empties the hub on
+//! the way out, so its threads stop and the outcome reaches the caller
+//! at once.
 
 use crate::billing::Ledger;
 use crate::entities::{Advertiser, AdvertiserId, Campaign, Registry};
@@ -75,7 +82,7 @@ use crate::pipeline::{
 use crate::report::NetworkReport;
 use crate::ring::{Pool, TryPopError};
 use crate::telemetry::PipelineTelemetry;
-use cfd_core::checkpoint::sharded_checkpoint_into;
+use cfd_core::checkpoint::{sharded_checkpoint_into, Reader, Writer};
 use cfd_core::{CheckpointError, CheckpointState, ShardedDetector};
 use cfd_stream::wire::{self, FrameReader, WireError};
 use cfd_stream::{AdId, Click};
@@ -735,66 +742,53 @@ impl<D> ServerState<D> {
     }
 }
 
-/// Little-endian byte cursor for `CFDG` decoding.
-struct ByteReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+/// What a `CFDG` holds besides the detector blob, borrowed from a live
+/// [`ServerState`] or a barrier snapshot.
+struct BillingParts<'a> {
+    position: u64,
+    savings_micros: u64,
+    registry: &'a Registry,
+    ledger: &'a Ledger,
+    scorer: &'a FraudScorer,
 }
 
-impl<'a> ByteReader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
+/// The sort buffers [`encode_cfdg`] orders the tables in. The checkpoint
+/// writer thread keeps one across barriers, so once the tables stop
+/// growing an encode allocates nothing.
+#[derive(Debug, Default)]
+struct CfdgScratch {
+    /// `(id, slot)` of the advertisers.
+    advertisers: Vec<(u32, usize)>,
+    /// `(ad, slot)` of the campaigns.
+    campaigns: Vec<(u32, usize)>,
+    /// `(publisher, revenue)` pairs.
+    revenue: Vec<(u32, u64)>,
+    /// `(publisher, clicks, blocked)` tallies.
+    tallies: Vec<(u32, u64, u64)>,
+}
 
-    fn bytes(&mut self, n: usize) -> Result<&'a [u8], ServeError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or(ServeError::BadCheckpoint("truncated"))?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u16(&mut self) -> Result<u16, ServeError> {
-        let b = self.bytes(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    fn u32(&mut self) -> Result<u32, ServeError> {
-        let b = self.bytes(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, ServeError> {
-        let b = self.bytes(8)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
-    }
-
-    fn len(&mut self) -> Result<usize, ServeError> {
-        usize::try_from(self.u64()?).map_err(|_| ServeError::BadCheckpoint("length overflows"))
-    }
-
-    fn done(&self) -> Result<(), ServeError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(ServeError::BadCheckpoint("trailing bytes"))
+impl CfdgScratch {
+    /// Refills every buffer from `parts`, sorted by key: the order the
+    /// sections are written in, so identical states encode identically.
+    fn sort(&mut self, parts: &BillingParts<'_>) {
+        fn refill<T: Ord>(v: &mut Vec<T>, items: impl Iterator<Item = T>) {
+            v.clear();
+            v.extend(items);
+            v.sort_unstable();
         }
+        let registry = parts.registry;
+        refill(
+            &mut self.advertisers,
+            registry.advertisers().enumerate().map(|(i, a)| (a.id.0, i)),
+        );
+        refill(
+            &mut self.campaigns,
+            registry.campaigns().enumerate().map(|(i, c)| (c.ad.0, i)),
+        );
+        let revenue = parts.ledger.per_publisher_micros.iter();
+        refill(&mut self.revenue, revenue.map(|(&p, &m)| (p, m)));
+        refill(&mut self.tallies, parts.scorer.tallies());
     }
-}
-
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
 }
 
 /// Appends one complete `CFDG` blob to `out` (layout: see
@@ -806,45 +800,40 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
 /// shard blobs a barrier copied out.
 fn encode_cfdg(
     out: &mut Vec<u8>,
-    position: u64,
-    savings_micros: u64,
-    registry: &Registry,
-    ledger: &Ledger,
-    scorer: &FraudScorer,
+    scratch: &mut CfdgScratch,
+    parts: &BillingParts<'_>,
     detector: impl FnOnce(&mut Vec<u8>),
 ) {
+    // Sort before `out` grows by the detector blob: a scratch buffer
+    // first allocated after that growth can sit right behind `out` on
+    // the heap, and `out`'s next growth then copies the whole blob
+    // (~0.3 ms at 4.4 MB, measured with the system allocator).
+    scratch.sort(parts);
     let start = out.len();
-    out.extend_from_slice(CHECKPOINT_MAGIC);
-    put_u16(out, CHECKPOINT_VERSION);
-    put_u64(out, position);
-    put_u64(out, savings_micros);
+    let mut w = Writer::new(out);
+    w.header(CHECKPOINT_MAGIC, CHECKPOINT_VERSION);
+    w.u64(parts.position);
+    w.u64(parts.savings_micros);
+    w.nested(detector);
 
-    let len_at = out.len();
-    put_u64(out, 0);
-    detector(out);
-    let det_len = (out.len() - len_at - 8) as u64;
-    out[len_at..len_at + 8].copy_from_slice(&det_len.to_le_bytes());
-
-    let mut advertisers: Vec<&Advertiser> = registry.advertisers().collect();
-    advertisers.sort_by_key(|a| a.id);
-    put_u64(out, advertisers.len() as u64);
-    for a in advertisers {
-        put_u32(out, a.id.0);
-        put_u64(out, a.name.len() as u64);
-        out.extend_from_slice(a.name.as_bytes());
-        put_u64(out, a.budget_micros);
-        put_u64(out, a.spent_micros);
+    let registry = parts.registry;
+    w.usize(scratch.advertisers.len());
+    for &(_, slot) in &scratch.advertisers {
+        let a = registry.advertiser_in(slot);
+        w.u32(a.id.0);
+        w.bytes(a.name.as_bytes());
+        w.u64(a.budget_micros);
+        w.u64(a.spent_micros);
+    }
+    w.usize(scratch.campaigns.len());
+    for &(_, slot) in &scratch.campaigns {
+        let c = registry.campaign_in(slot);
+        w.u32(c.ad.0);
+        w.u32(c.advertiser.0);
+        w.u64(c.cpc_micros);
     }
 
-    let mut campaigns: Vec<&Campaign> = registry.campaigns().collect();
-    campaigns.sort_by_key(|c| c.ad.0);
-    put_u64(out, campaigns.len() as u64);
-    for c in campaigns {
-        put_u32(out, c.ad.0);
-        put_u32(out, c.advertiser.0);
-        put_u64(out, c.cpc_micros);
-    }
-
+    let ledger = parts.ledger;
     for v in [
         ledger.clicks,
         ledger.charged,
@@ -853,60 +842,132 @@ fn encode_cfdg(
         ledger.unknown_ads,
         ledger.revenue_micros,
     ] {
-        put_u64(out, v);
+        w.u64(v);
     }
-    let mut per_pub: Vec<(u32, u64)> = ledger
-        .per_publisher_micros
-        .iter()
-        .map(|(&p, &m)| (p, m))
-        .collect();
-    per_pub.sort_unstable();
-    put_u64(out, per_pub.len() as u64);
-    for (p, m) in per_pub {
-        put_u32(out, p);
-        put_u64(out, m);
+    w.usize(scratch.revenue.len());
+    for &(p, m) in &scratch.revenue {
+        w.u32(p);
+        w.u64(m);
     }
-
-    let mut tallies: Vec<(u32, u64, u64)> = scorer.tallies().collect();
-    tallies.sort_unstable();
-    put_u64(out, tallies.len() as u64);
-    for (p, clicks, blocked) in tallies {
-        put_u32(out, p);
-        put_u64(out, clicks);
-        put_u64(out, blocked);
+    w.usize(scratch.tallies.len());
+    for &(p, clicks, blocked) in &scratch.tallies {
+        w.u32(p);
+        w.u64(clicks);
+        w.u64(blocked);
     }
 
     let crc = wire::crc32(&out[start..]);
-    put_u32(out, crc);
+    Writer::new(out).u32(crc);
 }
 
-/// Writes `bytes` to `path` so that it survives an OS crash or power
-/// loss, not only a killed process: `path.tmp`, `fsync`, rename over
-/// `path`, `fsync` of the directory. A crash at any point leaves either
-/// the previous file or the new one under `path`. Errors name the
-/// checkpoint path.
-fn write_durably(path: &Path, bytes: &[u8]) -> Result<(), ServeError> {
-    let write = || -> io::Result<()> {
+/// Decodes a `CFDG` body whose CRC has been checked and cut off: the
+/// position, the detector's `CFDS` blob, and the billing state.
+fn decode_cfdg(body: &[u8]) -> Result<(u64, &[u8], SegmentState), CheckpointError> {
+    let mut r = Reader::new(body);
+    r.header(CHECKPOINT_MAGIC, CHECKPOINT_VERSION)?;
+    let position = r.u64()?;
+    let savings_micros = r.u64()?;
+    let detector = r.bytes()?;
+
+    let mut registry = Registry::new();
+    for _ in 0..r.usize()? {
+        let id = AdvertiserId(r.u32()?);
+        let name = std::str::from_utf8(r.bytes()?)
+            .map_err(|_| CheckpointError::Corrupt("advertiser name not UTF-8"))?;
+        let mut a = Advertiser::new(id, name, r.u64()?);
+        a.spent_micros = r.u64()?;
+        registry.add_advertiser(a);
+    }
+    for _ in 0..r.usize()? {
+        let campaign = Campaign {
+            ad: AdId(r.u32()?),
+            advertiser: AdvertiserId(r.u32()?),
+            cpc_micros: r.u64()?,
+        };
+        registry
+            .add_campaign(campaign)
+            .map_err(|_| CheckpointError::Corrupt("campaign references unknown advertiser"))?;
+    }
+
+    let mut ledger = Ledger {
+        clicks: r.u64()?,
+        charged: r.u64()?,
+        duplicates_blocked: r.u64()?,
+        budget_rejections: r.u64()?,
+        unknown_ads: r.u64()?,
+        revenue_micros: r.u64()?,
+        ..Ledger::default()
+    };
+    for _ in 0..r.usize()? {
+        let publisher = r.u32()?;
+        ledger.per_publisher_micros.insert(publisher, r.u64()?);
+    }
+
+    let mut scorer = FraudScorer::new();
+    for _ in 0..r.usize()? {
+        scorer.set_tally(r.u32()?, r.u64()?, r.u64()?);
+    }
+    r.finish()?;
+    let state = SegmentState {
+        registry,
+        ledger,
+        savings_micros,
+        scorer,
+    };
+    Ok((position, detector, state))
+}
+
+/// A damaged `CFDG` section, as [`ServeError::BadCheckpoint`] names it.
+fn damaged(e: CheckpointError) -> ServeError {
+    ServeError::BadCheckpoint(match e {
+        CheckpointError::BadVersion(_) => "unsupported version",
+        CheckpointError::Corrupt(what) => what,
+        _ => "bad magic",
+    })
+}
+
+/// A checkpoint file written so that it survives an OS crash or power
+/// loss, not only a killed process: `PATH.tmp`, `fsync`, rename over
+/// `PATH`, `fsync` of the directory. A crash at any point leaves either
+/// the previous file or the new one under `PATH`. The tmp path is built
+/// once, so a writer that keeps one allocates nothing per write.
+struct DurableFile<'a> {
+    path: &'a Path,
+    tmp: PathBuf,
+}
+
+impl<'a> DurableFile<'a> {
+    fn new(path: &'a Path) -> Self {
         let mut tmp = path.as_os_str().to_owned();
         tmp.push(".tmp");
-        let tmp = PathBuf::from(tmp);
-        let mut file = fs::File::create(&tmp)?;
-        file.write_all(bytes)?;
-        file.sync_all()?;
-        drop(file);
-        fs::rename(&tmp, path)?;
-        let dir = match path.parent() {
-            Some(d) if !d.as_os_str().is_empty() => d,
-            _ => Path::new("."),
+        Self {
+            path,
+            tmp: tmp.into(),
+        }
+    }
+
+    /// Makes `bytes` the content of the file. Errors name the
+    /// checkpoint path.
+    fn write(&self, bytes: &[u8]) -> Result<(), ServeError> {
+        let write = || -> io::Result<()> {
+            let mut file = fs::File::create(&self.tmp)?;
+            file.write_all(bytes)?;
+            file.sync_all()?;
+            drop(file);
+            fs::rename(&self.tmp, self.path)?;
+            let dir = match self.path.parent() {
+                Some(d) if !d.as_os_str().is_empty() => d,
+                _ => Path::new("."),
+            };
+            fs::File::open(dir)?.sync_all()
         };
-        fs::File::open(dir)?.sync_all()
-    };
-    write().map_err(|e| {
-        ServeError::Io(io::Error::new(
-            e.kind(),
-            format!("checkpoint {}: {e}", path.display()),
-        ))
-    })
+        write().map_err(|e| {
+            ServeError::Io(io::Error::new(
+                e.kind(),
+                format!("checkpoint {}: {e}", self.path.display()),
+            ))
+        })
+    }
 }
 
 impl<D> ServerState<D>
@@ -926,15 +987,16 @@ where
     #[must_use]
     pub fn checkpoint_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(4096);
-        encode_cfdg(
-            &mut out,
-            self.position,
-            self.savings_micros,
-            &self.registry,
-            &self.ledger,
-            &self.scorer,
-            |out| self.detector.checkpoint_into(out),
-        );
+        let parts = BillingParts {
+            position: self.position,
+            savings_micros: self.savings_micros,
+            registry: &self.registry,
+            ledger: &self.ledger,
+            scorer: &self.scorer,
+        };
+        encode_cfdg(&mut out, &mut CfdgScratch::default(), &parts, |out| {
+            self.detector.checkpoint_into(out);
+        });
         out
     }
 
@@ -942,88 +1004,23 @@ where
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError`] on a CRC mismatch, structural damage, or
-    /// a detector blob the [`CheckpointState`] impl rejects.
+    /// Returns [`ServeError::BadCheckpoint`] on a CRC mismatch or a
+    /// damaged `CFDG` section, and [`ServeError::Checkpoint`] on a
+    /// detector blob the [`CheckpointState`] impl rejects.
     pub fn restore(buf: &[u8]) -> Result<Self, ServeError> {
-        if buf.len() < 4 + 2 + 4 {
-            return Err(ServeError::BadCheckpoint("too short"));
-        }
-        let (body, crc_bytes) = buf.split_at(buf.len() - 4);
-        let want = u32::from_le_bytes(crc_bytes.try_into().expect("4 bytes"));
-        if wire::crc32(body) != want {
+        let (body, crc) = buf
+            .split_last_chunk()
+            .ok_or(ServeError::BadCheckpoint("too short"))?;
+        if wire::crc32(body) != u32::from_le_bytes(*crc) {
             return Err(ServeError::BadCheckpoint("CRC mismatch"));
         }
-        let mut r = ByteReader::new(body);
-        if r.bytes(4)? != CHECKPOINT_MAGIC {
-            return Err(ServeError::BadCheckpoint("bad magic"));
-        }
-        if r.u16()? != CHECKPOINT_VERSION {
-            return Err(ServeError::BadCheckpoint("unsupported version"));
-        }
-        let position = r.u64()?;
-        let savings_micros = r.u64()?;
-
-        let det_len = r.len()?;
-        let detector = ShardedDetector::<D>::restore(r.bytes(det_len)?)?;
-
-        let mut registry = Registry::new();
-        let advertiser_count = r.len()?;
-        for _ in 0..advertiser_count {
-            let id = AdvertiserId(r.u32()?);
-            let name_len = r.len()?;
-            let name = std::str::from_utf8(r.bytes(name_len)?)
-                .map_err(|_| ServeError::BadCheckpoint("advertiser name not UTF-8"))?
-                .to_owned();
-            let budget_micros = r.u64()?;
-            let spent_micros = r.u64()?;
-            let mut a = Advertiser::new(id, name, budget_micros);
-            a.spent_micros = spent_micros;
-            registry.add_advertiser(a);
-        }
-        let campaign_count = r.len()?;
-        for _ in 0..campaign_count {
-            let campaign = Campaign {
-                ad: AdId(r.u32()?),
-                advertiser: AdvertiserId(r.u32()?),
-                cpc_micros: r.u64()?,
-            };
-            registry
-                .add_campaign(campaign)
-                .map_err(|_| ServeError::BadCheckpoint("campaign references unknown advertiser"))?;
-        }
-
-        let mut ledger = Ledger {
-            clicks: r.u64()?,
-            charged: r.u64()?,
-            duplicates_blocked: r.u64()?,
-            budget_rejections: r.u64()?,
-            unknown_ads: r.u64()?,
-            revenue_micros: r.u64()?,
-            ..Ledger::default()
-        };
-        let per_pub_count = r.len()?;
-        for _ in 0..per_pub_count {
-            let p = r.u32()?;
-            let m = r.u64()?;
-            ledger.per_publisher_micros.insert(p, m);
-        }
-
-        let mut scorer = FraudScorer::new();
-        let tally_count = r.len()?;
-        for _ in 0..tally_count {
-            let p = r.u32()?;
-            let clicks = r.u64()?;
-            let blocked = r.u64()?;
-            scorer.set_tally(p, clicks, blocked);
-        }
-        r.done()?;
-
+        let (position, detector, state) = decode_cfdg(body).map_err(damaged)?;
         Ok(Self {
-            detector,
-            registry,
-            ledger,
-            savings_micros,
-            scorer,
+            detector: ShardedDetector::<D>::restore(detector)?,
+            registry: state.registry,
+            ledger: state.ledger,
+            savings_micros: state.savings_micros,
+            scorer: state.scorer,
             position,
         })
     }
@@ -1038,7 +1035,7 @@ where
     /// Returns [`ServeError::Io`] on filesystem failure.
     pub fn write_checkpoint(&self, path: &Path) -> Result<usize, ServeError> {
         let bytes = self.checkpoint_bytes();
-        write_durably(path, &bytes)?;
+        DurableFile::new(path).write(&bytes)?;
         Ok(bytes.len())
     }
 
@@ -1345,26 +1342,34 @@ fn reserved_snapshot<D: CheckpointState>(detector: &ShardedDetector<D>) -> Snaps
 
 /// Appends the `CFDG` of a barrier snapshot taken at `position`: the
 /// bytes [`ServerState::checkpoint_bytes`] gives for the same state.
-fn encode_snapshot(snap: &Snapshot, position: u64, router_seed: u64, out: &mut Vec<u8>) {
-    encode_cfdg(
-        out,
+fn encode_snapshot(
+    snap: &Snapshot,
+    position: u64,
+    router_seed: u64,
+    scratch: &mut CfdgScratch,
+    out: &mut Vec<u8>,
+) {
+    let parts = BillingParts {
         position,
-        snap.savings_micros,
-        &snap.registry,
-        &snap.ledger,
-        &snap.scorer,
-        |out| {
-            sharded_checkpoint_into(out, router_seed, snap.shards.len(), |i, out| {
-                out.extend_from_slice(&snap.shards[i]);
-            });
-        },
-    );
+        savings_micros: snap.savings_micros,
+        registry: &snap.registry,
+        ledger: &snap.ledger,
+        scorer: &snap.scorer,
+    };
+    encode_cfdg(out, scratch, &parts, |out| {
+        sharded_checkpoint_into(out, router_seed, snap.shards.len(), |i, out| {
+            out.extend_from_slice(&snap.shards[i]);
+        });
+    });
 }
 
 /// The checkpoint writer thread: builds a `CFDG` from each snapshot
 /// billing hands over, makes it durable, and returns the buffers for the
-/// next barrier. On a write error it closes `free`, which stops the
-/// ingest at its next barrier. Returns the position of the last durable
+/// next barrier. The `CFDG` buffer travels with the snapshot, and the
+/// sort scratch and tmp path stay here, so a barrier checkpoint
+/// allocates nothing once the tables stop growing. When it ends — on a
+/// write error or a panic too — it closes `free`, which stops the ingest
+/// at its next barrier. Returns the position of the last durable
 /// checkpoint, if any.
 fn write_snapshots(
     full: &Handoff<Snapshot>,
@@ -1374,16 +1379,16 @@ fn write_snapshots(
     router_seed: u64,
     t: Option<&ServeTelemetry>,
 ) -> Result<Option<u64>, ServeError> {
+    let _close = CloseOnDrop(free);
+    let file = DurableFile::new(path);
+    let mut scratch = CfdgScratch::default();
     let mut durable = None;
     while let Some(mut snap) = full.take(|| false) {
         let position = start + snap.clicks;
         let mut cfdg = std::mem::take(&mut snap.cfdg);
         cfdg.clear();
-        encode_snapshot(&snap, position, router_seed, &mut cfdg);
-        if let Err(e) = write_durably(path, &cfdg) {
-            free.close();
-            return Err(e);
-        }
+        encode_snapshot(&snap, position, router_seed, &mut scratch, &mut cfdg);
+        file.write(&cfdg)?;
         if let Some(t) = t {
             t.checkpoints.inc();
             t.checkpoint_bytes.add(cfdg.len() as u64);
@@ -1406,6 +1411,24 @@ impl Drop for CloseOnDrop<'_> {
     }
 }
 
+/// Stops the intake when dropped: requests a drain, then empties the
+/// hub until every producer has detached. The serve scope holds one, so
+/// however its closure ends — returned, failed, or unwinding from a
+/// panic — the acceptor and the readers exit (a reader blocked on a full
+/// hub is freed by the emptying), and the scope's join of them returns
+/// instead of waiting for a drain nobody will request.
+struct StopIntakeOnDrop<'a> {
+    control: &'a DrainControl,
+    hub: &'a Hub,
+}
+
+impl Drop for StopIntakeOnDrop<'_> {
+    fn drop(&mut self) {
+        self.control.request_drain();
+        while self.hub.recv().is_some() {}
+    }
+}
+
 /// Runs the gateway until drained: accept connections (or tail a
 /// file), pump clicks through one pipeline run, checkpoint every
 /// `checkpoint_every` clicks as a barrier snapshot and at drain (unless
@@ -1421,9 +1444,14 @@ impl Drop for CloseOnDrop<'_> {
 /// checkpoint cannot be written. Connection-level errors never abort
 /// the serve — they end that connection and are counted.
 ///
+/// When it returns or unwinds, a drain has been requested on `control`.
+///
 /// # Panics
 ///
-/// Panics if a pipeline stage or the checkpoint writer panics.
+/// Panics if a pipeline stage or the checkpoint writer panics, or if
+/// `instruments.pipeline` was sized for another shard count than the
+/// detector's. The panic reaches the caller once the gateway's own
+/// threads have stopped.
 pub fn serve<D>(
     state: ServerState<D>,
     endpoint: &Endpoint,
@@ -1478,6 +1506,7 @@ where
         let intake_guard = hub.producer();
         let hub_ref = &hub;
         let pool_ref = &pool;
+        let _stop = StopIntakeOnDrop { control, hub: &hub };
         match (listener, endpoint) {
             (Some(l), _) => {
                 s.spawn(move || {
@@ -1539,20 +1568,12 @@ where
             t.position.set(gauge(position));
             t.hub_full_waits.add(hub.full_waits());
         }
-        let durable = match writer.map(|w| w.join().expect("checkpoint writer panicked")) {
-            Some(Err(e)) => {
-                // Losing the checkpoint target is fatal, but the
-                // readers must detach before we can return, or
-                // thread::scope would wait on them forever.
-                control.request_drain();
-                while let Some(b) = hub.recv() {
-                    pool.put(b);
-                }
-                return Err(e);
-            }
-            Some(Ok(durable)) => durable,
-            None => None,
-        };
+        // Losing the checkpoint target is fatal; `_stop` detaches the
+        // readers on the way out.
+        let durable = writer
+            .map(|w| w.join().expect("checkpoint writer panicked"))
+            .transpose()?
+            .flatten();
         let report = out.report();
         let state = ServerState {
             detector: out.detector,
@@ -2208,6 +2229,106 @@ mod tests {
         assert_eq!(body_crc(&gbf), (0x61d2_893b, 262_813), "Gbf CFDG");
     }
 
+    /// The CFDG decoder never panics. Over seeded 2-shard TBF and GBF
+    /// states (advertisers, campaigns, per-publisher revenue and fraud
+    /// tallies; a few KB each), every truncation of the body fails, and
+    /// every single-bit flip restores or fails: inside the detector blob
+    /// as `ServeError::Checkpoint`, elsewhere as
+    /// `ServeError::BadCheckpoint` (either at the blob's length prefix).
+    /// The CRC is recomputed after each mutation, so the damage reaches
+    /// the decoder instead of stopping at the CRC.
+    #[test]
+    fn cfdg_decoder_never_panics_on_truncations_or_bit_flips() {
+        fn sweep<D>(name: &str, state: &ServerState<D>)
+        where
+            ShardedDetector<D>: CheckpointState,
+        {
+            let bytes = state.checkpoint_bytes();
+            assert!(bytes.len() < 8 << 10, "{name}: {} bytes", bytes.len());
+            let body = &bytes[..bytes.len() - 4];
+            let sealed = |body: &[u8]| {
+                let mut b = body.to_vec();
+                b.extend_from_slice(&wire::crc32(body).to_le_bytes());
+                b
+            };
+            // magic 4 · version 2 · position 8 · savings 8, then the
+            // detector blob's length prefix and the blob.
+            let prefix = 22..30;
+            let len = u64::from_le_bytes(body[prefix.clone()].try_into().expect("8 bytes"));
+            let blob = 30..30 + usize::try_from(len).expect("blob length");
+            for cut in 0..body.len() {
+                assert!(
+                    ServerState::<D>::restore(&sealed(&body[..cut])).is_err(),
+                    "{name}: truncation at {cut} restored"
+                );
+            }
+            let mut flipped = body.to_vec();
+            for bit in 0..body.len() * 8 {
+                let at = bit / 8;
+                flipped[at] ^= 1 << (bit % 8);
+                match ServerState::<D>::restore(&sealed(&flipped)) {
+                    Ok(_) => {}
+                    Err(ServeError::Checkpoint(_))
+                        if blob.contains(&at) || prefix.contains(&at) => {}
+                    Err(ServeError::BadCheckpoint(_)) if !blob.contains(&at) => {}
+                    Err(e) => panic!("{name}: flipping bit {bit} failed as {e}"),
+                }
+                flipped[at] ^= 1 << (bit % 8);
+            }
+        }
+        let small_tbf = ShardedDetector::from_fn(9, 2, |_| {
+            Tbf::new(TbfConfig::builder(64).entries(256).build().expect("cfg"))
+        })
+        .expect("detector");
+        sweep("tbf", &seeded_state(small_tbf));
+        let small_gbf = ShardedDetector::from_fn(9, 2, |_| {
+            cfd_core::Gbf::new(
+                cfd_core::GbfConfig::builder(64, 4)
+                    .filter_bits(128)
+                    .build()
+                    .expect("cfg"),
+            )
+        })
+        .expect("detector");
+        sweep("gbf", &seeded_state(small_gbf));
+    }
+
+    /// A panic inside `serve()` reaches the caller at once: here the
+    /// pipeline's telemetry bundle is sized for 3 shards and the
+    /// detector has 2, so the pipeline asserts before any click. The
+    /// acceptor would otherwise keep the serve scope open until a drain
+    /// nobody requests.
+    #[test]
+    fn a_panic_inside_serve_unwinds_promptly() {
+        let dir = std::env::temp_dir().join(format!("cfd-serve-panic-{}", std::process::id()));
+        fs::create_dir_all(&dir).expect("mkdir");
+        let endpoint = Endpoint::Unix(dir.join("s.sock"));
+        let config = ServeConfig {
+            checkpoint_path: Some(dir.join("s.cfdg")),
+            checkpoint_every: 100,
+            ..ServeConfig::default()
+        };
+        let metrics = Arc::new(MetricsRegistry::new());
+        let instruments = ServeInstruments {
+            pipeline: Some(Arc::new(PipelineTelemetry::new(&metrics, 3))),
+            ..ServeInstruments::default()
+        };
+        let (done, finished) = std::sync::mpsc::channel();
+        thread::spawn(move || {
+            let control = DrainControl::new();
+            let state = ServerState::new(tbf_sharded(2), Registry::new());
+            let run = std::panic::AssertUnwindSafe(|| {
+                serve(state, &endpoint, &config, &control, &instruments)
+            });
+            let _ = done.send(std::panic::catch_unwind(run).is_err());
+        });
+        let unwound = finished
+            .recv_timeout(Duration::from_secs(10))
+            .expect("serve() still running 10 s after its pipeline panicked");
+        assert!(unwound, "serve() returned instead of panicking");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
     /// A source over `clicks` that answers a barrier after every
     /// `every` clicks and reports idle on every 97th pull, so some
     /// barriers land right after partial flushes.
@@ -2258,7 +2379,8 @@ mod tests {
                 let mut cfdgs = Vec::new();
                 while let Some(snap) = full.take(|| false) {
                     let mut cfdg = Vec::new();
-                    encode_snapshot(&snap, snap.clicks, router_seed, &mut cfdg);
+                    let scratch = &mut CfdgScratch::default();
+                    encode_snapshot(&snap, snap.clicks, router_seed, scratch, &mut cfdg);
                     cfdgs.push(cfdg);
                     free.put(snap);
                 }

@@ -1,13 +1,15 @@
-//! Multi-client soak for `cfd serve`: zero steady-state allocations
-//! and telemetry-visible backpressure instead of drops.
+//! Multi-client soak for `cfd serve`: zero steady-state allocations,
+//! barrier checkpoints included, and telemetry-visible backpressure
+//! instead of drops.
 //!
 //! Three clients stream framed clicks into one gateway over a Unix
 //! socket. A counting [`GlobalAlloc`] wrapper tallies every allocation
 //! in the process; after a warm-up span is fully billed the counter is
 //! snapshotted, a measured span streams through all three connections,
 //! and the delta is asserted to be **exactly zero** allocations — the
-//! socket readers, frame decoder, hub, buffer pool, and ring pipeline
-//! all reuse memory acquired during warm-up.
+//! socket readers, frame decoder, hub, buffer pool, ring pipeline,
+//! barrier snapshots and checkpoint writer (CFDG encode, tmp file,
+//! `fsync`, rename) all reuse memory acquired during warm-up.
 //!
 //! The hub is deliberately sized at one batch so the producers outrun
 //! the pipeline: the soak asserts `serve.hub.full_waits > 0` (readers
@@ -95,6 +97,11 @@ const FRAME_CLICKS: usize = 64;
 const SHARDS: usize = 4;
 const PUBLISHERS: usize = 8;
 const ADS: usize = 64;
+/// Clicks between barrier checkpoints: four barriers land in the
+/// warm-up span (the first after the key sweep, so the first CFDG
+/// encode already sees every table at full size) and four in the
+/// measured span.
+const CHECKPOINT_EVERY: u64 = 1_500;
 
 /// One click for every (publisher, ad) pair, prepended to the warm-up
 /// span so every publisher-keyed billing/scorer map reaches its final
@@ -203,6 +210,8 @@ fn multi_client_soak_is_zero_alloc_with_backpressure() {
     };
 
     let sock = std::env::temp_dir().join(format!("cfd-serve-soak-{}.sock", std::process::id()));
+    let checkpoint =
+        std::env::temp_dir().join(format!("cfd-serve-soak-{}.cfdg", std::process::id()));
     let endpoint = Endpoint::Unix(sock.clone());
     let control = DrainControl::new();
     let metrics = Arc::new(MetricsRegistry::new());
@@ -214,8 +223,8 @@ fn multi_client_soak_is_zero_alloc_with_backpressure() {
     };
     let config = ServeConfig {
         pipeline: PipelineConfig { batch: 1, queue: 8 },
-        checkpoint_path: None,
-        checkpoint_every: 0,
+        checkpoint_path: Some(checkpoint.clone()),
+        checkpoint_every: CHECKPOINT_EVERY,
         // One-batch hub: three eager producers against a per-click
         // consumer guarantees blocked sends — visible backpressure.
         hub_batches: 1,
@@ -294,6 +303,18 @@ fn multi_client_soak_is_zero_alloc_with_backpressure() {
         full_waits > 0,
         "three eager producers against a one-batch hub must block at least once"
     );
+
+    // Barrier checkpoints were written all along. One checkpoint is in
+    // flight at a time, so the ingest passed the barrier at 12,000 only
+    // once the one at 10,500 was durable: the writes at 7,500, 9,000 and
+    // 10,500 began and ended inside the measured span. The drain adds
+    // one more at the final position.
+    let barriers = total / CHECKPOINT_EVERY;
+    assert!(warm_total < 7_500 && total >= 12_000, "span bounds moved");
+    assert_eq!(snap.get_counter("serve.checkpoints"), Some(barriers + 1));
+    let restored = ServerState::<Tbf>::read_checkpoint(&checkpoint).expect("drain checkpoint");
+    assert_eq!(restored.position, total);
+    let _ = std::fs::remove_file(&checkpoint);
 
     let calls = end_calls.load(Ordering::Relaxed) - start_calls.load(Ordering::Relaxed);
     let bytes = end_bytes.load(Ordering::Relaxed) - start_bytes.load(Ordering::Relaxed);

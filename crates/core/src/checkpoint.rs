@@ -1,10 +1,11 @@
-//! Detector state checkpointing.
+//! Detector state checkpointing, and the one little-endian codec every
+//! checkpoint format of the workspace is written with.
 //!
 //! A billing gateway cannot afford to forget its detection window on
 //! restart: every in-window duplicate would be re-charged. This module
-//! serializes the complete state of the count-based detectors to a
-//! versioned binary format and restores them bit-for-bit, so a restored
-//! detector continues the stream with *identical* verdicts.
+//! serializes the complete state of every detector to a versioned
+//! binary format and restores it bit-for-bit, so a restored detector
+//! continues the stream with *identical* verdicts.
 //!
 //! Format (all integers little-endian):
 //!
@@ -18,15 +19,25 @@
 //! detector carries its high-water unit, so the first post-restart tick
 //! expires exactly what a quiet gap of the same wall-clock length would
 //! have — duplicates spanning the restart are still caught.
+//!
+//! [`CheckpointState`] is the checkpoint API: every detector implements
+//! it, and [`ShardedDetector`] and `Box<dyn DetectorBackend>` implement
+//! it over theirs. [`Writer`] and [`Reader`] are the codec: `CFDS` is
+//! built on them here, and the gateway's `CFDG` file (`cfd_adnet::serve`)
+//! on the same pair, with its own magic and version through
+//! [`Writer::header`] / [`Reader::header`] and its detector blob nested
+//! through [`Writer::nested`].
+//!
+//! [`DetectorBackend`]: crate::DetectorBackend
 
 use crate::apbf::{Apbf, ApbfConfig, ApbfState};
 use crate::arena::{ArenaConfig, ArenaState, TenantArena};
 use crate::config::{GbfConfig, GbfLayout, ProbeLayout, TbfConfig};
-use crate::gbf::Gbf;
+use crate::gbf::{Gbf, GbfState};
 use crate::gbf_time::{TimeGbf, TimeGbfConfig, TimeGbfState};
 use crate::sharded::ShardedDetector;
 use crate::swbf::{Swbf, SwbfConfig, SwbfState};
-use crate::tbf::Tbf;
+use crate::tbf::{Tbf, TbfState};
 use crate::tbf_jumping::{JumpingTbf, JumpingTbfConfig, JumpingTbfState};
 use crate::tbf_time::{TimeTbf, TimeTbfConfig, TimeTbfState};
 use std::fmt;
@@ -47,14 +58,7 @@ pub(crate) const KIND_ARENA: u8 = 9;
 /// and version — the registry's dispatch key for backend-agnostic
 /// restores.
 pub(crate) fn peek_kind(buf: &[u8]) -> Result<u8, CheckpointError> {
-    if buf.len() < 7 || &buf[..4] != MAGIC {
-        return Err(CheckpointError::BadMagic);
-    }
-    let version = u16::from_le_bytes([buf[4], buf[5]]);
-    if version != VERSION {
-        return Err(CheckpointError::BadVersion(version));
-    }
-    Ok(buf[6])
+    Reader::new(buf).kind()
 }
 
 /// Upper bound on the shard count accepted when restoring a sharded
@@ -120,25 +124,50 @@ impl fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
-/// A minimal little-endian writer appending to a caller-owned buffer.
-struct Writer<'a>(&'a mut Vec<u8>);
+/// A little-endian writer appending to a caller-owned buffer: the
+/// encoder of every checkpoint format. It allocates only to grow that
+/// buffer, so a caller that recycles it encodes allocation-free.
+pub struct Writer<'a>(&'a mut Vec<u8>);
 
 impl<'a> Writer<'a> {
+    /// A writer appending to `out` after the bytes already in it.
+    pub fn new(out: &'a mut Vec<u8>) -> Self {
+        Self(out)
+    }
     /// Appends the `CFDS` header for `kind` to `out`.
     fn open(out: &'a mut Vec<u8>, kind: u8) -> Self {
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
-        out.push(kind);
-        Self(out)
+        let mut w = Self::new(out);
+        w.header(MAGIC, VERSION);
+        w.u8(kind);
+        w
+    }
+    /// A format header: `magic`, then `version`.
+    pub fn header(&mut self, magic: &[u8; 4], version: u16) {
+        self.0.extend_from_slice(magic);
+        self.u16(version);
     }
     fn u8(&mut self, v: u8) {
         self.0.push(v);
     }
-    fn u64(&mut self, v: u64) {
+    fn u16(&mut self, v: u16) {
         self.0.extend_from_slice(&v.to_le_bytes());
     }
-    fn usize(&mut self, v: usize) {
+    /// A `u32`.
+    pub fn u32(&mut self, v: u32) {
+        self.0.extend_from_slice(&v.to_le_bytes());
+    }
+    /// A `u64`.
+    pub fn u64(&mut self, v: u64) {
+        self.0.extend_from_slice(&v.to_le_bytes());
+    }
+    /// A size or count, as a `u64`.
+    pub fn usize(&mut self, v: usize) {
         self.u64(v as u64);
+    }
+    /// A length-prefixed byte string.
+    pub fn bytes(&mut self, b: &[u8]) {
+        self.usize(b.len());
+        self.0.extend_from_slice(b);
     }
     /// Length prefix, then the words in one bulk copy: a single
     /// reservation and a loop the compiler turns into a memcpy on
@@ -152,8 +181,9 @@ impl<'a> Writer<'a> {
         }
     }
     /// A length-prefixed nested blob that `body` appends in place; the
-    /// prefix is patched afterwards, so the blob is never staged.
-    fn nested(&mut self, body: impl FnOnce(&mut Vec<u8>)) {
+    /// prefix is patched afterwards, so the blob is never staged. Reads
+    /// back with [`Reader::bytes`].
+    pub fn nested(&mut self, body: impl FnOnce(&mut Vec<u8>)) {
         let at = self.0.len();
         self.u64(0);
         body(self.0);
@@ -169,44 +199,74 @@ impl<'a> Writer<'a> {
     }
 }
 
-/// A minimal little-endian reader.
-struct Reader<'a>(&'a [u8]);
+/// A little-endian reader over a borrowed buffer, mirroring [`Writer`].
+///
+/// Every read fails with [`CheckpointError::Corrupt`] when the bytes run
+/// out, so no input makes it panic, and a length prefix is checked
+/// against the bytes left before anything is sized by it.
+pub struct Reader<'a>(&'a [u8]);
 
 impl<'a> Reader<'a> {
+    /// A reader at the start of `buf`.
+    #[must_use]
+    pub fn new(buf: &'a [u8]) -> Self {
+        Self(buf)
+    }
+    /// Reads a `CFDS` header and checks its kind byte.
     fn open(buf: &'a [u8], expected_kind: u8) -> Result<Self, CheckpointError> {
-        if buf.len() < 7 || &buf[..4] != MAGIC {
-            return Err(CheckpointError::BadMagic);
-        }
-        let version = u16::from_le_bytes([buf[4], buf[5]]);
-        if version != VERSION {
-            return Err(CheckpointError::BadVersion(version));
-        }
-        let kind = buf[6];
+        let mut r = Self::new(buf);
+        let kind = r.kind()?;
         if kind != expected_kind {
             return Err(CheckpointError::WrongKind {
                 found: kind,
                 expected: expected_kind,
             });
         }
-        Ok(Self(&buf[7..]))
+        Ok(r)
     }
-    fn u8(&mut self) -> Result<u8, CheckpointError> {
-        let (&b, rest) = self
+    /// Reads a `CFDS` header: magic and version, then the kind byte.
+    fn kind(&mut self) -> Result<u8, CheckpointError> {
+        self.header(MAGIC, VERSION)?;
+        self.u8().map_err(|_| CheckpointError::BadMagic)
+    }
+    /// Reads a [`Writer::header`]: [`CheckpointError::BadMagic`] when
+    /// the buffer is short or opens with another magic,
+    /// [`CheckpointError::BadVersion`] when the version differs.
+    pub fn header(&mut self, magic: &[u8; 4], version: u16) -> Result<(), CheckpointError> {
+        let Some(rest) = self.0.strip_prefix(magic) else {
+            return Err(CheckpointError::BadMagic);
+        };
+        self.0 = rest;
+        match self.u16() {
+            Ok(v) if v == version => Ok(()),
+            Ok(v) => Err(CheckpointError::BadVersion(v)),
+            Err(_) => Err(CheckpointError::BadMagic),
+        }
+    }
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], CheckpointError> {
+        let (head, rest) = self
             .0
-            .split_first()
+            .split_first_chunk()
             .ok_or(CheckpointError::Corrupt("unexpected end of buffer"))?;
         self.0 = rest;
-        Ok(b)
+        Ok(*head)
     }
-    fn u64(&mut self) -> Result<u64, CheckpointError> {
-        if self.0.len() < 8 {
-            return Err(CheckpointError::Corrupt("unexpected end of buffer"));
-        }
-        let (head, rest) = self.0.split_at(8);
-        self.0 = rest;
-        Ok(u64::from_le_bytes(head.try_into().expect("8 bytes")))
+    fn u8(&mut self) -> Result<u8, CheckpointError> {
+        self.array().map(u8::from_le_bytes)
     }
-    fn usize(&mut self) -> Result<usize, CheckpointError> {
+    fn u16(&mut self) -> Result<u16, CheckpointError> {
+        self.array().map(u16::from_le_bytes)
+    }
+    /// A `u32`.
+    pub fn u32(&mut self) -> Result<u32, CheckpointError> {
+        self.array().map(u32::from_le_bytes)
+    }
+    /// A `u64`.
+    pub fn u64(&mut self) -> Result<u64, CheckpointError> {
+        self.array().map(u64::from_le_bytes)
+    }
+    /// A [`Writer::usize`]; fails too when it does not fit a `usize`.
+    pub fn usize(&mut self) -> Result<usize, CheckpointError> {
         usize::try_from(self.u64()?).map_err(|_| CheckpointError::Corrupt("size overflow"))
     }
     fn words(&mut self) -> Result<Vec<u64>, CheckpointError> {
@@ -221,7 +281,8 @@ impl<'a> Reader<'a> {
             .map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")))
             .collect())
     }
-    fn bytes(&mut self) -> Result<&'a [u8], CheckpointError> {
+    /// A [`Writer::bytes`] or [`Writer::nested`] blob, borrowed.
+    pub fn bytes(&mut self) -> Result<&'a [u8], CheckpointError> {
         let len = self.usize()?;
         if len > self.0.len() {
             return Err(CheckpointError::Corrupt("byte count beyond buffer"));
@@ -239,7 +300,8 @@ impl<'a> Reader<'a> {
             _ => Err(CheckpointError::Corrupt("bad option flag")),
         }
     }
-    fn finish(self) -> Result<(), CheckpointError> {
+    /// Ends the read; trailing bytes are [`CheckpointError::Corrupt`].
+    pub fn finish(self) -> Result<(), CheckpointError> {
         if self.0.is_empty() {
             Ok(())
         } else {
@@ -248,19 +310,55 @@ impl<'a> Reader<'a> {
     }
 }
 
-impl Tbf {
+/// Detectors whose complete state round-trips through the `CFDS` binary
+/// format — the one checkpoint API of the crate.
+///
+/// Implemented by every detector of this crate and generically by
+/// [`ShardedDetector`] over any checkpointable shard type, so a sharded
+/// gateway restarts with identical future verdicts just like a
+/// single-detector one.
+///
+/// There is one encoder per type, [`CheckpointState::checkpoint_into`];
+/// [`CheckpointState::checkpoint`] is a wrapper over it, so both produce
+/// the same bytes.
+pub trait CheckpointState: Sized {
+    /// Appends the complete detector state to `out`, leaving the bytes
+    /// already in it untouched. Table words are copied in bulk, and a
+    /// caller that recycles `out` pays no allocation once it has grown
+    /// to the checkpoint's size.
+    fn checkpoint_into(&self, out: &mut Vec<u8>);
+
     /// Serializes the complete detector state.
     #[must_use]
-    pub fn checkpoint(&self) -> Vec<u8> {
-        CheckpointState::checkpoint(self)
+    fn checkpoint(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.checkpoint_into(&mut out);
+        out
     }
 
-    /// Restores a detector from a [`Tbf::checkpoint`] buffer.
+    /// Restores a detector from a [`CheckpointState::checkpoint`] buffer.
     ///
     /// # Errors
     ///
     /// Returns [`CheckpointError`] on malformed input.
-    pub fn restore(buf: &[u8]) -> Result<Self, CheckpointError> {
+    fn restore(buf: &[u8]) -> Result<Self, CheckpointError>;
+}
+
+impl CheckpointState for Tbf {
+    fn checkpoint_into(&self, out: &mut Vec<u8>) {
+        let (cfg, state) = self.checkpoint_parts();
+        let mut w = Writer::open(out, KIND_TBF);
+        w.usize(cfg.n);
+        w.usize(cfg.m);
+        w.usize(cfg.k);
+        w.usize(cfg.c);
+        w.u64(cfg.seed);
+        w.u8(probe_tag(cfg.probe));
+        w.u64(state.now);
+        w.usize(state.clean_next);
+        w.words(&state.entry_words);
+    }
+    fn restore(buf: &[u8]) -> Result<Self, CheckpointError> {
         let mut r = Reader::open(buf, KIND_TBF)?;
         let cfg = TbfConfig {
             n: r.usize()?,
@@ -270,88 +368,97 @@ impl Tbf {
             seed: r.u64()?,
             probe: probe_from_tag(r.u8()?)?,
         };
-        let now = r.u64()?;
-        let clean_next = r.usize()?;
-        let entry_words = r.words()?;
+        let state = TbfState {
+            now: r.u64()?,
+            clean_next: r.usize()?,
+            entry_words: r.words()?.into(),
+        };
         r.finish()?;
-        Self::from_checkpoint_parts(cfg, now, clean_next, entry_words)
+        Self::from_checkpoint_parts(cfg, state)
             .ok_or(CheckpointError::Corrupt("inconsistent TBF state"))
     }
 }
 
-impl Gbf {
-    /// Serializes the complete detector state.
-    #[must_use]
-    pub fn checkpoint(&self) -> Vec<u8> {
-        CheckpointState::checkpoint(self)
+impl CheckpointState for Gbf {
+    fn checkpoint_into(&self, out: &mut Vec<u8>) {
+        let (cfg, state) = self.checkpoint_parts();
+        let mut w = Writer::open(out, KIND_GBF);
+        w.usize(cfg.n);
+        w.usize(cfg.q);
+        w.usize(cfg.m);
+        w.usize(cfg.k);
+        w.u64(cfg.seed);
+        w.u8(match cfg.layout {
+            GbfLayout::Padded => 0,
+            GbfLayout::Tight => 1,
+        });
+        w.u8(probe_tag(cfg.probe));
+        w.usize(state.slot);
+        w.usize(state.filled);
+        w.u64(state.completed);
+        w.u64(state.spare.map_or(u64::MAX, |s| s as u64));
+        w.usize(state.clean_next);
+        w.words(&state.active_mask);
+        w.words(&state.matrix_words);
     }
-
-    /// Restores a detector from a [`Gbf::checkpoint`] buffer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CheckpointError`] on malformed input.
-    pub fn restore(buf: &[u8]) -> Result<Self, CheckpointError> {
+    fn restore(buf: &[u8]) -> Result<Self, CheckpointError> {
         let mut r = Reader::open(buf, KIND_GBF)?;
-        let n = r.usize()?;
-        let q = r.usize()?;
-        let m = r.usize()?;
-        let k = r.usize()?;
-        let seed = r.u64()?;
-        let layout = match r.u8()? {
-            0 => GbfLayout::Padded,
-            1 => GbfLayout::Tight,
-            _ => return Err(CheckpointError::Corrupt("unknown layout tag")),
-        };
-        let probe = probe_from_tag(r.u8()?)?;
         let cfg = GbfConfig {
-            n,
-            q,
-            m,
-            k,
-            seed,
-            layout,
-            probe,
+            n: r.usize()?,
+            q: r.usize()?,
+            m: r.usize()?,
+            k: r.usize()?,
+            seed: r.u64()?,
+            layout: match r.u8()? {
+                0 => GbfLayout::Padded,
+                1 => GbfLayout::Tight,
+                _ => return Err(CheckpointError::Corrupt("unknown layout tag")),
+            },
+            probe: probe_from_tag(r.u8()?)?,
         };
-        let slot = r.usize()?;
-        let filled = r.usize()?;
-        let completed = r.u64()?;
-        let spare = match r.u64()? {
-            u64::MAX => None,
-            s => Some(usize::try_from(s).map_err(|_| CheckpointError::Corrupt("spare"))?),
+        let state = GbfState {
+            slot: r.usize()?,
+            filled: r.usize()?,
+            completed: r.u64()?,
+            spare: spare_from(r.u64()?)?,
+            clean_next: r.usize()?,
+            active_mask: r.words()?.into(),
+            matrix_words: r.words()?.into(),
         };
-        let clean_next = r.usize()?;
-        let active_mask = r.words()?;
-        let matrix_words = r.words()?;
         r.finish()?;
-        Self::from_checkpoint_parts(
-            cfg,
-            slot,
-            filled,
-            completed,
-            spare,
-            clean_next,
-            active_mask,
-            matrix_words,
-        )
-        .ok_or(CheckpointError::Corrupt("inconsistent GBF state"))
+        Self::from_checkpoint_parts(cfg, state)
+            .ok_or(CheckpointError::Corrupt("inconsistent GBF state"))
     }
 }
 
-impl TimeTbf {
-    /// Serializes the complete detector state, including the high-water
-    /// unit (so a restart expires state like a quiet gap, not a reset).
-    #[must_use]
-    pub fn checkpoint(&self) -> Vec<u8> {
-        CheckpointState::checkpoint(self)
+/// The spare lane of a GBF-family checkpoint: `u64::MAX` means none.
+fn spare_from(raw: u64) -> Result<Option<usize>, CheckpointError> {
+    match raw {
+        u64::MAX => Ok(None),
+        s => usize::try_from(s)
+            .map(Some)
+            .map_err(|_| CheckpointError::Corrupt("spare")),
     }
+}
 
-    /// Restores a detector from a [`TimeTbf::checkpoint`] buffer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CheckpointError`] on malformed input.
-    pub fn restore(buf: &[u8]) -> Result<Self, CheckpointError> {
+impl CheckpointState for TimeTbf {
+    /// Includes the high-water unit, so a restart expires state like a
+    /// quiet gap, not a reset.
+    fn checkpoint_into(&self, out: &mut Vec<u8>) {
+        let (cfg, state) = self.checkpoint_parts();
+        let mut w = Writer::open(out, KIND_TIME_TBF);
+        w.u64(cfg.window_units);
+        w.u64(cfg.unit_ticks);
+        w.usize(cfg.m);
+        w.usize(cfg.k);
+        w.u64(cfg.c_units);
+        w.u64(cfg.seed);
+        w.u8(probe_tag(cfg.probe));
+        w.opt_u64(state.cur_unit);
+        w.usize(state.clean_next);
+        w.words(&state.entry_words);
+    }
+    fn restore(buf: &[u8]) -> Result<Self, CheckpointError> {
         let mut r = Reader::open(buf, KIND_TIME_TBF)?;
         let cfg = TimeTbfConfig {
             window_units: r.u64()?,
@@ -373,20 +480,28 @@ impl TimeTbf {
     }
 }
 
-impl TimeGbf {
-    /// Serializes the complete detector state, including the rotation
-    /// phase and the in-flight spare-lane wipe cursor.
-    #[must_use]
-    pub fn checkpoint(&self) -> Vec<u8> {
-        CheckpointState::checkpoint(self)
+impl CheckpointState for TimeGbf {
+    /// Includes the rotation phase and the in-flight spare-lane wipe
+    /// cursor.
+    fn checkpoint_into(&self, out: &mut Vec<u8>) {
+        let (cfg, state) = self.checkpoint_parts();
+        let mut w = Writer::open(out, KIND_TIME_GBF);
+        w.usize(cfg.q);
+        w.u64(cfg.sub_units);
+        w.u64(cfg.unit_ticks);
+        w.usize(cfg.m);
+        w.usize(cfg.k);
+        w.u64(cfg.seed);
+        w.u8(probe_tag(cfg.probe));
+        w.opt_u64(state.cur_unit);
+        w.usize(state.slot);
+        w.u64(state.completed);
+        w.u64(state.spare.map_or(u64::MAX, |s| s as u64));
+        w.usize(state.clean_next);
+        w.words(&state.mask_words);
+        w.words(&state.matrix_words);
     }
-
-    /// Restores a detector from a [`TimeGbf::checkpoint`] buffer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CheckpointError`] on malformed input.
-    pub fn restore(buf: &[u8]) -> Result<Self, CheckpointError> {
+    fn restore(buf: &[u8]) -> Result<Self, CheckpointError> {
         let mut r = Reader::open(buf, KIND_TIME_GBF)?;
         let cfg = TimeGbfConfig {
             q: r.usize()?,
@@ -397,18 +512,11 @@ impl TimeGbf {
             seed: r.u64()?,
             probe: probe_from_tag(r.u8()?)?,
         };
-        let cur_unit = r.opt_u64()?;
-        let slot = r.usize()?;
-        let completed = r.u64()?;
-        let spare = match r.u64()? {
-            u64::MAX => None,
-            s => Some(usize::try_from(s).map_err(|_| CheckpointError::Corrupt("spare"))?),
-        };
         let state = TimeGbfState {
-            cur_unit,
-            slot,
-            completed,
-            spare,
+            cur_unit: r.opt_u64()?,
+            slot: r.usize()?,
+            completed: r.u64()?,
+            spare: spare_from(r.u64()?)?,
             clean_next: r.usize()?,
             mask_words: r.words()?.into(),
             matrix_words: r.words()?.into(),
@@ -419,20 +527,71 @@ impl TimeGbf {
     }
 }
 
-impl Apbf {
-    /// Serializes the complete detector state, including the rotation
-    /// phase and the in-flight spare-slice wipe cursor.
-    #[must_use]
-    pub fn checkpoint(&self) -> Vec<u8> {
-        CheckpointState::checkpoint(self)
+impl CheckpointState for JumpingTbf {
+    /// Includes the sub-window clock position and sweep cursor.
+    fn checkpoint_into(&self, out: &mut Vec<u8>) {
+        let (cfg, state) = self.checkpoint_parts();
+        let mut w = Writer::open(out, KIND_JUMPING_TBF);
+        w.usize(cfg.n);
+        w.usize(cfg.q);
+        w.usize(cfg.m);
+        w.usize(cfg.k);
+        w.usize(cfg.c_q);
+        w.u64(cfg.seed);
+        w.u8(probe_tag(cfg.probe));
+        w.u64(state.sub_now);
+        w.usize(state.slot);
+        w.usize(state.filled);
+        w.u64(state.completed_subwindows);
+        w.usize(state.clean_next);
+        w.words(&state.entry_words);
     }
+    fn restore(buf: &[u8]) -> Result<Self, CheckpointError> {
+        let mut r = Reader::open(buf, KIND_JUMPING_TBF)?;
+        let cfg = JumpingTbfConfig {
+            n: r.usize()?,
+            q: r.usize()?,
+            m: r.usize()?,
+            k: r.usize()?,
+            c_q: r.usize()?,
+            seed: r.u64()?,
+            probe: probe_from_tag(r.u8()?)?,
+        };
+        let state = JumpingTbfState {
+            sub_now: r.u64()?,
+            slot: r.usize()?,
+            filled: r.usize()?,
+            completed_subwindows: r.u64()?,
+            clean_next: r.usize()?,
+            entry_words: r.words()?.into(),
+        };
+        r.finish()?;
+        Self::from_checkpoint_parts(cfg, state)
+            .ok_or(CheckpointError::Corrupt("inconsistent jumping-TBF state"))
+    }
+}
 
-    /// Restores a detector from an [`Apbf::checkpoint`] buffer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CheckpointError`] on malformed input.
-    pub fn restore(buf: &[u8]) -> Result<Self, CheckpointError> {
+impl CheckpointState for Apbf {
+    /// Includes the rotation phase and the in-flight spare-slice wipe
+    /// cursor.
+    fn checkpoint_into(&self, out: &mut Vec<u8>) {
+        let (cfg, state) = self.checkpoint_parts();
+        let mut w = Writer::open(out, KIND_APBF);
+        w.usize(cfg.n);
+        w.usize(cfg.k);
+        w.usize(cfg.l);
+        w.usize(cfg.total_bits);
+        w.u64(cfg.seed);
+        w.u8(probe_tag(cfg.probe));
+        w.usize(state.base);
+        w.usize(state.in_gen);
+        w.u8(u8::from(state.wipe.is_some()));
+        let (slice, cursor) = state.wipe.unwrap_or((0, 0));
+        w.usize(slice);
+        w.usize(cursor);
+        w.words(&state.bit_words);
+    }
+    fn restore(buf: &[u8]) -> Result<Self, CheckpointError> {
         let mut r = Reader::open(buf, KIND_APBF)?;
         let cfg = ApbfConfig {
             n: r.usize()?,
@@ -464,20 +623,26 @@ impl Apbf {
     }
 }
 
-impl Swbf {
-    /// Serializes the complete detector state, including both sweep
-    /// cursors and the side-filter liveness bookkeeping.
-    #[must_use]
-    pub fn checkpoint(&self) -> Vec<u8> {
-        CheckpointState::checkpoint(self)
+impl CheckpointState for Swbf {
+    /// Includes both sweep cursors and the side-filter liveness
+    /// bookkeeping.
+    fn checkpoint_into(&self, out: &mut Vec<u8>) {
+        let (cfg, state) = self.checkpoint_parts();
+        let mut w = Writer::open(out, KIND_SWBF);
+        w.usize(cfg.n);
+        w.usize(cfg.total_bits);
+        w.u64(u64::from(cfg.fingerprint_bits));
+        w.u64(cfg.seed);
+        w.u8(probe_tag(cfg.probe));
+        w.u64(state.now);
+        w.u64(state.arrivals);
+        w.opt_u64(state.last_side_insert);
+        w.usize(state.clean_next);
+        w.usize(state.side_clean_next);
+        w.words(&state.cell_words);
+        w.words(&state.side_words);
     }
-
-    /// Restores a detector from a [`Swbf::checkpoint`] buffer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CheckpointError`] on malformed input.
-    pub fn restore(buf: &[u8]) -> Result<Self, CheckpointError> {
+    fn restore(buf: &[u8]) -> Result<Self, CheckpointError> {
         let mut r = Reader::open(buf, KIND_SWBF)?;
         let cfg = SwbfConfig {
             n: r.usize()?,
@@ -502,284 +667,11 @@ impl Swbf {
     }
 }
 
-/// Detectors whose complete state round-trips through the `CFDS` binary
-/// format.
-///
-/// Implemented by every detector of this crate and generically by
-/// [`ShardedDetector`] over any checkpointable shard type, so a sharded
-/// gateway restarts with identical future verdicts just like a
-/// single-detector one.
-///
-/// There is one encoder per type, [`CheckpointState::checkpoint_into`];
-/// [`CheckpointState::checkpoint`] is a wrapper over it, so both produce
-/// the same bytes.
-pub trait CheckpointState: Sized {
-    /// Appends the complete detector state to `out`, leaving the bytes
-    /// already in it untouched. Table words are copied in bulk, and a
-    /// caller that recycles `out` pays no allocation once it has grown
-    /// to the checkpoint's size.
-    fn checkpoint_into(&self, out: &mut Vec<u8>);
-
-    /// Serializes the complete detector state.
-    fn checkpoint(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.checkpoint_into(&mut out);
-        out
-    }
-
-    /// Restores a detector from a [`CheckpointState::checkpoint`] buffer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CheckpointError`] on malformed input.
-    fn restore(buf: &[u8]) -> Result<Self, CheckpointError>;
-}
-
-impl CheckpointState for Tbf {
-    fn checkpoint_into(&self, out: &mut Vec<u8>) {
-        let (cfg, state) = self.checkpoint_parts();
-        let mut w = Writer::open(out, KIND_TBF);
-        w.usize(cfg.n);
-        w.usize(cfg.m);
-        w.usize(cfg.k);
-        w.usize(cfg.c);
-        w.u64(cfg.seed);
-        w.u8(probe_tag(cfg.probe));
-        w.u64(state.now);
-        w.usize(state.clean_next);
-        w.words(&state.entry_words);
-    }
-    fn restore(buf: &[u8]) -> Result<Self, CheckpointError> {
-        Tbf::restore(buf)
-    }
-}
-
-impl CheckpointState for Gbf {
-    fn checkpoint_into(&self, out: &mut Vec<u8>) {
-        let (cfg, state) = self.checkpoint_parts();
-        let mut w = Writer::open(out, KIND_GBF);
-        w.usize(cfg.n);
-        w.usize(cfg.q);
-        w.usize(cfg.m);
-        w.usize(cfg.k);
-        w.u64(cfg.seed);
-        w.u8(match cfg.layout {
-            GbfLayout::Padded => 0,
-            GbfLayout::Tight => 1,
-        });
-        w.u8(probe_tag(cfg.probe));
-        w.usize(state.slot);
-        w.usize(state.filled);
-        w.u64(state.completed);
-        w.u64(state.spare.map_or(u64::MAX, |s| s as u64));
-        w.usize(state.clean_next);
-        w.words(&state.active_mask);
-        w.words(&state.matrix_words);
-    }
-    fn restore(buf: &[u8]) -> Result<Self, CheckpointError> {
-        Gbf::restore(buf)
-    }
-}
-
-impl CheckpointState for TimeTbf {
-    fn checkpoint_into(&self, out: &mut Vec<u8>) {
-        let (cfg, state) = self.checkpoint_parts();
-        let mut w = Writer::open(out, KIND_TIME_TBF);
-        w.u64(cfg.window_units);
-        w.u64(cfg.unit_ticks);
-        w.usize(cfg.m);
-        w.usize(cfg.k);
-        w.u64(cfg.c_units);
-        w.u64(cfg.seed);
-        w.u8(probe_tag(cfg.probe));
-        w.opt_u64(state.cur_unit);
-        w.usize(state.clean_next);
-        w.words(&state.entry_words);
-    }
-    fn restore(buf: &[u8]) -> Result<Self, CheckpointError> {
-        TimeTbf::restore(buf)
-    }
-}
-
-impl CheckpointState for TimeGbf {
-    fn checkpoint_into(&self, out: &mut Vec<u8>) {
-        let (cfg, state) = self.checkpoint_parts();
-        let mut w = Writer::open(out, KIND_TIME_GBF);
-        w.usize(cfg.q);
-        w.u64(cfg.sub_units);
-        w.u64(cfg.unit_ticks);
-        w.usize(cfg.m);
-        w.usize(cfg.k);
-        w.u64(cfg.seed);
-        w.u8(probe_tag(cfg.probe));
-        w.opt_u64(state.cur_unit);
-        w.usize(state.slot);
-        w.u64(state.completed);
-        w.u64(state.spare.map_or(u64::MAX, |s| s as u64));
-        w.usize(state.clean_next);
-        w.words(&state.mask_words);
-        w.words(&state.matrix_words);
-    }
-    fn restore(buf: &[u8]) -> Result<Self, CheckpointError> {
-        TimeGbf::restore(buf)
-    }
-}
-
-impl JumpingTbf {
-    /// Serializes the complete detector state, including the sub-window
-    /// clock position and sweep cursor.
-    #[must_use]
-    pub fn checkpoint(&self) -> Vec<u8> {
-        CheckpointState::checkpoint(self)
-    }
-
-    /// Restores a detector from a [`JumpingTbf::checkpoint`] buffer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CheckpointError`] on malformed input.
-    pub fn restore(buf: &[u8]) -> Result<Self, CheckpointError> {
-        let mut r = Reader::open(buf, KIND_JUMPING_TBF)?;
-        let cfg = JumpingTbfConfig {
-            n: r.usize()?,
-            q: r.usize()?,
-            m: r.usize()?,
-            k: r.usize()?,
-            c_q: r.usize()?,
-            seed: r.u64()?,
-            probe: probe_from_tag(r.u8()?)?,
-        };
-        let state = JumpingTbfState {
-            sub_now: r.u64()?,
-            slot: r.usize()?,
-            filled: r.usize()?,
-            completed_subwindows: r.u64()?,
-            clean_next: r.usize()?,
-            entry_words: r.words()?.into(),
-        };
-        r.finish()?;
-        Self::from_checkpoint_parts(cfg, state)
-            .ok_or(CheckpointError::Corrupt("inconsistent jumping-TBF state"))
-    }
-}
-
-impl CheckpointState for JumpingTbf {
-    fn checkpoint_into(&self, out: &mut Vec<u8>) {
-        let (cfg, state) = self.checkpoint_parts();
-        let mut w = Writer::open(out, KIND_JUMPING_TBF);
-        w.usize(cfg.n);
-        w.usize(cfg.q);
-        w.usize(cfg.m);
-        w.usize(cfg.k);
-        w.usize(cfg.c_q);
-        w.u64(cfg.seed);
-        w.u8(probe_tag(cfg.probe));
-        w.u64(state.sub_now);
-        w.usize(state.slot);
-        w.usize(state.filled);
-        w.u64(state.completed_subwindows);
-        w.usize(state.clean_next);
-        w.words(&state.entry_words);
-    }
-    fn restore(buf: &[u8]) -> Result<Self, CheckpointError> {
-        JumpingTbf::restore(buf)
-    }
-}
-
-impl CheckpointState for Apbf {
-    fn checkpoint_into(&self, out: &mut Vec<u8>) {
-        let (cfg, state) = self.checkpoint_parts();
-        let mut w = Writer::open(out, KIND_APBF);
-        w.usize(cfg.n);
-        w.usize(cfg.k);
-        w.usize(cfg.l);
-        w.usize(cfg.total_bits);
-        w.u64(cfg.seed);
-        w.u8(probe_tag(cfg.probe));
-        w.usize(state.base);
-        w.usize(state.in_gen);
-        w.u8(u8::from(state.wipe.is_some()));
-        let (slice, cursor) = state.wipe.unwrap_or((0, 0));
-        w.usize(slice);
-        w.usize(cursor);
-        w.words(&state.bit_words);
-    }
-    fn restore(buf: &[u8]) -> Result<Self, CheckpointError> {
-        Apbf::restore(buf)
-    }
-}
-
-impl CheckpointState for Swbf {
-    fn checkpoint_into(&self, out: &mut Vec<u8>) {
-        let (cfg, state) = self.checkpoint_parts();
-        let mut w = Writer::open(out, KIND_SWBF);
-        w.usize(cfg.n);
-        w.usize(cfg.total_bits);
-        w.u64(u64::from(cfg.fingerprint_bits));
-        w.u64(cfg.seed);
-        w.u8(probe_tag(cfg.probe));
-        w.u64(state.now);
-        w.u64(state.arrivals);
-        w.opt_u64(state.last_side_insert);
-        w.usize(state.clean_next);
-        w.usize(state.side_clean_next);
-        w.words(&state.cell_words);
-        w.words(&state.side_words);
-    }
-    fn restore(buf: &[u8]) -> Result<Self, CheckpointError> {
-        Swbf::restore(buf)
-    }
-}
-
-impl TenantArena {
-    /// Serializes the whole arena: shared tenant geometry, global decay
-    /// clock, every live tenant's meta, the free-slot stack, and the
-    /// slab words. The prefix→slot map is *not* serialized — restore
-    /// re-derives it from the metas.
-    #[must_use]
-    pub fn checkpoint(&self) -> Vec<u8> {
-        CheckpointState::checkpoint(self)
-    }
-
-    /// Restores an arena from a [`TenantArena::checkpoint`] buffer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CheckpointError`] on malformed input.
-    pub fn restore(buf: &[u8]) -> Result<Self, CheckpointError> {
-        let mut r = Reader::open(buf, KIND_ARENA)?;
-        let mut cfg = ArenaConfig::new(r.usize()?, r.usize()?, r.usize()?, r.u64()?)
-            .with_initial_slots(r.usize()?);
-        cfg.idle_eviction = r.opt_u64()?;
-        cfg.probe = probe_from_tag(r.u8()?)?;
-        let arrivals = r.u64()?;
-        let scan_cursor = r.u64()?;
-        let evictions = r.u64()?;
-        let slots = r.u64()?;
-        let mut metas = Vec::new();
-        for _ in 0..slots {
-            metas.push(match r.u8()? {
-                0 => None,
-                1 => Some((r.u64()?, r.u64()?, r.u64()?, r.u64()?)),
-                _ => return Err(CheckpointError::Corrupt("bad tenant liveness flag")),
-            });
-        }
-        let state = ArenaState {
-            arrivals,
-            scan_cursor,
-            evictions,
-            slots,
-            metas,
-            free: r.words()?,
-            words: r.words()?.into(),
-        };
-        r.finish()?;
-        Self::from_checkpoint_parts(cfg, state)
-            .ok_or(CheckpointError::Corrupt("inconsistent arena state"))
-    }
-}
-
 impl CheckpointState for TenantArena {
+    /// The whole arena: shared tenant geometry, global decay clock,
+    /// every live tenant's meta, the free-slot stack, and the slab
+    /// words. The prefix→slot map is *not* serialized — restore
+    /// re-derives it from the metas.
     fn checkpoint_into(&self, out: &mut Vec<u8>) {
         let (cfg, state) = self.checkpoint_parts();
         let mut w = Writer::open(out, KIND_ARENA);
@@ -810,7 +702,35 @@ impl CheckpointState for TenantArena {
         w.words(&state.words);
     }
     fn restore(buf: &[u8]) -> Result<Self, CheckpointError> {
-        TenantArena::restore(buf)
+        let mut r = Reader::open(buf, KIND_ARENA)?;
+        let mut cfg = ArenaConfig::new(r.usize()?, r.usize()?, r.usize()?, r.u64()?)
+            .with_initial_slots(r.usize()?);
+        cfg.idle_eviction = r.opt_u64()?;
+        cfg.probe = probe_from_tag(r.u8()?)?;
+        let arrivals = r.u64()?;
+        let scan_cursor = r.u64()?;
+        let evictions = r.u64()?;
+        let slots = r.u64()?;
+        let mut metas = Vec::new();
+        for _ in 0..slots {
+            metas.push(match r.u8()? {
+                0 => None,
+                1 => Some((r.u64()?, r.u64()?, r.u64()?, r.u64()?)),
+                _ => return Err(CheckpointError::Corrupt("bad tenant liveness flag")),
+            });
+        }
+        let state = ArenaState {
+            arrivals,
+            scan_cursor,
+            evictions,
+            slots,
+            metas,
+            free: r.words()?,
+            words: r.words()?.into(),
+        };
+        r.finish()?;
+        Self::from_checkpoint_parts(cfg, state)
+            .ok_or(CheckpointError::Corrupt("inconsistent arena state"))
     }
 }
 
@@ -845,7 +765,6 @@ impl<D: CheckpointState> CheckpointState for ShardedDetector<D> {
             shards[i].checkpoint_into(out);
         });
     }
-
     fn restore(buf: &[u8]) -> Result<Self, CheckpointError> {
         let mut r = Reader::open(buf, KIND_SHARDED)?;
         let router_seed = r.u64()?;

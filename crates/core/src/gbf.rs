@@ -244,17 +244,7 @@ impl Gbf {
     }
 
     /// Rebuilds a detector from checkpoint parts; `None` if inconsistent.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_checkpoint_parts(
-        cfg: GbfConfig,
-        slot: usize,
-        filled: usize,
-        completed: u64,
-        spare: Option<usize>,
-        clean_next: usize,
-        active_mask: Vec<u64>,
-        matrix_words: Vec<u64>,
-    ) -> Option<Self> {
+    pub(crate) fn from_checkpoint_parts(cfg: GbfConfig, state: GbfState<'_>) -> Option<Self> {
         // Size-check against the provided payload BEFORE allocating: a
         // corrupt header could otherwise request an absurd matrix.
         let lanes = cfg.q.checked_add(1)?;
@@ -268,34 +258,35 @@ impl Gbf {
             }
         };
         let expected_mask_words = lanes.div_ceil(64);
-        if matrix_words.len() != expected_words
-            || active_mask.len() != expected_mask_words
-            || clean_next > cfg.m
+        if state.matrix_words.len() != expected_words
+            || state.active_mask.len() != expected_mask_words
+            || state.clean_next > cfg.m
         {
             return None;
         }
-        let mut d = Self::new(cfg).ok()?;
-        d.clock =
-            cfd_windows::JumpingClock::from_parts(cfg.q, cfg.sub_len(), slot, filled, completed)?;
-        if let Some(s) = spare {
-            if s > cfg.q {
-                return None;
-            }
+        if state.spare.is_some_and(|s| s > cfg.q) {
+            return None;
         }
-        d.active_mask = active_mask;
-        d.spare = spare;
-        d.clean_next = clean_next;
-        d.matrix =
-            match cfg.layout {
-                GbfLayout::Padded => GroupMatrix::Padded(
-                    cfd_bits::InterleavedBitMatrix::from_words(matrix_words, cfg.m, cfg.q + 1)?,
-                ),
-                GbfLayout::Tight => GroupMatrix::Tight(cfd_bits::TightBitMatrix::from_words(
-                    matrix_words,
-                    cfg.m,
-                    cfg.q + 1,
-                )?),
-            };
+        let mut d = Self::new(cfg).ok()?;
+        d.clock = cfd_windows::JumpingClock::from_parts(
+            cfg.q,
+            cfg.sub_len(),
+            state.slot,
+            state.filled,
+            state.completed,
+        )?;
+        d.active_mask = state.active_mask.into_owned();
+        d.spare = state.spare;
+        d.clean_next = state.clean_next;
+        let words = state.matrix_words.into_owned();
+        d.matrix = match cfg.layout {
+            GbfLayout::Padded => {
+                GroupMatrix::Padded(InterleavedBitMatrix::from_words(words, cfg.m, lanes)?)
+            }
+            GbfLayout::Tight => {
+                GroupMatrix::Tight(TightBitMatrix::from_words(words, cfg.m, lanes)?)
+            }
+        };
         Some(d)
     }
 

@@ -67,14 +67,6 @@ pub trait DetectorBackend: PlannedDetector + DetectorStats + Send {
     /// Appends the complete state in the tagged `CFDS` framing to `out`
     /// (object-safe form of [`CheckpointState::checkpoint_into`]).
     fn checkpoint_into(&self, out: &mut Vec<u8>);
-
-    /// Serializes the complete state in the tagged `CFDS` framing
-    /// (object-safe form of [`CheckpointState::checkpoint`]).
-    fn checkpoint_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.checkpoint_into(&mut out);
-        out
-    }
 }
 
 impl<T: PlannedDetector + DetectorStats + CheckpointState + Send> DetectorBackend for T {
@@ -711,7 +703,7 @@ mod tests {
             for i in 0..2_000u64 {
                 original.observe(&(i % 300).to_le_bytes());
             }
-            let buf = original.checkpoint_bytes();
+            let buf = original.checkpoint();
             let mut restored = restore_any(&buf).expect(entry.name);
             assert_eq!(restored.name(), original.name(), "{}", entry.name);
             for i in 2_000..5_000u64 {
@@ -730,14 +722,14 @@ mod tests {
     fn unknown_kind_tag_is_a_typed_error_not_a_panic() {
         // Forge a valid header whose kind no registered backend claims
         // (a checkpoint from some future binary).
-        let mut buf = build("tbf", &geo()).expect("tbf").checkpoint_bytes();
+        let mut buf = build("tbf", &geo()).expect("tbf").checkpoint();
         buf[6] = 0xEF;
         assert_eq!(
             restore_any(&buf).err(),
             Some(CheckpointError::UnknownBackend { found: 0xEF })
         );
         // Mismatched (known, but different) tags stay typed too.
-        let swbf_buf = build("swbf", &geo()).expect("swbf").checkpoint_bytes();
+        let swbf_buf = build("swbf", &geo()).expect("swbf").checkpoint();
         assert!(matches!(
             find("apbf").expect("entry").restore(&swbf_buf),
             Err(CheckpointError::WrongKind { found: 7, .. })

@@ -194,23 +194,19 @@ impl Tbf {
     }
 
     /// Rebuilds a detector from checkpoint parts; `None` if inconsistent.
-    pub(crate) fn from_checkpoint_parts(
-        cfg: TbfConfig,
-        now: u64,
-        clean_next: usize,
-        entry_words: Vec<u64>,
-    ) -> Option<Self> {
+    pub(crate) fn from_checkpoint_parts(cfg: TbfConfig, state: TbfState<'_>) -> Option<Self> {
         // Size-check against the provided payload BEFORE allocating: a
         // corrupt header could otherwise request an absurd table.
         let expected_words = cfg.m.checked_mul(cfg.entry_bits() as usize)?.div_ceil(64);
-        if entry_words.len() != expected_words || clean_next >= cfg.m {
+        if state.entry_words.len() != expected_words || state.clean_next >= cfg.m {
             return None;
         }
         let geo = Self::validate(&cfg).ok()?;
-        let entries = PackedIntVec::from_words(entry_words, cfg.m, cfg.entry_bits())?;
+        let entries =
+            PackedIntVec::from_words(state.entry_words.into_owned(), cfg.m, cfg.entry_bits())?;
         let mut d = Self::with_entries(cfg, geo, entries);
-        d.wrap = WrapCounter::from_parts(cfg.range(), now)?;
-        d.clean_next = clean_next;
+        d.wrap = WrapCounter::from_parts(cfg.range(), state.now)?;
+        d.clean_next = state.clean_next;
         Some(d)
     }
 

@@ -9,7 +9,7 @@
 //! reproduce the same digest.
 
 use cfd_core::simd::set_scalar_override;
-use cfd_core::{OpCounters, Tbf, TbfConfig};
+use cfd_core::{CheckpointState, OpCounters, Tbf, TbfConfig};
 use cfd_hash::ProbePlan;
 use cfd_windows::Verdict;
 

@@ -626,6 +626,9 @@ fn cmd_serve(opts: &Opts) -> Result<(), Failure> {
         let detector = build_sharded(&spec, shards, |geo| build_backend(&algo, geo))?;
         ServerState::new(detector, fixed_registry(ads))
     };
+    // A resumed detector keeps the checkpoint's shard count, whatever
+    // `--shards` says; telemetry and the summary follow the detector.
+    let shards = state.detector.shard_count();
 
     let (metrics_on, interval, format) = parse_metrics(opts)?;
     let metrics = Arc::new(TelemetryRegistry::new());

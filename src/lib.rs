@@ -60,7 +60,8 @@ pub use cfd_windows as windows;
 pub mod prelude {
     pub use cfd_adnet::{AdNetwork, Advertiser, AdvertiserId, Campaign, PipelineTelemetry};
     pub use cfd_core::{
-        Gbf, GbfConfig, GbfLayout, JumpingTbf, OpCounters, Tbf, TbfConfig, TimeGbf, TimeTbf,
+        CheckpointState, Gbf, GbfConfig, GbfLayout, JumpingTbf, OpCounters, Tbf, TbfConfig,
+        TimeGbf, TimeTbf,
     };
     pub use cfd_stream::{
         AdId, BotnetConfig, BotnetStream, Click, ClickId, DuplicateInjector, PublisherId,

@@ -20,7 +20,7 @@
 //!    only through one-sided false positives, so both layouts stay
 //!    zero-FN (property 1 covers each) and their verdict streams agree
 //!    on all but a small FP-explainable fraction.
-//! 4. **Checkpoint round-trip**: `checkpoint_bytes` →
+//! 4. **Checkpoint round-trip**: `checkpoint` →
 //!    [`cfd_core::registry::restore_any`] (and the entry's own
 //!    `restore`) resumes a detector that continues verdict-for-verdict
 //!    identically to the original.
@@ -33,7 +33,7 @@ mod common;
 
 use cfd_core::config::ProbeLayout;
 use cfd_core::registry::{self, BackendGeometry, MemorySpec};
-use cfd_core::{ArenaConfig, TenantArena};
+use cfd_core::{ArenaConfig, CheckpointState, TenantArena};
 use cfd_stream::{
     BotnetConfig, BotnetStream, DuplicateInjector, TenantTraffic, TenantTrafficConfig,
     UniqueClickStream, TENANT_KEY_LEN,
@@ -375,7 +375,7 @@ proptest! {
                 for (t, k) in (0u64..).zip(prefix) {
                     original.observe_at(k, t);
                 }
-                let buf = original.checkpoint_bytes();
+                let buf = original.checkpoint();
                 let mut restored = registry::restore_any(&buf)
                     .expect("checkpoint restores through the registry");
                 let mut via_entry = entry.restore(&buf).expect("entry restore");

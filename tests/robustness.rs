@@ -3,7 +3,7 @@
 //! parameters. (A billing system parses traces and checkpoints from
 //! disk/network; "malformed input" must be an `Err`, not a crash.)
 
-use cfd_core::{Gbf, GbfConfig, Tbf, TbfConfig};
+use cfd_core::{CheckpointState, Gbf, GbfConfig, Tbf, TbfConfig};
 use cfd_stream::read_trace;
 use proptest::prelude::*;
 
