@@ -33,8 +33,8 @@ cargo test -q --workspace
 echo "==> workspace tests again, SIMD kernels forced scalar (CFD_FORCE_SCALAR=1)"
 CFD_FORCE_SCALAR=1 cargo test -q --workspace
 
-echo "==> bit and detector kernels in release (no overflow checks; wrapping and u128 shift paths)"
-cargo test -q --release -p cfd-bits -p cfd-core
+echo "==> bit, detector and wire kernels in release (no overflow checks; wrapping and u128 shift paths; the folded frame CRC)"
+cargo test -q --release -p cfd-bits -p cfd-core -p cfd-stream
 
 echo "==> telemetry tests"
 cargo test -q -p cfd-telemetry

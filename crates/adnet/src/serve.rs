@@ -2293,6 +2293,49 @@ mod tests {
         sweep("gbf", &seeded_state(small_gbf));
     }
 
+    /// The file CRC catches single-bit damage anywhere in a multi-MB
+    /// checkpoint, with the CRC left as written: every bit of the first
+    /// and last 256 bytes (the CRC trailer among them) and every bit of
+    /// the two bytes on either side of seeded 64-byte fold-block
+    /// boundaries.
+    #[test]
+    fn single_bit_damage_to_a_large_checkpoint_is_a_crc_mismatch() {
+        let big_tbf = ShardedDetector::from_fn(9, 2, |_| {
+            Tbf::new(
+                TbfConfig::builder(1 << 10)
+                    .entries(1 << 20)
+                    .build()
+                    .expect("cfg"),
+            )
+        })
+        .expect("detector");
+        let mut bytes = seeded_state(big_tbf).checkpoint_bytes();
+        let len = bytes.len();
+        assert!(len > 2 << 20, "checkpoint is {len} bytes");
+        let mut bits: Vec<usize> = (0..256 * 8).chain((len - 256) * 8..len * 8).collect();
+        let mut seed = 0x00C0_FFEE_u64;
+        for _ in 0..16 {
+            seed = seed
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let boundary = 64 * (1 + (seed >> 33) as usize % (len / 64 - 1));
+            bits.extend((boundary - 1) * 8..(boundary + 1) * 8);
+        }
+        for bit in bits {
+            bytes[bit / 8] ^= 1 << (bit % 8);
+            match ServerState::<Tbf>::restore(&bytes) {
+                Err(ServeError::BadCheckpoint("CRC mismatch")) => {}
+                Ok(_) => panic!("flipping bit {bit} of {len} bytes restored"),
+                Err(e) => panic!("flipping bit {bit} of {len} bytes failed as {e}"),
+            }
+            bytes[bit / 8] ^= 1 << (bit % 8);
+        }
+        assert!(
+            ServerState::<Tbf>::restore(&bytes).is_ok(),
+            "undamaged file"
+        );
+    }
+
     /// A panic inside `serve()` reaches the caller at once: here the
     /// pipeline's telemetry bundle is sized for 3 shards and the
     /// detector has 2, so the pipeline asserts before any click. The

@@ -13,6 +13,8 @@
 //! * [`counters::PackedCounterVec`] — saturating `b`-bit counters (the
 //!   counting Bloom filter baseline of Metwally et al. \[21\]).
 //! * [`words`] — shared word-math helpers.
+//! * [`simd::crc32`] — the IEEE CRC-32 that guards every CFDW frame and
+//!   CFDG checkpoint (carry-less-multiply fold or slice-by-16).
 //!
 //! All structures are safe Rust, fixed-capacity after construction, and
 //! expose explicit word-operation accounting hooks so the benchmark
@@ -20,9 +22,9 @@
 //! and 2) in *memory operations*, not just wall-clock time. `unsafe` is
 //! confined to two places: the architectural cache-prefetch hint in
 //! [`words::prefetch`] (no architectural effect beyond cache state,
-//! cannot fault) and the runtime-dispatched AVX2 kernels in [`simd`],
-//! where every intrinsic call sits behind runtime feature detection and
-//! a bounds check, each documented by a `SAFETY` comment.
+//! cannot fault) and the runtime-dispatched AVX2 and CRC kernels in
+//! [`simd`], where every call into them sits behind runtime feature
+//! detection and a bounds check, each documented by a `SAFETY` comment.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

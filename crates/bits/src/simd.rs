@@ -1,4 +1,5 @@
-//! Runtime-dispatched SIMD kernels for the probe/apply hot path.
+//! Runtime-dispatched SIMD kernels for the probe/apply hot path, and
+//! the IEEE CRC-32 of the CFDW/CFDG formats ([`crc32`]).
 //!
 //! Every kernel here has two implementations: an AVX2 body (gathers,
 //! wide 64-bit compares reduced to lane masks via `movemask`) and a
@@ -17,11 +18,18 @@
 //! process so benches and differential tests can compare both paths
 //! side by side.
 //!
+//! [`crc32`] follows the same rule with its own features: a
+//! carry-less-multiply fold (`PCLMULQDQ`) when `pclmulqdq` and `sse4.1`
+//! are detected and the scalar override is off, slice-by-16 otherwise.
+//! Both compute the same CRC, so the choice never changes a byte on
+//! disk or on the wire.
+//!
 //! This module is the **only** place in `cfd-bits` where the crate's
 //! `#![deny(unsafe_code)]` is relaxed beyond the `words::prefetch`
-//! hint: each `unsafe` block wraps an AVX2 intrinsic call whose
-//! preconditions (CPU support, in-bounds pointers) are discharged right
-//! above it and documented in a `SAFETY` comment.
+//! hint: each `unsafe` block wraps an AVX2 intrinsic call, or the call
+//! into the CRC fold, whose preconditions (CPU support, in-bounds
+//! pointers) are discharged right above it and documented in a `SAFETY`
+//! comment.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
@@ -295,6 +303,237 @@ pub fn and_words(acc: &mut [u64], src: &[u64]) {
     }
 }
 
+/// IEEE CRC-32 lookup tables for slicing-by-16 (reflected, polynomial
+/// `0xEDB88320`), built at compile time. `CRC_TABLES[0]` is the classic
+/// bytewise table; `CRC_TABLES[k][n]` is the CRC of byte `n` followed
+/// by `k` zero bytes, so sixteen lookups fold sixteen input bytes at
+/// once.
+const CRC_TABLES: [[u32; 256]; 16] = {
+    let mut tables = [[0u32; 256]; 16];
+    let mut n = 0;
+    while n < 256 {
+        let mut c = n as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            k += 1;
+        }
+        tables[0][n] = c;
+        n += 1;
+    }
+    let mut n = 0;
+    while n < 256 {
+        let mut k = 1;
+        while k < 16 {
+            let prev = tables[k - 1][n];
+            tables[k][n] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            k += 1;
+        }
+        n += 1;
+    }
+    tables
+};
+
+/// Shortest input the carry-less-multiply fold takes: one 64-byte
+/// block to start from and at least one more to fold in. Shorter
+/// inputs (HELLO, DRAIN and small CLICKS frames) go through the tables.
+const CRC_FOLD_MIN: usize = 128;
+
+/// IEEE CRC-32 (the zlib/PNG CRC: reflected polynomial `0xEDB88320`,
+/// init and xor-out all ones) of `data` — the integrity check of every
+/// CFDW frame and CFDG checkpoint.
+///
+/// Inputs of at least 128 bytes fold 4×128 bits per step with
+/// `PCLMULQDQ` when `pclmulqdq` and `sse4.1` are detected and
+/// [`force_scalar`] is off; everything else, and the last `len % 16`
+/// bytes of a folded input, goes through slice-by-16. Both paths
+/// compute the same function, so the dispatch never changes a byte.
+#[must_use]
+pub fn crc32(data: &[u8]) -> u32 {
+    crc32_dispatch(data, !force_scalar())
+}
+
+/// [`crc32`] with the fold allowed or not, independent of the global
+/// override (so the differential test reaches the fold however other
+/// tests set it).
+#[allow(unsafe_code)] // dispatch into the carry-less-multiply fold below
+fn crc32_dispatch(data: &[u8], fold: bool) -> u32 {
+    if fold && data.len() >= CRC_FOLD_MIN && clmul_available() {
+        #[cfg(target_arch = "x86_64")]
+        {
+            let (body, tail) = data.split_at(data.len() & !15);
+            // SAFETY: `clmul_available()` detected `pclmulqdq` and
+            // `sse4.1` at runtime on this very call, the only target
+            // features `clmul::fold` enables; it reads `body` through
+            // safe slice indexing only.
+            let state = unsafe { clmul::fold(!0, body) };
+            return !crc32_sliced(state, tail);
+        }
+    }
+    !crc32_sliced(!0, data)
+}
+
+/// Runtime CPU support for the carry-less-multiply CRC fold.
+fn clmul_available() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::arch::is_x86_feature_detected!("pclmulqdq")
+            && std::arch::is_x86_feature_detected!("sse4.1")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// Slicing-by-16 update of a raw CRC register (no init, no xor-out):
+/// each step folds sixteen bytes through sixteen independent table
+/// lookups; the tail of fewer than sixteen bytes goes bytewise.
+fn crc32_sliced(mut c: u32, data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut blocks = data.chunks_exact(16);
+    for b in &mut blocks {
+        let b: &[u8; 16] = b.try_into().expect("16-byte block");
+        let w0 = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        let w1 = u32::from_le_bytes([b[4], b[5], b[6], b[7]]);
+        let w2 = u32::from_le_bytes([b[8], b[9], b[10], b[11]]);
+        let w3 = u32::from_le_bytes([b[12], b[13], b[14], b[15]]);
+        c = t[15][(w0 & 0xFF) as usize]
+            ^ t[14][((w0 >> 8) & 0xFF) as usize]
+            ^ t[13][((w0 >> 16) & 0xFF) as usize]
+            ^ t[12][(w0 >> 24) as usize]
+            ^ t[11][(w1 & 0xFF) as usize]
+            ^ t[10][((w1 >> 8) & 0xFF) as usize]
+            ^ t[9][((w1 >> 16) & 0xFF) as usize]
+            ^ t[8][(w1 >> 24) as usize]
+            ^ t[7][(w2 & 0xFF) as usize]
+            ^ t[6][((w2 >> 8) & 0xFF) as usize]
+            ^ t[5][((w2 >> 16) & 0xFF) as usize]
+            ^ t[4][(w2 >> 24) as usize]
+            ^ t[3][(w3 & 0xFF) as usize]
+            ^ t[2][((w3 >> 8) & 0xFF) as usize]
+            ^ t[1][((w3 >> 16) & 0xFF) as usize]
+            ^ t[0][(w3 >> 24) as usize];
+    }
+    for &b in blocks.remainder() {
+        c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    }
+    c
+}
+
+#[cfg(target_arch = "x86_64")]
+mod clmul {
+    //! Carry-less-multiply CRC-32 fold: the method of Gopal et al.,
+    //! "Fast CRC Computation for Generic Polynomials Using PCLMULQDQ
+    //! Instruction" (Intel, 2009), in its bit-reflected form (as in
+    //! zlib-ng and Linux). Four 128-bit accumulators each absorb the
+    //! next 64 bytes per step; they are folded into one, then reduced
+    //! 128 → 64 → 32 bits and finished with a Barrett reduction.
+    //!
+    //! No `unsafe` here: the intrinsics are safe to call inside
+    //! `#[target_feature]` functions that enable them, and every 16-byte
+    //! block is read through slice indexing (`u64::from_le_bytes` into
+    //! `_mm_set_epi64x`), never a raw pointer.
+
+    use core::arch::x86_64::{
+        __m128i, _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi32_si128, _mm_extract_epi32,
+        _mm_set_epi32, _mm_set_epi64x, _mm_srli_si128, _mm_xor_si128,
+    };
+
+    // Folding constants for P(x) = 0x1_04C1_1DB7, bit-reflected and
+    // shifted left by one as the reflected product requires: `K1`/`K2`
+    // fold 512 bits ahead, `K3`/`K4` 128 bits, `K5` 64 bits.
+    /// `(x^(4·128+32) mod P)' << 1`.
+    const K1: i64 = 0x1_5444_2BD4;
+    /// `(x^(4·128-32) mod P)' << 1`.
+    const K2: i64 = 0x1_C6E4_1596;
+    /// `(x^(128+32) mod P)' << 1`.
+    const K3: i64 = 0x1_7519_97D0;
+    /// `(x^(128-32) mod P)' << 1`.
+    const K4: i64 = 0x0_CCAA_009E;
+    /// `(x^64 mod P)' << 1`.
+    const K5: i64 = 0x1_63CD_6124;
+    /// `P'`, the reflected polynomial.
+    const P: i64 = 0x1_DB71_0641;
+    /// `μ' = (x^64 / P)'`, the Barrett quotient.
+    const MU: i64 = 0x1_F701_1641;
+
+    /// Loads 16 bytes (little-endian lanes) from the front of `b`.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    fn load(b: &[u8]) -> __m128i {
+        let lo = u64::from_le_bytes(b[..8].try_into().expect("8 bytes"));
+        let hi = u64::from_le_bytes(b[8..16].try_into().expect("8 bytes"));
+        _mm_set_epi64x(hi as i64, lo as i64)
+    }
+
+    /// Folds `x` forward by the distance the constant pair `k` encodes
+    /// (low half × `k.lo`, high half × `k.hi`) and adds `next`.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    fn fold_into(x: __m128i, k: __m128i, next: __m128i) -> __m128i {
+        let lo = _mm_clmulepi64_si128::<0x00>(x, k);
+        let hi = _mm_clmulepi64_si128::<0x11>(x, k);
+        _mm_xor_si128(_mm_xor_si128(lo, hi), next)
+    }
+
+    /// Advances the raw CRC register `crc` (no init, no xor-out) over
+    /// `data`, whose length is a multiple of 16 and at least 128.
+    ///
+    /// # Safety
+    ///
+    /// Calling it from code without these target features is `unsafe`:
+    /// the caller must have detected `pclmulqdq` and `sse4.1` at
+    /// runtime.
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    pub(super) fn fold(crc: u32, data: &[u8]) -> u32 {
+        debug_assert!(data.len() >= super::CRC_FOLD_MIN && data.len().is_multiple_of(16));
+        let mut blocks = data.chunks_exact(64);
+        let first = blocks.next().expect("at least 128 bytes");
+        let mut x0 = _mm_xor_si128(load(first), _mm_cvtsi32_si128(crc as i32));
+        let mut x1 = load(&first[16..]);
+        let mut x2 = load(&first[32..]);
+        let mut x3 = load(&first[48..]);
+        let k1k2 = _mm_set_epi64x(K2, K1);
+        for b in &mut blocks {
+            x0 = fold_into(x0, k1k2, load(b));
+            x1 = fold_into(x1, k1k2, load(&b[16..]));
+            x2 = fold_into(x2, k1k2, load(&b[32..]));
+            x3 = fold_into(x3, k1k2, load(&b[48..]));
+        }
+        // Four accumulators into one, then any remaining 16-byte blocks.
+        let k3k4 = _mm_set_epi64x(K4, K3);
+        let mut x = fold_into(x0, k3k4, x1);
+        x = fold_into(x, k3k4, x2);
+        x = fold_into(x, k3k4, x3);
+        for b in blocks.remainder().chunks_exact(16) {
+            x = fold_into(x, k3k4, load(b));
+        }
+        // 128 → 64 bits: the low half × K4 plus the high half, which
+        // appends the 32 zero bits the CRC definition multiplies by.
+        let x = _mm_xor_si128(
+            _mm_clmulepi64_si128::<0x10>(x, k3k4),
+            _mm_srli_si128::<8>(x),
+        );
+        // 64 → 32 bits: the low 32 bits × K5 plus the rest.
+        let mask32 = _mm_set_epi32(0, 0, 0, -1);
+        let x = _mm_xor_si128(
+            _mm_clmulepi64_si128::<0x00>(_mm_and_si128(x, mask32), _mm_set_epi64x(0, K5)),
+            _mm_srli_si128::<4>(x),
+        );
+        // Barrett reduction: q = (x mod x^32)·μ', then x + (q mod x^32)·P'
+        // leaves the remainder in bits 32..64.
+        let pmu = _mm_set_epi64x(MU, P);
+        let q = _mm_clmulepi64_si128::<0x10>(_mm_and_si128(x, mask32), pmu);
+        let r = _mm_clmulepi64_si128::<0x00>(_mm_and_si128(q, mask32), pmu);
+        _mm_extract_epi32::<1>(_mm_xor_si128(x, r)) as u32
+    }
+}
+
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod avx2 {
@@ -547,6 +786,78 @@ mod tests {
     fn gather4_out_of_bounds_panics() {
         let base = vec![0u64; 4];
         let _ = gather4(&base, [0, 1, 2, 4]);
+    }
+
+    /// The plain bytewise table loop: the reference both CRC paths must
+    /// agree with.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in data {
+            c = CRC_TABLES[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
+    /// Seeded splitmix64 bytes.
+    fn seeded_bytes(len: usize, seed: u64) -> Vec<u8> {
+        let mut state = seed;
+        (0..len)
+            .map(|_| {
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                (z ^ (z >> 31)) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn crc32_fold_matches_sliced_and_bytewise() {
+        if !clmul_available() {
+            eprintln!("pclmulqdq/sse4.1 not detected: only the sliced path is checked");
+        }
+        // Every length 0..=1024 at every offset 0..16, so each fold
+        // count, each 16-byte remainder and each tail length meets each
+        // alignment of the blocks; one checkpoint-sized buffer (a
+        // 13-byte tail after the fold); and standard IEEE CRC-32 check
+        // values, short and folded.
+        let data = seeded_bytes(1024 + 16, 0x5EED_C0DE);
+        let big = seeded_bytes((4 << 20) + 77, 7);
+        let ramp: Vec<u8> = (0..1024).map(|i| i as u8).collect();
+        let mut inputs: Vec<(&[u8], Option<u32>)> = (0..16)
+            .flat_map(|at| (0..=1024).map(move |len| at..at + len))
+            .map(|range| (&data[range], None))
+            .collect();
+        inputs.extend([
+            (&big[..], None),
+            (&b""[..], Some(0)),
+            (&b"123456789"[..], Some(0xCBF4_3926)),
+            (
+                &b"The quick brown fox jumps over the lazy dog"[..],
+                Some(0x414F_A339),
+            ),
+            (&[0u8; 4096][..], Some(0xC71C_0011)),
+            (&[0xFFu8; 4096][..], Some(0xF154_670A)),
+            (&ramp[..], Some(0xB70B_4C26)),
+        ]);
+        let want: Vec<u32> = inputs.iter().map(|(s, _)| crc32_bytewise(s)).collect();
+        for (i, (&(s, known), &w)) in inputs.iter().zip(&want).enumerate() {
+            let len = s.len();
+            if let Some(k) = known {
+                assert_eq!(w, k, "bytewise reference, input {i} (len {len})");
+            }
+            assert_eq!(!crc32_sliced(!0, s), w, "sliced, input {i} (len {len})");
+            assert_eq!(crc32_dispatch(s, true), w, "folded, input {i} (len {len})");
+        }
+        // The public entry under both settings of the process override.
+        for force in [Some(true), Some(false)] {
+            set_scalar_override(force);
+            for (i, (&(s, _), &w)) in inputs.iter().zip(&want).enumerate() {
+                assert_eq!(crc32(s), w, "dispatched {force:?}, input {i}");
+            }
+        }
+        set_scalar_override(None);
     }
 
     #[test]

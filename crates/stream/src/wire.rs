@@ -37,6 +37,11 @@ use crate::click::{AdId, Click, ClickId, PublisherId};
 use bytes::{Buf, BufMut};
 use std::fmt;
 
+/// IEEE CRC-32 (the zlib/PNG CRC) of `data`: the frame check here and
+/// the file check of CFDG checkpoints. One kernel for the workspace,
+/// dispatched at runtime in [`cfd_bits::simd`].
+pub use cfd_bits::simd::crc32;
+
 /// Protocol magic carried in every HELLO payload.
 pub const WIRE_MAGIC: &[u8; 4] = b"CFDW";
 /// Protocol version carried in every HELLO payload.
@@ -98,80 +103,6 @@ impl fmt::Display for WireError {
 }
 
 impl std::error::Error for WireError {}
-
-/// IEEE CRC-32 lookup tables for slicing-by-16 (reflected, polynomial
-/// `0xEDB88320`), built at compile time. `CRC_TABLES[0]` is the classic
-/// bytewise table; `CRC_TABLES[k][n]` is the CRC of byte `n` followed
-/// by `k` zero bytes, so sixteen lookups fold sixteen input bytes at
-/// once.
-const CRC_TABLES: [[u32; 256]; 16] = {
-    let mut tables = [[0u32; 256]; 16];
-    let mut n = 0;
-    while n < 256 {
-        let mut c = n as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        tables[0][n] = c;
-        n += 1;
-    }
-    let mut n = 0;
-    while n < 256 {
-        let mut k = 1;
-        while k < 16 {
-            let prev = tables[k - 1][n];
-            tables[k][n] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
-            k += 1;
-        }
-        n += 1;
-    }
-    tables
-};
-
-/// IEEE CRC-32 (the zlib/PNG polynomial) of `data`.
-///
-/// Slicing-by-16: each step folds sixteen bytes through sixteen
-/// independent table lookups instead of sixteen dependent bytewise
-/// steps; the tail of fewer than sixteen bytes goes bytewise.
-#[must_use]
-pub fn crc32(data: &[u8]) -> u32 {
-    let t = &CRC_TABLES;
-    let mut c = 0xFFFF_FFFFu32;
-    let mut blocks = data.chunks_exact(16);
-    for b in &mut blocks {
-        let b: &[u8; 16] = b.try_into().expect("16-byte block");
-        let w0 = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
-        let w1 = u32::from_le_bytes([b[4], b[5], b[6], b[7]]);
-        let w2 = u32::from_le_bytes([b[8], b[9], b[10], b[11]]);
-        let w3 = u32::from_le_bytes([b[12], b[13], b[14], b[15]]);
-        c = t[15][(w0 & 0xFF) as usize]
-            ^ t[14][((w0 >> 8) & 0xFF) as usize]
-            ^ t[13][((w0 >> 16) & 0xFF) as usize]
-            ^ t[12][(w0 >> 24) as usize]
-            ^ t[11][(w1 & 0xFF) as usize]
-            ^ t[10][((w1 >> 8) & 0xFF) as usize]
-            ^ t[9][((w1 >> 16) & 0xFF) as usize]
-            ^ t[8][(w1 >> 24) as usize]
-            ^ t[7][(w2 & 0xFF) as usize]
-            ^ t[6][((w2 >> 8) & 0xFF) as usize]
-            ^ t[5][((w2 >> 16) & 0xFF) as usize]
-            ^ t[4][(w2 >> 24) as usize]
-            ^ t[3][(w3 & 0xFF) as usize]
-            ^ t[2][((w3 >> 8) & 0xFF) as usize]
-            ^ t[1][((w3 >> 16) & 0xFF) as usize]
-            ^ t[0][(w3 >> 24) as usize];
-    }
-    for &b in blocks.remainder() {
-        c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
-}
 
 /// Appends one framed message (`kind` + `payload`) to `out`.
 fn encode_frame(out: &mut Vec<u8>, kind: u8, payload: &[u8]) {
@@ -396,38 +327,6 @@ mod tests {
         UniqueClickStream::new(3, 8, 64).take(n).collect()
     }
 
-    /// The plain bytewise table loop: the reference the sliced
-    /// [`crc32`] must agree with.
-    fn crc32_bytewise(data: &[u8]) -> u32 {
-        let mut c = 0xFFFF_FFFFu32;
-        for &b in data {
-            c = CRC_TABLES[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
-        }
-        c ^ 0xFFFF_FFFF
-    }
-
-    #[test]
-    fn crc32_sliced_matches_bytewise_at_every_length_and_offset() {
-        // Seeded splitmix64 bytes; every length 0..=64 at every offset
-        // 0..8, so each tail length meets each alignment of the blocks.
-        let mut state = 0x5EED_C0DE_u64;
-        let data: Vec<u8> = (0..80)
-            .map(|_| {
-                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-                let mut z = state;
-                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-                (z ^ (z >> 31)) as u8
-            })
-            .collect();
-        for offset in 0..8 {
-            for len in 0..=64 {
-                let s = &data[offset..offset + len];
-                assert_eq!(crc32(s), crc32_bytewise(s), "offset {offset} len {len}");
-            }
-        }
-    }
-
     #[test]
     fn crc32_matches_known_vectors() {
         // Standard IEEE CRC-32 check values.
@@ -511,6 +410,27 @@ mod tests {
         let mut r = FrameReader::new();
         r.extend(&buf);
         assert!(matches!(r.next_frame(), Err(WireError::BadCrc { .. })));
+    }
+
+    #[test]
+    fn every_bit_flip_of_a_large_clicks_frame_is_caught_by_crc() {
+        // 40 records make a 1,449-byte frame, far past the length at
+        // which the CRC switches to the carry-less-multiply fold.
+        let mut buf = Vec::new();
+        encode_clicks(&mut buf, &sample_clicks(40));
+        assert!(buf.len() >= 1024, "frame is {} bytes", buf.len());
+        // Every bit of the kind byte, the payload and the CRC trailer;
+        // the length header is guarded by framing, not by the CRC.
+        for bit in 32..buf.len() * 8 {
+            let mut bad = buf.clone();
+            bad[bit / 8] ^= 1 << (bit % 8);
+            let mut r = FrameReader::new();
+            r.extend(&bad);
+            assert!(
+                matches!(r.next_frame(), Err(WireError::BadCrc { .. })),
+                "flipped bit {bit} not caught"
+            );
+        }
     }
 
     #[test]

@@ -64,6 +64,36 @@ fn time_gbf_oracle_duplicates_always_flagged() {
 }
 
 #[test]
+fn time_gbf_oracle_duplicates_always_flagged_under_sparse_traffic() {
+    // The sparse stream of the TimeTbf test (mean gap 50 ticks) against
+    // 4 sub-windows of 8 units of 5 ticks: most gaps stay inside the
+    // 160-tick window (per-unit wipes and rotations replay), and over a
+    // thousand outlast the whole 200-tick rotation cycle (everything
+    // expires at once).
+    let mut gbf =
+        TimeGbf::new(TimeGbfConfig::new(4, 8, 5, 1 << 17, 8, 9).expect("cfg")).expect("detector");
+    let mut oracle = ExactTimeJumpingDedup::new(4, 8, 5);
+    let (window, cycle) = (4 * 8 * 5, (4 + 1) * 8 * 5);
+    let keys = timed_keys(80_000, 0.02, 11);
+    let gaps: Vec<u64> = keys.windows(2).map(|w| w[1].1 - w[0].1).collect();
+    let inside = gaps.iter().filter(|&&g| g < window).count();
+    let beyond = gaps.iter().filter(|&&g| g > cycle).count();
+    assert!(inside > 60_000, "{inside} gaps inside the window");
+    assert!(beyond > 1_000, "{beyond} gaps beyond the rotation cycle");
+    for (i, (key, tick)) in keys.iter().enumerate() {
+        let got = gbf.observe_at(key, *tick);
+        let want = oracle.observe_at(key, *tick);
+        if want == Verdict::Duplicate {
+            assert_eq!(
+                got,
+                Verdict::Duplicate,
+                "missed duplicate at {i} (tick {tick})"
+            );
+        }
+    }
+}
+
+#[test]
 fn quiet_gaps_forget_everything_in_both_models() {
     let mut tbf =
         TimeTbf::new(TimeTbfConfig::new(10, 1, 1 << 14, 6, 1).expect("cfg")).expect("detector");
