@@ -11,13 +11,14 @@
 //! (the Fig. 2 operating point) and document the choice in
 //! EXPERIMENTS.md. The *shape* — the \[21\] scheme's rate exploding with
 //! `N` while GBF stays orders of magnitude lower — holds for any
-//! reasonable `k`.
+//! reasonable `k`. The binary exits with status 1 unless the \[21\]
+//! scheme's FP exceeds GBF's at every `N`, analytic and measured.
 //!
 //! ```text
 //! cargo run --release -p cfd-bench --bin fig1 [--paper|--smoke]
 //! ```
 
-use cfd_bench::{measure_fp, Scale};
+use cfd_bench::{measure_fp, Checks, Scale};
 use cfd_bloom::metwally::{MetwallyConfig, MetwallyJumping};
 use cfd_core::{Gbf, GbfConfig};
 use cfd_windows::DetectorStats;
@@ -27,6 +28,9 @@ const K: usize = 10;
 
 fn main() {
     let scale = cfd_bench::args::parse_or_exit(cfd_bench::args::SCALE_FLAGS, &[]).scale();
+    let mut checks = Checks::default();
+    let mut analytic_exceeds = true;
+    let mut measured_exceeds = true;
 
     // ---- Analytic curves at the paper's exact sizes -------------------
     let m_paper = 1usize << 20;
@@ -40,6 +44,7 @@ fn main() {
         let n = 1usize << log_n;
         let prev = cfd_analysis::counting_scheme::fp_same_m(m_paper, K, n);
         let ours = cfd_analysis::gbf::fp_worst_case(m_paper, K, n, Q);
+        analytic_exceeds &= prev > ours;
         let ratio = if ours > 1e-15 {
             format!("{:.1}", prev / ours)
         } else {
@@ -83,6 +88,10 @@ fn main() {
             .expect("valid configuration");
         let mut gbf = Gbf::new(cfg).expect("valid detector");
         let gbf_meas = measure_fp(&mut gbf, n, 0x92 + u64::from(log_n));
+        // Where neither scheme showed a false positive there is nothing
+        // to compare (the smallest N at every scale).
+        let (p, g) = (prev_meas.false_positives, gbf_meas.false_positives);
+        measured_exceeds &= p > g || p + g == 0;
 
         println!(
             "{:>9} {:>16.6e} {:>16.6e} {:>16.6e}",
@@ -92,9 +101,11 @@ fn main() {
             gbf.estimated_fp()
         );
     }
-    println!("# shape check: the [21] scheme's FP rises steeply with N; GBF stays");
-    println!("# orders of magnitude lower across the sweep (paper Fig. 1).");
-    println!("# gbf-online-est: the telemetry estimator from live lane occupancy");
-    println!("# (DetectorStats::estimated_fp); it should rise with N alongside the");
-    println!("# measured column.");
+    println!("# gbf-online-est: DetectorStats::estimated_fp from live lane occupancy.");
+    checks.check(analytic_exceeds, "analytic [21] FP > GBF's at every N");
+    checks.check(
+        measured_exceeds,
+        "measured [21] FP > GBF's wherever either is > 0",
+    );
+    checks.finish();
 }

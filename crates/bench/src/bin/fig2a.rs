@@ -4,18 +4,21 @@
 //! Paper protocol (§5): `N = 2^20`, `Q = 8`, per-filter `m = 1,876,246`
 //! bits, `20·N` distinct click identifiers, false positives counted over
 //! the last `10·N`. Run with `--paper` for the exact sizes; the default
-//! `--quick` keeps every ratio but shrinks `N` to `2^18`.
+//! `--quick` keeps every ratio but shrinks `N` to `2^18`. The binary
+//! exits with status 1 unless every measured rate meets
+//! [`cfd_bench::GBF_FP_BAND`] around the model.
 //!
 //! ```text
 //! cargo run --release -p cfd-bench --bin fig2a [--paper|--smoke]
 //! ```
 
-use cfd_bench::measure_fp;
+use cfd_bench::{measure_fp, Checks, GBF_FP_BAND};
 use cfd_core::{Gbf, GbfConfig};
 use cfd_windows::DetectorStats;
 
 fn main() {
     let scale = cfd_bench::args::parse_or_exit(cfd_bench::args::SCALE_FLAGS, &[]).scale();
+    let mut outside = Vec::new();
     let n = scale.n();
     let q = 8usize;
     let m = scale.scaled(1_876_246);
@@ -40,6 +43,9 @@ fn main() {
         let mut gbf = Gbf::new(cfg).expect("valid detector");
         let measured = measure_fp(&mut gbf, n, 0x2A + k as u64);
         let theory = cfd_analysis::gbf::fp_steady(m, k, n, q);
+        if !GBF_FP_BAND.meets(&measured.rate, theory) {
+            outside.push(k);
+        }
         println!(
             "{:>3} {:>14.6e} {:>14.6e} {:>14.6e} {:>14.6e} {:>14.6e} {:>10}",
             k,
@@ -51,9 +57,10 @@ fn main() {
             measured.false_positives
         );
     }
-    println!("# shape check: both curves fall steeply with k and flatten near");
-    println!("# k = ln2 * m/(N/Q) ~ 10; experiment tracks theory (paper Fig. 2a).");
-    println!("# online-est is the telemetry estimator (DetectorStats::estimated_fp)");
-    println!("# recomputed from live lane occupancy at end of stream: it should");
-    println!("# track the theory column without knowing N (docs/OBSERVABILITY.md).");
+    println!("# online-est: DetectorStats::estimated_fp from live lane occupancy at");
+    println!("# end of stream, without knowing N (docs/OBSERVABILITY.md).");
+    let mut checks = Checks::default();
+    let claim = format!("95% interval meets {GBF_FP_BAND} x theory (outside: k = {outside:?})");
+    checks.check(outside.is_empty(), claim);
+    checks.finish();
 }

@@ -3,17 +3,20 @@
 //!
 //! Paper protocol (§5): `N = 2^20`, `m = 15,112,980` entries, `20·N`
 //! distinct identifiers, false positives counted over the last `10·N`.
+//! The binary exits with status 1 unless every measured rate meets
+//! [`cfd_bench::TBF_FP_BAND`] around the model.
 //!
 //! ```text
 //! cargo run --release -p cfd-bench --bin fig2b [--paper|--smoke]
 //! ```
 
-use cfd_bench::measure_fp;
+use cfd_bench::{measure_fp, Checks, TBF_FP_BAND};
 use cfd_core::{Tbf, TbfConfig};
 use cfd_windows::DetectorStats;
 
 fn main() {
     let scale = cfd_bench::args::parse_or_exit(cfd_bench::args::SCALE_FLAGS, &[]).scale();
+    let mut outside = Vec::new();
     let n = scale.n();
     let m = scale.scaled(15_112_980);
 
@@ -37,6 +40,9 @@ fn main() {
         let mut tbf = Tbf::new(cfg).expect("valid detector");
         let measured = measure_fp(&mut tbf, n, 0xB2 + k as u64);
         let theory = cfd_analysis::tbf::fp_sliding(m, k, n);
+        if !TBF_FP_BAND.meets(&measured.rate, theory) {
+            outside.push(k);
+        }
         println!(
             "{:>3} {:>14.6e} {:>14.6e} {:>14.6e} {:>14.6e} {:>14.6e} {:>10}",
             k,
@@ -48,9 +54,10 @@ fn main() {
             measured.false_positives
         );
     }
-    println!("# shape check: minimum near k = ln2 * m/N ~ 10; experiment tracks");
-    println!("# theory closely (paper Fig. 2b).");
-    println!("# online-est is the telemetry estimator (DetectorStats::estimated_fp):");
-    println!("# (active_entries/m)^k from live occupancy at end of stream; it should");
-    println!("# track the theory column without knowing N (docs/OBSERVABILITY.md).");
+    println!("# online-est: DetectorStats::estimated_fp, (active_entries/m)^k at end");
+    println!("# of stream, without knowing N (docs/OBSERVABILITY.md).");
+    let mut checks = Checks::default();
+    let claim = format!("95% interval meets {TBF_FP_BAND} x theory (outside: k = {outside:?})");
+    checks.check(outside.is_empty(), claim);
+    checks.finish();
 }

@@ -6,17 +6,30 @@
 //! blocked clicks, revenue, the advertiser money saved, and the detector
 //! memory spent to get it.
 //!
+//! The binary exits with status 1 unless TBF's savings lie in
+//! [`TBF_SAVINGS_BAND`] of the exact sliding oracle's.
+//!
 //! ```text
 //! cargo run --release -p cfd-bench --bin table_adnet [--paper|--smoke]
 //! ```
 
 use cfd_adnet::{AdNetwork, Advertiser, AdvertiserId, Campaign, NetworkReport};
+use cfd_bench::{Band, Checks};
 use cfd_core::{Gbf, GbfConfig, Tbf, TbfConfig};
 use cfd_stream::{AdId, BotnetConfig, BotnetStream, Click};
 use cfd_windows::{DuplicateDetector, ExactLandmarkDedup, ExactSlidingDedup};
 
 const ADS: u32 = 64;
 const CPC: u64 = 250_000;
+
+/// TBF's savings as a multiple of the exact sliding oracle's. Both
+/// slide over the same window, but TBF judges a repeat against the last
+/// copy it let through (paper Definition 1), the oracle against every
+/// arrival, so TBF can let through a repeat whose previous copy was
+/// blocked; its false positives block some distinct clicks. Measured:
+/// 1.048 at smoke scale (the oracle blocks only 460 repeats), 1.002 at
+/// quick, 1.0005 at paper scale.
+const TBF_SAVINGS_BAND: Band = Band { lo: 0.98, hi: 1.1 };
 
 fn build_network<D: DuplicateDetector>(detector: D) -> AdNetwork<D> {
     let mut net = AdNetwork::new(detector);
@@ -107,8 +120,14 @@ fn main() {
         "# unprotected network over-bills ${:.2} on this stream",
         (baseline - reports[3].revenue_micros) as f64 / 1e6
     );
-    println!("# shape check: TBF ~= oracle savings at a fraction of the memory.");
-    println!("# GBF can over-block a little (false positives block clicks, and its");
-    println!("# jumping window covers N-N/Q..N of the stream) — the one-sided-error");
-    println!("# direction advertisers prefer.");
+    println!("# GBF can over-block: false positives block clicks, and its jumping");
+    println!("# window covers N-N/Q..N of the stream.");
+    let tbf = reports[2].savings_micros as f64 / oracle_blocked.max(1) as f64;
+    let mut checks = Checks::default();
+    let claim = format!("tbf savings {tbf:.3} x oracle's lie in {TBF_SAVINGS_BAND}");
+    checks.check(
+        (TBF_SAVINGS_BAND.lo..=TBF_SAVINGS_BAND.hi).contains(&tbf),
+        claim,
+    );
+    checks.finish();
 }

@@ -6,12 +6,17 @@
 //! valid* within the window that it nevertheless calls `Distinct`). The
 //! streaming detectors must print 0 in the `false-neg` column; the
 //! Stable Bloom Filter baseline \[10\] shows why the theorem is
-//! non-trivial — its random eviction produces thousands.
+//! non-trivial — its random eviction misses repeats (tens of thousands
+//! on the injected stream; few or none on the botnet stream, whose
+//! bots repeat faster than it evicts). The binary exits with status 1
+//! if a streaming detector shows a false negative or the Stable Bloom
+//! Filter shows none over both streams.
 //!
 //! ```text
 //! cargo run --release -p cfd-bench --bin table_fn [--paper|--smoke]
 //! ```
 
+use cfd_bench::Checks;
 use cfd_bloom::stable::{StableBloomFilter, StableConfig};
 use cfd_core::tbf_jumping::{JumpingTbf, JumpingTbfConfig};
 use cfd_core::{Gbf, GbfConfig, Tbf, TbfConfig};
@@ -84,6 +89,8 @@ fn run_check<D: DuplicateDetector + ?Sized>(
 
 fn main() {
     let scale = cfd_bench::args::parse_or_exit(cfd_bench::args::SCALE_FLAGS, &[]).scale();
+    let mut checks = Checks::default();
+    let mut stable_misses = 0;
     let n = scale.n() / 16;
     let q = 8usize;
     let clicks = 40 * n;
@@ -129,7 +136,7 @@ fn main() {
         .expect("detector");
         let (fns, dups) = run_check(&mut tbf, keys, n, None);
         println!("{:<22} {:<10} {:>12} {:>12}", "tbf", stream_name, dups, fns);
-        assert_eq!(fns, 0, "TBF false negative!");
+        checks.check(fns == 0, format_args!("tbf {stream_name}: no false neg"));
 
         let mut gbf = Gbf::new(
             GbfConfig::builder(n, q)
@@ -141,7 +148,7 @@ fn main() {
         .expect("detector");
         let (fns, dups) = run_check(&mut gbf, keys, n, Some(q));
         println!("{:<22} {:<10} {:>12} {:>12}", "gbf", stream_name, dups, fns);
-        assert_eq!(fns, 0, "GBF false negative!");
+        checks.check(fns == 0, format_args!("gbf {stream_name}: no false neg"));
 
         let mut jtbf = JumpingTbf::new(JumpingTbfConfig::new(n, 64, n * 2, 4, 3).expect("cfg"))
             .expect("detector");
@@ -150,7 +157,10 @@ fn main() {
             "{:<22} {:<10} {:>12} {:>12}",
             "jumping-tbf", stream_name, dups, fns
         );
-        assert_eq!(fns, 0, "jumping-TBF false negative!");
+        checks.check(
+            fns == 0,
+            format_args!("jumping-tbf {stream_name}: no false neg"),
+        );
 
         let mut stable = StableBloomFilter::new(StableConfig {
             m: n * 2,
@@ -165,8 +175,12 @@ fn main() {
             "{:<22} {:<10} {:>12} {:>12}",
             "stable-bloom[10]", stream_name, dups, fns
         );
+        stable_misses += fns;
         println!();
     }
-    println!("# shape check: GBF/TBF columns are exactly 0 (Theorems 1.1, 2.1);");
-    println!("# the stable Bloom filter misses thousands — the paper's §2.4 point.");
+    checks.check(
+        stable_misses > 0,
+        "stable-bloom misses repeats over both streams",
+    );
+    checks.finish();
 }

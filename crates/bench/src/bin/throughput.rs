@@ -248,12 +248,6 @@ fn run_pipeline_scenario(quick: bool, out_path: &str) {
     std::fs::write(out_path, &json).expect("write json");
     println!("# wrote {out_path}");
 
-    let table_path = format!("results/throughput_pipeline_{}.txt", scale.label);
-    if std::fs::create_dir_all("results").is_ok() {
-        let _ = std::fs::write(&table_path, &table);
-        println!("# wrote {table_path}");
-    }
-
     if !checksums_agree || !(quick || hash_ok) {
         std::process::exit(1);
     }
@@ -657,12 +651,6 @@ fn run_tenants_scenario(quick: bool, out_path: &str) {
     json.push_str("}\n");
     std::fs::write(out_path, &json).expect("write json");
     println!("# wrote {out_path}");
-
-    let table_path = format!("results/throughput_tenants_{label}.txt");
-    if std::fs::create_dir_all("results").is_ok() {
-        let _ = std::fs::write(&table_path, &table);
-        println!("# wrote {table_path}");
-    }
 
     let throughput_gate_ok = quick || throughput_ok;
     if !bytes_ok || !isolation_ok || !scans_ok || !throughput_gate_ok {

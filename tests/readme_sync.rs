@@ -54,3 +54,47 @@ fn readme_names_every_registered_backend() {
         );
     }
 }
+
+#[test]
+fn docs_name_only_existing_bench_targets() {
+    // A deleted bench binary or Criterion bench must take its doc
+    // mentions with it: every `--bin <name>` the docs show is a file in
+    // crates/bench/src/bin/, every `--bench <name>` one in
+    // crates/bench/benches/.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let docs = [
+        "README.md",
+        "EXPERIMENTS.md",
+        "DESIGN.md",
+        ".claude/skills/verify/SKILL.md",
+    ];
+    let mut checked = 0;
+    for doc in docs {
+        let text = fs::read_to_string(root.join(doc)).expect("doc is readable");
+        for (flag, dir) in [
+            ("--bin ", "crates/bench/src/bin"),
+            ("--bench ", "crates/bench/benches"),
+        ] {
+            for (at, _) in text.match_indices(flag) {
+                let name: String = text[at + flag.len()..]
+                    .chars()
+                    .take_while(|c| c.is_ascii_alphanumeric() || *c == '_' || *c == '-')
+                    .collect();
+                if name.is_empty() {
+                    continue; // a shell variable such as `--bin $b`
+                }
+                let file = root.join(dir).join(format!("{name}.rs"));
+                assert!(
+                    file.is_file(),
+                    "{doc} names `{flag}{name}`, but {} does not exist",
+                    file.display()
+                );
+                checked += 1;
+            }
+        }
+    }
+    assert!(
+        checked > 0,
+        "no `--bin`/`--bench` mention found in {docs:?}"
+    );
+}
