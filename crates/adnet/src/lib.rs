@@ -53,8 +53,9 @@ pub use entities::{Advertiser, AdvertiserId, Campaign, Registry};
 pub use fraud::{FraudScorer, PublisherScore};
 pub use network::AdNetwork;
 pub use pipeline::{
-    run_sharded_pipeline, run_sharded_pipeline_instrumented, run_sharded_segment, ClickSource,
-    PipelineConfig, PipelineOutcome, PipelineProgress, Pull, SegmentOutcome, SegmentState,
+    publish_final_health, run_sharded_pipeline, run_sharded_pipeline_instrumented,
+    run_sharded_segment, ClickSource, PipelineConfig, PipelineOutcome, PipelineProgress, Pull,
+    SegmentOutcome, SegmentState,
 };
 pub use report::NetworkReport;
 pub use ring::{Pool, RingStats};

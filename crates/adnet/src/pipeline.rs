@@ -83,7 +83,7 @@ use crate::billing::{BillingEngine, Ledger};
 use crate::entities::Registry;
 use crate::fraud::FraudScorer;
 use crate::report::NetworkReport;
-use crate::ring::{self, Backoff, Pool, TryPopError};
+use crate::ring::{self, Backoff, Doorbell, Pool, TryPopError};
 use crate::telemetry::PipelineTelemetry;
 use cfd_core::sharded::ShardedDetector;
 use cfd_stream::Click;
@@ -277,10 +277,10 @@ pub struct PipelineOutcome {
     pub scorer: FraudScorer,
     /// The registry with final budget states.
     pub registry: Registry,
-    /// Final per-shard detector health samples, taken by each worker at
-    /// shutdown. Empty for the uninstrumented entry point (plain
-    /// [`run_sharded_pipeline`]), which places no [`DetectorStats`] bound
-    /// on the detector.
+    /// Final per-shard detector health samples, taken from the joined
+    /// shards by [`publish_final_health`]. Empty for the uninstrumented
+    /// entry point (plain [`run_sharded_pipeline`]), which places no
+    /// [`DetectorStats`] bound on the detector.
     pub health: Vec<DetectorHealth>,
 }
 
@@ -317,11 +317,10 @@ pub struct SegmentOutcome<D> {
     /// segment's clicks — feed it to the next segment.
     pub detector: ShardedDetector<D>,
     /// Billing state including this segment — feed it to the next
-    /// segment, or build the final [`NetworkReport`] from it.
+    /// segment, or build the final [`NetworkReport`] from it. A caller
+    /// that wants the final health samples takes them from `detector`
+    /// with [`publish_final_health`].
     pub state: SegmentState,
-    /// Final per-shard health samples (empty when `telemetry` is
-    /// `None`).
-    pub health: Vec<DetectorHealth>,
     /// Total detector memory, bits (for the report).
     pub memory_bits: usize,
     /// Detector name (for the report).
@@ -341,12 +340,12 @@ impl<D> SegmentOutcome<D> {
     }
 
     /// The one-shot outcome of a run that is this single segment.
-    fn into_outcome(self) -> PipelineOutcome {
+    fn into_outcome(self, health: Vec<DetectorHealth>) -> PipelineOutcome {
         PipelineOutcome {
             report: self.report(),
             scorer: self.state.scorer,
             registry: self.state.registry,
-            health: self.health,
+            health,
         }
     }
 }
@@ -456,7 +455,9 @@ pub(crate) struct Barriers<'a, D> {
 ///
 /// `telemetry` (optional) attaches the same instrument bundle as
 /// [`run_sharded_pipeline_instrumented`]; pass the *same* bundle every
-/// segment so counters accumulate across the run.
+/// segment so counters accumulate across the run. The workers answer
+/// health requests while the segment runs; the final sample is
+/// [`publish_final_health`] over the returned detector.
 ///
 /// # Panics
 ///
@@ -568,7 +569,7 @@ where
         Instrumentation::off(),
         None,
     )
-    .into_outcome()
+    .into_outcome(Vec::new())
 }
 
 /// [`run_sharded_pipeline`] with live telemetry: one queue-depth gauge
@@ -576,7 +577,8 @@ where
 /// histograms, and resequencer stall counters, all in `telemetry`'s
 /// registry. [`PipelineOutcome::health`] carries one final
 /// [`DetectorHealth`] per shard, in shard order. The run is one
-/// [`run_sharded_segment`] over the whole stream.
+/// [`run_sharded_segment`] over the whole stream followed by
+/// [`publish_final_health`].
 ///
 /// # Panics
 ///
@@ -594,15 +596,44 @@ where
     D: DuplicateDetector + DetectorStats + Send,
     I: IntoIterator<Item = Click>,
 {
-    run_sharded_segment(
+    let out = run_sharded_segment(
         detector,
         SegmentState::new(registry),
         clicks.into_iter(),
         config,
         progress,
-        Some(telemetry),
-    )
-    .into_outcome()
+        Some(Arc::clone(&telemetry)),
+    );
+    let health = publish_final_health(&out.detector, &telemetry);
+    out.into_outcome(health)
+}
+
+/// The end-of-run health sample: one [`DetectorHealth`] per shard of
+/// `detector`, in shard order, each published to `telemetry` with its
+/// per-tenant split. Every sample is an `O(m)` occupancy scan, so the
+/// pipeline leaves it to the caller, which can take it after its clock
+/// stops and before the reporter's final snapshot.
+///
+/// # Panics
+///
+/// Panics if `telemetry` was built for a different shard count.
+pub fn publish_final_health<D: DetectorStats>(
+    detector: &ShardedDetector<D>,
+    telemetry: &PipelineTelemetry,
+) -> Vec<DetectorHealth> {
+    detector
+        .shards()
+        .iter()
+        .enumerate()
+        .map(|(idx, shard)| {
+            let health = shard.health();
+            telemetry.publish_health(idx, &health);
+            if let Some(th) = shard.tenant_health() {
+                telemetry.publish_tenant_health(idx, &th);
+            }
+            health
+        })
+        .collect()
 }
 
 /// The billing stage's state: everything a segment carries over except
@@ -646,9 +677,11 @@ impl Billing<'_> {
 /// fills it, and pushes it down the owning shard's raw ring; the worker
 /// judges it, moves the payload into a pooled [`JudgedBatch`], and
 /// `put`s the emptied `ClickBatch` straight back; billing drains the
-/// judged rings round-robin (with [`Backoff`] between empty sweeps) and
-/// `put`s each drained `JudgedBatch` back. After warm-up every `get`
-/// hits the pool — the pool-miss counters in telemetry stay flat.
+/// judged rings round-robin and `put`s each drained `JudgedBatch` back.
+/// After warm-up every `get` hits the pool — the pool-miss counters in
+/// telemetry stay flat. An idle worker parks on its raw ring's doorbell,
+/// and idle billing on the one doorbell all judged rings share, so each
+/// wakes when a batch arrives.
 /// Barrier markers are pooled batches too, and the snapshot buffers
 /// they carry cycle between ingest, the workers, billing and the sink.
 ///
@@ -726,10 +759,13 @@ where
         // fan-in contention point).
         let mut raw_producers = Vec::with_capacity(shard_count);
         let mut judged_consumers = Vec::with_capacity(shard_count);
+        // Every worker rings billing's one doorbell when it publishes.
+        let billing_bell = Arc::new(Doorbell::new());
         let mut handles = Vec::with_capacity(shard_count);
         for (idx, mut detector) in workers.into_iter().enumerate() {
             let (raw_tx, mut raw_rx) = ring::spsc::<ClickBatch>(queue);
-            let (mut judged_tx, judged_rx) = ring::spsc::<JudgedBatch>(queue);
+            let (mut judged_tx, judged_rx) =
+                ring::spsc_with::<JudgedBatch>(queue, Arc::clone(&billing_bell));
             raw_producers.push(raw_tx);
             judged_consumers.push(judged_rx);
             let progress = progress.clone();
@@ -793,13 +829,6 @@ where
                         break; // billing stage gone; drain and stop
                     }
                 }
-                let health = health_of(&detector);
-                if let Some((t, h)) = telem.zip(health.as_ref()) {
-                    t.publish_health(idx, h);
-                }
-                if let Some((t, th)) = telem.zip(tenant_health_of(&detector)) {
-                    t.publish_tenant_health(idx, &th);
-                }
                 if let Some(t) = telem {
                     // Backpressure totals for both of this shard's
                     // rings (the wait counters live on the shared ring
@@ -809,14 +838,15 @@ where
                         .add(judged_tx.stats().full_waits);
                 }
                 let bits = detector.memory_bits();
-                (detector, bits, health)
+                (detector, bits)
             }));
         }
 
         // Resequencer + billing: poll every judged ring round-robin,
         // restore global order, settle verdicts. Draining each ring
         // unconditionally keeps workers from deadlocking against a full
-        // judged ring; the backoff bounds the cost of empty sweeps.
+        // judged ring; after a sweep that found them all empty, billing
+        // waits on the doorbell the workers ring.
         let progress_bill = progress.clone();
         let telemetry_bill = instr.telemetry.clone();
         let judged_pool_bill = Arc::clone(&judged_pool);
@@ -847,7 +877,6 @@ where
             let mut open = vec![true; consumers.len()];
             let mut live = consumers.len();
             let mut empty_polls = 0u64;
-            let mut backoff = Backoff::new();
             while live > 0 {
                 let mut progressed = false;
                 for (ci, rx) in consumers.iter_mut().enumerate() {
@@ -914,14 +943,14 @@ where
                         }
                     }
                 }
-                if live == 0 {
-                    break;
-                }
-                if progressed {
-                    backoff.reset();
-                } else {
+                if !progressed && live > 0 {
                     empty_polls += 1;
-                    backoff.snooze();
+                    billing_bell.wait_until(|| {
+                        consumers
+                            .iter()
+                            .zip(&open)
+                            .any(|(rx, &open)| open && rx.is_ready())
+                    });
                 }
             }
             // Workers are done: the remainder is a contiguous tail.
@@ -1067,12 +1096,10 @@ where
 
         let mut workers = Vec::with_capacity(shard_count);
         let mut memory_bits = 0usize;
-        let mut health = Vec::new();
         for handle in handles {
-            let (detector, bits, shard_health) = handle.join().expect("detector worker panicked");
+            let (detector, bits) = handle.join().expect("detector worker panicked");
             workers.push(detector);
             memory_bits += bits;
-            health.extend(shard_health);
         }
         let (ledger, savings, registry, scorer) = billing.join().expect("billing stage panicked");
         if let Some(t) = telem {
@@ -1088,7 +1115,6 @@ where
                 savings_micros: savings,
                 scorer,
             },
-            health,
             memory_bits,
             name,
         }

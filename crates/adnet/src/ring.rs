@@ -21,6 +21,14 @@
 //!   burst and publishes them with *one* `head` store;
 //!   [`Consumer::pop_ready`] drains everything published with one `tail`
 //!   store. Counter traffic is amortized over the burst.
+//! * **Wake on arrival.** A consumer that finds its ring empty spins and
+//!   yields briefly, then parks on the ring's [`Doorbell`]; every `head`
+//!   publication and the producer's drop ring it, so a parked consumer
+//!   wakes when work arrives rather than on a timer. Several rings can
+//!   share one doorbell when one thread consumes them all
+//!   ([`spsc_with`]). Producers blocked on a full ring keep the
+//!   spin → yield → sleep `Backoff`: that wait binds only under
+//!   saturation, where a consumer is busy freeing slots.
 //! * **Explicit backpressure.** Blocked pushes (ring full) and blocked
 //!   pops (ring empty) are counted in [`RingStats`], which the pipeline
 //!   publishes as telemetry so saturation is observable, not guessed.
@@ -28,9 +36,9 @@
 //! Counters are monotonic and wrap naturally; capacity is rounded up to a
 //! power of two so `counter & mask` indexes slots correctly across wraps.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread;
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
+use std::thread::{self, Thread};
 use std::time::Duration;
 
 /// Pads a counter to its own cache line (64 B, doubled to 128 B to stay
@@ -49,14 +57,23 @@ pub struct RingStats {
     pub empty_waits: u64,
 }
 
-/// Exponential spin → yield → sleep backoff for the blocking entry
-/// points. On a single hardware thread pure spinning would starve the
-/// peer, so the ladder reaches `yield_now` after a few rounds and a
-/// short sleep after that.
+/// Exponential spin → yield → sleep backoff for the producer-side
+/// waits (ring full, the pipeline's in-flight window), which bind only
+/// under saturation. On a single hardware thread pure spinning would
+/// starve the peer, so the ladder reaches `yield_now` after a few
+/// rounds and a short sleep after that. Consumer-side waits climb only
+/// the spin and yield rungs ([`Backoff::is_completed`]) and then park on
+/// a [`Doorbell`], so an idle stage wakes when work arrives, not when a
+/// sleep ends.
 #[derive(Debug, Default)]
 pub(crate) struct Backoff {
     step: u32,
 }
+
+/// Rungs that spin (`2^step` pause hints each).
+const SPIN_LIMIT: u32 = 4;
+/// Rungs (spins included) before the ladder sleeps.
+const YIELD_LIMIT: u32 = 10;
 
 impl Backoff {
     pub(crate) fn new() -> Self {
@@ -67,17 +84,111 @@ impl Backoff {
         self.step = 0;
     }
 
+    /// Whether the spin and yield rungs are used up: the next
+    /// [`Backoff::snooze`] would sleep, so a waiter that can be woken
+    /// should park instead.
+    pub(crate) fn is_completed(&self) -> bool {
+        self.step >= YIELD_LIMIT
+    }
+
     pub(crate) fn snooze(&mut self) {
-        if self.step < 4 {
+        if self.step < SPIN_LIMIT {
             for _ in 0..(1u32 << self.step) {
                 std::hint::spin_loop();
             }
-        } else if self.step < 10 {
+        } else if self.step < YIELD_LIMIT {
             thread::yield_now();
         } else {
             thread::sleep(Duration::from_micros(50));
         }
         self.step = (self.step + 1).min(16);
+    }
+}
+
+/// Where a consumer thread parks while its ring (or rings) are empty,
+/// and what producers ring after they publish.
+///
+/// The protocol is a Dekker-style handshake over two locations, the
+/// ring's `head` and the `parked` flag:
+///
+/// * the waiter sets `parked`, issues a `SeqCst` fence, re-checks its
+///   rings, and only then calls [`thread::park`];
+/// * a producer stores `head` (or clears its alive flag), issues a
+///   `SeqCst` fence, and reads `parked`.
+///
+/// The two fences are totally ordered, so either the waiter's re-check
+/// sees the new `head` or the producer sees `parked` set — never
+/// neither. A producer that sees it clears it and unparks the waiter;
+/// an `unpark` that lands before the waiter reaches `park` leaves the
+/// thread's token set, so that `park` returns at once. No wake-up is
+/// lost, and no timeout backs the wait.
+///
+/// One thread waits on a doorbell at a time; any number of producers
+/// ring it.
+#[derive(Debug, Default)]
+pub struct Doorbell {
+    /// The thread that last waited here.
+    waiter: Mutex<Option<Thread>>,
+    /// Set by the waiter before its last re-check; cleared by the
+    /// producer that wakes it, or by the waiter when the re-check
+    /// finds work.
+    parked: AtomicBool,
+}
+
+impl Doorbell {
+    /// A doorbell no thread waits on yet.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Producer side, after a publication: wakes the waiter if it
+    /// announced itself parked.
+    fn ring(&self) {
+        // Pairs with the waiter's fence in `wait_until`; the fences, not
+        // the flag's own orderings, order `head` against `parked`.
+        fence(Ordering::SeqCst);
+        if self.parked.load(Ordering::Relaxed) && self.parked.swap(false, Ordering::Relaxed) {
+            // A poisoned lock still holds a whole `Option<Thread>`.
+            if let Some(waiter) = &*self.waiter.lock().unwrap_or_else(PoisonError::into_inner) {
+                waiter.unpark();
+            }
+        }
+    }
+
+    /// Consumer side: returns once `ready()` holds. Spins and yields
+    /// briefly, then parks until a producer rings. `ready` must read
+    /// only rings built on this doorbell, so that their producers ring
+    /// it, and a `true` must stay true until the caller acts on it
+    /// ([`Consumer::is_ready`] is such a test).
+    pub fn wait_until(&self, mut ready: impl FnMut() -> bool) {
+        let mut backoff = Backoff::new();
+        while !backoff.is_completed() {
+            if ready() {
+                return;
+            }
+            backoff.snooze();
+        }
+        self.register();
+        loop {
+            self.parked.store(true, Ordering::Relaxed);
+            // Pairs with the producer's fence in `ring`.
+            fence(Ordering::SeqCst);
+            if ready() {
+                self.parked.store(false, Ordering::Relaxed);
+                return;
+            }
+            thread::park();
+        }
+    }
+
+    /// Records the calling thread as the one to unpark.
+    fn register(&self) {
+        let me = thread::current();
+        let mut waiter = self.waiter.lock().unwrap_or_else(PoisonError::into_inner);
+        if waiter.as_ref().map(Thread::id) != Some(me.id()) {
+            *waiter = Some(me);
+        }
     }
 }
 
@@ -91,6 +202,8 @@ struct Shared<T> {
     consumer_alive: AtomicBool,
     full_waits: AtomicU64,
     empty_waits: AtomicU64,
+    /// Rung after every publication and when the producer goes.
+    bell: Arc<Doorbell>,
 }
 
 impl<T> Shared<T> {
@@ -154,8 +267,16 @@ pub struct Consumer<T> {
 }
 
 /// Creates a bounded SPSC ring holding at least `capacity` items
-/// (rounded up to the next power of two, minimum 1).
+/// (rounded up to the next power of two, minimum 1), with a doorbell of
+/// its own.
 pub fn spsc<T>(capacity: usize) -> (Producer<T>, Consumer<T>) {
+    spsc_with(capacity, Arc::new(Doorbell::new()))
+}
+
+/// [`spsc`] on a shared doorbell: one thread consuming several rings
+/// built on the same `bell` waits for all of them with one
+/// [`Doorbell::wait_until`].
+pub fn spsc_with<T>(capacity: usize, bell: Arc<Doorbell>) -> (Producer<T>, Consumer<T>) {
     let cap = capacity.max(1).next_power_of_two();
     let slots: Box<[Mutex<Option<T>>]> = (0..cap).map(|_| Mutex::new(None)).collect();
     let shared = Arc::new(Shared {
@@ -166,6 +287,7 @@ pub fn spsc<T>(capacity: usize) -> (Producer<T>, Consumer<T>) {
         consumer_alive: AtomicBool::new(true),
         full_waits: AtomicU64::new(0),
         empty_waits: AtomicU64::new(0),
+        bell,
     });
     (
         Producer {
@@ -241,6 +363,7 @@ impl<T> Producer<T> {
         }
         self.stage(head, item);
         s.head.0.store(head.wrapping_add(1), Ordering::Release);
+        s.bell.ring();
         Ok(())
     }
 
@@ -300,6 +423,7 @@ impl<T> Producer<T> {
                 head = head.wrapping_add(1);
             }
             s.head.0.store(head, Ordering::Release);
+            s.bell.ring();
             remaining -= burst;
             backoff.reset();
         }
@@ -310,6 +434,8 @@ impl<T> Producer<T> {
 impl<T> Drop for Producer<T> {
     fn drop(&mut self) {
         self.shared.producer_alive.store(false, Ordering::Release);
+        // End of stream (or a dying producer) wakes a parked consumer.
+        self.shared.bell.ring();
     }
 }
 
@@ -374,24 +500,28 @@ impl<T> Consumer<T> {
         Ok(item)
     }
 
-    /// Pops, blocking (spin → yield → sleep) while the ring is empty.
-    /// Returns `None` when the producer is gone and everything was
+    /// Whether a pop would return at once: an item is published, or the
+    /// producer is gone (a pop then drains or reports end of stream).
+    #[must_use]
+    pub fn is_ready(&self) -> bool {
+        let s = &*self.shared;
+        s.head.0.load(Ordering::Acquire) != s.tail.0.load(Ordering::Relaxed)
+            || !s.producer_alive.load(Ordering::Acquire)
+    }
+
+    /// Pops, blocking while the ring is empty: a short spin/yield, then
+    /// parked on the ring's [`Doorbell`] until the producer publishes or
+    /// goes. Returns `None` when the producer is gone and everything was
     /// drained — the end-of-stream signal.
     pub fn pop(&mut self) -> Option<T> {
-        match self.try_pop() {
-            Ok(item) => return Some(item),
-            Err(TryPopError::Disconnected) => return None,
-            Err(TryPopError::Empty) => {}
-        }
-        self.shared.empty_waits.fetch_add(1, Ordering::Relaxed);
-        let mut backoff = Backoff::new();
         loop {
-            backoff.snooze();
             match self.try_pop() {
                 Ok(item) => return Some(item),
                 Err(TryPopError::Disconnected) => return None,
                 Err(TryPopError::Empty) => {}
             }
+            self.shared.empty_waits.fetch_add(1, Ordering::Relaxed);
+            self.shared.bell.wait_until(|| self.is_ready());
         }
     }
 

@@ -76,8 +76,8 @@ use crate::billing::Ledger;
 use crate::entities::{Advertiser, AdvertiserId, Campaign, Registry};
 use crate::fraud::FraudScorer;
 use crate::pipeline::{
-    run_barriered, Barriers, ClickSource, Handoff, PipelineConfig, PipelineProgress, Pull,
-    SegmentState, Snapshot,
+    publish_final_health, run_barriered, Barriers, ClickSource, Handoff, PipelineConfig,
+    PipelineProgress, Pull, SegmentState, Snapshot,
 };
 use crate::report::NetworkReport;
 use crate::ring::{Pool, TryPopError};
@@ -1575,6 +1575,11 @@ where
             .transpose()?
             .flatten();
         let report = out.report();
+        let health = instruments
+            .pipeline
+            .as_deref()
+            .map(|t| publish_final_health(&out.detector, t))
+            .unwrap_or_default();
         let state = ServerState {
             detector: out.detector,
             registry: out.state.registry,
@@ -1598,7 +1603,7 @@ where
         Ok(ServeOutcome {
             report,
             state,
-            health: out.health,
+            health,
         })
     });
 

@@ -234,6 +234,12 @@ pub struct TimeGbf {
     /// Completed sub-windows since the stream start.
     completed: u64,
     active_mask: Vec<u64>,
+    /// Lanes that took an insert since they were last wiped clean. A
+    /// clean lane's wipe writes nothing, so sparse traffic does not pay
+    /// `O(m)` for every sub-window boundary a gap crosses. Derived from
+    /// inserts and not checkpointed: a restored detector marks every
+    /// lane dirty.
+    dirty: Vec<u64>,
     spare: Option<usize>,
     clean_next: usize,
     clean_chunk: usize,
@@ -277,6 +283,7 @@ impl TimeGbf {
             slot: 0,
             completed: 0,
             active_mask,
+            dirty: vec![0; matrix.lane_words()],
             spare: None,
             clean_next: 0,
             clean_chunk: cfg.clean_chunk(),
@@ -357,6 +364,9 @@ impl TimeGbf {
         d.clean_next = state.clean_next;
         d.active_mask = state.mask_words.into_owned();
         d.matrix = InterleavedBitMatrix::from_words(state.matrix_words.into_owned(), cfg.m, lanes)?;
+        for lane in 0..lanes {
+            Self::mask_set(&mut d.dirty, lane);
+        }
         Some(d)
     }
 
@@ -370,35 +380,39 @@ impl TimeGbf {
         mask[lane / 64] &= !(1u64 << (lane % 64));
     }
 
+    #[inline]
+    fn mask_has(mask: &[u64], lane: usize) -> bool {
+        mask[lane / 64] >> (lane % 64) & 1 == 1
+    }
+
+    /// Clears `count` groups of the spare lane from the wipe cursor —
+    /// unless the lane took no insert since it was last clean — and
+    /// retires the wipe once the cursor reaches `m`.
+    fn wipe_spare(&mut self, spare: usize, count: usize) {
+        if count > 0 && Self::mask_has(&self.dirty, spare) {
+            let touched = self.matrix.clear_lane_range(spare, self.clean_next, count);
+            self.ops.clean_writes += touched as u64;
+        }
+        self.clean_next += count;
+        if self.clean_next == self.cfg.m {
+            Self::mask_clear(&mut self.dirty, spare);
+            self.spare = None;
+            self.clean_next = 0;
+        }
+    }
+
     /// Wipes one unit's chunk of the spare lane.
     fn wipe_chunk(&mut self) {
         if let Some(spare) = self.spare {
-            let remaining = self.cfg.m - self.clean_next;
-            let count = self.clean_chunk.min(remaining);
-            if count > 0 {
-                let touched = self.matrix.clear_lane_range(spare, self.clean_next, count);
-                self.ops.clean_writes += touched as u64;
-                self.clean_next += count;
-            }
-            if self.clean_next == self.cfg.m {
-                self.spare = None;
-                self.clean_next = 0;
-            }
+            let count = self.clean_chunk.min(self.cfg.m - self.clean_next);
+            self.wipe_spare(spare, count);
         }
     }
 
     /// Finishes the in-progress wipe immediately.
     fn wipe_finish(&mut self) {
         if let Some(spare) = self.spare {
-            let remaining = self.cfg.m - self.clean_next;
-            if remaining > 0 {
-                let touched = self
-                    .matrix
-                    .clear_lane_range(spare, self.clean_next, remaining);
-                self.ops.clean_writes += touched as u64;
-            }
-            self.spare = None;
-            self.clean_next = 0;
+            self.wipe_spare(spare, self.cfg.m - self.clean_next);
         }
     }
 
@@ -447,9 +461,13 @@ impl TimeGbf {
         }
         let crossed = unit - last;
         if crossed >= self.cfg.full_cycle_units() {
-            // Everything expired during the quiet gap.
-            self.matrix.clear_all();
-            self.ops.clean_writes += (self.cfg.m * self.matrix.lane_words()) as u64;
+            // Everything expired during the quiet gap; a matrix whose
+            // lanes are all clean is already zero.
+            if self.dirty.iter().any(|&w| w != 0) {
+                self.matrix.clear_all();
+                self.ops.clean_writes += (self.cfg.m * self.matrix.lane_words()) as u64;
+                self.dirty.fill(0);
+            }
             self.spare = None;
             self.clean_next = 0;
             // Keep the rotation phase consistent with absolute units.
@@ -545,6 +563,7 @@ impl TimeGbf {
             for &g in probes {
                 self.matrix.set(g, cur);
             }
+            Self::mask_set(&mut self.dirty, cur);
             self.ops.insert_writes += probes.len() as u64;
             Verdict::Distinct
         }
@@ -814,6 +833,49 @@ mod tests {
         assert_eq!(d.observe_at(b"a", 100_000), Verdict::Distinct);
         assert_eq!(d.observe_at(b"b", 100_010), Verdict::Distinct);
         assert_no_stale_bits(&d, "after quiet gap");
+    }
+
+    /// Only lanes that took an insert are wiped: the boundaries of
+    /// sub-windows that saw only duplicates write nothing. A restored
+    /// detector cannot know which lanes are clean, wipes each once, and
+    /// judges the same.
+    #[test]
+    fn clean_lanes_are_not_wiped() {
+        let m = 1 << 12;
+        // 3 sub-windows of 4 units of 10 ticks: a sub-window is 40 ticks.
+        let mut d = tgbf(3, 4, 10, m, 5);
+        assert_eq!(d.observe_at(b"k", 0), Verdict::Distinct); // lane 0
+        let mut restored = {
+            let (cfg, state) = d.checkpoint_parts();
+            TimeGbf::from_checkpoint_parts(cfg, state).expect("consistent parts")
+        };
+        // Sub-windows 1 and 2 see only a duplicate; at tick 120 lane 0
+        // expires, so `k` lands in lane 3 and is then a duplicate until
+        // the lanes of sub-windows 1 and 2 have been retired too.
+        let stream = [
+            (45, true),
+            (85, true),
+            (125, false),
+            (165, true),
+            (235, true),
+        ];
+        for (tick, dup) in stream {
+            let want = if dup {
+                Verdict::Duplicate
+            } else {
+                Verdict::Distinct
+            };
+            assert_eq!(d.observe_at(b"k", tick), want, "tick {tick}");
+            assert_eq!(
+                restored.observe_at(b"k", tick),
+                want,
+                "restored, tick {tick}"
+            );
+            assert_no_stale_bits(&d, &format!("tick {tick}"));
+        }
+        assert_eq!(d.ops().clean_writes, m as u64, "only lane 0 was dirty");
+        // Lanes 0 and 1 whole, and three of lane 2's four wipe chunks.
+        assert_eq!(restored.ops().clean_writes, (2 * m + 3 * m / 4) as u64);
     }
 
     #[test]

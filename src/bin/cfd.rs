@@ -14,9 +14,10 @@
 //! `docs/OBSERVABILITY.md`).
 
 use cfd_adnet::{
-    replay_client, run_sharded_pipeline, run_sharded_pipeline_instrumented, serve, Advertiser,
-    AdvertiserId, Campaign, ClientConfig, DrainControl, Endpoint, FraudScorer, PipelineConfig,
-    PipelineTelemetry, ServeConfig, ServeInstruments, ServeTelemetry, ServerState,
+    publish_final_health, replay_client, run_sharded_pipeline, run_sharded_segment, serve,
+    Advertiser, AdvertiserId, Campaign, ClientConfig, DrainControl, Endpoint, FraudScorer,
+    PipelineConfig, PipelineTelemetry, SegmentState, ServeConfig, ServeInstruments, ServeTelemetry,
+    ServerState,
 };
 use cfd_core::config::ProbeLayout;
 use cfd_core::registry::{BackendGeometry, DetectorBackend, MemorySpec};
@@ -541,7 +542,7 @@ fn cmd_run(opts: &Opts) -> Result<(), Failure> {
     let total = clicks.len();
 
     let started = Instant::now();
-    let outcome = if metrics_on {
+    let (report, health, elapsed) = if metrics_on {
         let metrics = Arc::new(TelemetryRegistry::new());
         let telemetry = Arc::new(PipelineTelemetry::new(&metrics, shards));
         let on_tick = {
@@ -549,16 +550,26 @@ fn cmd_run(opts: &Opts) -> Result<(), Failure> {
             move || telemetry.request_detector_health()
         };
         let reporter = Reporter::spawn(Arc::clone(&metrics), interval, format, on_tick);
-        let outcome =
-            run_sharded_pipeline_instrumented(detector, registry, clicks, config, None, telemetry);
+        let outcome = run_sharded_segment(
+            detector,
+            SegmentState::new(registry),
+            clicks.into_iter(),
+            config,
+            None,
+            Some(Arc::clone(&telemetry)),
+        );
+        let elapsed = started.elapsed();
+        // The final health sample scans every shard's table: take it off
+        // the clock, then let the reporter's final snapshot show it.
+        let health = publish_final_health(&outcome.detector, &telemetry);
         reporter.stop(); // final snapshot, even on sub-interval runs
-        outcome
+        (outcome.report(), health, elapsed)
     } else {
-        run_sharded_pipeline(detector, registry, clicks, config, None)
+        let outcome = run_sharded_pipeline(detector, registry, clicks, config, None);
+        (outcome.report, outcome.health, started.elapsed())
     };
-    let elapsed = started.elapsed();
 
-    let r = &outcome.report;
+    let r = &report;
     match time_window_ticks {
         Some(t) => println!(
             "pipeline : {} over a {t}-tick time window ({shards} shards)",
@@ -578,7 +589,7 @@ fn cmd_run(opts: &Opts) -> Result<(), Failure> {
         elapsed.as_secs_f64(),
         total as f64 / elapsed.as_secs_f64().max(1e-9)
     );
-    print_billing(opts, r, &outcome.health)
+    print_billing(opts, r, &health)
 }
 
 /// Set by the `SIGTERM`/`SIGINT` handler; a watcher thread inside
