@@ -275,7 +275,8 @@ if full "$@"; then
 fi
 
 step "tier-1: cargo test -q" cargo test -q
-step "workspace tests (all crates)" cargo test -q --workspace
+step "workspace tests (all crates but the root package, which tier-1 ran)" \
+    cargo test -q --workspace --exclude click-fraud-detection
 step "workspace tests again, SIMD kernels forced scalar (CFD_FORCE_SCALAR=1)" \
     env CFD_FORCE_SCALAR=1 cargo test -q --workspace
 step "bit, detector and wire kernels in release (no overflow checks; wrapping and u128 shift paths; the folded frame CRC)" \

@@ -28,7 +28,7 @@
 //!   one-pass algorithms are inherently sequential *per keyspace shard*,
 //!   which is exactly why Theorems 1 & 2 obsess over per-element cost —
 //!   and judge whole batches via the allocation-free
-//!   [`DuplicateDetector::observe_flat_into`] (hash-then-apply
+//!   [`DuplicateDetector::observe_keys_into`] (hash-then-apply
 //!   locality).
 //! * **Resequencer + billing** restores global stream order from the
 //!   sequence numbers (a reorder ring indexed by sequence number) and
@@ -50,12 +50,12 @@
 //! ## Count and time windows
 //!
 //! One judge path serves both clocks. The worker fills a recycled tick
-//! buffer with each batch's [`Click::tick`]s and judges through
-//! [`DuplicateDetector::observe_flat_at_into`]: count-window detectors
-//! ignore the ticks, time-window detectors (`TimeTbf`, `TimeGbf`)
-//! advance their unit clocks from them. Routing is tick-blind (by key
-//! only), so each shard receives its clicks in global stream order and
-//! advances its clock exactly as a sequential
+//! buffer with each batch's [`Click::tick`]s and judges the batch's
+//! flat keys through [`DuplicateDetector::observe_keys_into`]:
+//! count-window detectors ignore the ticks, time-window detectors
+//! (`TimeTbf`, `TimeGbf`) advance their unit clocks from them. Routing
+//! is tick-blind (by key only), so each shard receives its clicks in
+//! global stream order and advances its clock exactly as a sequential
 //! [`DuplicateDetector::observe_at`] run of the same [`ShardedDetector`]
 //! would.
 //!
@@ -88,7 +88,7 @@ use crate::telemetry::PipelineTelemetry;
 use cfd_core::sharded::ShardedDetector;
 use cfd_stream::Click;
 use cfd_telemetry::{DetectorHealth, DetectorStats, TenantHealth};
-use cfd_windows::{DuplicateDetector, Verdict};
+use cfd_windows::{DuplicateDetector, Keys, Verdict};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread;
@@ -112,7 +112,7 @@ struct JudgedClick {
 /// The 16-byte click keys ride along in one flat buffer (`KEY_LEN`
 /// bytes per item, same order as `items`) so ingest hashes each key
 /// once for routing and the worker feeds the same bytes straight into
-/// [`DuplicateDetector::observe_flat_into`] without rebuilding them.
+/// [`DuplicateDetector::observe_keys_into`] without rebuilding them.
 ///
 /// A batch whose `snapshot` is set is a barrier marker: it carries no
 /// clicks, only the buffer the worker appends its shard blob to.
@@ -688,7 +688,7 @@ impl Billing<'_> {
 /// Ingest hashes each staging block's keys once with the multi-lane
 /// batch hasher ([`ShardRouter::route_flat_into`]) and ships the same
 /// key bytes to the worker inside the batch, where
-/// [`DuplicateDetector::observe_flat_at_into`] reuses them for probing.
+/// [`DuplicateDetector::observe_keys_into`] reuses them for probing.
 ///
 /// [`ShardRouter::route_flat_into`]: cfd_core::ShardRouter::route_flat_into
 #[allow(clippy::too_many_lines)]
@@ -798,7 +798,11 @@ where
                         // windows ignore the ticks, time windows read them.
                         ticks.clear();
                         ticks.extend(b.items.iter().map(|(_, c)| c.tick));
-                        detector.observe_flat_at_into(&b.keys, KEY_LEN, &ticks, &mut verdicts);
+                        detector.observe_keys_into(
+                            Keys::flat(&b.keys, KEY_LEN),
+                            Some(&ticks),
+                            &mut verdicts,
+                        );
                         if let Some((t, t0)) = telem.zip(t0) {
                             t.stage_probe_ns().record(duration_ns(t0.elapsed()));
                         }

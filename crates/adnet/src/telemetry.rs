@@ -12,7 +12,7 @@
 //! * **per-stage latency** — log2-bucketed [`Histogram`]s of per-batch
 //!   wall time for the four stages: `hash` (ingest key building and
 //!   shard routing), `probe` (detector
-//!   [`observe_flat_into`](cfd_windows::DuplicateDetector::observe_flat_into)),
+//!   [`observe_keys_into`](cfd_windows::DuplicateDetector::observe_keys_into)),
 //!   `resequence` (placing a judged batch in the reorder ring), and
 //!   `billing` (releasing and settling clicks in sequence order).
 //! * **resequencer stalls** — a [`Counter`] of judged batches that
@@ -191,7 +191,7 @@ impl PipelineTelemetry {
             stage_probe_ns: registry.histogram(
                 "pipeline.stage.probe_ns",
                 "ns",
-                "per-batch detector observe_flat_into latency",
+                "per-batch detector observe_keys_into latency",
             ),
             stage_resequence_ns: registry.histogram(
                 "pipeline.stage.resequence_ns",

@@ -102,7 +102,7 @@ proptest! {
         pop_burst in any::<bool>(),
     ) {
         let (mut tx, mut rx) = spsc::<u64>(capacity);
-        let producer = std::thread::spawn(move || {
+        let producer = thread::spawn(move || {
             let mut sent = 0u64;
             while (sent as usize) < n {
                 let end = (sent as usize + push_chunk).min(n) as u64;
@@ -114,32 +114,46 @@ proptest! {
             }
             sent
         });
-        let mut received = 0u64;
-        let mut scratch: Vec<u64> = Vec::new();
-        if pop_burst {
-            loop {
-                scratch.clear();
-                if rx.pop_ready(&mut scratch) == 0 {
-                    match rx.try_pop() {
-                        Ok(v) => scratch.push(v),
-                        Err(TryPopError::Empty) => {
-                            std::thread::yield_now();
-                            continue;
+        // The consumer runs on its own thread so a lost wake-up trips
+        // the watchdog instead of hanging the test thread.
+        let (done_tx, done_rx) = mpsc::channel();
+        let consumer = thread::spawn(move || {
+            let mut received = 0u64;
+            let mut take = |v: u64| {
+                if v != received {
+                    return Err(format!("order violated: got {v}, expected {received}"));
+                }
+                received += 1;
+                Ok(())
+            };
+            let mut scratch: Vec<u64> = Vec::new();
+            let result = if pop_burst {
+                loop {
+                    scratch.clear();
+                    if rx.pop_ready(&mut scratch) == 0 {
+                        match rx.try_pop() {
+                            Ok(v) => scratch.push(v),
+                            Err(TryPopError::Empty) => {
+                                thread::yield_now();
+                                continue;
+                            }
+                            Err(TryPopError::Disconnected) => break Ok(()),
                         }
-                        Err(TryPopError::Disconnected) => break,
+                    }
+                    if let Err(e) = scratch.iter().try_for_each(|&v| take(v)) {
+                        break Err(e);
                     }
                 }
-                for v in &scratch {
-                    prop_assert_eq!(*v, received, "order violated");
-                    received += 1;
-                }
-            }
-        } else {
-            while let Some(v) = rx.pop() {
-                prop_assert_eq!(v, received, "order violated");
-                received += 1;
-            }
-        }
+            } else {
+                std::iter::from_fn(|| rx.pop()).try_for_each(take)
+            };
+            done_tx.send(result.map(|()| received)).ok();
+        });
+        let received = match done_rx.recv_timeout(WATCHDOG) {
+            Ok(result) => result.unwrap_or_else(|e| panic!("{e}")),
+            Err(e) => panic!("the consumer never saw the end of the stream: {e}"),
+        };
+        consumer.join().expect("consumer panicked");
         let sent = producer.join().expect("producer panicked");
         prop_assert_eq!(sent, n as u64, "producer saw a false disconnect");
         prop_assert_eq!(received, n as u64, "items lost or duplicated");
@@ -148,24 +162,33 @@ proptest! {
 
 /// A longer fixed-seed stress run than the proptest cases: a tiny ring
 /// forces constant wraparound and full/empty collisions between two
-/// free-running threads, and the stream must still be exact.
+/// free-running threads, and the stream must still be exact. The
+/// consumer runs on its own thread behind the watchdog.
 #[test]
 fn two_thread_wraparound_stress() {
     const N: u64 = 200_000;
     let (mut tx, mut rx) = spsc::<u64>(4);
-    let producer = std::thread::spawn(move || {
+    let producer = thread::spawn(move || {
         for v in 0..N {
             tx.push(v).expect("consumer outlives the stream");
         }
         tx.stats().full_waits
     });
-    let mut expected = 0u64;
-    while let Some(v) = rx.pop() {
-        assert_eq!(v, expected, "order violated at item {expected}");
-        expected += 1;
-    }
+    let (done_tx, done_rx) = mpsc::channel();
+    let consumer = thread::spawn(move || {
+        let mut expected = 0u64;
+        while let Some(v) = rx.pop() {
+            assert_eq!(v, expected, "order violated at item {expected}");
+            expected += 1;
+        }
+        done_tx.send(expected).ok();
+    });
+    let received = done_rx
+        .recv_timeout(WATCHDOG)
+        .unwrap_or_else(|e| panic!("the consumer never saw the end of the stream: {e}"));
+    consumer.join().expect("consumer panicked");
     let full_waits = producer.join().expect("producer panicked");
-    assert_eq!(expected, N, "items lost or duplicated");
+    assert_eq!(received, N, "items lost or duplicated");
     // A 4-slot ring carrying 200k items cannot avoid backpressure.
     assert!(full_waits > 0, "stress run never exercised a full ring");
 }
@@ -323,6 +346,7 @@ fn ping_pong_never_loses_a_wake_up() {
     let spread_of = |round: u64| SPREADS[(round / ROUNDS_PER_SPREAD) as usize];
     let (mut ping_tx, mut ping_rx) = spsc::<u64>(1);
     let (mut pong_tx, mut pong_rx) = spsc::<u64>(1);
+    let (echo_done_tx, echo_done_rx) = mpsc::channel();
     let echo = thread::spawn(move || {
         let mut rng = SmallRng::seed_from_u64(1);
         while let Some(v) = ping_rx.pop() {
@@ -331,6 +355,7 @@ fn ping_pong_never_loses_a_wake_up() {
                 break;
             }
         }
+        echo_done_tx.send(()).ok();
     });
     let (done_tx, done_rx) = mpsc::channel();
     let pinger = thread::spawn(move || {
@@ -346,6 +371,9 @@ fn ping_pong_never_loses_a_wake_up() {
         .recv_timeout(WATCHDOG)
         .expect("a wake-up was lost: both threads parked");
     pinger.join().expect("pinging thread panicked");
+    echo_done_rx
+        .recv_timeout(WATCHDOG)
+        .expect("the pinger's drop never ended the echo thread's stream");
     echo.join().expect("echo thread panicked");
     assert!(
         stats.empty_waits > 0,

@@ -51,7 +51,7 @@ use cfd_hash::{Planner, ProbePlan};
 use cfd_stream::{
     BotnetConfig, BotnetStream, Click, TenantTraffic, TenantTrafficConfig, TENANT_KEY_LEN,
 };
-use cfd_windows::{DetectorStats, DuplicateDetector, Verdict};
+use cfd_windows::{DetectorStats, DuplicateDetector, Keys, Verdict};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -322,7 +322,7 @@ fn drive_tenant_flat<D: DuplicateDetector + DetectorStats>(d: &mut D, keys: &[u8
     let mut dups = 0u64;
     let mut verdicts = Vec::with_capacity(BATCH);
     for chunk in keys.chunks(BATCH * TENANT_KEY_LEN) {
-        d.observe_flat_into(chunk, TENANT_KEY_LEN, &mut verdicts);
+        d.observe_keys_into(Keys::flat(chunk, TENANT_KEY_LEN), None, &mut verdicts);
         dups += verdicts
             .iter()
             .filter(|&&v| v == Verdict::Duplicate)

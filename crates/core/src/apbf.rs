@@ -30,7 +30,7 @@ use cfd_bits::BitVec;
 use cfd_hash::mix::splitmix64;
 use cfd_hash::{BlockGeometry, DoubleHashFamily, HashFamily, Planner, ProbePlan};
 use cfd_telemetry::DetectorStats;
-use cfd_windows::{DuplicateDetector, Verdict, WindowSpec};
+use cfd_windows::{DuplicateDetector, Keys, Verdict, WindowSpec};
 use std::borrow::Cow;
 use std::cell::Cell;
 
@@ -451,18 +451,7 @@ impl Apbf {
     /// The stateful half of an observation: wipe step, consecutive-run
     /// probe, insert when distinct, advance the generation clock.
     pub fn apply(&mut self, plan: ProbePlan) -> Verdict {
-        let mut bufs = std::mem::take(&mut self.bufs);
-        let verdict = backend::apply_plan(self, &mut bufs, plan);
-        self.bufs = bufs;
-        verdict
-    }
-
-    /// Replays a batch of precomputed plans with lookahead prefetch.
-    /// Verdicts go into `out` (cleared first, capacity reused).
-    pub fn apply_batch_into(&mut self, plans: &[ProbePlan], out: &mut Vec<Verdict>) {
-        let mut bufs = std::mem::take(&mut self.bufs);
-        backend::apply_batch_into(self, &mut bufs, plans, out);
-        self.bufs = bufs;
+        backend::apply_plan(self, plan)
     }
 
     /// [`Apbf::apply`] with the plan's probe indices already expanded.
@@ -628,6 +617,10 @@ impl ProbeCore for Apbf {
         self.bits.prefetch(idx);
     }
 
+    fn bufs(&mut self) -> &mut BatchBufs {
+        &mut self.bufs
+    }
+
     /// Blocked probes all land in one 512-bit line.
     #[inline]
     fn probes_share_line(&self) -> bool {
@@ -648,18 +641,13 @@ impl DuplicateDetector for Apbf {
         self.apply(plan)
     }
 
-    fn observe_batch_into(&mut self, ids: &[&[u8]], out: &mut Vec<Verdict>) {
-        let mut bufs = std::mem::take(&mut self.bufs);
-        let planner = self.planner();
-        backend::observe_refs_into(self, &mut bufs, planner, ids, out);
-        self.bufs = bufs;
-    }
-
-    fn observe_flat_into(&mut self, keys: &[u8], key_len: usize, out: &mut Vec<Verdict>) {
-        let mut bufs = std::mem::take(&mut self.bufs);
-        let planner = self.planner();
-        backend::observe_flat_into(self, &mut bufs, planner, keys, key_len, out);
-        self.bufs = bufs;
+    fn observe_keys_into(
+        &mut self,
+        keys: Keys<'_>,
+        _ticks: Option<&[u64]>,
+        out: &mut Vec<Verdict>,
+    ) {
+        backend::observe_keys_into(self, keys, out);
     }
 
     fn window(&self) -> WindowSpec {

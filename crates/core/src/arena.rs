@@ -47,7 +47,7 @@ use cfd_bits::words::bits_for_value;
 use cfd_hash::mix::splitmix64;
 use cfd_hash::{BlockGeometry, DoubleHashFamily, Planner, ProbePlan};
 use cfd_telemetry::{DetectorHealth, DetectorStats, TenantHealth};
-use cfd_windows::{DuplicateDetector, Verdict, WindowSpec};
+use cfd_windows::{DuplicateDetector, Keys, Verdict, WindowSpec};
 use std::borrow::Cow;
 use std::cell::Cell;
 
@@ -773,19 +773,14 @@ impl DuplicateDetector for TenantArena {
         self.apply(plan)
     }
 
-    fn observe_batch_into(&mut self, ids: &[&[u8]], out: &mut Vec<Verdict>) {
+    fn observe_keys_into(
+        &mut self,
+        keys: Keys<'_>,
+        _ticks: Option<&[u64]>,
+        out: &mut Vec<Verdict>,
+    ) {
         let mut plans = std::mem::take(&mut self.plan_buf);
-        self.probe_planner().plan_refs_into(ids, &mut plans);
-        self.apply_plan_batch_into(&plans, out);
-        self.plan_buf = plans;
-    }
-
-    fn observe_flat_into(&mut self, keys: &[u8], key_len: usize, out: &mut Vec<Verdict>) {
-        assert!(key_len > 0, "key_len must be positive");
-        assert_eq!(keys.len() % key_len, 0, "flat buffer not a key multiple");
-        let mut plans = std::mem::take(&mut self.plan_buf);
-        self.probe_planner()
-            .plan_flat_into(keys, key_len, &mut plans);
+        backend::plan_keys_into(self.probe_planner(), keys, &mut plans);
         self.apply_plan_batch_into(&plans, out);
         self.plan_buf = plans;
     }
@@ -1040,9 +1035,9 @@ mod tests {
         let flat: Vec<u8> = keys.iter().flatten().copied().collect();
         let expect: Vec<Verdict> = refs.iter().map(|id| seq.observe(id)).collect();
         let mut got = Vec::new();
-        batched.observe_batch_into(&refs, &mut got);
+        batched.observe_keys_into(Keys::Refs(&refs), None, &mut got);
         assert_eq!(expect, got);
-        flat_arena.observe_flat_into(&flat, 16, &mut got);
+        flat_arena.observe_keys_into(Keys::flat(&flat, 16), None, &mut got);
         assert_eq!(expect, got);
     }
 

@@ -13,14 +13,16 @@
 //! * [`CountCore`] / [`TimedCore`] — the innermost stateful step
 //!   (sweep + probe + insert) for count- and time-based windows.
 //!
-//! The free functions below are the former per-detector methods
-//! (`expand_plans`, `replay_into`, `apply_batch_into`, `observe_*_into`,
-//! `replay_at_into`) verbatim, parameterized over the core. Buffers live
-//! in a [`BatchBufs`] the detector owns and `mem::take`s around each
-//! call, so the hot path stays allocation-free after warm-up.
+//! The free functions below are the per-clock frontends: one
+//! single-plan step, one plan replay and one key-batch frontend
+//! ([`observe_keys_into`], [`observe_keys_at_into`]) per clock. Buffers
+//! live in a [`BatchBufs`] the detector owns ([`ProbeCore::bufs`]) and
+//! are `mem::take`n around each call, so the hot path stays
+//! allocation-free after warm-up.
 
+use crate::PlannedDetector;
 use cfd_hash::{BlockGeometry, Planner, ProbePlan};
-use cfd_windows::Verdict;
+use cfd_windows::{Keys, Verdict};
 
 /// Elements of lookahead in the batch replay loop: while element `i` is
 /// applied, element `i + PREFETCH_AHEAD`'s cache lines are being pulled.
@@ -77,24 +79,8 @@ pub(crate) trait ProbeCore {
         self.block_geo().is_some()
     }
 
-    /// Number of consecutive elements the backend classifies together
-    /// in its wide (SIMD) probe path; 1 means element-at-a-time.
-    ///
-    /// Backends that override this must make
-    /// [`CountCore::apply_probes_grouped`] bit-identical to the
-    /// sequential loop — the replay only changes how many rows are
-    /// handed over per call, never their order.
-    ///
-    /// No in-tree backend overrides it today: the gather-based grouped
-    /// probe was built for TBF/GBF and measured ~20× *slower* than the
-    /// early-exit scalar probe on blocked layouts (the probe reads ~2–3
-    /// of its words on a distinct-heavy stream; a gather always pays for
-    /// all of them — see docs/PERFORMANCE.md, "SIMD probe path"). The
-    /// hook stays for cores whose per-element work is unconditional.
-    #[inline]
-    fn wide_group(&self) -> usize {
-        1
-    }
+    /// The detector's recycled scratch buffers.
+    fn bufs(&mut self) -> &mut BatchBufs;
 }
 
 /// The stateful half of a count-window backend: one observation given
@@ -105,28 +91,6 @@ pub(crate) trait CountCore: ProbeCore {
     /// derive extra per-element material from the hash pair
     /// (fingerprints, side-table probes); Bloom-style backends ignore it.
     fn apply_probes(&mut self, plan: ProbePlan, probes: &[usize]) -> Verdict;
-
-    /// Applies a group of consecutive plans whose probe rows are
-    /// already expanded (`probe_width` indices per plan, concatenated
-    /// in `rows`), pushing one verdict per plan in order.
-    ///
-    /// The default is the sequential loop; backends with a wide probe
-    /// path (see [`ProbeCore::wide_group`]) override this to classify
-    /// several elements per hardware iteration. Any override must stay
-    /// bit-identical to this default — verdicts *and* op counters.
-    #[inline]
-    fn apply_probes_grouped(
-        &mut self,
-        plans: &[ProbePlan],
-        rows: &[usize],
-        out: &mut Vec<Verdict>,
-    ) {
-        let w = self.probe_width();
-        debug_assert_eq!(rows.len(), plans.len() * w);
-        for (plan, row) in plans.iter().zip(rows.chunks_exact(w)) {
-            out.push(self.apply_probes(*plan, row));
-        }
-    }
 }
 
 /// The stateful half of a time-window backend. Split so the batch
@@ -171,41 +135,35 @@ pub(crate) fn expand_plans<C: ProbeCore + ?Sized>(
 }
 
 /// Applies one plan through the single-element scratch buffer.
-pub(crate) fn apply_plan<C: CountCore + ?Sized>(
-    core: &mut C,
-    bufs: &mut BatchBufs,
-    plan: ProbePlan,
-) -> Verdict {
-    let w = core.probe_width();
-    bufs.probe.resize(w, 0);
-    core.fill_probes(plan, &mut bufs.probe);
-    core.apply_probes(plan, &bufs.probe)
+pub(crate) fn apply_plan<C: CountCore + ?Sized>(core: &mut C, plan: ProbePlan) -> Verdict {
+    let mut probe = std::mem::take(&mut core.bufs().probe);
+    probe.resize(core.probe_width(), 0);
+    core.fill_probes(plan, &mut probe);
+    let verdict = core.apply_probes(plan, &probe);
+    core.bufs().probe = probe;
+    verdict
 }
 
 /// Fused expand + replay with lookahead prefetch: element
-/// `i + PREFETCH_AHEAD`'s probes are expanded (and their cache lines
-/// prefetched) while element `i` is applied, through a
-/// `PREFETCH_AHEAD`-deep ring of probe rows.
+/// `i + depth`'s probes are expanded (and their cache lines
+/// prefetched) while element `i` is applied, through a `depth`-deep
+/// ring of probe rows. Verdicts go into `out` (cleared first, capacity
+/// reused).
 ///
 /// The ring replaces the former whole-batch flat buffer: at a wide
 /// `probe_width` (APBF expands one row per physical slice — 65 at the
 /// shootout budget) a 1024-element batch expanded to ~0.5 MB, so the
 /// replay loop fought its own scratch for L2 and ran *slower* than the
 /// sequential path. The ring keeps the in-flight scratch at
-/// `PREFETCH_AHEAD × probe_width` slots — L1-resident at any width —
-/// while preserving the exact prefetch distance of the old schedule.
-pub(crate) fn replay_into<C: CountCore + ?Sized>(
+/// `depth × probe_width` slots — L1-resident at any width.
+pub(crate) fn replay_plans_into<C: CountCore + ?Sized>(
     core: &mut C,
     plans: &[ProbePlan],
-    ring: &mut Vec<usize>,
     out: &mut Vec<Verdict>,
 ) {
     let w = core.probe_width();
     let one_line = core.probes_share_line();
     out.clear();
-    if plans.is_empty() {
-        return;
-    }
     // Lookahead scales inversely with the lines prefetched per element:
     // 16 elements deep for one-line (blocked) cores, shallower as the
     // per-element line count grows, so the lines in flight stay within
@@ -213,22 +171,18 @@ pub(crate) fn replay_into<C: CountCore + ?Sized>(
     // use. (Deeper one-line rings were measured slower: at 32 the
     // blocked APBF batch path lost ~10%.)
     let lines_per_element = if one_line { 1 } else { w };
-    let group = core.wide_group().max(1);
-    let mut depth = (4 * PREFETCH_AHEAD)
+    let depth = (4 * PREFETCH_AHEAD)
         .div_ceil(lines_per_element)
         .min(2 * PREFETCH_AHEAD)
         .min(plans.len());
-    if group > 1 {
-        // Wide cores consume whole groups of consecutive rows per
-        // call; rounding the ring depth up to a group multiple keeps
-        // every group contiguous in the ring (no mid-group wrap).
-        depth = depth.div_ceil(group) * group;
+    if depth == 0 {
+        return;
     }
+    let mut ring = std::mem::take(&mut core.bufs().flat);
     ring.clear();
     ring.resize(depth * w, 0);
-    // Prime the ring: expand + prefetch the first `depth` elements.
-    for (row, plan) in ring.chunks_exact_mut(w).zip(plans) {
-        core.fill_probes(*plan, row);
+    let expand = |core: &C, plan: ProbePlan, row: &mut [usize]| {
+        core.fill_probes(plan, row);
         if one_line {
             core.prefetch(row[0]);
         } else {
@@ -236,124 +190,119 @@ pub(crate) fn replay_into<C: CountCore + ?Sized>(
                 core.prefetch(j);
             }
         }
+    };
+    // Prime the ring: expand + prefetch the first `depth` elements.
+    for (row, plan) in ring.chunks_exact_mut(w).zip(plans) {
+        expand(core, *plan, row);
     }
-    let mut i = 0;
-    while i < plans.len() {
-        let g = group.min(plans.len() - i);
-        let at = (i % depth) * w;
-        core.apply_probes_grouped(&plans[i..i + g], &ring[at..at + g * w], out);
-        // Recycle the rows just applied for elements `i + depth` on.
-        for j in i..i + g {
-            if let Some(plan) = plans.get(j + depth) {
-                let row_at = (j % depth) * w;
-                let row = &mut ring[row_at..row_at + w];
-                core.fill_probes(*plan, row);
-                if one_line {
-                    core.prefetch(row[0]);
-                } else {
-                    for &p in row.iter() {
-                        core.prefetch(p);
-                    }
-                }
-            }
+    for (i, plan) in plans.iter().enumerate() {
+        let row = &mut ring[(i % depth) * w..][..w];
+        out.push(core.apply_probes(*plan, row));
+        // Recycle the row just applied for element `i + depth`.
+        if let Some(next) = plans.get(i + depth) {
+            expand(core, *next, row);
         }
-        i += g;
     }
+    core.bufs().flat = ring;
 }
 
-/// Expand + replay: the batch half shared by `apply_batch_into` and the
-/// id-hashing frontends. Verdicts go into `out` (cleared first,
-/// capacity reused).
-pub(crate) fn apply_batch_into<C: CountCore + ?Sized>(
+/// Hashes a batch of keys (pure, multi-lane over the flat buffer or
+/// over equal-length runs of slices) and replays the plans with
+/// lookahead prefetch: the count-window batch frontend.
+pub(crate) fn observe_keys_into<C: CountCore + PlannedDetector + ?Sized>(
     core: &mut C,
-    bufs: &mut BatchBufs,
-    plans: &[ProbePlan],
+    keys: Keys<'_>,
     out: &mut Vec<Verdict>,
 ) {
-    replay_into(core, plans, &mut bufs.flat, out);
+    let plans = plan_keys(core, keys);
+    replay_plans_into(core, &plans, out);
+    core.bufs().plans = plans;
 }
 
-/// Hashes a batch of ids (pure, multi-lane over equal-length runs) and
-/// replays the plans with lookahead prefetch.
-pub(crate) fn observe_refs_into<C: CountCore + ?Sized>(
+/// The plans of a key batch, in the core's recycled plan buffer (the
+/// caller hands it back to `bufs().plans`).
+fn plan_keys<C: ProbeCore + PlannedDetector + ?Sized>(
     core: &mut C,
-    bufs: &mut BatchBufs,
-    planner: Planner,
-    ids: &[&[u8]],
-    out: &mut Vec<Verdict>,
-) {
-    let mut plans = std::mem::take(&mut bufs.plans);
-    planner.plan_refs_into(ids, &mut plans);
-    apply_batch_into(core, bufs, &plans, out);
-    bufs.plans = plans;
+    keys: Keys<'_>,
+) -> Vec<ProbePlan> {
+    let mut plans = std::mem::take(&mut core.bufs().plans);
+    plan_keys_into(core.probe_planner(), keys, &mut plans);
+    plans
 }
 
-/// [`observe_refs_into`] over a flat fixed-stride key buffer.
-pub(crate) fn observe_flat_into<C: CountCore + ?Sized>(
-    core: &mut C,
-    bufs: &mut BatchBufs,
-    planner: Planner,
-    keys: &[u8],
-    key_len: usize,
-    out: &mut Vec<Verdict>,
-) {
-    let mut plans = std::mem::take(&mut bufs.plans);
-    planner.plan_flat_into(keys, key_len, &mut plans);
-    apply_batch_into(core, bufs, &plans, out);
-    bufs.plans = plans;
+/// Hashes a key batch into `plans` (cleared first, one plan per key in
+/// order): the one place a frontend matches on the key view.
+pub(crate) fn plan_keys_into(planner: Planner, keys: Keys<'_>, plans: &mut Vec<ProbePlan>) {
+    match keys {
+        Keys::Refs(ids) => planner.plan_refs_into(ids, plans),
+        Keys::Flat { bytes, key_len } => planner.plan_flat_into(bytes, key_len, plans),
+    }
 }
 
 /// Applies one plan at `tick` through the single-element scratch buffer.
 pub(crate) fn apply_plan_at<C: TimedCore + ?Sized>(
     core: &mut C,
-    bufs: &mut BatchBufs,
     plan: ProbePlan,
     tick: u64,
 ) -> Verdict {
     let unit = core.unit_of(tick);
-    apply_plan_in_unit(core, bufs, plan, unit)
+    apply_plan_in_unit(core, plan, unit)
 }
 
 /// Applies one plan at the current clock — the high-water unit, or unit
 /// 0 before the first observation — so a tickless observation never
 /// counts as a clock regression.
-pub(crate) fn apply_plan_now<C: TimedCore + ?Sized>(
-    core: &mut C,
-    bufs: &mut BatchBufs,
-    plan: ProbePlan,
-) -> Verdict {
+pub(crate) fn apply_plan_now<C: TimedCore + ?Sized>(core: &mut C, plan: ProbePlan) -> Verdict {
     let unit = core.high_water().unwrap_or(0);
-    apply_plan_in_unit(core, bufs, plan, unit)
+    apply_plan_in_unit(core, plan, unit)
 }
 
-fn apply_plan_in_unit<C: TimedCore + ?Sized>(
-    core: &mut C,
-    bufs: &mut BatchBufs,
-    plan: ProbePlan,
-    unit: u64,
-) -> Verdict {
-    let w = core.probe_width();
-    bufs.probe.resize(w, 0);
-    core.fill_probes(plan, &mut bufs.probe);
+fn apply_plan_in_unit<C: TimedCore + ?Sized>(core: &mut C, plan: ProbePlan, unit: u64) -> Verdict {
+    let mut probe = std::mem::take(&mut core.bufs().probe);
+    probe.resize(core.probe_width(), 0);
+    core.fill_probes(plan, &mut probe);
     let unit = core.advance_to(unit);
     let stamp_now = core.stamp_of(unit);
-    core.apply_probes_at(plan, &bufs.probe, stamp_now)
+    let verdict = core.apply_probes_at(plan, &probe, stamp_now);
+    core.bufs().probe = probe;
+    verdict
 }
 
-/// Timed batch replay with lookahead prefetch and per-run clock cache:
-/// `advance_to` and the wraparound stamp are recomputed only when an
-/// element's unit differs from its predecessor's, so a burst of clicks
-/// inside one unit pays the division once. Clamped runs still count one
-/// regression per element to match the sequential path.
-pub(crate) fn replay_at_into<C: TimedCore + ?Sized>(
+/// Replays a batch of plans, each at the current clock
+/// ([`apply_plan_now`]): what a timed core does with tickless plans.
+pub(crate) fn replay_plans_now_into<C: TimedCore + ?Sized>(
     core: &mut C,
     plans: &[ProbePlan],
-    flat: &[usize],
-    ticks: &[u64],
     out: &mut Vec<Verdict>,
 ) {
+    out.clear();
+    out.extend(plans.iter().map(|&plan| apply_plan_now(core, plan)));
+}
+
+/// Timed replay of a batch of plans: with `None`, each at the current
+/// clock; with one tick per plan, through one flat probe expansion with
+/// lookahead prefetch and a per-run clock cache — `advance_to` and the
+/// wraparound stamp are recomputed only when an element's unit differs
+/// from its predecessor's, so a burst of clicks inside one unit pays
+/// the division once. Clamped runs still count one regression per
+/// element to match the sequential path.
+///
+/// # Panics
+/// Panics if `plans.len() != ticks.len()`.
+pub(crate) fn replay_plans_at_into<C: TimedCore + ?Sized>(
+    core: &mut C,
+    plans: &[ProbePlan],
+    ticks: Option<&[u64]>,
+    out: &mut Vec<Verdict>,
+) {
+    let Some(ticks) = ticks else {
+        return replay_plans_now_into(core, plans, out);
+    };
+    assert_eq!(plans.len(), ticks.len(), "one tick per key");
     let w = core.probe_width();
     let one_line = core.probes_share_line();
+    let mut flat = std::mem::take(&mut core.bufs().flat);
+    expand_plans(core, plans, &mut flat);
     out.clear();
     // Per-run clock cache: (raw unit, stamp, whether the run is clamped).
     let mut run: Option<(u64, u64, bool)> = None;
@@ -387,62 +336,23 @@ pub(crate) fn replay_at_into<C: TimedCore + ?Sized>(
         };
         out.push(core.apply_probes_at(*plan, slot, stamp_now));
     }
+    core.bufs().flat = flat;
 }
 
-/// Timed expand + replay.
+/// The time-window batch frontend: hashes a batch of keys and replays
+/// the plans at their ticks (or, with `None`, at the current clock).
 ///
 /// # Panics
-/// Panics if `plans.len() != ticks.len()`.
-pub(crate) fn apply_batch_at_into<C: TimedCore + ?Sized>(
+/// Panics if the key count differs from `ticks.len()`.
+pub(crate) fn observe_keys_at_into<C: TimedCore + PlannedDetector + ?Sized>(
     core: &mut C,
-    bufs: &mut BatchBufs,
-    plans: &[ProbePlan],
-    ticks: &[u64],
+    keys: Keys<'_>,
+    ticks: Option<&[u64]>,
     out: &mut Vec<Verdict>,
 ) {
-    assert_eq!(plans.len(), ticks.len(), "one tick per plan");
-    expand_plans(core, plans, &mut bufs.flat);
-    replay_at_into(core, plans, &bufs.flat, ticks, out);
-}
-
-/// Hashes a batch of ids and replays the plans at their ticks.
-///
-/// # Panics
-/// Panics if `ids.len() != ticks.len()`.
-pub(crate) fn observe_refs_at_into<C: TimedCore + ?Sized>(
-    core: &mut C,
-    bufs: &mut BatchBufs,
-    planner: Planner,
-    ids: &[&[u8]],
-    ticks: &[u64],
-    out: &mut Vec<Verdict>,
-) {
-    assert_eq!(ids.len(), ticks.len(), "one tick per id");
-    let mut plans = std::mem::take(&mut bufs.plans);
-    planner.plan_refs_into(ids, &mut plans);
-    apply_batch_at_into(core, bufs, &plans, ticks, out);
-    bufs.plans = plans;
-}
-
-/// [`observe_refs_at_into`] over a flat fixed-stride key buffer.
-///
-/// # Panics
-/// Panics if `key_len == 0` or the key count does not match `ticks`.
-pub(crate) fn observe_flat_at_into<C: TimedCore + ?Sized>(
-    core: &mut C,
-    bufs: &mut BatchBufs,
-    planner: Planner,
-    keys: &[u8],
-    key_len: usize,
-    ticks: &[u64],
-    out: &mut Vec<Verdict>,
-) {
-    assert!(key_len > 0, "key_len must be non-zero");
-    assert_eq!(keys.len() / key_len, ticks.len(), "one tick per key");
-    let mut plans = std::mem::take(&mut bufs.plans);
-    planner.plan_flat_into(keys, key_len, &mut plans);
-    apply_batch_at_into(core, bufs, &plans, ticks, out);
-    bufs.plans = plans;
+    let plans = plan_keys(core, keys);
+    replay_plans_at_into(core, &plans, ticks, out);
+    core.bufs().plans = plans;
 }
 
 /// The `k_eff` saturation cap shared by every blocked backend: probes

@@ -25,7 +25,7 @@ use crate::ops::OpCounters;
 use cfd_bits::{InterleavedBitMatrix, TightBitMatrix};
 use cfd_hash::{BlockGeometry, DoubleHashFamily, HashFamily, Planner, ProbePlan};
 use cfd_telemetry::DetectorStats;
-use cfd_windows::{DuplicateDetector, JumpingClock, Verdict, WindowSpec};
+use cfd_windows::{DuplicateDetector, JumpingClock, Keys, Verdict, WindowSpec};
 use std::borrow::Cow;
 use std::cell::Cell;
 
@@ -355,20 +355,7 @@ impl Gbf {
     /// one hash evaluation is accounted to this element regardless of
     /// where it was computed, keeping Theorem 1's per-element op counts.
     pub fn apply(&mut self, plan: ProbePlan) -> Verdict {
-        let mut bufs = std::mem::take(&mut self.bufs);
-        let verdict = backend::apply_plan(self, &mut bufs, plan);
-        self.bufs = bufs;
-        verdict
-    }
-
-    /// Replays a batch of precomputed plans with the same lookahead
-    /// prefetch as `observe_batch` — the stateful half of the sharded
-    /// hash-once path, where plans were produced while routing.
-    /// Verdicts go into `out` (cleared first, capacity reused).
-    pub fn apply_batch_into(&mut self, plans: &[ProbePlan], out: &mut Vec<Verdict>) {
-        let mut bufs = std::mem::take(&mut self.bufs);
-        backend::apply_batch_into(self, &mut bufs, plans, out);
-        self.bufs = bufs;
+        backend::apply_plan(self, plan)
     }
 
     /// [`Gbf::apply`] with the plan's probe groups already expanded —
@@ -447,6 +434,10 @@ impl ProbeCore for Gbf {
     fn prefetch(&self, idx: usize) {
         self.matrix.prefetch(idx);
     }
+
+    fn bufs(&mut self) -> &mut BatchBufs {
+        &mut self.bufs
+    }
 }
 
 impl CountCore for Gbf {
@@ -462,25 +453,13 @@ impl DuplicateDetector for Gbf {
         self.apply(plan)
     }
 
-    fn observe_batch_into(&mut self, ids: &[&[u8]], out: &mut Vec<Verdict>) {
-        // Hash the whole batch first (pure, multi-lane over equal-length
-        // runs) and expand every plan's probe groups into one flat
-        // buffer, then replay against filter state while prefetching
-        // element `i + PREFETCH_AHEAD`'s cache lines — the same
-        // latency-hiding replay as `Tbf::observe_batch`. In blocked mode
-        // all of an element's probes share one line, so a single
-        // prefetch per future element suffices.
-        let mut bufs = std::mem::take(&mut self.bufs);
-        let planner = self.planner();
-        backend::observe_refs_into(self, &mut bufs, planner, ids, out);
-        self.bufs = bufs;
-    }
-
-    fn observe_flat_into(&mut self, keys: &[u8], key_len: usize, out: &mut Vec<Verdict>) {
-        let mut bufs = std::mem::take(&mut self.bufs);
-        let planner = self.planner();
-        backend::observe_flat_into(self, &mut bufs, planner, keys, key_len, out);
-        self.bufs = bufs;
+    fn observe_keys_into(
+        &mut self,
+        keys: Keys<'_>,
+        _ticks: Option<&[u64]>,
+        out: &mut Vec<Verdict>,
+    ) {
+        backend::observe_keys_into(self, keys, out);
     }
 
     fn window(&self) -> WindowSpec {

@@ -17,7 +17,7 @@
 //!
 //! Mirrors the count-based [`crate::Gbf`]: pure hashing
 //! ([`TimeGbf::plan`] / [`TimeGbf::planner`]) split from stateful replay.
-//! The batch entry points hash the whole batch in one multi-lane pass,
+//! The batch entry point hashes the whole batch in one multi-lane pass,
 //! expand probe groups into one flat buffer, and replay with
 //! one-line-ahead prefetch; the unit clock (and with it all cleaning and
 //! rotation work) is consulted only when an element's tick crosses into
@@ -40,7 +40,7 @@ use cfd_bits::InterleavedBitMatrix;
 use cfd_hash::{BlockGeometry, DoubleHashFamily, HashFamily, Planner, ProbePlan};
 use cfd_telemetry::DetectorStats;
 use cfd_windows::time::UnitClock;
-use cfd_windows::{DuplicateDetector, Verdict, WindowSpec};
+use cfd_windows::{DuplicateDetector, Keys, Verdict, WindowSpec};
 use std::borrow::Cow;
 use std::cell::Cell;
 
@@ -506,10 +506,7 @@ impl TimeGbf {
     /// `apply_at(plan(id), tick)`. The hash evaluation is accounted to
     /// this element regardless of where it was computed.
     pub fn apply_at(&mut self, plan: ProbePlan, tick: u64) -> Verdict {
-        let mut bufs = std::mem::take(&mut self.bufs);
-        let verdict = backend::apply_plan_at(self, &mut bufs, plan, tick);
-        self.bufs = bufs;
-        verdict
+        backend::apply_plan_at(self, plan, tick)
     }
 
     /// The stateful half of a tickless observation; `observe(id)` ≡
@@ -517,30 +514,7 @@ impl TimeGbf {
     /// unit, or unit 0 before the first observation (never a clock
     /// regression).
     pub fn apply(&mut self, plan: ProbePlan) -> Verdict {
-        let mut bufs = std::mem::take(&mut self.bufs);
-        let verdict = backend::apply_plan_now(self, &mut bufs, plan);
-        self.bufs = bufs;
-        verdict
-    }
-
-    /// Replays a batch of precomputed plans, one tick per plan, with the
-    /// same lookahead prefetch as `observe_batch_at` — the stateful half
-    /// of [`PlannedDetector::apply_plan_batch_at`]. Verdicts go into
-    /// `out` (cleared first, capacity reused).
-    ///
-    /// [`PlannedDetector::apply_plan_batch_at`]: crate::PlannedDetector::apply_plan_batch_at
-    ///
-    /// # Panics
-    /// Panics if `plans.len() != ticks.len()`.
-    pub fn apply_batch_at_into(
-        &mut self,
-        plans: &[ProbePlan],
-        ticks: &[u64],
-        out: &mut Vec<Verdict>,
-    ) {
-        let mut bufs = std::mem::take(&mut self.bufs);
-        backend::apply_batch_at_into(self, &mut bufs, plans, ticks, out);
-        self.bufs = bufs;
+        backend::apply_plan_now(self, plan)
     }
 
     /// [`TimeGbf::apply_at`] with the probe groups already expanded and
@@ -590,6 +564,10 @@ impl ProbeCore for TimeGbf {
     fn prefetch(&self, idx: usize) {
         self.matrix.prefetch(idx);
     }
+
+    fn bufs(&mut self) -> &mut BatchBufs {
+        &mut self.bufs
+    }
 }
 
 impl TimedCore for TimeGbf {
@@ -638,28 +616,8 @@ impl DuplicateDetector for TimeGbf {
         self.apply_at(plan, tick)
     }
 
-    fn observe_batch_at_into(&mut self, ids: &[&[u8]], ticks: &[u64], out: &mut Vec<Verdict>) {
-        // Hash the whole batch first (pure, multi-lane over equal-length
-        // runs), expand to one flat probe buffer, then replay against
-        // matrix state with lookahead prefetch — the same latency-hiding
-        // schedule as `Gbf::observe_batch`.
-        let mut bufs = std::mem::take(&mut self.bufs);
-        let planner = self.planner();
-        backend::observe_refs_at_into(self, &mut bufs, planner, ids, ticks, out);
-        self.bufs = bufs;
-    }
-
-    fn observe_flat_at_into(
-        &mut self,
-        keys: &[u8],
-        key_len: usize,
-        ticks: &[u64],
-        out: &mut Vec<Verdict>,
-    ) {
-        let mut bufs = std::mem::take(&mut self.bufs);
-        let planner = self.planner();
-        backend::observe_flat_at_into(self, &mut bufs, planner, keys, key_len, ticks, out);
-        self.bufs = bufs;
+    fn observe_keys_into(&mut self, keys: Keys<'_>, ticks: Option<&[u64]>, out: &mut Vec<Verdict>) {
+        backend::observe_keys_at_into(self, keys, ticks, out);
     }
 
     fn window(&self) -> WindowSpec {
@@ -768,6 +726,13 @@ impl DetectorStats for TimeGbf {
 mod tests {
     use super::*;
     use cfd_windows::ExactTimeJumpingDedup;
+
+    /// The one batch method at `ticks`, into a fresh vector.
+    fn batch_at(d: &mut impl DuplicateDetector, ids: &[&[u8]], ticks: &[u64]) -> Vec<Verdict> {
+        let mut out = Vec::new();
+        d.observe_keys_into(Keys::Refs(ids), Some(ticks), &mut out);
+        out
+    }
 
     fn tgbf(q: usize, sub_units: u64, unit_ticks: u64, m: usize, k: usize) -> TimeGbf {
         TimeGbf::new(TimeGbfConfig::new(q, sub_units, unit_ticks, m, k, 13).unwrap()).unwrap()
@@ -1060,7 +1025,7 @@ mod tests {
             .collect();
         let mut got = Vec::new();
         for (chunk, tchunk) in slices.chunks(513).zip(ticks.chunks(513)) {
-            got.extend(batched.observe_batch_at(chunk, tchunk));
+            got.extend(batch_at(&mut batched, chunk, tchunk));
         }
         assert_eq!(got, want);
         // Counter parity: the amortized clock cache must not change any
@@ -1076,9 +1041,9 @@ mod tests {
         let ticks: Vec<u64> = (0..4_000u64).map(|i| i / 2).collect();
         let mut by_slices = tgbf(5, 16, 16, 1 << 14, 6);
         let mut by_flat = tgbf(5, 16, 16, 1 << 14, 6);
-        let want = by_slices.observe_batch_at(&slices, &ticks);
+        let want = batch_at(&mut by_slices, &slices, &ticks);
         let mut got = Vec::new();
-        by_flat.observe_flat_at_into(&flat, 8, &ticks, &mut got);
+        by_flat.observe_keys_into(Keys::flat(&flat, 8), Some(&ticks), &mut got);
         assert_eq!(got, want);
     }
 
@@ -1092,7 +1057,7 @@ mod tests {
         for (id, &t) in slices.iter().zip(&ticks) {
             seq.observe_at(id, t);
         }
-        bat.observe_batch_at(&slices, &ticks);
+        batch_at(&mut bat, &slices, &ticks);
         assert_eq!(seq.ops().clock_regressions, 3);
         assert_eq!(bat.ops(), seq.ops());
     }
@@ -1129,7 +1094,7 @@ mod tests {
             .zip(&ticks)
             .map(|(id, &t)| sequential.observe_at(id, t))
             .collect();
-        let got = batched.observe_batch_at(&slices, &ticks);
+        let got = batch_at(&mut batched, &slices, &ticks);
         assert_eq!(got, want);
     }
 
@@ -1139,7 +1104,7 @@ mod tests {
         let ids: Vec<Vec<u8>> = (0..500u64).map(|i| i.to_le_bytes().to_vec()).collect();
         let slices: Vec<&[u8]> = ids.iter().map(Vec::as_slice).collect();
         let ticks: Vec<u64> = (0..500u64).collect();
-        d.observe_batch_at(&slices, &ticks);
+        batch_at(&mut d, &slices, &ticks);
         assert_eq!(d.occupancy_scans(), 0, "hot path must not scan");
         let lanes = d.fill_ratios().len() as u64;
         assert_eq!(d.occupancy_scans(), lanes);

@@ -21,10 +21,11 @@
 //! covered. Time-based windows are unaffected (all shards share wall
 //! clock).
 
+use crate::backend;
 use crate::config::ConfigError;
 use cfd_hash::{DoubleHashFamily, HashFamily, HashPair, Planner, ProbePlan};
 use cfd_telemetry::{DetectorHealth, DetectorStats, TenantHealth};
-use cfd_windows::{DuplicateDetector, Verdict, WindowSpec};
+use cfd_windows::{DuplicateDetector, Keys, Verdict, WindowSpec};
 
 /// Routes ids to shards by the high bits of an independent hash.
 ///
@@ -142,50 +143,23 @@ pub trait PlannedDetector: DuplicateDetector {
     /// (`observe(id)` ≡ `apply_plan(probe_planner().plan(id))`).
     fn apply_plan(&mut self, plan: ProbePlan) -> Verdict;
 
-    /// Replays a batch of plans, preserving order (built on
-    /// [`PlannedDetector::apply_plan_batch_into`]).
-    fn apply_plan_batch(&mut self, plans: &[ProbePlan]) -> Vec<Verdict> {
-        let mut out = Vec::with_capacity(plans.len());
-        self.apply_plan_batch_into(plans, &mut out);
-        out
-    }
-
-    /// Allocation-free [`PlannedDetector::apply_plan_batch`]: verdicts
-    /// go into `out` (cleared first, capacity reused); implementations
-    /// override this with a prefetching replay.
+    /// Replays a batch of plans, preserving order, at the current clock
+    /// (`observe_keys_into(keys, None, out)` ≡ this over the keys'
+    /// plans). Verdicts go into `out` (cleared first, capacity reused);
+    /// implementations override this with a prefetching replay.
     fn apply_plan_batch_into(&mut self, plans: &[ProbePlan], out: &mut Vec<Verdict>) {
         out.clear();
         for &p in plans {
             out.push(self.apply_plan(p));
         }
     }
-
-    /// Replays one plan at `tick`
-    /// (`observe_at(id, t)` ≡ `apply_plan_at(probe_planner().plan(id), t)`).
-    /// The default ignores the tick, like
-    /// [`DuplicateDetector::observe_at`]; time-window detectors override
-    /// it.
-    fn apply_plan_at(&mut self, plan: ProbePlan, tick: u64) -> Verdict {
-        let _ = tick;
-        self.apply_plan(plan)
-    }
-
-    /// Replays a batch of plans with their ticks, preserving order. The
-    /// default ignores the ticks ([`PlannedDetector::apply_plan_batch`]).
-    ///
-    /// # Panics
-    /// Implementations may panic if `plans.len() != ticks.len()`.
-    fn apply_plan_batch_at(&mut self, plans: &[ProbePlan], ticks: &[u64]) -> Vec<Verdict> {
-        let _ = ticks;
-        self.apply_plan_batch(plans)
-    }
 }
 
 /// The Bloom-style detectors expose both halves as inherent methods
-/// (`planner`, `apply`, `apply_batch_into`); the time-window ones add
-/// their tick-carrying replays (`apply_at`, `apply_batch_at_into`).
+/// (`planner`, `apply`); a batch of plans replays through the backend,
+/// count cores with lookahead prefetch, time cores at the current clock.
 macro_rules! planned_detector {
-    ($($ty:ty),*) => {$(
+    ($replay:path => $($ty:ty),*) => {$(
         impl PlannedDetector for $ty {
             fn probe_planner(&self) -> Planner {
                 self.planner()
@@ -194,32 +168,14 @@ macro_rules! planned_detector {
                 self.apply(plan)
             }
             fn apply_plan_batch_into(&mut self, plans: &[ProbePlan], out: &mut Vec<Verdict>) {
-                self.apply_batch_into(plans, out);
-            }
-        }
-    )*};
-    (timed: $($ty:ty),*) => {$(
-        impl PlannedDetector for $ty {
-            fn probe_planner(&self) -> Planner {
-                self.planner()
-            }
-            fn apply_plan(&mut self, plan: ProbePlan) -> Verdict {
-                self.apply(plan)
-            }
-            fn apply_plan_at(&mut self, plan: ProbePlan, tick: u64) -> Verdict {
-                self.apply_at(plan, tick)
-            }
-            fn apply_plan_batch_at(&mut self, plans: &[ProbePlan], ticks: &[u64]) -> Vec<Verdict> {
-                let mut out = Vec::with_capacity(plans.len());
-                self.apply_batch_at_into(plans, ticks, &mut out);
-                out
+                $replay(self, plans, out);
             }
         }
     )*};
 }
 
-planned_detector!(crate::Tbf, crate::Gbf, crate::Apbf, crate::Swbf);
-planned_detector!(timed: crate::TimeTbf, crate::TimeGbf);
+planned_detector!(backend::replay_plans_into => crate::Tbf, crate::Gbf, crate::Apbf, crate::Swbf);
+planned_detector!(backend::replay_plans_now_into => crate::TimeTbf, crate::TimeGbf);
 
 /// The per-shard count window implementing the `N/S` sizing rule.
 ///
@@ -354,7 +310,7 @@ impl<D: PlannedDetector> ShardedDetector<D> {
             &mut self.shards,
             ids.iter().map(|id| planner.plan(id)),
             |plan| router.route_pair(plan.pair()),
-            PlannedDetector::apply_plan_batch,
+            PlannedDetector::apply_plan_batch_into,
         )
     }
 
@@ -384,7 +340,7 @@ impl<D: PlannedDetector> ShardedDetector<D> {
             &mut self.shards,
             ids.iter().map(|id| planner.plan(id)),
             |plan| router.route_prefix(plan.prefix()),
-            PlannedDetector::apply_plan_batch,
+            PlannedDetector::apply_plan_batch_into,
         )
     }
 }
@@ -399,10 +355,12 @@ fn scatter_gather<D, T: Copy>(
     shards: &mut [D],
     items: impl Iterator<Item = T>,
     route: impl Fn(&T) -> usize,
-    mut judge: impl FnMut(&mut D, &[T]) -> Vec<Verdict>,
+    mut judge: impl FnMut(&mut D, &[T], &mut Vec<Verdict>),
 ) -> Vec<Verdict> {
     if let [shard] = shards {
-        return judge(shard, &items.collect::<Vec<T>>());
+        let mut out = Vec::new();
+        judge(shard, &items.collect::<Vec<T>>(), &mut out);
+        return out;
     }
     let len = items.size_hint().0;
     let cap = len / shards.len() + 1;
@@ -416,7 +374,11 @@ fn scatter_gather<D, T: Copy>(
     let verdicts: Vec<Vec<Verdict>> = buckets
         .iter()
         .zip(shards)
-        .map(|(bucket, shard)| judge(shard, bucket))
+        .map(|(bucket, shard)| {
+            let mut out = Vec::with_capacity(bucket.len());
+            judge(shard, bucket, &mut out);
+            out
+        })
         .collect();
     let mut cursor = vec![0usize; verdicts.len()];
     routes
@@ -435,16 +397,6 @@ impl<D: DuplicateDetector> DuplicateDetector for ShardedDetector<D> {
         self.shards[shard].observe(id)
     }
 
-    fn observe_batch(&mut self, ids: &[&[u8]]) -> Vec<Verdict> {
-        let router = self.router;
-        scatter_gather(
-            &mut self.shards,
-            ids.iter().copied(),
-            |id| router.route(id),
-            |shard, bucket| shard.observe_batch(bucket),
-        )
-    }
-
     /// Routing is tick-blind (by id only), and every shard advances its
     /// clock from its *own* clicks' ticks. All shards share wall clock,
     /// so — unlike count windows — time-window semantics per shard equal
@@ -454,35 +406,32 @@ impl<D: DuplicateDetector> DuplicateDetector for ShardedDetector<D> {
         self.shards[shard].observe_at(id, tick)
     }
 
-    fn observe_batch_at_into(&mut self, ids: &[&[u8]], ticks: &[u64], out: &mut Vec<Verdict>) {
-        assert_eq!(ids.len(), ticks.len(), "one tick per id");
+    /// One scatter/gather over `(key, tick)` pairs: each shard judges
+    /// its bucket with one batch call, with the bucket's ticks when the
+    /// batch carries ticks.
+    fn observe_keys_into(&mut self, keys: Keys<'_>, ticks: Option<&[u64]>, out: &mut Vec<Verdict>) {
+        if let Some(ticks) = ticks {
+            assert_eq!(keys.len(), ticks.len(), "one tick per key");
+        }
         let router = self.router;
+        let tick_of = |i: usize| ticks.map_or(0, |t| t[i]);
+        let mut ids = Vec::new();
+        let mut bucket_ticks = Vec::new();
         let verdicts = scatter_gather(
             &mut self.shards,
-            ids.iter().copied().zip(ticks.iter().copied()),
+            keys.iter().enumerate().map(|(i, id)| (id, tick_of(i))),
             |&(id, _)| router.route(id),
-            |shard, bucket| {
-                let (ids, ticks): (Vec<&[u8]>, Vec<u64>) = bucket.iter().copied().unzip();
-                shard.observe_batch_at(&ids, &ticks)
+            |shard, bucket, out| {
+                ids.clear();
+                ids.extend(bucket.iter().map(|&(id, _)| id));
+                bucket_ticks.clear();
+                bucket_ticks.extend(bucket.iter().map(|&(_, tick)| tick));
+                let ticks = ticks.map(|_| bucket_ticks.as_slice());
+                shard.observe_keys_into(Keys::Refs(&ids), ticks, out);
             },
         );
         out.clear();
         out.extend(verdicts);
-    }
-
-    fn observe_flat_at_into(
-        &mut self,
-        keys: &[u8],
-        key_len: usize,
-        ticks: &[u64],
-        out: &mut Vec<Verdict>,
-    ) {
-        assert!(key_len > 0, "key_len must be non-zero");
-        assert_eq!(keys.len() / key_len, ticks.len(), "one tick per key");
-        out.clear();
-        for (id, &tick) in keys.chunks_exact(key_len).zip(ticks) {
-            out.push(self.observe_at(id, tick));
-        }
     }
 
     /// The *approximated global* window: count-based shard windows scale
@@ -813,7 +762,7 @@ mod tests {
 
     // ---- time-based sharding -------------------------------------------
 
-    use crate::{TimeGbf, TimeGbfConfig, TimeTbf, TimeTbfConfig};
+    use crate::{OpCounters, TimeGbf, TimeGbfConfig, TimeTbf, TimeTbfConfig};
     use cfd_windows::ExactTimeSlidingDedup;
 
     fn sharded_time_tbf(seed: u64, shards: usize) -> ShardedDetector<TimeTbf> {
@@ -840,50 +789,74 @@ mod tests {
         (ids, ticks)
     }
 
+    /// A sharded time window's batch path — one scatter/gather, each
+    /// shard judging its bucket in one timed batch — equals per-click
+    /// `observe_at`, verdict for verdict and shard op counter for
+    /// counter, over both key views.
     #[test]
     fn timed_sharded_batch_matches_sequential() {
-        let (ids, ticks) = timed_stream(6_000);
-        let id_slices: Vec<&[u8]> = ids.iter().map(Vec::as_slice).collect();
-        let mut sequential = sharded_time_tbf(3, 4);
-        let mut batched = sharded_time_tbf(3, 4);
-        let want: Vec<Verdict> = id_slices
-            .iter()
-            .zip(&ticks)
-            .map(|(id, &t)| sequential.observe_at(id, t))
-            .collect();
-        let mut got = Vec::new();
-        for (idc, tc) in id_slices.chunks(97).zip(ticks.chunks(97)) {
-            got.extend(batched.observe_batch_at(idc, tc));
+        fn check<D: DuplicateDetector>(make: impl Fn() -> D, ops: impl Fn(&D) -> OpCounters) {
+            let (ids, ticks) = timed_stream(6_000);
+            let id_slices: Vec<&[u8]> = ids.iter().map(Vec::as_slice).collect();
+            let flat: Vec<u8> = ids.concat();
+            let mut sequential = ShardedDetector::from_fn(3, 4, |_| Ok::<_, ConfigError>(make()))
+                .expect("valid sharded detector");
+            let want: Vec<Verdict> = id_slices
+                .iter()
+                .zip(&ticks)
+                .map(|(id, &t)| sequential.observe_at(id, t))
+                .collect();
+            for flat_view in [false, true] {
+                let mut batched = ShardedDetector::from_fn(3, 4, |_| Ok::<_, ConfigError>(make()))
+                    .expect("valid sharded detector");
+                let (mut got, mut out) = (Vec::new(), Vec::new());
+                for (i, tc) in ticks.chunks(97).enumerate() {
+                    let at = i * 97;
+                    let keys = if flat_view {
+                        Keys::flat(&flat[at * 8..(at + tc.len()) * 8], 8)
+                    } else {
+                        Keys::Refs(&id_slices[at..at + tc.len()])
+                    };
+                    batched.observe_keys_into(keys, Some(tc), &mut out);
+                    got.extend_from_slice(&out);
+                }
+                assert_eq!(got, want, "flat view {flat_view}");
+                for (b, s) in batched.shards().iter().zip(sequential.shards()) {
+                    assert_eq!(ops(b), ops(s), "flat view {flat_view}");
+                }
+            }
         }
-        assert_eq!(got, want);
+        check(
+            || TimeTbf::new(TimeTbfConfig::new(32, 10, 1 << 12, 6, 21).expect("cfg")).unwrap(),
+            TimeTbf::ops,
+        );
+        check(
+            || TimeGbf::new(TimeGbfConfig::new(6, 5, 10, 1 << 12, 4, 21).expect("cfg")).unwrap(),
+            TimeGbf::ops,
+        );
     }
 
-    /// The planned halves of the time detectors read their ticks: plan
-    /// replay, one at a time and batched, equals `observe_at`.
+    /// A time detector's tickless plan replay judges every plan at the
+    /// current clock, as tickless `observe` does.
     #[test]
-    fn timed_plan_replay_matches_observe_at() {
+    fn timed_plan_batch_matches_tickless_observe() {
         fn check<D: PlannedDetector>(make: impl Fn() -> D) {
             let (ids, ticks) = timed_stream(6_000);
-            let mut reference = make();
-            let want: Vec<Verdict> = ids
-                .iter()
-                .zip(&ticks)
-                .map(|(id, &t)| reference.observe_at(id, t))
-                .collect();
-            let (mut one, mut batched) = (make(), make());
-            let planner = one.probe_planner();
-            let plans: Vec<ProbePlan> = ids.iter().map(|id| planner.plan(id)).collect();
-            let got: Vec<Verdict> = plans
-                .iter()
-                .zip(&ticks)
-                .map(|(&p, &t)| one.apply_plan_at(p, t))
-                .collect();
-            assert_eq!(got, want, "apply_plan_at");
-            let mut got = Vec::new();
-            for (pc, tc) in plans.chunks(97).zip(ticks.chunks(97)) {
-                got.extend(batched.apply_plan_batch_at(pc, tc));
+            let (prefix, rest) = ids.split_at(3_000);
+            let (mut reference, mut batched) = (make(), make());
+            for (id, &t) in prefix.iter().zip(&ticks) {
+                reference.observe_at(id, t);
+                batched.observe_at(id, t);
             }
-            assert_eq!(got, want, "apply_plan_batch_at");
+            let want: Vec<Verdict> = rest.iter().map(|id| reference.observe(id)).collect();
+            let planner = batched.probe_planner();
+            let plans: Vec<ProbePlan> = rest.iter().map(|id| planner.plan(id)).collect();
+            let (mut got, mut out) = (Vec::new(), Vec::new());
+            for pc in plans.chunks(97) {
+                batched.apply_plan_batch_into(pc, &mut out);
+                got.extend_from_slice(&out);
+            }
+            assert_eq!(got, want);
         }
         check(|| TimeTbf::new(TimeTbfConfig::new(32, 10, 1 << 12, 6, 21).expect("cfg")).unwrap());
         check(|| TimeGbf::new(TimeGbfConfig::new(6, 5, 10, 1 << 12, 4, 21).expect("cfg")).unwrap());

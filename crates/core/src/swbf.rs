@@ -34,7 +34,7 @@ use cfd_bits::PackedIntVec;
 use cfd_hash::mix::splitmix64;
 use cfd_hash::{BlockGeometry, DoubleHashFamily, HashFamily, HashPair, Planner, ProbePlan};
 use cfd_telemetry::DetectorStats;
-use cfd_windows::{DuplicateDetector, Verdict, WindowSpec, WrapCounter};
+use cfd_windows::{DuplicateDetector, Keys, Verdict, WindowSpec, WrapCounter};
 use std::borrow::Cow;
 use std::cell::Cell;
 
@@ -498,18 +498,7 @@ impl Swbf {
     /// The stateful half of an observation: sweep, candidate probe,
     /// insert-or-overflow when distinct, advance the clock.
     pub fn apply(&mut self, plan: ProbePlan) -> Verdict {
-        let mut bufs = std::mem::take(&mut self.bufs);
-        let verdict = backend::apply_plan(self, &mut bufs, plan);
-        self.bufs = bufs;
-        verdict
-    }
-
-    /// Replays a batch of precomputed plans with lookahead prefetch.
-    /// Verdicts go into `out` (cleared first, capacity reused).
-    pub fn apply_batch_into(&mut self, plans: &[ProbePlan], out: &mut Vec<Verdict>) {
-        let mut bufs = std::mem::take(&mut self.bufs);
-        backend::apply_batch_into(self, &mut bufs, plans, out);
-        self.bufs = bufs;
+        backend::apply_plan(self, plan)
     }
 
     /// Live load of the main dictionary: active cells / cells (`O(m)`).
@@ -567,6 +556,10 @@ impl ProbeCore for Swbf {
     #[inline]
     fn prefetch(&self, idx: usize) {
         self.cells.prefetch(idx);
+    }
+
+    fn bufs(&mut self) -> &mut BatchBufs {
+        &mut self.bufs
     }
 }
 
@@ -681,18 +674,13 @@ impl DuplicateDetector for Swbf {
         self.apply(plan)
     }
 
-    fn observe_batch_into(&mut self, ids: &[&[u8]], out: &mut Vec<Verdict>) {
-        let mut bufs = std::mem::take(&mut self.bufs);
-        let planner = self.planner();
-        backend::observe_refs_into(self, &mut bufs, planner, ids, out);
-        self.bufs = bufs;
-    }
-
-    fn observe_flat_into(&mut self, keys: &[u8], key_len: usize, out: &mut Vec<Verdict>) {
-        let mut bufs = std::mem::take(&mut self.bufs);
-        let planner = self.planner();
-        backend::observe_flat_into(self, &mut bufs, planner, keys, key_len, out);
-        self.bufs = bufs;
+    fn observe_keys_into(
+        &mut self,
+        keys: Keys<'_>,
+        _ticks: Option<&[u64]>,
+        out: &mut Vec<Verdict>,
+    ) {
+        backend::observe_keys_into(self, keys, out);
     }
 
     fn window(&self) -> WindowSpec {

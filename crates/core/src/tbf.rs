@@ -23,7 +23,7 @@ use crate::ops::OpCounters;
 use cfd_bits::PackedIntVec;
 use cfd_hash::{BlockGeometry, DoubleHashFamily, HashFamily, Planner, ProbePlan};
 use cfd_telemetry::DetectorStats;
-use cfd_windows::{DuplicateDetector, Verdict, WindowSpec, WrapCounter};
+use cfd_windows::{DuplicateDetector, Keys, Verdict, WindowSpec, WrapCounter};
 use std::borrow::Cow;
 use std::cell::Cell;
 
@@ -273,20 +273,7 @@ impl Tbf {
     /// one hash evaluation is accounted to this element regardless of
     /// where it was computed, keeping Theorem 2's per-element op counts.
     pub fn apply(&mut self, plan: ProbePlan) -> Verdict {
-        let mut bufs = std::mem::take(&mut self.bufs);
-        let verdict = backend::apply_plan(self, &mut bufs, plan);
-        self.bufs = bufs;
-        verdict
-    }
-
-    /// Replays a batch of precomputed plans with the same lookahead
-    /// prefetch as `observe_batch` — the stateful half of the sharded
-    /// hash-once path, where plans were produced while routing.
-    /// Verdicts go into `out` (cleared first, capacity reused).
-    pub fn apply_batch_into(&mut self, plans: &[ProbePlan], out: &mut Vec<Verdict>) {
-        let mut bufs = std::mem::take(&mut self.bufs);
-        backend::apply_batch_into(self, &mut bufs, plans, out);
-        self.bufs = bufs;
+        backend::apply_plan(self, plan)
     }
 
     /// [`Tbf::apply`] with the plan's probe indices already expanded —
@@ -353,6 +340,10 @@ impl ProbeCore for Tbf {
     fn prefetch(&self, idx: usize) {
         self.entries.prefetch(idx);
     }
+
+    fn bufs(&mut self) -> &mut BatchBufs {
+        &mut self.bufs
+    }
 }
 
 impl CountCore for Tbf {
@@ -368,25 +359,18 @@ impl DuplicateDetector for Tbf {
         self.apply(plan)
     }
 
-    fn observe_batch_into(&mut self, ids: &[&[u8]], out: &mut Vec<Verdict>) {
-        // Hash the whole batch up front (pure, multi-lane over
-        // equal-length runs) and expand every plan's probe indices into
-        // one flat buffer. Knowing future probes is what per-click
-        // `observe` fundamentally cannot do: while element `i` is
-        // applied, element `i + PREFETCH_AHEAD`'s cache lines are
+    fn observe_keys_into(
+        &mut self,
+        keys: Keys<'_>,
+        _ticks: Option<&[u64]>,
+        out: &mut Vec<Verdict>,
+    ) {
+        // Hash the whole batch up front and replay with lookahead: while
+        // element `i` is applied, a later element's cache lines are
         // already being pulled, hiding the random-access latency of a
-        // table much larger than L1/L2.
-        let mut bufs = std::mem::take(&mut self.bufs);
-        let planner = self.planner();
-        backend::observe_refs_into(self, &mut bufs, planner, ids, out);
-        self.bufs = bufs;
-    }
-
-    fn observe_flat_into(&mut self, keys: &[u8], key_len: usize, out: &mut Vec<Verdict>) {
-        let mut bufs = std::mem::take(&mut self.bufs);
-        let planner = self.planner();
-        backend::observe_flat_into(self, &mut bufs, planner, keys, key_len, out);
-        self.bufs = bufs;
+        // table much larger than L1/L2 — what per-click `observe`
+        // fundamentally cannot do.
+        backend::observe_keys_into(self, keys, out);
     }
 
     fn window(&self) -> WindowSpec {

@@ -16,13 +16,14 @@
 //! TBF's `O(log N)` — and the probe is `k` entry reads regardless of
 //! `Q`, where GBF would need `k × ⌈(Q+1)/64⌉` word reads.
 
+use crate::backend;
 use crate::config::{ConfigError, ProbeLayout};
 use crate::ops::OpCounters;
 use crate::sharded::PlannedDetector;
 use crate::tbf_time::{TimeTbf, TimeTbfConfig, TimeTbfState};
 use cfd_hash::{Planner, ProbePlan};
 use cfd_telemetry::{DetectorHealth, DetectorStats};
-use cfd_windows::{DuplicateDetector, Verdict, WindowSpec};
+use cfd_windows::{DuplicateDetector, Keys, Verdict, WindowSpec};
 use std::borrow::Cow;
 
 /// Configuration of a [`JumpingTbf`] detector.
@@ -266,7 +267,8 @@ impl JumpingTbf {
 }
 
 /// Every path judges arrivals at their own index; feed ticks are
-/// ignored (the trait defaults of the `_at` forms).
+/// ignored (`observe_at` keeps its default, `observe_keys_into`
+/// replaces the ticks with arrival indices).
 impl PlannedDetector for JumpingTbf {
     fn probe_planner(&self) -> Planner {
         self.inner.planner()
@@ -280,7 +282,7 @@ impl PlannedDetector for JumpingTbf {
 
     fn apply_plan_batch_into(&mut self, plans: &[ProbePlan], out: &mut Vec<Verdict>) {
         let ticks = self.take_ticks(plans.len());
-        self.inner.apply_batch_at_into(plans, &ticks, out);
+        backend::replay_plans_at_into(&mut self.inner, plans, Some(&ticks), out);
         self.ticks = ticks;
     }
 }
@@ -291,16 +293,14 @@ impl DuplicateDetector for JumpingTbf {
         self.apply_plan(plan)
     }
 
-    fn observe_batch_into(&mut self, ids: &[&[u8]], out: &mut Vec<Verdict>) {
-        let ticks = self.take_ticks(ids.len());
-        self.inner.observe_batch_at_into(ids, &ticks, out);
-        self.ticks = ticks;
-    }
-
-    fn observe_flat_into(&mut self, keys: &[u8], key_len: usize, out: &mut Vec<Verdict>) {
-        assert!(key_len > 0, "key_len must be non-zero");
-        let ticks = self.take_ticks(keys.len() / key_len);
-        self.inner.observe_flat_at_into(keys, key_len, &ticks, out);
+    fn observe_keys_into(
+        &mut self,
+        keys: Keys<'_>,
+        _ticks: Option<&[u64]>,
+        out: &mut Vec<Verdict>,
+    ) {
+        let ticks = self.take_ticks(keys.len());
+        self.inner.observe_keys_into(keys, Some(&ticks), out);
         self.ticks = ticks;
     }
 

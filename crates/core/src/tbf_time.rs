@@ -19,14 +19,13 @@
 //!
 //! The detector mirrors the count-based [`crate::Tbf`] split: hashing is
 //! pure ([`TimeTbf::plan`] / [`TimeTbf::planner`]) and the stateful half
-//! replays precomputed [`ProbePlan`]s. The batch entry points
-//! ([`TimeTbf::apply_batch_at_into`], `observe_batch_at`,
-//! `observe_flat_at_into`) hash the whole batch in one multi-lane pass,
-//! expand every plan's probe indices into one flat buffer, and replay
-//! with one-line-ahead prefetch. Clock work is amortized per batch: the
-//! unit index and wraparound stamp are recomputed only when a tick run
-//! crosses into a new unit, so a burst of clicks inside one unit pays
-//! the division and `advance_to` once.
+//! replays precomputed [`ProbePlan`]s. The batch entry point
+//! (`observe_keys_into` with ticks) hashes the whole batch in one
+//! multi-lane pass, expands every plan's probe indices into one flat
+//! buffer, and replays with one-line-ahead prefetch. Clock work is
+//! amortized per batch: the unit index and wraparound stamp are
+//! recomputed only when a tick run crosses into a new unit, so a burst
+//! of clicks inside one unit pays the division and `advance_to` once.
 //!
 //! # Out-of-order ticks
 //!
@@ -47,7 +46,7 @@ use cfd_bits::PackedIntVec;
 use cfd_hash::{BlockGeometry, DoubleHashFamily, HashFamily, Planner, ProbePlan};
 use cfd_telemetry::DetectorStats;
 use cfd_windows::time::UnitClock;
-use cfd_windows::{DuplicateDetector, Verdict, WindowSpec};
+use cfd_windows::{DuplicateDetector, Keys, Verdict, WindowSpec};
 use std::borrow::Cow;
 use std::cell::Cell;
 
@@ -458,10 +457,7 @@ impl TimeTbf {
     /// `apply_at(plan(id), tick)`. The hash evaluation is accounted to
     /// this element regardless of where it was computed.
     pub fn apply_at(&mut self, plan: ProbePlan, tick: u64) -> Verdict {
-        let mut bufs = std::mem::take(&mut self.bufs);
-        let verdict = backend::apply_plan_at(self, &mut bufs, plan, tick);
-        self.bufs = bufs;
-        verdict
+        backend::apply_plan_at(self, plan, tick)
     }
 
     /// The stateful half of a tickless observation; `observe(id)` ≡
@@ -469,30 +465,7 @@ impl TimeTbf {
     /// unit, or unit 0 before the first observation (never a clock
     /// regression).
     pub fn apply(&mut self, plan: ProbePlan) -> Verdict {
-        let mut bufs = std::mem::take(&mut self.bufs);
-        let verdict = backend::apply_plan_now(self, &mut bufs, plan);
-        self.bufs = bufs;
-        verdict
-    }
-
-    /// Replays a batch of precomputed plans, one tick per plan, with the
-    /// same lookahead prefetch as `observe_batch_at` — the stateful half
-    /// of [`PlannedDetector::apply_plan_batch_at`]. Verdicts go into
-    /// `out` (cleared first, capacity reused).
-    ///
-    /// [`PlannedDetector::apply_plan_batch_at`]: crate::PlannedDetector::apply_plan_batch_at
-    ///
-    /// # Panics
-    /// Panics if `plans.len() != ticks.len()`.
-    pub fn apply_batch_at_into(
-        &mut self,
-        plans: &[ProbePlan],
-        ticks: &[u64],
-        out: &mut Vec<Verdict>,
-    ) {
-        let mut bufs = std::mem::take(&mut self.bufs);
-        backend::apply_batch_at_into(self, &mut bufs, plans, ticks, out);
-        self.bufs = bufs;
+        backend::apply_plan_now(self, plan)
     }
 
     /// [`TimeTbf::apply_at`] with the plan's probe indices already
@@ -545,6 +518,10 @@ impl ProbeCore for TimeTbf {
     fn prefetch(&self, idx: usize) {
         self.entries.prefetch(idx);
     }
+
+    fn bufs(&mut self) -> &mut BatchBufs {
+        &mut self.bufs
+    }
 }
 
 impl TimedCore for TimeTbf {
@@ -590,28 +567,8 @@ impl DuplicateDetector for TimeTbf {
         self.apply_at(plan, tick)
     }
 
-    fn observe_batch_at_into(&mut self, ids: &[&[u8]], ticks: &[u64], out: &mut Vec<Verdict>) {
-        // Hash the whole batch first (pure, multi-lane over equal-length
-        // runs), expand to one flat probe buffer, then replay against
-        // filter state with lookahead prefetch — the same latency-hiding
-        // schedule as `Tbf::observe_batch`.
-        let mut bufs = std::mem::take(&mut self.bufs);
-        let planner = self.planner();
-        backend::observe_refs_at_into(self, &mut bufs, planner, ids, ticks, out);
-        self.bufs = bufs;
-    }
-
-    fn observe_flat_at_into(
-        &mut self,
-        keys: &[u8],
-        key_len: usize,
-        ticks: &[u64],
-        out: &mut Vec<Verdict>,
-    ) {
-        let mut bufs = std::mem::take(&mut self.bufs);
-        let planner = self.planner();
-        backend::observe_flat_at_into(self, &mut bufs, planner, keys, key_len, ticks, out);
-        self.bufs = bufs;
+    fn observe_keys_into(&mut self, keys: Keys<'_>, ticks: Option<&[u64]>, out: &mut Vec<Verdict>) {
+        backend::observe_keys_at_into(self, keys, ticks, out);
     }
 
     fn window(&self) -> WindowSpec {
@@ -694,6 +651,13 @@ impl DetectorStats for TimeTbf {
 mod tests {
     use super::*;
     use cfd_windows::ExactTimeSlidingDedup;
+
+    /// The one batch method at `ticks`, into a fresh vector.
+    fn batch_at(d: &mut impl DuplicateDetector, ids: &[&[u8]], ticks: &[u64]) -> Vec<Verdict> {
+        let mut out = Vec::new();
+        d.observe_keys_into(Keys::Refs(ids), Some(ticks), &mut out);
+        out
+    }
 
     fn ttbf(window_units: u64, unit_ticks: u64, m: usize, k: usize) -> TimeTbf {
         TimeTbf::new(TimeTbfConfig::new(window_units, unit_ticks, m, k, 9).unwrap()).unwrap()
@@ -874,7 +838,7 @@ mod tests {
             .collect();
         let mut got = Vec::new();
         for (chunk, tchunk) in slices.chunks(513).zip(ticks.chunks(513)) {
-            got.extend(batched.observe_batch_at(chunk, tchunk));
+            got.extend(batch_at(&mut batched, chunk, tchunk));
         }
         assert_eq!(got, want);
         // Counter parity: the amortized clock cache must not change any
@@ -890,9 +854,9 @@ mod tests {
         let ticks: Vec<u64> = (0..4_000u64).map(|i| i / 2).collect();
         let mut by_slices = ttbf(64, 16, 1 << 14, 6);
         let mut by_flat = ttbf(64, 16, 1 << 14, 6);
-        let want = by_slices.observe_batch_at(&slices, &ticks);
+        let want = batch_at(&mut by_slices, &slices, &ticks);
         let mut got = Vec::new();
-        by_flat.observe_flat_at_into(&flat, 8, &ticks, &mut got);
+        by_flat.observe_keys_into(Keys::flat(&flat, 8), Some(&ticks), &mut got);
         assert_eq!(got, want);
     }
 
@@ -907,7 +871,7 @@ mod tests {
         for (id, &t) in slices.iter().zip(&ticks) {
             seq.observe_at(id, t);
         }
-        bat.observe_batch_at(&slices, &ticks);
+        batch_at(&mut bat, &slices, &ticks);
         assert_eq!(seq.ops().clock_regressions, 3);
         assert_eq!(bat.ops(), seq.ops());
     }
@@ -945,7 +909,7 @@ mod tests {
             .zip(&ticks)
             .map(|(id, &t)| sequential.observe_at(id, t))
             .collect();
-        let got = batched.observe_batch_at(&slices, &ticks);
+        let got = batch_at(&mut batched, &slices, &ticks);
         assert_eq!(got, want);
     }
 
@@ -955,7 +919,7 @@ mod tests {
         let ids: Vec<Vec<u8>> = (0..500u64).map(|i| i.to_le_bytes().to_vec()).collect();
         let slices: Vec<&[u8]> = ids.iter().map(Vec::as_slice).collect();
         let ticks: Vec<u64> = (0..500u64).collect();
-        d.observe_batch_at(&slices, &ticks);
+        batch_at(&mut d, &slices, &ticks);
         assert_eq!(d.occupancy_scans(), 0, "hot path must not scan");
         let _ = d.active_entries();
         let _ = d.fill_ratios();

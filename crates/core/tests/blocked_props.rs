@@ -12,7 +12,7 @@
 
 use cfd_core::config::ProbeLayout;
 use cfd_core::{Gbf, GbfConfig, Tbf, TbfConfig};
-use cfd_windows::{DuplicateDetector, Verdict};
+use cfd_windows::{DuplicateDetector, Keys, Verdict};
 use proptest::prelude::*;
 use std::collections::{HashSet, VecDeque};
 
@@ -140,16 +140,18 @@ proptest! {
     }
 
     /// The batch path is verdict-identical to per-click observe for any
-    /// chunking, in both layouts.
+    /// chunking, in both layouts and over both key views.
     #[test]
     fn batch_equals_sequential_any_chunking(
         seed in 0u64..1000,
         period in 3u64..400,
         chunk in 1usize..300,
         blocked in any::<bool>(),
+        flat_view in any::<bool>(),
     ) {
-        let keys: Vec<Vec<u8>> = (0..2500u64).map(|i| (i % period).to_le_bytes().to_vec()).collect();
-        let slices: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
+        let keys: Vec<[u8; 8]> = (0..2500u64).map(|i| (i % period).to_le_bytes()).collect();
+        let slices: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
+        let flat = keys.as_flattened();
         let probe = if blocked { ProbeLayout::Blocked } else { ProbeLayout::Scattered };
         let cfg = TbfConfig::builder(128)
             .entries(1 << 13)
@@ -161,9 +163,11 @@ proptest! {
         let mut sequential = Tbf::new(cfg).expect("tbf");
         let mut batched = Tbf::new(cfg).expect("tbf");
         let want: Vec<Verdict> = slices.iter().map(|id| sequential.observe(id)).collect();
-        let mut got = Vec::new();
-        for c in slices.chunks(chunk) {
-            got.extend(batched.observe_batch(c));
+        let (mut got, mut out) = (Vec::new(), Vec::new());
+        for (c, fc) in slices.chunks(chunk).zip(flat.chunks(chunk * 8)) {
+            let keys = if flat_view { Keys::flat(fc, 8) } else { Keys::Refs(c) };
+            batched.observe_keys_into(keys, None, &mut out);
+            got.extend_from_slice(&out);
         }
         prop_assert_eq!(got, want);
     }

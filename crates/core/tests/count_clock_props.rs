@@ -11,7 +11,7 @@
 //! included — whether or not `Q` divides `N`.
 
 use cfd_core::{Gbf, GbfConfig, Tbf, TbfConfig, TimeGbf, TimeGbfConfig, TimeTbf, TimeTbfConfig};
-use cfd_windows::{DuplicateDetector, Verdict};
+use cfd_windows::{DuplicateDetector, Keys, Verdict};
 use proptest::prelude::*;
 
 fn splitmix64(state: &mut u64) -> u64 {
@@ -48,12 +48,14 @@ fn both_streams(
     ids: &[[u8; 8]],
     batch: usize,
 ) -> (Vec<Verdict>, Vec<Verdict>) {
-    let refs: Vec<&[u8]> = ids.iter().map(<[u8; 8]>::as_slice).collect();
+    let flat = ids.as_flattened();
     let ticks: Vec<u64> = (0..ids.len() as u64).collect();
-    let (mut want, mut got) = (Vec::new(), Vec::new());
-    for (group, tc) in refs.chunks(batch).zip(ticks.chunks(batch)) {
-        want.extend(count.observe_batch(group));
-        got.extend(timed.observe_batch_at(group, tc));
+    let (mut want, mut got, mut out) = (Vec::new(), Vec::new(), Vec::new());
+    for (group, tc) in flat.chunks(batch * 8).zip(ticks.chunks(batch)) {
+        count.observe_keys_into(Keys::flat(group, 8), None, &mut out);
+        want.extend_from_slice(&out);
+        timed.observe_keys_into(Keys::flat(group, 8), Some(tc), &mut out);
+        got.extend_from_slice(&out);
     }
     (want, got)
 }

@@ -5,7 +5,7 @@
 use cfd_core::sharded::{per_shard_window, ShardedDetector};
 use cfd_core::tbf_jumping::{JumpingTbf, JumpingTbfConfig};
 use cfd_core::{Gbf, GbfConfig, Tbf, TbfConfig};
-use cfd_windows::{DetectorStats, DuplicateDetector, Verdict};
+use cfd_windows::{DetectorStats, DuplicateDetector, Keys, Verdict};
 
 fn gbf(n: usize, q: usize, m: usize, k: usize) -> Gbf {
     Gbf::new(
@@ -161,8 +161,8 @@ fn jumping_tbf_reports_health() {
 #[test]
 fn hot_paths_never_trigger_occupancy_scans() {
     // The O(m) occupancy passes (fill ratios, active-entry counts) are
-    // snapshot-cadence operations; if one creeps into observe or
-    // observe_batch, per-click cost silently becomes O(m). The scan
+    // snapshot-cadence operations; if one creeps into observe or the
+    // batch path, per-click cost silently becomes O(m). The scan
     // counters are the regression guard: a pure observe workload must
     // leave them at zero, and only explicit health sampling moves them.
     let mut g = gbf(256, 8, 1 << 14, 6);
@@ -172,10 +172,12 @@ fn hot_paths_never_trigger_occupancy_scans() {
         .map(|i| (i % 700).to_le_bytes().to_vec())
         .collect();
     let slices: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
-    for chunk in slices.chunks(257) {
-        g.observe_batch(chunk);
-        t.observe_batch(chunk);
-        j.observe_batch(chunk);
+    let flat = keys.concat();
+    let mut out = Vec::new();
+    for (chunk, flat_chunk) in slices.chunks(257).zip(flat.chunks(257 * 8)) {
+        g.observe_keys_into(Keys::Refs(chunk), None, &mut out);
+        t.observe_keys_into(Keys::flat(flat_chunk, 8), None, &mut out);
+        j.observe_keys_into(Keys::Refs(chunk), None, &mut out);
     }
     for id in &slices[..500] {
         g.observe(id);
@@ -207,8 +209,8 @@ fn hot_paths_never_trigger_occupancy_scans() {
         )
     })
     .unwrap();
-    for chunk in slices.chunks(257) {
-        d.observe_batch(chunk);
+    for chunk in flat.chunks(257 * 8) {
+        d.observe_keys_into(Keys::flat(chunk, 8), None, &mut out);
     }
     assert_eq!(d.occupancy_scans(), 0, "sharded hot path scanned");
     let _ = d.health();

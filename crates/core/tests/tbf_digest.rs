@@ -9,7 +9,7 @@
 //! reproduce the same digest.
 
 use cfd_core::simd::set_scalar_override;
-use cfd_core::{CheckpointState, OpCounters, Tbf, TbfConfig};
+use cfd_core::{CheckpointState, OpCounters, PlannedDetector, Tbf, TbfConfig};
 use cfd_hash::ProbePlan;
 use cfd_windows::Verdict;
 
@@ -85,7 +85,7 @@ fn digest(plans: &[ProbePlan]) -> (u64, OpCounters, u32) {
     let mut out = Vec::with_capacity(BATCH);
     let mut hash = 0xCBF2_9CE4_8422_2325u64;
     for batch in plans.chunks(BATCH) {
-        tbf.apply_batch_into(batch, &mut out);
+        tbf.apply_plan_batch_into(batch, &mut out);
         for &v in &out {
             hash = fnv1a(hash, u8::from(v == Verdict::Duplicate));
         }

@@ -1,8 +1,8 @@
 //! Differential property tests for the time-based detectors: whatever
 //! the tick stream, `TimeTbf` and `TimeGbf` keep the paper's one-sided
 //! zero-false-negative guarantee (§3.1 / §4.1), in both probe layouts,
-//! and the batch and flat-key paths are pure optimizations of the
-//! sequential path.
+//! and the one batch method — either key view, with or without ticks —
+//! is a pure optimization of the sequential path.
 //!
 //! False negatives are counted *self-consistently* (paper Definition 1,
 //! same as `tests/blocked_props.rs`): a click is a false negative iff
@@ -17,8 +17,9 @@
 //! `(Q + 1)`-lane rotation cycle (TimeGbf).
 
 use cfd_core::config::ProbeLayout;
+use cfd_core::registry::DetectorBackend;
 use cfd_core::{TimeGbf, TimeGbfConfig, TimeTbf, TimeTbfConfig};
-use cfd_windows::{DuplicateDetector, ObservableDetector, Verdict};
+use cfd_windows::{DuplicateDetector, Keys, ObservableDetector, Verdict};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -179,8 +180,10 @@ proptest! {
             .map(|(id, &t)| sequential.observe_at(id, t))
             .collect();
         let mut got = Vec::new();
+        let mut out = Vec::new();
         for (idc, tc) in ids.chunks(chunk).zip(ticks.chunks(chunk)) {
-            got.extend(batched.observe_batch_at(idc, tc));
+            batched.observe_keys_into(Keys::Refs(idc), Some(tc), &mut out);
+            got.extend_from_slice(&out);
         }
         prop_assert_eq!(&got, &want);
         // The amortized clock advance must not change a single counter.
@@ -208,14 +211,16 @@ proptest! {
             .map(|(id, &t)| sequential.observe_at(id, t))
             .collect();
         let mut got = Vec::new();
+        let mut out = Vec::new();
         for (idc, tc) in ids.chunks(chunk).zip(ticks.chunks(chunk)) {
-            got.extend(batched.observe_batch_at(idc, tc));
+            batched.observe_keys_into(Keys::Refs(idc), Some(tc), &mut out);
+            got.extend_from_slice(&out);
         }
         prop_assert_eq!(&got, &want);
         prop_assert_eq!(batched.ops(), sequential.ops());
     }
 
-    /// The flat-key multi-lane path equals the slice batch path on
+    /// The flat view's multi-lane path equals the slice view on
     /// fixed-stride keys, for both detectors and layouts.
     #[test]
     fn flat_keys_equal_slice_batch(
@@ -229,30 +234,67 @@ proptest! {
         let ids: Vec<&[u8]> = clicks.iter().map(|(k, _)| k.as_slice()).collect();
         let ticks: Vec<u64> = clicks.iter().map(|&(_, t)| t).collect();
         let flat: Vec<u8> = clicks.iter().flat_map(|(k, _)| k.clone()).collect();
+        let (mut want, mut got) = (Vec::new(), Vec::new());
 
         let mut sliced = time_tbf(16, 8, seed, probe);
         let mut flattened = time_tbf(16, 8, seed, probe);
-        let want = sliced.observe_batch_at(&ids, &ticks);
-        let mut got = Vec::new();
-        flattened.observe_flat_at_into(&flat, 8, &ticks, &mut got);
+        sliced.observe_keys_into(Keys::Refs(&ids), Some(&ticks), &mut want);
+        flattened.observe_keys_into(Keys::flat(&flat, 8), Some(&ticks), &mut got);
         prop_assert_eq!(&got, &want);
 
         let mut sliced = time_gbf(6, 4, 8, seed, probe);
         let mut flattened = time_gbf(6, 4, 8, seed, probe);
-        let want = sliced.observe_batch_at(&ids, &ticks);
-        flattened.observe_flat_at_into(&flat, 8, &ticks, &mut got);
+        sliced.observe_keys_into(Keys::Refs(&ids), Some(&ticks), &mut want);
+        flattened.observe_keys_into(Keys::flat(&flat, 8), Some(&ticks), &mut got);
         prop_assert_eq!(&got, &want);
+    }
+
+    /// A batch without ticks judges every click at the current clock,
+    /// exactly as tickless per-click `observe` does: after a ticked
+    /// prefix, both detectors keep the prefix's high-water unit, and
+    /// verdicts and op counters (no clock regressions) match.
+    #[test]
+    fn tickless_batch_equals_tickless_observe(
+        seed in 0u64..1000,
+        period in 3u64..400,
+        chunk in 1usize..300,
+        salt in 0u64..1000,
+        blocked in any::<bool>(),
+    ) {
+        let probe = if blocked { ProbeLayout::Blocked } else { ProbeLayout::Scattered };
+        let clicks = jittery_stream(2_000, period, 8, salt);
+        let (ticked, tickless) = clicks.split_at(clicks.len() / 2);
+        let ids: Vec<&[u8]> = tickless.iter().map(|(k, _)| k.as_slice()).collect();
+        let detectors: [(Box<dyn DuplicateDetector>, Box<dyn DuplicateDetector>); 2] = [
+            (Box::new(time_tbf(16, 8, seed, probe)), Box::new(time_tbf(16, 8, seed, probe))),
+            (Box::new(time_gbf(6, 4, 8, seed, probe)), Box::new(time_gbf(6, 4, 8, seed, probe))),
+        ];
+        for (mut sequential, mut batched) in detectors {
+            for (key, tick) in ticked {
+                sequential.observe_at(key, *tick);
+                batched.observe_at(key, *tick);
+            }
+            let want: Vec<Verdict> = ids.iter().map(|id| sequential.observe(id)).collect();
+            let (mut got, mut out) = (Vec::new(), Vec::new());
+            for idc in ids.chunks(chunk) {
+                batched.observe_keys_into(Keys::Refs(idc), None, &mut out);
+                got.extend_from_slice(&out);
+            }
+            prop_assert_eq!(&got, &want, "{}", batched.name());
+        }
     }
 }
 
-/// A boxed time detector must keep reading its ticks: every tick-carrying
-/// method of the `Box` forwarding impl reaches the inner detector's
-/// override instead of the tick-blind default. The jittery stream
-/// crosses thousands of unit boundaries, so a tick-blind path (which
-/// judges every click at the first click's unit) diverges at once.
+/// A boxed time detector must keep reading its ticks: `observe_at` and
+/// the one batch method of each `Box` forward — the generic one over
+/// any `DuplicateDetector` and the registry's `Box<dyn DetectorBackend>`
+/// — reach the inner detector's override instead of the tick-blind
+/// default, over both key views. The jittery stream crosses thousands of
+/// unit boundaries, so a tick-blind path (which judges every click at
+/// the first click's unit) diverges at once.
 fn assert_boxing_keeps_ticks<D>(make: impl Fn() -> D)
 where
-    D: ObservableDetector + Send + 'static,
+    D: DetectorBackend + 'static,
 {
     let clicks = jittery_stream(4_000, 300, 16, 5);
     let mut unboxed = make();
@@ -262,32 +304,39 @@ where
         .collect();
     let name = unboxed.name();
 
-    let mut boxed: Box<dyn ObservableDetector + Send> = Box::new(make());
-    let got: Vec<Verdict> = clicks
-        .iter()
-        .map(|(key, tick)| boxed.observe_at(key, *tick))
-        .collect();
-    assert_eq!(got, want, "{name}: boxed observe_at");
-
-    let mut boxed: Box<dyn ObservableDetector + Send> = Box::new(make());
-    let mut got = Vec::with_capacity(clicks.len());
-    for chunk in clicks.chunks(97) {
-        let ids: Vec<&[u8]> = chunk.iter().map(|(k, _)| k.as_slice()).collect();
-        let ticks: Vec<u64> = chunk.iter().map(|&(_, t)| t).collect();
-        got.extend(boxed.observe_batch_at(&ids, &ticks));
+    let boxes = || -> [Box<dyn ObservableDetector + Send>; 2] {
+        let backend: Box<dyn DetectorBackend> = Box::new(make());
+        [Box::new(make()), Box::new(backend)]
+    };
+    for mut boxed in boxes() {
+        let got: Vec<Verdict> = clicks
+            .iter()
+            .map(|(key, tick)| boxed.observe_at(key, *tick))
+            .collect();
+        assert_eq!(got, want, "{name}: boxed observe_at");
     }
-    assert_eq!(got, want, "{name}: boxed observe_batch_at");
-
-    let mut boxed: Box<dyn ObservableDetector + Send> = Box::new(make());
-    let mut got = Vec::with_capacity(clicks.len());
-    let mut out = Vec::new();
-    for chunk in clicks.chunks(97) {
-        let keys: Vec<u8> = chunk.iter().flat_map(|(k, _)| k.iter().copied()).collect();
-        let ticks: Vec<u64> = chunk.iter().map(|&(_, t)| t).collect();
-        boxed.observe_flat_at_into(&keys, 8, &ticks, &mut out);
-        got.extend_from_slice(&out);
+    for flat_view in [false, true] {
+        for mut boxed in boxes() {
+            let mut got = Vec::with_capacity(clicks.len());
+            let mut out = Vec::new();
+            for chunk in clicks.chunks(97) {
+                let ids: Vec<&[u8]> = chunk.iter().map(|(k, _)| k.as_slice()).collect();
+                let flat: Vec<u8> = ids.concat();
+                let ticks: Vec<u64> = chunk.iter().map(|&(_, t)| t).collect();
+                let keys = if flat_view {
+                    Keys::flat(&flat, 8)
+                } else {
+                    Keys::Refs(&ids)
+                };
+                boxed.observe_keys_into(keys, Some(&ticks), &mut out);
+                got.extend_from_slice(&out);
+            }
+            assert_eq!(
+                got, want,
+                "{name}: boxed observe_keys_into (flat view {flat_view})"
+            );
+        }
     }
-    assert_eq!(got, want, "{name}: boxed observe_flat_at_into");
 }
 
 #[test]

@@ -165,7 +165,7 @@ impl TenantTraffic {
     }
 
     /// Appends `count` keys to a flat buffer (`TENANT_KEY_LEN` bytes
-    /// each, end-to-end) — the shape `observe_flat_into` consumes.
+    /// each, end-to-end) — the flat key view `observe_keys_into` consumes.
     pub fn fill_flat(&mut self, count: usize, out: &mut Vec<u8>) {
         out.reserve(count * TENANT_KEY_LEN);
         for _ in 0..count {

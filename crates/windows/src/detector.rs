@@ -31,6 +31,67 @@ impl Verdict {
     }
 }
 
+/// A batch of click ids in one of the two layouts batches travel in.
+///
+/// Both views hold the same ids in stream order; a batch-observing
+/// detector matches on the view once to pick its hashing pass.
+#[derive(Debug, Clone, Copy)]
+pub enum Keys<'a> {
+    /// One slice per id.
+    Refs(&'a [&'a [u8]]),
+    /// Fixed-stride ids packed end-to-end, `key_len` bytes each: what
+    /// the zero-allocation pipeline ships between stages (no per-id
+    /// slice headers, and one multi-lane hashing pass over the buffer).
+    Flat {
+        /// The packed ids.
+        bytes: &'a [u8],
+        /// Bytes per id (non-zero; `bytes.len()` is a multiple of it).
+        key_len: usize,
+    },
+}
+
+impl<'a> Keys<'a> {
+    /// The flat view of `bytes`, `key_len` bytes per id.
+    ///
+    /// # Panics
+    /// If `key_len == 0` or `bytes.len()` is not a multiple of `key_len`.
+    #[must_use]
+    pub fn flat(bytes: &'a [u8], key_len: usize) -> Self {
+        assert!(key_len > 0, "key_len must be non-zero");
+        assert_eq!(
+            bytes.len() % key_len,
+            0,
+            "flat key buffer length {} is not a multiple of key_len {key_len}",
+            bytes.len(),
+        );
+        Keys::Flat { bytes, key_len }
+    }
+
+    /// Number of ids in the batch.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        match *self {
+            Keys::Refs(ids) => ids.len(),
+            Keys::Flat { bytes, key_len } => bytes.len() / key_len,
+        }
+    }
+
+    /// `true` for a batch of no ids.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The ids, in stream order.
+    pub fn iter(&self) -> impl Iterator<Item = &'a [u8]> + 'a {
+        let (ids, packed): (&'a [&'a [u8]], _) = match *self {
+            Keys::Refs(ids) => (ids, [].chunks_exact(1)),
+            Keys::Flat { bytes, key_len } => (&[], bytes.chunks_exact(key_len)),
+        };
+        ids.iter().copied().chain(packed)
+    }
+}
+
 /// A one-pass duplicate detector over a decaying window.
 ///
 /// The contract mirrors the paper's problem statement (§1.3): given
@@ -41,14 +102,19 @@ impl Verdict {
 ///
 /// # One contract for both clocks
 ///
-/// Every observation method has a tick-carrying `_at` twin. A count
-/// window is a time window whose clock is the arrival index, so count
-/// detectors ignore the ticks: the `_at` defaults delegate to the
-/// matching count method, keeping any batch override. Time-window
-/// detectors (`TimeTbf`, `TimeGbf`, the `ExactTime*` oracles) override
-/// the `_at` methods and read the ticks. Ticks should be non-decreasing;
-/// the `cfd-core` detectors clamp late ones to the high-water unit and
-/// count the event — time never moves backwards.
+/// A tick is an argument, not a separate method. A count window is a
+/// time window whose clock is the arrival index, so count detectors
+/// ignore ticks. Time-window detectors (`TimeTbf`, `TimeGbf`, the
+/// `ExactTime*` oracles) read them; a click given no tick is judged at
+/// the detector's *current clock* (see [`observe`]). Ticks should be
+/// non-decreasing; the `cfd-core` detectors clamp late ones to the
+/// high-water unit and count the event — time never moves backwards.
+///
+/// Batches go through one method, [`observe_keys_into`], over either
+/// key layout ([`Keys`]) with optional ticks. Its default is the
+/// per-click loop, so trait objects and third-party detectors get
+/// batching for free; the Bloom-style detectors override it to hash the
+/// whole batch up front.
 ///
 /// # Error direction
 ///
@@ -56,6 +122,9 @@ impl Verdict {
 /// reported as [`Verdict::Duplicate`]; a *false negative* is a duplicate
 /// wrongly reported as [`Verdict::Distinct`]. GBF and TBF have zero false
 /// negatives; exact oracles have zero error in both directions.
+///
+/// [`observe`]: DuplicateDetector::observe
+/// [`observe_keys_into`]: DuplicateDetector::observe_keys_into
 pub trait DuplicateDetector {
     /// Classifies the next click of the stream and updates internal state.
     ///
@@ -66,63 +135,6 @@ pub trait DuplicateDetector {
     /// regression.
     fn observe(&mut self, id: &[u8]) -> Verdict;
 
-    /// Classifies a batch of consecutive clicks, in stream order.
-    ///
-    /// Verdict-for-verdict equivalent to calling [`observe`] on each id
-    /// in order. Built on [`observe_batch_into`], which implementations
-    /// may override to hash the whole batch up front before touching
-    /// filter state (the GBF/TBF detectors do), which improves locality
-    /// without changing any verdict; its default is the plain loop, so
-    /// trait objects and third-party detectors get batching for free.
-    ///
-    /// [`observe`]: DuplicateDetector::observe
-    /// [`observe_batch_into`]: DuplicateDetector::observe_batch_into
-    fn observe_batch(&mut self, ids: &[&[u8]]) -> Vec<Verdict> {
-        let mut out = Vec::with_capacity(ids.len());
-        self.observe_batch_into(ids, &mut out);
-        out
-    }
-
-    /// Allocation-free form of [`observe_batch`]: verdicts are written into
-    /// `out` (cleared first, capacity reused), so a caller recycling the
-    /// buffer performs no heap allocation once it has grown to the batch
-    /// size. Verdict-for-verdict equivalent to [`observe_batch`].
-    ///
-    /// [`observe_batch`]: DuplicateDetector::observe_batch
-    fn observe_batch_into(&mut self, ids: &[&[u8]], out: &mut Vec<Verdict>) {
-        out.clear();
-        for id in ids {
-            out.push(self.observe(id));
-        }
-    }
-
-    /// Classifies a batch of fixed-stride ids packed end-to-end in a flat
-    /// buffer (`key_len` bytes each), writing verdicts into `out` (cleared
-    /// first, capacity reused).
-    ///
-    /// The flat layout is what the zero-allocation pipeline ships between
-    /// stages: no per-id slice headers, and batch implementations can hash
-    /// the whole buffer in one multi-lane pass. Verdict-for-verdict
-    /// equivalent to observing each `key_len`-byte chunk in order.
-    ///
-    /// # Panics
-    /// Implementations may panic if `key_len == 0` or `keys.len()` is not
-    /// a multiple of `key_len`.
-    fn observe_flat_into(&mut self, keys: &[u8], key_len: usize, out: &mut Vec<Verdict>) {
-        assert!(key_len > 0, "key_len must be non-zero");
-        assert_eq!(
-            keys.len() % key_len,
-            0,
-            "flat key buffer length {} is not a multiple of key_len {}",
-            keys.len(),
-            key_len
-        );
-        out.clear();
-        for id in keys.chunks_exact(key_len) {
-            out.push(self.observe(id));
-        }
-    }
-
     /// Classifies the click arriving at `tick`. The default ignores the
     /// tick ([`observe`]); time-window detectors override it.
     ///
@@ -132,54 +144,49 @@ pub trait DuplicateDetector {
         self.observe(id)
     }
 
-    /// Classifies a batch of consecutive clicks, each with its own tick,
-    /// in stream order: verdict-for-verdict equivalent to calling
-    /// [`observe_at`] on each `(id, tick)` pair in order.
+    /// Classifies a batch of consecutive clicks, in stream order, each
+    /// at the current clock: [`observe_keys_into`] over
+    /// [`Keys::Refs`] with no ticks, into a fresh vector.
     ///
-    /// # Panics
-    /// Implementations may panic if `ids.len() != ticks.len()`.
-    ///
-    /// [`observe_at`]: DuplicateDetector::observe_at
-    fn observe_batch_at(&mut self, ids: &[&[u8]], ticks: &[u64]) -> Vec<Verdict> {
+    /// [`observe_keys_into`]: DuplicateDetector::observe_keys_into
+    fn observe_batch(&mut self, ids: &[&[u8]]) -> Vec<Verdict> {
         let mut out = Vec::with_capacity(ids.len());
-        self.observe_batch_at_into(ids, ticks, &mut out);
+        self.observe_keys_into(Keys::Refs(ids), None, &mut out);
         out
     }
 
-    /// Allocation-free form of [`observe_batch_at`]: verdicts are written
-    /// into `out` (cleared first, capacity reused). The default ignores
-    /// the ticks ([`observe_batch_into`]); time-window detectors override
-    /// it to hash the whole batch up front and amortize clock-advance
-    /// work across ticks that share a unit.
+    /// Classifies a batch of consecutive clicks, in stream order,
+    /// writing verdicts into `out` (cleared first, capacity reused, so a
+    /// caller recycling the buffer allocates nothing once it has grown
+    /// to the batch size).
+    ///
+    /// With `Some(ticks)` (one per key) each click is judged at its
+    /// tick, as by [`observe_at`]; with `None` each is judged at the
+    /// current clock, as by [`observe`]. Count windows ignore the ticks.
+    /// Verdict-for-verdict equivalent to that per-click loop, which is
+    /// the default; implementations override it to hash the whole batch
+    /// before touching filter state, which improves locality without
+    /// changing any verdict.
     ///
     /// # Panics
-    /// Implementations may panic if `ids.len() != ticks.len()`.
+    /// Implementations may panic if the key count differs from
+    /// `ticks.len()`.
     ///
-    /// [`observe_batch_at`]: DuplicateDetector::observe_batch_at
-    /// [`observe_batch_into`]: DuplicateDetector::observe_batch_into
-    fn observe_batch_at_into(&mut self, ids: &[&[u8]], ticks: &[u64], out: &mut Vec<Verdict>) {
-        let _ = ticks;
-        self.observe_batch_into(ids, out);
-    }
-
-    /// [`observe_flat_into`] with one tick per key — what the pipeline's
-    /// shard workers call. The default ignores the ticks
-    /// ([`observe_flat_into`]); time-window detectors override it.
-    ///
-    /// # Panics
-    /// Implementations may panic if `key_len == 0`, `keys.len()` is not a
-    /// multiple of `key_len`, or the key count differs from `ticks.len()`.
-    ///
-    /// [`observe_flat_into`]: DuplicateDetector::observe_flat_into
-    fn observe_flat_at_into(
-        &mut self,
-        keys: &[u8],
-        key_len: usize,
-        ticks: &[u64],
-        out: &mut Vec<Verdict>,
-    ) {
-        let _ = ticks;
-        self.observe_flat_into(keys, key_len, out);
+    /// [`observe`]: DuplicateDetector::observe
+    /// [`observe_at`]: DuplicateDetector::observe_at
+    fn observe_keys_into(&mut self, keys: Keys<'_>, ticks: Option<&[u64]>, out: &mut Vec<Verdict>) {
+        out.clear();
+        match ticks {
+            None => out.extend(keys.iter().map(|id| self.observe(id))),
+            Some(ticks) => {
+                assert_eq!(keys.len(), ticks.len(), "one tick per key");
+                out.extend(
+                    keys.iter()
+                        .zip(ticks)
+                        .map(|(id, &t)| self.observe_at(id, t)),
+                );
+            }
+        }
     }
 
     /// The window model this detector approximates.
@@ -198,37 +205,17 @@ pub trait DuplicateDetector {
 /// Boxed detectors forward the whole contract, so trait objects compose
 /// with generic wrappers (e.g. `ShardedDetector<Box<dyn
 /// ObservableDetector>>` in the CLI, where the algorithm is chosen at
-/// runtime). The tick-carrying methods must be forwarded too, or a boxed
-/// time detector would silently go tick-blind; `observe_batch_at` needs
-/// no forward because its default builds on the forwarded
-/// `observe_batch_at_into`.
+/// runtime). `observe_batch` needs no forward: its default builds on the
+/// forwarded `observe_keys_into`.
 impl<D: DuplicateDetector + ?Sized> DuplicateDetector for Box<D> {
     fn observe(&mut self, id: &[u8]) -> Verdict {
         (**self).observe(id)
     }
-    fn observe_batch(&mut self, ids: &[&[u8]]) -> Vec<Verdict> {
-        (**self).observe_batch(ids)
-    }
-    fn observe_batch_into(&mut self, ids: &[&[u8]], out: &mut Vec<Verdict>) {
-        (**self).observe_batch_into(ids, out)
-    }
-    fn observe_flat_into(&mut self, keys: &[u8], key_len: usize, out: &mut Vec<Verdict>) {
-        (**self).observe_flat_into(keys, key_len, out)
-    }
     fn observe_at(&mut self, id: &[u8], tick: u64) -> Verdict {
         (**self).observe_at(id, tick)
     }
-    fn observe_batch_at_into(&mut self, ids: &[&[u8]], ticks: &[u64], out: &mut Vec<Verdict>) {
-        (**self).observe_batch_at_into(ids, ticks, out)
-    }
-    fn observe_flat_at_into(
-        &mut self,
-        keys: &[u8],
-        key_len: usize,
-        ticks: &[u64],
-        out: &mut Vec<Verdict>,
-    ) {
-        (**self).observe_flat_at_into(keys, key_len, ticks, out)
+    fn observe_keys_into(&mut self, keys: Keys<'_>, ticks: Option<&[u64]>, out: &mut Vec<Verdict>) {
+        (**self).observe_keys_into(keys, ticks, out);
     }
     fn window(&self) -> WindowSpec {
         (**self).window()
@@ -404,6 +391,34 @@ mod tests {
         assert_eq!(d.name(), "toy-landmark");
         d.reset();
         assert_eq!(d.observe(b"k"), Verdict::Distinct);
+    }
+
+    #[test]
+    fn default_batch_is_the_per_click_loop_over_either_view() {
+        let toy = || ToyLandmark {
+            seen: Default::default(),
+            n: 4,
+            count: 0,
+        };
+        let ids: Vec<&[u8]> = vec![b"ab", b"cd", b"ab", b"ab", b"ef", b"cd", b"ab"];
+        let flat = ids.concat();
+        let mut sequential = toy();
+        let want: Vec<Verdict> = ids.iter().map(|id| sequential.observe(id)).collect();
+        for keys in [Keys::Refs(&ids), Keys::flat(&flat, 2)] {
+            assert_eq!(keys.len(), ids.len());
+            assert!(keys.iter().eq(ids.iter().copied()));
+            for ticks in [None, Some(&[9u64; 7][..])] {
+                let mut out = vec![Verdict::Duplicate; 3];
+                toy().observe_keys_into(keys, ticks, &mut out);
+                assert_eq!(out, want, "{keys:?} {ticks:?}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "not a multiple of key_len")]
+    fn flat_view_rejects_a_ragged_buffer() {
+        let _ = Keys::flat(b"abc", 2);
     }
 
     #[test]

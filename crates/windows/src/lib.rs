@@ -31,7 +31,7 @@ pub mod wrap;
 
 pub use cfd_telemetry::{DetectorHealth, DetectorStats};
 pub use clock::JumpingClock;
-pub use detector::{DuplicateDetector, ObservableDetector, StreamSummary, Verdict};
+pub use detector::{DuplicateDetector, Keys, ObservableDetector, StreamSummary, Verdict};
 pub use exact::{ExactJumpingDedup, ExactLandmarkDedup, ExactSlidingDedup};
 pub use exact_time::{ExactTimeJumpingDedup, ExactTimeSlidingDedup};
 pub use spec::WindowSpec;

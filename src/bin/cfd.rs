@@ -29,7 +29,7 @@ use cfd_stream::{
 };
 use cfd_telemetry::{Registry as TelemetryRegistry, Reporter, SnapshotFormat};
 use cfd_windows::{
-    DuplicateDetector, ExactSlidingDedup, ObservableDetector, StreamSummary, WindowSpec,
+    DuplicateDetector, ExactSlidingDedup, Keys, ObservableDetector, StreamSummary, WindowSpec,
 };
 use click_fraud_detection::{cli, sweep};
 use std::collections::HashMap;
@@ -360,13 +360,18 @@ fn cmd_detect(opts: &Opts) -> Result<(), Failure> {
     let mut scorer = FraudScorer::new();
     let mut keys: Vec<[u8; 16]> = Vec::with_capacity(batch);
     let mut ticks: Vec<u64> = Vec::with_capacity(batch);
+    let mut verdicts = Vec::with_capacity(batch);
     for chunk in clicks.chunks(batch) {
         keys.clear();
         keys.extend(chunk.iter().map(Click::key));
         ticks.clear();
         ticks.extend(chunk.iter().map(|c| c.tick));
-        let refs: Vec<&[u8]> = keys.iter().map(<[u8; 16]>::as_slice).collect();
-        for (click, v) in chunk.iter().zip(detector.observe_batch_at(&refs, &ticks)) {
+        detector.observe_keys_into(
+            Keys::flat(keys.as_flattened(), 16),
+            Some(&ticks),
+            &mut verdicts,
+        );
+        for (click, &v) in chunk.iter().zip(&verdicts) {
             summary.record(v);
             scorer.record(click, v);
         }

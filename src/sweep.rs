@@ -17,7 +17,7 @@
 //!    the oracle) and `rounds` timed passes with the configuration
 //!    order alternated between rounds, reporting the median clicks/s.
 //!    `batch = 1` judges click by click through `observe_at`; larger
-//!    batches replay through `observe_flat_at_into`, the path the
+//!    batches replay through `observe_keys_into` over flat keys, the path the
 //!    pipeline workers use (a sharded count window hashes each click
 //!    once for routing and probing). A `wide` or `scalar` dispatch pins
 //!    the SIMD kernels for the point's passes. Every timed round must
@@ -45,7 +45,7 @@ use cfd_stream::scenario::{Budget, ScenarioSpec, ScenarioWindow, SweepPoint, GRO
 use cfd_stream::Click;
 use cfd_windows::{
     DuplicateDetector, ExactJumpingDedup, ExactSlidingDedup, ExactTimeJumpingDedup,
-    ExactTimeSlidingDedup, ObservableDetector, Verdict, WindowSpec,
+    ExactTimeSlidingDedup, Keys, ObservableDetector, Verdict, WindowSpec,
 };
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -312,8 +312,9 @@ fn shard_geometry(
 
 /// One grid point's detector: a registry backend, or shards of one
 /// behind a router. Sharded count windows judge batches hash-once
-/// ([`ShardedDetector::observe_batch_hash_once`]); routing is
-/// tick-blind, so time windows take the per-click path.
+/// ([`ShardedDetector::observe_batch_hash_once`]); sharded time windows
+/// take the generic scatter/gather with ticks, which hashes each click
+/// twice (once to route, once to probe).
 enum Driver {
     One(Box<dyn DetectorBackend>),
     Sharded {
@@ -353,7 +354,7 @@ impl Driver {
 
     /// Judges the whole stream, each click at its tick, handing every
     /// batch's verdicts to `each`: click by click through `observe_at`
-    /// for `batch = 1`, else through `observe_flat_at_into` (or the
+    /// for `batch = 1`, else through `observe_keys_into` (or the
     /// hash-once path of a sharded count window).
     fn replay(
         &mut self,
@@ -395,7 +396,7 @@ fn replay_on(
     }
     let mut out = Vec::with_capacity(batch);
     for (kc, tc) in keys.chunks(batch * KEY_LEN).zip(ticks.chunks(batch)) {
-        d.observe_flat_at_into(kc, KEY_LEN, tc, &mut out);
+        d.observe_keys_into(Keys::flat(kc, KEY_LEN), Some(tc), &mut out);
         each(&out);
     }
 }

@@ -10,11 +10,13 @@
 //! 1. **Zero false negatives** under its own window model (sliding or
 //!    jumping, count or time, chosen from `window()`), in the
 //!    self-consistent Definition-1 sense of `tests/common`.
-//! 2. **Batch ≡ sequential**: `observe_batch` under arbitrary chunking,
-//!    the flat-key `observe_flat_into` path, and its tick-carrying
-//!    `observe_flat_at_into` twin under arbitrary (even decreasing)
-//!    ticks are verdict-for-verdict identical to per-click `observe`
-//!    (`observe_at`, at the same ticks, for time windows).
+//! 2. **Batch ≡ sequential**: the one batch method, `observe_keys_into`,
+//!    over either key view (ref slices or flat fixed-stride keys), with
+//!    no ticks or with arbitrary (even decreasing) ticks, under
+//!    arbitrary chunking, is verdict-for-verdict identical to per-click
+//!    `observe` (no ticks) or `observe_at` (ticks; count windows ignore
+//!    them). The registry hands out `Box<dyn DetectorBackend>`, so this
+//!    also checks that the boxed forward keeps time detectors' ticks.
 //! 3. **Layout differential**: the blocked layout is a probe-placement
 //!    change, not a semantic one — verdicts may differ from scattered
 //!    only through one-sided false positives, so both layouts stay
@@ -39,7 +41,7 @@ use cfd_stream::{
     UniqueClickStream, TENANT_KEY_LEN,
 };
 use cfd_windows::exact_time::{ExactTimeJumpingDedup, ExactTimeSlidingDedup};
-use cfd_windows::{DuplicateDetector, Verdict, WindowSpec};
+use cfd_windows::{DuplicateDetector, Keys, Verdict, WindowSpec};
 use proptest::prelude::*;
 use std::sync::Mutex;
 
@@ -97,7 +99,7 @@ fn botnet_keys(seed: u64, count: usize) -> Vec<Vec<u8>> {
 }
 
 /// Fixed-stride 8-byte keys with forced repeats (`space` distinct ids),
-/// packed flat for the `observe_flat_into` parity check.
+/// packed flat for the flat-view parity check.
 fn flat_keys(seed: u64, count: usize, space: u64) -> Vec<u8> {
     let mut x = seed | 1;
     let mut out = Vec::with_capacity(count * 8);
@@ -215,68 +217,65 @@ proptest! {
         }
     }
 
-    /// Property 2: batching — ref-slice chunks of arbitrary size and
-    /// the flat fixed-stride path — is a pure throughput knob; ticks are
-    /// ignored by count windows and honoured per click by time windows.
+    /// Property 2: batching — either key view, arbitrary chunking, with
+    /// or without ticks — is a pure throughput knob; ticks are ignored
+    /// by count windows and honoured per click by time windows.
     #[test]
     fn every_backend_batch_matches_observe(
         seed in 0u64..1_000,
         chunk in 1usize..300,
     ) {
         let flat = flat_keys(seed, 4_000, 700);
-        let keys: Vec<Vec<u8>> = flat.chunks_exact(8).map(<[u8]>::to_vec).collect();
+        let refs: Vec<&[u8]> = flat.chunks_exact(8).collect();
+        // Arbitrary ticks, decreasing ones included.
+        let ticks: Vec<u64> = (0..refs.len() as u64)
+            .map(|i| (i ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40)
+            .collect();
         for entry in registry::backends() {
             for layout in LAYOUTS {
                 let geo = geometry(seed, layout, 64);
                 let mut seq = entry.build(&geo).expect("build");
-                let mut by_refs = entry.build(&geo).expect("build");
-                let mut by_flat = entry.build(&geo).expect("build");
+                let sequential: Vec<_> = refs.iter().map(|k| seq.observe(k)).collect();
+                let mut seq_at = entry.build(&geo).expect("build");
+                let sequential_at: Vec<_> =
+                    refs.iter().zip(&ticks).map(|(k, &t)| seq_at.observe_at(k, t)).collect();
+                if !entry.timed {
+                    prop_assert_eq!(&sequential, &sequential_at, "{}: count window read ticks", entry.name);
+                }
 
-                let sequential: Vec<_> = keys.iter().map(|k| seq.observe(k)).collect();
-
-                let mut via_refs = Vec::with_capacity(keys.len());
-                for group in keys.chunks(chunk) {
-                    let refs: Vec<&[u8]> = group.iter().map(Vec::as_slice).collect();
-                    via_refs.extend(by_refs.observe_batch(&refs));
+                let mut by_batch = entry.build(&geo).expect("build");
+                let mut via_batch = Vec::with_capacity(refs.len());
+                for group in refs.chunks(chunk) {
+                    via_batch.extend(by_batch.observe_batch(group));
                 }
                 prop_assert_eq!(
-                    &sequential, &via_refs,
+                    &sequential, &via_batch,
                     "{} ({layout:?}): observe_batch diverged", entry.name
                 );
 
-                let mut via_flat = Vec::with_capacity(keys.len());
-                let mut out = Vec::new();
-                for group in flat.chunks(chunk * 8) {
-                    by_flat.observe_flat_into(group, 8, &mut out);
-                    via_flat.extend_from_slice(&out);
+                for flat_view in [false, true] {
+                    for with_ticks in [false, true] {
+                        let mut d = entry.build(&geo).expect("build");
+                        let mut got = Vec::with_capacity(refs.len());
+                        let mut out = Vec::new();
+                        for (i, tc) in ticks.chunks(chunk).enumerate() {
+                            let at = i * chunk;
+                            let keys = if flat_view {
+                                Keys::flat(&flat[at * 8..(at + tc.len()) * 8], 8)
+                            } else {
+                                Keys::Refs(&refs[at..at + tc.len()])
+                            };
+                            d.observe_keys_into(keys, with_ticks.then_some(tc), &mut out);
+                            got.extend_from_slice(&out);
+                        }
+                        let want = if with_ticks { &sequential_at } else { &sequential };
+                        prop_assert_eq!(
+                            want, &got,
+                            "{} ({layout:?}): observe_keys_into diverged (flat view {}, ticks {})",
+                            entry.name, flat_view, with_ticks
+                        );
+                    }
                 }
-                prop_assert_eq!(
-                    &sequential, &via_flat,
-                    "{} ({layout:?}): observe_flat_into diverged", entry.name
-                );
-
-                // Arbitrary ticks, decreasing ones included: count windows
-                // ignore them, time windows judge each click at its tick
-                // exactly as the per-click path does.
-                let mut by_flat_at = entry.build(&geo).expect("build");
-                let ticks: Vec<u64> = (0..keys.len() as u64)
-                    .map(|i| (i ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40)
-                    .collect();
-                let sequential_at: Vec<_> = if entry.timed {
-                    let mut seq_at = entry.build(&geo).expect("build");
-                    keys.iter().zip(&ticks).map(|(k, &t)| seq_at.observe_at(k, t)).collect()
-                } else {
-                    sequential.clone()
-                };
-                let mut via_flat_at = Vec::with_capacity(keys.len());
-                for (group, tc) in flat.chunks(chunk * 8).zip(ticks.chunks(chunk)) {
-                    by_flat_at.observe_flat_at_into(group, 8, tc, &mut out);
-                    via_flat_at.extend_from_slice(&out);
-                }
-                prop_assert_eq!(
-                    &sequential_at, &via_flat_at,
-                    "{} ({layout:?}): observe_flat_at_into diverged", entry.name
-                );
             }
         }
     }
@@ -336,14 +335,17 @@ proptest! {
 
                     cfd_core::simd::set_scalar_override(Some(true));
                     let mut scalar_verdicts = Vec::with_capacity(keys.len());
+                    let mut out = Vec::new();
                     for (group, tc) in refs.chunks(chunk).zip(ticks.chunks(chunk)) {
-                        scalar_verdicts.extend(forced.observe_batch_at(group, tc));
+                        forced.observe_keys_into(Keys::Refs(group), Some(tc), &mut out);
+                        scalar_verdicts.extend_from_slice(&out);
                     }
 
                     cfd_core::simd::set_scalar_override(Some(false));
                     let mut wide_verdicts = Vec::with_capacity(keys.len());
                     for (group, tc) in refs.chunks(chunk).zip(ticks.chunks(chunk)) {
-                        wide_verdicts.extend(wide.observe_batch_at(group, tc));
+                        wide.observe_keys_into(Keys::Refs(group), Some(tc), &mut out);
+                        wide_verdicts.extend_from_slice(&out);
                     }
 
                     assert_eq!(
@@ -483,12 +485,12 @@ proptest! {
             let mut via_flat = Vec::with_capacity(keys.len());
             let mut out = Vec::new();
             for group in flat.chunks(chunk * TENANT_KEY_LEN) {
-                by_flat.observe_flat_into(group, TENANT_KEY_LEN, &mut out);
+                by_flat.observe_keys_into(Keys::flat(group, TENANT_KEY_LEN), None, &mut out);
                 via_flat.extend_from_slice(&out);
             }
             prop_assert_eq!(
                 &sequential, &via_flat,
-                "observe_flat_into diverged ({:?})", cfg.probe
+                "observe_keys_into (flat view) diverged ({:?})", cfg.probe
             );
         }
     }
